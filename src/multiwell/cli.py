@@ -94,10 +94,11 @@ def _resolve_potential(config) -> potentials.PotentialSpec:
     if "potential" not in config:
         raise UsageError("config needs a 'potential' entry")
     pot = config["potential"]
-    if isinstance(pot, dict):
-        return potentials.potential_from_json(pot)
-    if isinstance(pot, str) and pot.endswith(".json"):
-        return potentials.potential_from_json(pot)
+    if isinstance(pot, dict) or (isinstance(pot, str) and pot.endswith(".json")):
+        try:
+            return potentials.potential_from_json(pot)
+        except (OSError, KeyError, ValueError) as e:
+            raise UsageError(f"bad custom potential: {e}")
     try:
         return potentials.get_potential(pot)
     except KeyError as e:
@@ -316,47 +317,43 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+def _steiner_rows(config) -> list:
+    """Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23 rows: CSV cells of the batch, or the single triangle."""
+    batch = config.get("batch")
+    if batch:
+        try:
+            with open(batch) as fh:
+                lines = fh.read().splitlines()[1:]
+        except OSError as e:
+            raise UsageError(f"cannot read batch: {e}")
+        stripped = (line.split("#")[0].strip() for line in lines)
+        return [line.split(",") for line in stripped if line]
+    if "triangle" in config:
+        t = config["triangle"]
+        try:
+            return [[*t["A"], *t["B"], *t["C"], t["e12"], t["e13"], t["e23"]]]
+        except (KeyError, TypeError) as e:
+            raise UsageError(f"triangle needs A, B, C and e12, e13, e23: {e}")
+    raise UsageError("steiner config needs 'batch' (CSV path) or 'triangle'")
+
+
+def _triangle(cells) -> partitions.WeightedTriangle:
+    if len(cells) != 9:
+        raise ValueError(f"expected 9 columns; got {len(cells)}")
+    v = [float(c) for c in cells]
+    return partitions.WeightedTriangle(v[0:2], v[2:4], v[4:6], v[6], v[7], v[8])
+
+
 def cmd_steiner(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    batch = config.get("batch")
-    rows: list[dict] = []
-    if batch:
-        data = np.loadtxt(batch, delimiter=",", skiprows=1, ndmin=2)
-        for r in data:
-            rows.append(
-                {
-                    "A": r[0:2],
-                    "B": r[2:4],
-                    "C": r[4:6],
-                    "e12": float(r[6]),
-                    "e13": float(r[7]),
-                    "e23": float(r[8]),
-                }
-            )
-    elif "triangle" in config:
-        t = config["triangle"]
-        rows.append(
-            {
-                "A": np.asarray(t["A"], dtype=np.float64),
-                "B": np.asarray(t["B"], dtype=np.float64),
-                "C": np.asarray(t["C"], dtype=np.float64),
-                "e12": float(t["e12"]),
-                "e13": float(t["e13"]),
-                "e23": float(t["e23"]),
-            }
-        )
-    else:
-        raise UsageError("steiner config needs 'batch' (CSV path) or 'triangle'")
+    rows = _steiner_rows(config)
     tol = float(config.get("tol", 1e-10))
     out_rows = []
     n_err = 0
-    for i, row in enumerate(rows):
+    for i, cells in enumerate(rows):
         try:
-            tri = partitions.WeightedTriangle(
-                row["A"], row["B"], row["C"], row["e12"], row["e13"], row["e23"]
-            )
-            P, info = partitions.steiner_point(tri, tol=tol)
+            P, info = partitions.steiner_point(_triangle(cells), tol=tol)
             out_rows.append(
                 [
                     str(i),
@@ -368,7 +365,7 @@ def cmd_steiner(args) -> int:
                     "",
                 ]
             )
-        except partitions.PartitionError as e:
+        except ValueError as e:  # malformed row or partitions.PartitionError
             n_err += 1
             out_rows.append([str(i), "", "", "", "", "", str(e)])
     _write_csv(

@@ -1,64 +1,41 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels: grid stencils, link quadrature, multilinear
+interpolation and fast potential evaluations, one numpy implementation each.
 
-The jitted path is used when numba imports successfully; set
-``MULTIWELL_NO_NUMBA=1`` to force the numpy fallback.  Both lanes compute
-identical quantities (same stencils, same loop order up to reduction
-order), and ``benchmarks/bench_kernels.py`` compares them.
+The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
+work in any grid dimension by slicing one axis at a time.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("MULTIWELL_NO_NUMBA", "0") not in (
-    "1",
-    "true",
-    "yes",
-)
+# There is one kernel lane (numpy); benchmark reports record this flag.
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# Laplacian stencils (5/7-point), interior nodes only; boundary rows are zero.
+# Laplacian stencil (3/5/7-point), interior nodes only; boundary rows are zero.
 
 
-def _laplacian_1d_np(values, h):
+def laplacian(values: np.ndarray, h: float) -> np.ndarray:
+    """Standard second-order Laplacian stencil; zeros on the boundary layer."""
+    dim = values.ndim - 1
+    views = [
+        values[tuple(s if b == a else slice(1, -1) for b in range(dim))]
+        for a in range(dim)
+        for s in (slice(2, None), slice(None, -2))
+    ]
+    acc = views[0] + views[1]
+    for v in views[2:]:
+        acc += v
+    inner = (slice(1, -1),) * dim
+    acc -= (2.0 * dim) * values[inner]
+    acc /= h * h
     out = np.zeros_like(values)
-    out[1:-1] = (values[2:] + values[:-2] - 2.0 * values[1:-1]) / (h * h)
-    return out
-
-
-def _laplacian_2d_np(values, h):
-    out = np.zeros_like(values)
-    out[1:-1, 1:-1] = (
-        values[2:, 1:-1]
-        + values[:-2, 1:-1]
-        + values[1:-1, 2:]
-        + values[1:-1, :-2]
-        - 4.0 * values[1:-1, 1:-1]
-    ) / (h * h)
-    return out
-
-
-def _laplacian_3d_np(values, h):
-    out = np.zeros_like(values)
-    out[1:-1, 1:-1, 1:-1] = (
-        values[2:, 1:-1, 1:-1]
-        + values[:-2, 1:-1, 1:-1]
-        + values[1:-1, 2:, 1:-1]
-        + values[1:-1, :-2, 1:-1]
-        + values[1:-1, 1:-1, 2:]
-        + values[1:-1, 1:-1, :-2]
-        - 6.0 * values[1:-1, 1:-1, 1:-1]
-    ) / (h * h)
+    out[inner] = acc
     return out
 
 
@@ -66,12 +43,12 @@ def _laplacian_3d_np(values, h):
 # Potential evaluations on flat point arrays (N, m).
 
 
-def _prodwell_value_np(pts, wells, scale):
+def prodwell_value(pts, wells, scale):
     diff = pts[:, None, :] - wells[None, :, :]
     return scale * np.prod(np.sum(diff * diff, axis=2), axis=1)
 
 
-def _prodwell_grad_np(pts, wells, scale):
+def prodwell_grad(pts, wells, scale):
     diff = pts[:, None, :] - wells[None, :, :]  # (N, nw, m)
     f = np.sum(diff * diff, axis=2)  # (N, nw)
     total = np.prod(f, axis=1)  # (N,)
@@ -89,13 +66,13 @@ def _prodwell_grad_np(pts, wells, scale):
     return scale * out
 
 
-def _tetra_value_np(pts):
+def tetra_value(pts):
     u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
     r2 = u1 * u1 + u2 * u2 + u3 * u3
     return r2 * r2 - (4.0 / np.sqrt(3.0)) * (u1 * u1 - u2 * u2) * u3 - (2.0 / 3.0) * r2 + 5.0 / 9.0
 
 
-def _tetra_grad_np(pts):
+def tetra_grad(pts):
     u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
     r2 = u1 * u1 + u2 * u2 + u3 * u3
     c = 4.0 / np.sqrt(3.0)
@@ -106,17 +83,7 @@ def _tetra_grad_np(pts):
     return g
 
 
-def _gl_value_np(pts):
-    r2 = np.sum(pts * pts, axis=1)
-    return 0.25 * (r2 - 1.0) ** 2
-
-
-def _gl_grad_np(pts):
-    r2 = np.sum(pts * pts, axis=1)
-    return (r2 - 1.0)[:, None] * pts
-
-
-def _poly_value_np(pts, coeffs, exps):
+def poly_value(pts, coeffs, exps):
     n, m = pts.shape
     emax = int(exps.max()) if exps.size else 0
     pw = np.ones((n, m, emax + 1))
@@ -128,10 +95,10 @@ def _poly_value_np(pts, coeffs, exps):
     return terms @ coeffs
 
 
-def _poly_grad_np(pts, gcoeffs, gexps):
+def poly_grad(pts, gcoeffs, gexps):
     out = np.empty_like(pts)
     for comp in range(pts.shape[1]):
-        out[:, comp] = _poly_value_np(pts, gcoeffs[comp], gexps[comp])
+        out[:, comp] = poly_value(pts, gcoeffs[comp], gexps[comp])
     return out
 
 
@@ -140,46 +107,28 @@ def _poly_grad_np(pts, gcoeffs, gexps):
 # are clamped to the box; callers mask out-of-box queries themselves.
 
 
-def _interp2_np(values, pts, lo, h):
-    p0 = values.shape[0] - 1
-    p1 = values.shape[1] - 1
-    x = np.clip((pts[:, 0] - lo) / h, 0.0, p0)
-    y = np.clip((pts[:, 1] - lo) / h, 0.0, p1)
-    i0 = np.minimum(x.astype(np.int64), p0 - 1)
-    j0 = np.minimum(y.astype(np.int64), p1 - 1)
-    fx = (x - i0)[:, None]
-    fy = (y - j0)[:, None]
-    v00 = values[i0, j0]
-    v10 = values[i0 + 1, j0]
-    v01 = values[i0, j0 + 1]
-    v11 = values[i0 + 1, j0 + 1]
-    return (
-        v00 * (1 - fx) * (1 - fy)
-        + v10 * fx * (1 - fy)
-        + v01 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
-
-
-def _interp3_np(values, pts, lo, h):
-    p = [values.shape[k] - 1 for k in range(3)]
-    idx = []
-    frac = []
-    for k in range(3):
-        t = np.clip((pts[:, k] - lo) / h, 0.0, p[k])
-        i = np.minimum(t.astype(np.int64), p[k] - 1)
-        idx.append(i)
-        frac.append((t - i)[:, None])
-    i, j, k = idx
-    fx, fy, fz = frac
-    out = np.zeros((pts.shape[0], values.shape[3]))
-    for di in (0, 1):
-        wi = fx if di else (1 - fx)
-        for dj in (0, 1):
-            wj = fy if dj else (1 - fy)
-            for dk in (0, 1):
-                wk = fz if dk else (1 - fz)
-                out += values[i + di, j + dj, k + dk] * (wi * wj * wk)
+def interp(values: np.ndarray, pts: np.ndarray, lo: float, h: float) -> np.ndarray:
+    """Clamped multilinear interpolation of a node-sampled field."""
+    shape = values.shape[:-1]
+    dim = len(shape)
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    flat = values.reshape(-1, values.shape[-1])
+    strides = [math.prod(shape[k + 1 :]) for k in range(dim)]  # C-order node strides
+    base = 0
+    weights = []  # per axis: (weight of the lower node, weight of the upper node)
+    for k in range(dim):
+        p = shape[k] - 1
+        t = np.clip((pts[:, k] - lo) / h, 0.0, p)
+        i = np.minimum(t.astype(np.int64), p - 1)
+        base = base + i * strides[k]
+        f = (t - i)[:, None]
+        weights.append((1 - f, f))
+    out = np.zeros((pts.shape[0], flat.shape[1]))
+    for corner in itertools.product((0, 1), repeat=dim):
+        off = sum(c * s for c, s in zip(corner, strides))
+        corner_values = np.take(flat, base + off, axis=0)
+        corner_values *= math.prod(weights[k][c] for k, c in enumerate(corner))
+        out += corner_values
     return out
 
 
@@ -195,402 +144,16 @@ def _trap(P):
     return w
 
 
-def _link_energy_1d_np(values, h):
-    d = values[1:] - values[:-1]
-    return 0.5 * np.sum(d * d) / h
-
-
-def _link_energy_2d_np(values, h):
-    P0, P1, _ = values.shape
-    w0 = _trap(P0)
-    w1 = _trap(P1)
-    d = values[1:, :, :] - values[:-1, :, :]
-    s = np.einsum("ijm,j->", d * d, w1)
-    d = values[:, 1:, :] - values[:, :-1, :]
-    s += np.einsum("ijm,i->", d * d, w0)
-    return 0.5 * s
-    # h^2 cell measure / h^2 difference scaling cancel
-
-
-def _link_energy_3d_np(values, h):
-    P0, P1, P2, _ = values.shape
-    w0, w1, w2 = _trap(P0), _trap(P1), _trap(P2)
-    d = values[1:, :, :, :] - values[:-1, :, :, :]
-    s = np.einsum("ijkm,j,k->", d * d, w1, w2)
-    d = values[:, 1:, :, :] - values[:, :-1, :, :]
-    s += np.einsum("ijkm,i,k->", d * d, w0, w2)
-    d = values[:, :, 1:, :] - values[:, :, :-1, :]
-    s += np.einsum("ijkm,i,j->", d * d, w0, w1)
-    return 0.5 * s * h
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _laplacian_1d_nb(values, h):
-        out = np.zeros_like(values)
-        P = values.shape[0]
-        m = values.shape[1]
-        hh = h * h
-        for i in range(1, P - 1):
-            for c in range(m):
-                out[i, c] = (values[i + 1, c] + values[i - 1, c] - 2.0 * values[i, c]) / hh
-        return out
-
-    @njit(cache=True)
-    def _laplacian_2d_nb(values, h):
-        out = np.zeros_like(values)
-        P0, P1, m = values.shape
-        hh = h * h
-        for i in range(1, P0 - 1):
-            for j in range(1, P1 - 1):
-                for c in range(m):
-                    out[i, j, c] = (
-                        values[i + 1, j, c]
-                        + values[i - 1, j, c]
-                        + values[i, j + 1, c]
-                        + values[i, j - 1, c]
-                        - 4.0 * values[i, j, c]
-                    ) / hh
-        return out
-
-    @njit(cache=True)
-    def _laplacian_3d_nb(values, h):
-        out = np.zeros_like(values)
-        P0, P1, P2, m = values.shape
-        hh = h * h
-        for i in range(1, P0 - 1):
-            for j in range(1, P1 - 1):
-                for k in range(1, P2 - 1):
-                    for c in range(m):
-                        out[i, j, k, c] = (
-                            values[i + 1, j, k, c]
-                            + values[i - 1, j, k, c]
-                            + values[i, j + 1, k, c]
-                            + values[i, j - 1, k, c]
-                            + values[i, j, k + 1, c]
-                            + values[i, j, k - 1, c]
-                            - 6.0 * values[i, j, k, c]
-                        ) / hh
-        return out
-
-    @njit(cache=True)
-    def _prodwell_value_nb(pts, wells, scale):
-        N, m = pts.shape
-        nw = wells.shape[0]
-        out = np.empty(N)
-        for p in range(N):
-            prod = scale
-            for i in range(nw):
-                f = 0.0
-                for c in range(m):
-                    d = pts[p, c] - wells[i, c]
-                    f += d * d
-                prod *= f
-            out[p] = prod
-        return out
-
-    @njit(cache=True)
-    def _prodwell_grad_nb(pts, wells, scale):
-        N, m = pts.shape
-        nw = wells.shape[0]
-        out = np.zeros((N, m))
-        f = np.empty(nw)
-        for p in range(N):
-            for i in range(nw):
-                s = 0.0
-                for c in range(m):
-                    d = pts[p, c] - wells[i, c]
-                    s += d * d
-                f[i] = s
-            for i in range(nw):
-                rest = scale
-                for j in range(nw):
-                    if j != i:
-                        rest *= f[j]
-                for c in range(m):
-                    out[p, c] += 2.0 * (pts[p, c] - wells[i, c]) * rest
-        return out
-
-    @njit(cache=True)
-    def _tetra_value_nb(pts):
-        N = pts.shape[0]
-        out = np.empty(N)
-        c = 4.0 / np.sqrt(3.0)
-        for p in range(N):
-            u1, u2, u3 = pts[p, 0], pts[p, 1], pts[p, 2]
-            r2 = u1 * u1 + u2 * u2 + u3 * u3
-            out[p] = r2 * r2 - c * (u1 * u1 - u2 * u2) * u3 - (2.0 / 3.0) * r2 + 5.0 / 9.0
-        return out
-
-    @njit(cache=True)
-    def _tetra_grad_nb(pts):
-        N = pts.shape[0]
-        out = np.empty((N, 3))
-        c = 4.0 / np.sqrt(3.0)
-        for p in range(N):
-            u1, u2, u3 = pts[p, 0], pts[p, 1], pts[p, 2]
-            r2 = u1 * u1 + u2 * u2 + u3 * u3
-            out[p, 0] = 4.0 * r2 * u1 - 2.0 * c * u1 * u3 - (4.0 / 3.0) * u1
-            out[p, 1] = 4.0 * r2 * u2 + 2.0 * c * u2 * u3 - (4.0 / 3.0) * u2
-            out[p, 2] = 4.0 * r2 * u3 - c * (u1 * u1 - u2 * u2) - (4.0 / 3.0) * u3
-        return out
-
-    @njit(cache=True)
-    def _gl_value_nb(pts):
-        N, m = pts.shape
-        out = np.empty(N)
-        for p in range(N):
-            r2 = 0.0
-            for c in range(m):
-                r2 += pts[p, c] * pts[p, c]
-            out[p] = 0.25 * (r2 - 1.0) ** 2
-        return out
-
-    @njit(cache=True)
-    def _gl_grad_nb(pts):
-        N, m = pts.shape
-        out = np.empty((N, m))
-        for p in range(N):
-            r2 = 0.0
-            for c in range(m):
-                r2 += pts[p, c] * pts[p, c]
-            for c in range(m):
-                out[p, c] = (r2 - 1.0) * pts[p, c]
-        return out
-
-    @njit(cache=True)
-    def _poly_value_nb(pts, coeffs, exps):
-        N, m = pts.shape
-        K = coeffs.shape[0]
-        out = np.zeros(N)
-        for p in range(N):
-            s = 0.0
-            for k in range(K):
-                t = coeffs[k]
-                for j in range(m):
-                    e = exps[k, j]
-                    v = pts[p, j]
-                    for _ in range(e):
-                        t *= v
-                s += t
-            out[p] = s
-        return out
-
-    @njit(cache=True)
-    def _poly_grad_nb(pts, gcoeffs, gexps):
-        N, m = pts.shape
-        K = gcoeffs.shape[1]
-        out = np.zeros((N, m))
-        for p in range(N):
-            for comp in range(m):
-                s = 0.0
-                for k in range(K):
-                    t = gcoeffs[comp, k]
-                    if t != 0.0:
-                        for j in range(m):
-                            e = gexps[comp, k, j]
-                            v = pts[p, j]
-                            for _ in range(e):
-                                t *= v
-                        s += t
-                out[p, comp] = s
-        return out
-
-    @njit(cache=True)
-    def _interp2_nb(values, pts, lo, h):
-        Q = pts.shape[0]
-        m = values.shape[2]
-        p0 = values.shape[0] - 1
-        p1 = values.shape[1] - 1
-        out = np.empty((Q, m))
-        for q in range(Q):
-            x = (pts[q, 0] - lo) / h
-            y = (pts[q, 1] - lo) / h
-            if x < 0.0:
-                x = 0.0
-            if x > p0:
-                x = float(p0)
-            if y < 0.0:
-                y = 0.0
-            if y > p1:
-                y = float(p1)
-            i0 = min(int(x), p0 - 1)
-            j0 = min(int(y), p1 - 1)
-            fx = x - i0
-            fy = y - j0
-            for c in range(m):
-                out[q, c] = (
-                    values[i0, j0, c] * (1 - fx) * (1 - fy)
-                    + values[i0 + 1, j0, c] * fx * (1 - fy)
-                    + values[i0, j0 + 1, c] * (1 - fx) * fy
-                    + values[i0 + 1, j0 + 1, c] * fx * fy
-                )
-        return out
-
-    @njit(cache=True)
-    def _interp3_nb(values, pts, lo, h):
-        Q = pts.shape[0]
-        m = values.shape[3]
-        pmax = (values.shape[0] - 1, values.shape[1] - 1, values.shape[2] - 1)
-        out = np.zeros((Q, m))
-        for q in range(Q):
-            t0 = (pts[q, 0] - lo) / h
-            t1 = (pts[q, 1] - lo) / h
-            t2 = (pts[q, 2] - lo) / h
-            if t0 < 0.0:
-                t0 = 0.0
-            if t0 > pmax[0]:
-                t0 = float(pmax[0])
-            if t1 < 0.0:
-                t1 = 0.0
-            if t1 > pmax[1]:
-                t1 = float(pmax[1])
-            if t2 < 0.0:
-                t2 = 0.0
-            if t2 > pmax[2]:
-                t2 = float(pmax[2])
-            i0 = min(int(t0), pmax[0] - 1)
-            j0 = min(int(t1), pmax[1] - 1)
-            k0 = min(int(t2), pmax[2] - 1)
-            fx = t0 - i0
-            fy = t1 - j0
-            fz = t2 - k0
-            for di in range(2):
-                wi = fx if di == 1 else 1 - fx
-                for dj in range(2):
-                    wj = fy if dj == 1 else 1 - fy
-                    for dk in range(2):
-                        wk = fz if dk == 1 else 1 - fz
-                        w = wi * wj * wk
-                        for c in range(m):
-                            out[q, c] += values[i0 + di, j0 + dj, k0 + dk, c] * w
-        return out
-
-    @njit(cache=True)
-    def _link_energy_1d_nb(values, h):
-        P, m = values.shape
-        s = 0.0
-        for i in range(P - 1):
-            for c in range(m):
-                d = values[i + 1, c] - values[i, c]
-                s += d * d
-        return 0.5 * s / h
-
-    @njit(cache=True)
-    def _link_energy_2d_nb(values, h):
-        P0, P1, m = values.shape
-        s = 0.0
-        for i in range(P0 - 1):
-            for j in range(P1):
-                w = 0.5 if (j == 0 or j == P1 - 1) else 1.0
-                for c in range(m):
-                    d = values[i + 1, j, c] - values[i, j, c]
-                    s += w * d * d
-        for i in range(P0):
-            w0 = 0.5 if (i == 0 or i == P0 - 1) else 1.0
-            for j in range(P1 - 1):
-                for c in range(m):
-                    d = values[i, j + 1, c] - values[i, j, c]
-                    s += w0 * d * d
-        return 0.5 * s
-
-    @njit(cache=True)
-    def _link_energy_3d_nb(values, h):
-        P0, P1, P2, m = values.shape
-        s = 0.0
-        for i in range(P0 - 1):
-            for j in range(P1):
-                wj = 0.5 if (j == 0 or j == P1 - 1) else 1.0
-                for k in range(P2):
-                    w = wj * (0.5 if (k == 0 or k == P2 - 1) else 1.0)
-                    for c in range(m):
-                        d = values[i + 1, j, k, c] - values[i, j, k, c]
-                        s += w * d * d
-        for i in range(P0):
-            wi = 0.5 if (i == 0 or i == P0 - 1) else 1.0
-            for j in range(P1 - 1):
-                for k in range(P2):
-                    w = wi * (0.5 if (k == 0 or k == P2 - 1) else 1.0)
-                    for c in range(m):
-                        d = values[i, j + 1, k, c] - values[i, j, k, c]
-                        s += w * d * d
-        for i in range(P0):
-            wi = 0.5 if (i == 0 or i == P0 - 1) else 1.0
-            for j in range(P1):
-                w0 = wi * (0.5 if (j == 0 or j == P1 - 1) else 1.0)
-                for k in range(P2 - 1):
-                    for c in range(m):
-                        d = values[i, j, k + 1, c] - values[i, j, k, c]
-                        s += w0 * d * d
-        return 0.5 * s * h
-
-
-if USE_NUMBA:
-    laplacian_1d = _laplacian_1d_nb
-    laplacian_2d = _laplacian_2d_nb
-    laplacian_3d = _laplacian_3d_nb
-    prodwell_value = _prodwell_value_nb
-    prodwell_grad = _prodwell_grad_nb
-    tetra_value = _tetra_value_nb
-    tetra_grad = _tetra_grad_nb
-    gl_value = _gl_value_nb
-    gl_grad = _gl_grad_nb
-    poly_value = _poly_value_nb
-    poly_grad = _poly_grad_nb
-    interp2 = _interp2_nb
-    interp3 = _interp3_nb
-    link_energy_1d = _link_energy_1d_nb
-    link_energy_2d = _link_energy_2d_nb
-    link_energy_3d = _link_energy_3d_nb
-else:
-    laplacian_1d = _laplacian_1d_np
-    laplacian_2d = _laplacian_2d_np
-    laplacian_3d = _laplacian_3d_np
-    prodwell_value = _prodwell_value_np
-    prodwell_grad = _prodwell_grad_np
-    tetra_value = _tetra_value_np
-    tetra_grad = _tetra_grad_np
-    gl_value = _gl_value_np
-    gl_grad = _gl_grad_np
-    poly_value = _poly_value_np
-    poly_grad = _poly_grad_np
-    interp2 = _interp2_np
-    interp3 = _interp3_np
-    link_energy_1d = _link_energy_1d_np
-    link_energy_2d = _link_energy_2d_np
-    link_energy_3d = _link_energy_3d_np
-
-
-def laplacian(values: np.ndarray, h: float) -> np.ndarray:
-    """Standard second-order Laplacian stencil; zeros on the boundary layer."""
-    dim = values.ndim - 1
-    if dim == 1:
-        return laplacian_1d(values, h)
-    if dim == 2:
-        return laplacian_2d(values, h)
-    if dim == 3:
-        return laplacian_3d(values, h)
-    raise ValueError(f"unsupported grid dimension {dim}")
-
-
-def interp(values: np.ndarray, pts: np.ndarray, lo: float, h: float) -> np.ndarray:
-    """Clamped multilinear interpolation of a node-sampled field."""
-    dim = values.ndim - 1
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
-    if dim == 2:
-        return interp2(values, pts, lo, h)
-    if dim == 3:
-        return interp3(values, pts, lo, h)
-    raise ValueError(f"unsupported grid dimension {dim}")
-
-
 def link_energy(values: np.ndarray, h: float) -> float:
     dim = values.ndim - 1
-    if dim == 1:
-        return link_energy_1d(values, h)
-    if dim == 2:
-        return link_energy_2d(values, h)
-    if dim == 3:
-        return link_energy_3d(values, h)
-    raise ValueError(f"unsupported grid dimension {dim}")
+    idx = "ijk"[:dim]
+    weights = [_trap(P) for P in values.shape[:-1]]
+    s = 0.0
+    for a in range(dim):
+        d = np.diff(values, axis=a)
+        d *= d
+        others = [b for b in range(dim) if b != a]
+        subs = ",".join([idx + "m"] + [idx[b] for b in others]) + "->"
+        s += np.einsum(subs, d, *(weights[b] for b in others))
+    # the h^n cell measure over the h^2 difference scaling leaves h^(n-2)
+    return 0.5 * s * h ** (dim - 2)

@@ -105,7 +105,7 @@ class PotentialSpec:
     c: float
     radial_radius: float
     strictness_radius: float
-    kind: str = "poly"  # fast-path selector: prodwell | tetra | gl | poly
+    kind: str = "poly"  # fast-path selector: prodwell | tetra | poly
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -131,8 +131,6 @@ class PotentialSpec:
             return kernels.prodwell_value(pts, self.params["kwells"], self.params["scale"])
         if self.kind == "tetra":
             return kernels.tetra_value(pts)
-        if self.kind == "gl":
-            return kernels.gl_value(pts)
         return kernels.poly_value(pts, self.poly.coeffs, self.poly.exps)
 
     def grad_field(self, pts: np.ndarray) -> np.ndarray:
@@ -141,8 +139,6 @@ class PotentialSpec:
             return kernels.prodwell_grad(pts, self.params["kwells"], self.params["scale"])
         if self.kind == "tetra":
             return kernels.tetra_grad(pts)
-        if self.kind == "gl":
-            return kernels.gl_grad(pts)
         return kernels.poly_grad(pts, self._gcoeffs, self._gexps)
 
     # -- pointwise API ------------------------------------------------------
@@ -260,7 +256,7 @@ def ginzburg_landau(m: int) -> PotentialSpec:
     coeffs.append(0.25)
     exps.append([0] * m)
     poly = Polynomial(m, coeffs, exps)
-    return _build(f"ginzburg_landau_{m}", poly, np.zeros((0, m)), kind="gl")
+    return _build(f"ginzburg_landau_{m}", poly, np.zeros((0, m)))
 
 
 TRIANGLE_WELLS = np.array(
@@ -349,7 +345,9 @@ def potential_from_json(path_or_dict) -> PotentialSpec:
             data = json.load(fh)
     else:
         data = path_or_dict
-    monos = data["monomials"]
+    monos = data.get("monomials") if isinstance(data, dict) else None
+    if not monos:
+        raise ValueError("custom potential needs a non-empty 'monomials' list")
     exps = [mo["exponents"] for mo in monos]
     coeffs = [mo["coeff"] for mo in monos]
     m = len(exps[0])

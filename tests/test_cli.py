@@ -55,6 +55,25 @@ def test_connect1d_identical_wells_numerical_error(tmp_path):
     assert run(["connect1d", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "potential",
+    [
+        {"wells": [[-1.0], [1.0]]},
+        {"monomials": []},
+        "missing_potential.json",
+    ],
+    ids=["no-monomials", "empty-monomials", "missing-file"],
+)
+@pytest.mark.parametrize("command", ["connect1d", "solve"])
+def test_malformed_custom_potential_is_usage_error(tmp_path, capsys, command, potential):
+    if isinstance(potential, str):
+        potential = str(tmp_path / potential)
+    cfg = write_config(tmp_path / "c.json", {"potential": potential, "group": "dihedral_3"})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
 def test_solve_and_diagnose_pipeline(tmp_path):
     cfg = write_config(
         tmp_path / "solve.json",
@@ -142,12 +161,21 @@ def test_steiner_single_and_batch(tmp_path):
         "Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23\n"
         "0,1,0.866,-0.5,-0.866,-0.5,1,1,1\n"
         "0,0,1,0,0,1,1,1,-1\n"  # bad weight: per-row error, batch continues
+        "0,0,1,0,0,1,1,1\n"  # eight columns
+        "0,0,1,0,zero,1,1,1,1\n"  # non-numeric cell
+        "0,1,0.866,-0.5,-0.866,-0.5,1,1,1\n"
     )
     cfg2 = write_config(tmp_path / "s2.json", {"batch": str(batch)})
     out2 = tmp_path / "steiner2"
     assert run(["steiner", "--config", cfg2, "--out", str(out2)]) == 0
     summary = json.loads((out2 / "summary.json").read_text())
-    assert summary["instances"] == 2 and summary["errors"] == 1
+    assert summary["instances"] == 5 and summary["errors"] == 3
+    rows = [r.split(",") for r in (out2 / "steiner.csv").read_text().splitlines()[1:]]
+    assert [len(r) for r in rows] == [7] * 5
+    assert rows[1][6] == "weights must be positive"
+    assert rows[2][6] == "expected 9 columns; got 8"
+    assert "zero" in rows[3][6]
+    assert rows[4][1:] == rows[0][1:] and rows[0][6] == ""
 
 
 def test_partition_command(tmp_path):

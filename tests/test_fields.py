@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiwell import connect, fields, groups, potentials
+from multiwell import connect, fields, groups, kernels, potentials
 
 SIGMA_DW = 2.0 * np.sqrt(2.0) / 3.0
 
@@ -66,6 +66,27 @@ def test_pde_residual_witness(double_well):
     rng = np.random.default_rng(1)
     f = fields.VectorField(g, rng.normal(size=g.shape + (1,)))
     assert fields.pde_residual(f, double_well) > 1.0
+
+
+@pytest.mark.parametrize("dim, name", [(1, "double_well"), (2, "triple_well"), (3, "tetra_well")])
+def test_energy_gradient_is_the_descent_direction(dim, name):
+    # descent is the exact gradient flow of the reported energy: at an
+    # interior node dE/du = h^dim (W_u(u) - Delta_h u)
+    pot = potentials.get_potential(name)
+    g = fields.Grid(dim=dim, half_width=1.0, points=7)
+    rng = np.random.default_rng(dim)
+    f = fields.VectorField(g, rng.normal(scale=0.5, size=g.shape + (pot.m,)))
+    lap = kernels.laplacian(f.values, g.spacing)
+    eps = 1e-5
+    for node in [(1,) * dim, (3,) * dim, (5, 2, 4)[:dim]]:
+        expect = g.spacing**dim * (pot.grad(f.values[node]) - lap[node])
+        fd = np.empty(pot.m)
+        for c in range(pot.m):
+            up, dn = f.copy(), f.copy()
+            up.values[node + (c,)] += eps
+            dn.values[node + (c,)] -= eps
+            fd[c] = (fields.energy(up, pot) - fields.energy(dn, pot)) / (2 * eps)
+        assert np.linalg.norm(fd - expect) <= 1e-6 * np.linalg.norm(expect)
 
 
 # ---------------------------------------------------------------------------

@@ -1,128 +1,90 @@
-"""Lane agreement: the jitted kernels and the numpy fallbacks compute the
-same quantities on identical inputs."""
+"""Grid and potential kernels checked against closed-form values and the
+polynomial reference evaluation."""
 
 import numpy as np
 import pytest
 
-from multiwell import kernels
+from multiwell import kernels, potentials
 
 
 rng = np.random.default_rng(0)
 
 
-def test_laplacian_lanes_agree():
-    for shape in ((33, 2), (17, 17, 2), (9, 9, 9, 3)):
-        u = rng.normal(size=shape)
-        h = 0.1
-        dim = len(shape) - 1
-        nb = getattr(kernels, f"_laplacian_{dim}d_np")(u, h)
-        if kernels.HAVE_NUMBA:
-            jit = getattr(kernels, f"_laplacian_{dim}d_nb")(u, h)
-            assert np.allclose(jit, nb, atol=1e-12)
-        # boundary rows stay zero
-        assert np.all(nb.reshape(-1, shape[-1])[0] == 0.0)
+def box_nodes(dim, P):
+    """(P,)*dim grid on [-1, 1]^dim: node coordinates of shape (P,)*dim + (dim,)."""
+    ax = np.linspace(-1, 1, P)
+    return np.stack(np.meshgrid(*([ax] * dim), indexing="ij"), axis=-1), ax[1] - ax[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_laplacian_of_quadratic(dim):
+    # the stencil is exact on quadratics: Delta_h |x|^2 = 2 dim at interior nodes
+    x, h = box_nodes(dim, 11)
+    r2 = np.sum(x * x, axis=-1)
+    vals = np.stack([r2, 3.0 - 0.5 * r2], axis=-1)
+    lap = kernels.laplacian(vals, h)
+    inner = (slice(1, -1),) * dim
+    assert np.allclose(lap[inner][..., 0], 2.0 * dim, rtol=0, atol=1e-12)
+    assert np.allclose(lap[inner][..., 1], -dim, rtol=0, atol=1e-12)
+    edge = np.ones(lap.shape[:-1], dtype=bool)
+    edge[inner] = False
+    assert np.all(lap[edge] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interp_linear_exactness(dim):
+    # multilinear interpolation reproduces affine fields exactly
+    x, h = box_nodes(dim, 9)
+    a = np.array([2.0, -3.0, 0.75])[:dim]
+    affine = lambda p: np.stack([p @ a + 0.5, p[..., 0]], axis=-1)
+    vals = np.ascontiguousarray(affine(x))
+    q = rng.uniform(-1, 1, size=(200, dim))
+    assert np.allclose(kernels.interp(vals, q, -1.0, h), affine(q), atol=1e-12)
+    # exact at nodes, including the corners of the box
+    idx = np.array([[0] * dim, [4] * dim, [8] * dim, [0] + [8] * (dim - 1), [3, 8, 1][:dim]])
+    out = kernels.interp(vals, x[tuple(idx.T)], -1.0, h)
+    assert np.array_equal(out, vals[tuple(idx.T)])
+    # queries outside the box are clamped to its faces
+    far = rng.uniform(-3, 3, size=(200, dim))
+    out = kernels.interp(vals, far, -1.0, h)
+    assert np.allclose(out, affine(np.clip(far, -1.0, 1.0)), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_link_energy_quadrature_value(dim):
+    # affine u: gradient energy density |grad u|^2 / 2, summed exactly over [-1,1]^dim
+    x, h = box_nodes(dim, 21)
+    a = np.array([1.0, -2.0, 0.5])[:dim]
+    vals = np.ascontiguousarray(np.stack([x @ a, x[..., 0]], axis=-1))
+    expected = 0.5 * (a @ a + 1.0) * 2.0**dim
+    assert np.isclose(kernels.link_energy(vals, h), expected, rtol=1e-12)
 
 
 def test_potential_kernels_agree():
-    pts = np.ascontiguousarray(rng.normal(size=(200, 3)))
-    wells = np.ascontiguousarray(rng.normal(size=(4, 3)))
-    pairs = [
-        (kernels._prodwell_value_np, "_prodwell_value_nb", (pts, wells, 0.7)),
-        (kernels._prodwell_grad_np, "_prodwell_grad_nb", (pts, wells, 0.7)),
-        (kernels._tetra_value_np, "_tetra_value_nb", (pts,)),
-        (kernels._tetra_grad_np, "_tetra_grad_nb", (pts,)),
-        (kernels._gl_value_np, "_gl_value_nb", (pts,)),
-        (kernels._gl_grad_np, "_gl_grad_nb", (pts,)),
-    ]
-    for np_fn, nb_name, args in pairs:
-        ref = np_fn(*args)
-        if kernels.HAVE_NUMBA:
-            jit = getattr(kernels, nb_name)(*args)
-            assert np.allclose(jit, ref, atol=1e-11), nb_name
+    # the prodwell/tetra fast paths agree with the generic polynomial kernels
+    for name in ("double_well", "triple_well", "tetra_well"):
+        spec = potentials.get_potential(name)
+        assert spec.kind in ("prodwell", "tetra")
+        pts = np.ascontiguousarray(np.vstack([rng.normal(size=(200, spec.m)), spec.wells]))
+        ref = kernels.poly_value(pts, spec.poly.coeffs, spec.poly.exps)
+        assert np.max(np.abs(spec.value_field(pts) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        gref = kernels.poly_grad(pts, spec._gcoeffs, spec._gexps)
+        assert np.max(np.abs(spec.grad_field(pts) - gref)) <= 1e-12 * np.max(np.abs(gref))
 
 
 def test_poly_kernels_agree():
+    # the generic polynomial kernels agree with direct evaluation
     pts = np.ascontiguousarray(rng.normal(size=(100, 2)))
+    x, y = pts[:, 0], pts[:, 1]
     coeffs = np.array([1.0, -0.5, 0.25])
     exps = np.array([[4, 0], [2, 2], [0, 0]], dtype=np.int64)
-    ref = kernels._poly_value_np(pts, coeffs, exps)
-    direct = coeffs[0] * pts[:, 0] ** 4 + coeffs[1] * pts[:, 0] ** 2 * pts[:, 1] ** 2 + coeffs[2]
-    assert np.allclose(ref, direct)
-    if kernels.HAVE_NUMBA:
-        assert np.allclose(kernels._poly_value_nb(pts, coeffs, exps), ref)
+    direct = coeffs[0] * x**4 + coeffs[1] * x**2 * y**2 + coeffs[2]
+    assert np.allclose(kernels.poly_value(pts, coeffs, exps), direct)
+    # gradient of x^4 - x^2 y^2 / 2, padded with a zero monomial in component 0
     gcoeffs = np.array([[4.0, -1.0], [0.0, -1.0]])
     gexps = np.zeros((2, 2, 2), dtype=np.int64)
     gexps[0, 0] = [3, 0]
     gexps[0, 1] = [1, 2]
     gexps[1, 1] = [2, 1]
-    ref = kernels._poly_grad_np(pts, gcoeffs, gexps)
-    if kernels.HAVE_NUMBA:
-        assert np.allclose(kernels._poly_grad_nb(pts, gcoeffs, gexps), ref)
-
-
-def test_interp_lanes_agree_and_hit_nodes():
-    vals2 = np.ascontiguousarray(rng.normal(size=(21, 21, 2)))
-    lo, h = -1.0, 0.1
-    q = np.ascontiguousarray(rng.uniform(-1, 1, size=(300, 2)))
-    ref = kernels._interp2_np(vals2, q, lo, h)
-    if kernels.HAVE_NUMBA:
-        assert np.allclose(kernels._interp2_nb(vals2, q, lo, h), ref, atol=1e-13)
-    # exact at nodes
-    nodes = np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
-    out = kernels.interp(vals2, nodes, lo, h)
-    assert np.allclose(out[0], vals2[0, 0], atol=1e-12)
-    assert np.allclose(out[1], vals2[10, 10], atol=1e-12)
-    assert np.allclose(out[2], vals2[20, 20], atol=1e-12)
-
-    vals3 = np.ascontiguousarray(rng.normal(size=(9, 9, 9, 3)))
-    q3 = np.ascontiguousarray(rng.uniform(-1, 1, size=(200, 3)))
-    ref3 = kernels._interp3_np(vals3, q3, lo, 0.25)
-    if kernels.HAVE_NUMBA:
-        assert np.allclose(kernels._interp3_nb(vals3, q3, lo, 0.25), ref3, atol=1e-13)
-
-
-def test_interp_linear_exactness():
-    # multilinear interpolation reproduces affine fields exactly
-    ax = np.linspace(-1, 1, 21)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    vals = np.stack([2 * X - 3 * Y + 0.5, X + Y], axis=-1)
-    q = np.ascontiguousarray(rng.uniform(-1, 1, size=(100, 2)))
-    out = kernels.interp(np.ascontiguousarray(vals), q, -1.0, 0.1)
-    expect = np.stack([2 * q[:, 0] - 3 * q[:, 1] + 0.5, q[:, 0] + q[:, 1]], axis=1)
-    assert np.allclose(out, expect, atol=1e-12)
-
-
-def test_link_energy_lanes_agree():
-    for shape in ((33, 1), (17, 17, 2), (9, 9, 9, 3)):
-        u = np.ascontiguousarray(rng.normal(size=shape))
-        dim = len(shape) - 1
-        ref = getattr(kernels, f"_link_energy_{dim}d_np")(u, 0.2)
-        if kernels.HAVE_NUMBA:
-            jit = getattr(kernels, f"_link_energy_{dim}d_nb")(u, 0.2)
-            assert np.isclose(jit, ref, rtol=1e-12)
-
-
-def test_link_energy_quadrature_value():
-    # linear ramp u = x: gradient energy density 1/2 over the box
-    P = 41
-    ax = np.linspace(-1, 1, P)
-    vals = np.ascontiguousarray(ax[:, None, None] * np.ones((P, P, 1)))
-    e = kernels.link_energy(vals, ax[1] - ax[0])
-    assert np.isclose(e, 0.5 * 4.0, rtol=1e-12)  # 1/2 x area of [-1,1]^2
-
-
-def test_env_flag_selects_lane():
-    import importlib
-    import os
-    import subprocess
-    import sys
-
-    code = (
-        "import multiwell.kernels as k; print(k.USE_NUMBA)"
-    )
-    env = dict(os.environ, MULTIWELL_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.stdout.strip() == "False"
-    _ = importlib
+    direct = np.stack([4 * x**3 - x * y**2, -(x**2) * y], axis=1)
+    assert np.allclose(kernels.poly_grad(pts, gcoeffs, gexps), direct)
