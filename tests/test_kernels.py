@@ -3,6 +3,7 @@ polynomial reference evaluation."""
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from multiwell import kernels, potentials
 
@@ -31,23 +32,39 @@ def test_laplacian_of_quadratic(dim):
     assert np.all(lap[edge] == 0.0)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_interp_linear_exactness(dim):
-    # multilinear interpolation reproduces affine fields exactly
-    x, h = box_nodes(dim, 9)
-    a = np.array([2.0, -3.0, 0.75])[:dim]
-    affine = lambda p: np.stack([p @ a + 0.5, p[..., 0]], axis=-1)
-    vals = np.ascontiguousarray(affine(x))
-    q = rng.uniform(-1, 1, size=(200, dim))
-    assert np.allclose(kernels.interp(vals, q, -1.0, h), affine(q), atol=1e-12)
-    # exact at nodes, including the corners of the box
-    idx = np.array([[0] * dim, [4] * dim, [8] * dim, [0] + [8] * (dim - 1), [3, 8, 1][:dim]])
-    out = kernels.interp(vals, x[tuple(idx.T)], -1.0, h)
-    assert np.array_equal(out, vals[tuple(idx.T)])
-    # queries outside the box are clamped to its faces
-    far = rng.uniform(-3, 3, size=(200, dim))
-    out = kernels.interp(vals, far, -1.0, h)
-    assert np.allclose(out, affine(np.clip(far, -1.0, 1.0)), atol=1e-12)
+def test_interp_lanes_agree_and_hit_nodes():
+    # the grid kernel agrees with scipy's independent interpolator on random
+    # fields, and reproduces the node values, including the corners of the box
+    for dim, P in ((2, 21), (3, 9)):
+        x, h = box_nodes(dim, P)
+        vals = np.ascontiguousarray(rng.normal(size=(P,) * dim + (dim,)))
+        q = rng.uniform(-1, 1, size=(300, dim))
+        axes = [np.linspace(-1, 1, P)] * dim
+        ref = RegularGridInterpolator(axes, vals, method="linear")(q)
+        assert np.allclose(kernels.interp(vals, q, -1.0, h), ref, atol=1e-13)
+        m = P - 1
+        idx = np.array([[0] * dim, [m // 2] * dim, [m] * dim, [0] + [m] * (dim - 1), [3, m, 1][:dim]])
+        out = kernels.interp(vals, x[tuple(idx.T)], -1.0, h)
+        assert np.allclose(out, vals[tuple(idx.T)], rtol=0, atol=1e-12)
+
+
+def test_interp_linear_exactness():
+    # multilinear interpolation reproduces affine fields exactly, hits the
+    # nodes bit for bit, and clamps queries outside the box to its faces
+    for dim in (2, 3):
+        x, h = box_nodes(dim, 9)
+        a = np.array([2.0, -3.0, 0.75])[:dim]
+        affine = lambda p: np.stack([p @ a + 0.5, p[..., 0]], axis=-1)
+        vals = np.ascontiguousarray(affine(x))
+        q = rng.uniform(-1, 1, size=(200, dim))
+        assert np.allclose(kernels.interp(vals, q, -1.0, h), affine(q), atol=1e-12)
+        # exact at nodes, including the corners of the box
+        idx = np.array([[0] * dim, [4] * dim, [8] * dim, [0] + [8] * (dim - 1), [3, 8, 1][:dim]])
+        out = kernels.interp(vals, x[tuple(idx.T)], -1.0, h)
+        assert np.array_equal(out, vals[tuple(idx.T)])
+        far = rng.uniform(-3, 3, size=(200, dim))
+        out = kernels.interp(vals, far, -1.0, h)
+        assert np.allclose(out, affine(np.clip(far, -1.0, 1.0)), atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
