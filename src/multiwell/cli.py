@@ -83,11 +83,56 @@ def _load_config(args) -> dict:
         raise UsageError("--config is required")
     try:
         with open(args.config) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config not found: {args.config}")
     except json.JSONDecodeError as e:
         raise UsageError(f"config is not valid JSON: {e}")
+    if not isinstance(config, dict):
+        raise UsageError("config must be a JSON object")
+    return config
+
+
+def _section(config: dict, key: str) -> dict:
+    section = config.get(key, {})
+    if not isinstance(section, dict):
+        raise UsageError(f"config entry {key!r} must be a JSON object")
+    return section
+
+
+def _param(section: dict, key: str, default, convert=float):
+    """``convert`` applied to ``section[key]`` (``default`` when absent); a
+    value it rejects with ValueError or TypeError is a usage error."""
+    value = section.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"bad value for {key!r}: {value!r} ({e})")
+
+
+def _positive_int(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError("must be a positive integer")
+    return n
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
+def _float_list(value) -> np.ndarray:
+    return np.atleast_1d(_float_array(value))
+
+
+def _step_rule(value) -> str:
+    if value not in ("backtracking", "fixed"):
+        raise ValueError("must be 'backtracking' or 'fixed'")
+    return value
 
 
 def _resolve_potential(config) -> potentials.PotentialSpec:
@@ -128,17 +173,19 @@ def cmd_connect1d(args) -> int:
     config = _load_config(args)
     pot = _resolve_potential(config)
     out = _out_dir(args)
-    half_length = float(config.get("half_length", 10.0))
-    intervals = int(config.get("intervals", 2000))
-    tol = float(config.get("tol", 1e-8))
+    half_length = _param(config, "half_length", 10.0)
+    intervals = _param(config, "intervals", 2000, _positive_int)
+    tol = _param(config, "tol", 1e-8)
     wells_cfg = config.get("wells")
     if wells_cfg is None:
         if pot.wells.shape[0] < 2:
             raise UsageError("potential has fewer than two wells; specify 'wells'")
         a_minus, a_plus = pot.wells[0], pot.wells[1]
     else:
-        a_minus = np.asarray(wells_cfg[0], dtype=np.float64)
-        a_plus = np.asarray(wells_cfg[1], dtype=np.float64)
+        try:
+            a_minus, a_plus = (_float_array(w) for w in wells_cfg)
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"'wells' must be two points: {e}")
     try:
         prof = connect.solve_connection(pot, a_minus, a_plus, half_length, intervals, tol)
     except connect.ConnectionError as e:
@@ -182,34 +229,38 @@ def cmd_solve(args) -> int:
         )
     if pot.wells.shape[0] < 2:
         raise UsageError(f"potential {pot.name!r} declares fewer than two wells")
-    gcfg = config.get("grid", {})
-    grid = fields.Grid(
-        dim=grp.dimension,
-        half_width=float(gcfg.get("half_width", 8.0)),
-        points=int(gcfg.get("points", 161)),
-    )
-    scfg = config.get("solver", {})
+    gcfg = _section(config, "grid")
+    half_width = _param(gcfg, "half_width", 8.0)
+    points = _param(gcfg, "points", 161, int)
+    try:
+        grid = fields.Grid(dim=grp.dimension, half_width=half_width, points=points)
+    except ValueError as e:
+        raise UsageError(f"bad grid: {e}")
+    scfg = _section(config, "solver")
     opts = fields.SolveOptions(
-        dt=scfg.get("dt"),
-        max_iter=int(scfg.get("max_iter", 100_000)),
-        residual_target=float(scfg.get("residual_target", 1e-3)),
-        k_sym=int(scfg.get("k_sym", 10)),
-        check_every=int(scfg.get("check_every", 200)),
-        step_rule=scfg.get("step_rule", "backtracking"),
+        dt=_param(scfg, "dt", None, _optional_float),
+        max_iter=_param(scfg, "max_iter", 100_000, int),
+        residual_target=_param(scfg, "residual_target", 1e-3),
+        k_sym=_param(scfg, "k_sym", 10, _positive_int),
+        check_every=_param(scfg, "check_every", 200, _positive_int),
+        step_rule=_param(scfg, "step_rule", "backtracking", _step_rule),
     )
     resume = config.get("resume")
     rm = groups.build_region_map(grp, pot.wells[0])
     if resume:
-        u0 = fields.load_field(resume["field"], resume["meta"])
+        try:
+            u0 = fields.load_field(resume["field"], resume["meta"])
+        except (OSError, KeyError, TypeError, ValueError) as e:
+            raise UsageError(f"cannot load resume field: {e}")
     else:
-        ccfg = config.get("connection", {})
+        ccfg = _section(config, "connection")
         prof = connect.solve_connection(
             pot,
             rm.wells[1],
             rm.wells[0],
-            float(ccfg.get("half_length", 6.0)),
-            int(ccfg.get("intervals", 1200)),
-            float(ccfg.get("tol", 1e-9)),
+            _param(ccfg, "half_length", 6.0),
+            _param(ccfg, "intervals", 1200, _positive_int),
+            _param(ccfg, "tol", 1e-9),
         )
         u0 = fields.initial_guess(grp, rm, prof, grid)
     try:
@@ -217,6 +268,8 @@ def cmd_solve(args) -> int:
     except fields.SolveError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as e:  # options or a resumed field that minimize rejects
+        raise UsageError(str(e))
     fields.save_field(
         result.field,
         os.path.join(out, "field.csv"),
@@ -230,6 +283,8 @@ def cmd_solve(args) -> int:
         "pde_residual": result.residual,
         "iterations": result.iterations,
         "converged": result.converged,
+        "method": result.method,
+        "stop_reason": result.stop_reason,
         "equivariance_before": result.equivariance_before,
         "equivariance_after": result.equivariance_after,
         "positivity_violation": fields.positivity_violation(result.field, grp.wall_normals),
@@ -268,9 +323,8 @@ def cmd_diagnose(args) -> int:
     se = diagnostics.stress_energy(field, pot)
     payload["divergence_residual"] = diagnostics.divergence_residual(se)
     payload["modica_deficit"] = diagnostics.modica_deficit(field, pot)
-    radii_cfg = config.get("monotonicity_radii")
-    if radii_cfg:
-        radii = np.asarray(radii_cfg, dtype=np.float64)
+    if config.get("monotonicity_radii"):
+        radii = _param(config, "monotonicity_radii", None, _float_list)
     else:
         radii = np.linspace(0.1 * field.grid.half_width, 0.9 * field.grid.half_width, 10)
     mono = diagnostics.monotonicity_profile(field, pot, np.zeros(field.grid.dim), radii)
@@ -280,7 +334,7 @@ def cmd_diagnose(args) -> int:
         ["radius", "energy", "ratio"],
         zip(mono["radii"], mono["energies"], mono["ratios"]),
     )
-    fcfg2 = config.get("flux_radii", [0.3 * field.grid.half_width, 0.5 * field.grid.half_width])
+    fcfg2 = _param(config, "flux_radii", [0.3 * field.grid.half_width, 0.5 * field.grid.half_width], _float_list)
     try:
         payload["flux"] = [
             diagnostics.flux_balance(field, pot, float(r)).tolist() for r in fcfg2
@@ -289,11 +343,9 @@ def cmd_diagnose(args) -> int:
         payload["flux"] = None
         payload["flux_flag"] = str(e)
     if field.grid.dim == 2:
-        strip = config.get("hamiltonian_strip")
+        strip = _param(config, "hamiltonian_strip", None, lambda v: tuple(_float_list(v)) if v else None)
         try:
-            ham = diagnostics.hamiltonian_variance(
-                field, pot, strip=tuple(strip) if strip else None
-            )
+            ham = diagnostics.hamiltonian_variance(field, pot, strip=strip)
             payload["hamiltonian_relative_variance"] = ham["relative_variance"]
             payload["hamiltonian_precondition_met"] = ham["decay_precondition_met"]
             _write_csv(
@@ -306,7 +358,7 @@ def cmd_diagnose(args) -> int:
         if pot.wells.shape[0] >= 3:
             try:
                 ang = diagnostics.junction_angles(
-                    field, pot.wells, r0=float(config.get("angle_radius", 0.6 * field.grid.half_width))
+                    field, pot.wells, r0=_param(config, "angle_radius", 0.6 * field.grid.half_width)
                 )
                 payload["junction_angles_deg"] = np.degrees(ang["angles"]).tolist()
                 payload["junction_center"] = ang["center"].tolist()
@@ -348,7 +400,7 @@ def cmd_steiner(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
     rows = _steiner_rows(config)
-    tol = float(config.get("tol", 1e-10))
+    tol = _param(config, "tol", 1e-10)
     out_rows = []
     n_err = 0
     for i, cells in enumerate(rows):
@@ -400,13 +452,13 @@ def cmd_partition(args) -> int:
     if tensions_cfg is None:
         e = np.ones((part.phases, part.phases)) - np.eye(part.phases)
     else:
-        e = np.asarray(tensions_cfg, dtype=np.float64)
+        e = _param(config, "tensions", None, _float_array)
     try:
         tensions = partitions.TensionMatrix(e)
     except partitions.PartitionError as err:
         raise UsageError(str(err))
-    center = np.asarray(config.get("center", [0.0, 0.0]), dtype=np.float64)
-    radii = np.asarray(config.get("radii", np.linspace(0.2, 2.0, 10)), dtype=np.float64)
+    center = _param(config, "center", [0.0, 0.0], _float_array)
+    radii = _param(config, "radii", np.linspace(0.2, 2.0, 10), _float_list)
     rows = []
     for r in radii:
         w = partitions.disk(center, float(r))
@@ -418,7 +470,7 @@ def cmd_partition(args) -> int:
             ]
         )
     _write_csv(os.path.join(out, "density.csv"), ["radius", "density", "energy"], rows)
-    scales = np.asarray(config.get("blowdown_scales", [1.0, 0.5, 0.25, 0.125]), dtype=np.float64)
+    scales = _param(config, "blowdown_scales", [1.0, 0.5, 0.25, 0.125], _float_list)
     seq = partitions.blow_down(part, center, scales)
     unit = partitions.disk(center, 1.0)
     ref = config.get("blowdown_reference")

@@ -1,11 +1,23 @@
 """Sampled vector fields on origin-centered box grids and the energy-descent solver.
 
-The solver performs explicit gradient descent of the discrete free energy
-(gradient quadrature over forward-difference links, trapezoid weights for
-the potential term), so at interior nodes the first-order condition is
-exactly the 5/7-point collocation of Delta u = W_u(u).  Equivariance is
-kept by exact cadence projection for node-permuting actions and by
-monitored re-projection for grid-rotating ones.
+The discrete free energy is a gradient quadrature over forward-difference
+links plus trapezoid weights for the potential term, so at interior nodes
+its first-order condition is exactly the 3/5/7-point collocation of
+Delta u = W_u(u).  ``minimize`` descends it along one of two paths:
+
+- Newton: damped Newton steps whose Hessian systems -Delta_h + W_uu are
+  solved by truncated conjugate gradients, preconditioned by the exact
+  inverse of -Delta_h + 2c^2 (a type-I sine transform); an energy
+  backtracking line search keeps every accepted step descending.  It runs
+  when the symmetry action permutes grid nodes (or there is none) and the
+  step rule is the default: the discrete energy is then exactly invariant,
+  the iterates stay equivariant to rounding, and one exact projection
+  finishes the solve.
+- Explicit: gradient descent with dt ~ h^2, so its step count grows like
+  h^-2.  Node-permuting actions are projected every few steps; actions
+  that rotate the grid act by interpolation, are monitored and re-projected
+  only on drift.  Rotating actions stay here because a converged discrete
+  critical point sits further from equivariance than the input does.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from . import kernels
 
@@ -301,6 +314,11 @@ def _sample_profile(eta, values, t):
 
 @dataclass
 class SolveOptions:
+    """Options of ``minimize``.  ``max_iter``, ``residual_target``, the
+    boundary settings and ``max_input_equivariance`` apply to both paths;
+    ``dt``, ``k_sym``, ``check_every`` and ``equivariance_budget`` govern
+    only the explicit path.  ``step_rule="fixed"`` forces the explicit path."""
+
     dt: float | None = None  # default 0.9 h^2 / (2 dim)
     max_iter: int = 200_000
     residual_target: float = 1e-3
@@ -330,6 +348,8 @@ class SolveResult:
     equivariance_after: float | None = None
     symmetrization_drift: float = 0.0
     dt_final: float = 0.0
+    method: str = "explicit"  # newton | explicit: the path whose steps made the field
+    stop_reason: str = "converged"  # converged | max_iter | line_search
 
 
 def _boundary_mask(grid: Grid) -> np.ndarray:
@@ -363,15 +383,124 @@ def _apply_boundary(values: np.ndarray, bvals: np.ndarray, bmask_flat: np.ndarra
     v[bmask_flat] = bvals.reshape(-1, m)[bmask_flat]
 
 
+NEWTON_MAX_STEPS = 50  # after this many Newton steps the explicit loop takes over
+CG_MAX_ITER = 200
+LINE_SEARCH_HALVINGS = 40
+
+
+def _dirichlet_inverse(shape: tuple, h: float, shift: float):
+    """Exact inverse of -Delta_h + shift on the interior nodes with zero
+    boundary values, per component: the type-I sine transform diagonalizes
+    the Dirichlet stencil along every axis."""
+    dim = len(shape) - 1
+    inner = (slice(1, -1),) * dim
+    axes = tuple(range(dim))
+    eig = np.full((1,) * (dim + 1), float(shift))
+    for a in axes:
+        k = np.arange(1, shape[a] - 1)
+        lam = (2.0 / h * np.sin(0.5 * np.pi * k / (shape[a] - 1))) ** 2
+        eig = eig + lam.reshape([-1 if b == a else 1 for b in range(dim + 1)])
+
+    def apply(r):
+        out = np.zeros_like(r)
+        out[inner] = scipy.fft.idstn(scipy.fft.dstn(r[inner], type=1, axes=axes) / eig, type=1, axes=axes)
+        return out
+
+    return apply
+
+
+def _hessian_product(state: np.ndarray, potential, h: float):
+    """v -> (-Delta_h + W_uu(u)) v for v vanishing on the boundary layer: the
+    Hessian of the discrete energy over interior nodes, divided by h^dim."""
+    m = state.shape[-1]
+    H = potential.hess_field(state)
+
+    def apply(v):
+        out = np.einsum("nij,nj->ni", H, v.reshape(-1, m)).reshape(v.shape)
+        out -= kernels.laplacian(v, h)
+        return out
+
+    return apply
+
+
+def _truncated_cg(b, hess_product, precond, tol: float):
+    """Preconditioned CG for A p = b, stopped at |r| <= tol or at the first
+    direction of non-positive curvature.  Every returned p (on that first
+    pass, the preconditioned b) is a descent direction of the energy."""
+    p = np.zeros_like(b)
+    r = b.copy()
+    d = precond(r)
+    rz = np.vdot(r, d)
+    for i in range(CG_MAX_ITER):
+        Ad = hess_product(d)
+        dAd = np.vdot(d, Ad)
+        if dAd <= 0.0:
+            return p if i else d
+        alpha = rz / dAd
+        p += alpha * d
+        r -= alpha * Ad
+        if np.linalg.norm(r) <= tol:
+            break
+        z = precond(r)
+        rz, rz_old = np.vdot(r, z), rz
+        d = z + (rz / rz_old) * d
+    return p
+
+
+def _newton_descent(state, potential, grid: Grid, E, history, target, max_steps, energy_of):
+    """Damped Newton-Krylov descent over the interior nodes; the boundary
+    layer stays fixed.  Each accepted energy is appended to ``history``.
+    Returns (state, energy, steps, residual, stop) with stop one of
+    "converged", "max_iter" (``max_steps`` taken) or "line_search"."""
+    shape = state.shape
+    h = grid.spacing
+    edge = ~grid.interior_mask.reshape(grid.shape)
+    precond = _dirichlet_inverse(shape, h, 2.0 * potential.c**2)
+    steps = 0
+    while True:
+        b = kernels.laplacian(state, h) - potential.grad_field(state.reshape(-1, shape[-1])).reshape(shape)
+        b[edge] = 0.0
+        res = float(np.sqrt(np.sum(b * b, axis=-1)).max())
+        if res <= target:
+            return state, E, steps, res, "converged"
+        if steps >= max_steps:
+            return state, E, steps, res, "max_iter"
+        # inexact Newton: solve to a relative tolerance that tightens with the residual
+        tol = min(0.1, np.sqrt(res)) * np.linalg.norm(b)
+        p = _truncated_cg(b, _hessian_product(state, potential, h), precond, tol)
+        t = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            trial = state + t * p
+            E_new = energy_of(trial)
+            if np.isnan(E_new):
+                raise SolveError("energy became NaN during descent")
+            if E_new <= E + 1e-12:
+                break
+            t *= 0.5
+        else:
+            return state, E, steps, res, "line_search"
+        state, E = trial, E_new
+        steps += 1
+        history.append(E)
+
+
 def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | None = None) -> SolveResult:
     """Descend the discrete free energy to a stationary equivariant field.
 
-    Explicit gradient descent u <- u + dt (Delta_h u - W_u(u)) on interior
-    nodes, boundary handled per opts.  Node-permuting actions are projected
-    onto the equivariant class every ``k_sym`` accepted steps; interpolating
-    actions are monitored and re-projected on drift (see SolveOptions).
-    Energy is checked each step; with the backtracking rule an energy
-    increase halves dt instead of aborting.
+    Boundary nodes are handled per opts; interior nodes move.  With the
+    default step rule and a node-permuting action (or none), damped
+    Newton-Krylov steps run first (see the module docstring) and one exact
+    projection finishes the solve; if they have not converged after
+    NEWTON_MAX_STEPS, the explicit loop continues from their state.
+
+    The explicit loop, the only one for grid-rotating actions and for
+    ``step_rule="fixed"``, is gradient descent u <- u + dt (Delta_h u -
+    W_u(u)).  Node-permuting actions are projected onto the equivariant
+    class every ``k_sym`` accepted steps; interpolating actions are
+    monitored and re-projected on drift (see SolveOptions).  Energy is
+    checked each step; with the backtracking rule an energy increase halves
+    dt instead of aborting.  ``result.method`` names the path whose steps
+    made the returned field and ``result.stop_reason`` why it stopped.
     """
     opts = opts or SolveOptions()
     if opts.k_sym < 1:
@@ -421,7 +550,24 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     pending_check = False
     exact_action = bool(pairs) and all(_box_preserving(gx) for gx, _ in pairs)
     eq_budget = opts.equivariance_budget * max(eq_before or 0.0, 1e-12)
-    while not converged and it < opts.max_iter:
+    newton = opts.step_rule == "backtracking" and (exact_action or not pairs)
+    newton_stop = None
+    if newton and not converged:
+        state, E, it, res, newton_stop = _newton_descent(
+            state, potential, g, E, history, opts.residual_target,
+            min(NEWTON_MAX_STEPS, opts.max_iter), energy_of,
+        )
+        if pairs:
+            # the invariant energy keeps the iterates equivariant to rounding
+            state = project(state)
+            E_sym = energy_of(state)
+            drift = abs(E_sym - E)
+            E = E_sym
+            history.append(E)
+            res = residual_of(state)
+        converged = res <= opts.residual_target
+    newton_steps = it
+    while not converged and it < opts.max_iter and newton_stop != "line_search":
         it += 1
         lap = kernels.laplacian(state, h)
         grad = potential.grad_field(state.reshape(-1, field.m)).reshape(state.shape)
@@ -485,6 +631,12 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
                 converged = True
                 break
 
+    if converged:
+        stop_reason = "converged"
+    elif newton_stop == "line_search":
+        stop_reason = "line_search"
+    else:
+        stop_reason = "max_iter"
     out = VectorField(g, state)
     result = SolveResult(
         field=out,
@@ -497,6 +649,8 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
         equivariance_after=equivariance_residual_pairs(out, pairs) if pairs else None,
         symmetrization_drift=drift,
         dt_final=dt,
+        method="newton" if newton and it == newton_steps else "explicit",
+        stop_reason=stop_reason,
     )
     return result
 

@@ -91,6 +91,8 @@ def test_solve_and_diagnose_pipeline(tmp_path):
     assert report["converged"]
     assert report["pde_residual"] <= 5e-3
     assert report["group"] == "dihedral_3"
+    # dihedral-3 rotates the grid, so the explicit path solves it
+    assert report["method"] == "explicit" and report["stop_reason"] == "converged"
 
     dcfg = write_config(
         tmp_path / "diag.json",
@@ -108,6 +110,55 @@ def test_solve_and_diagnose_pipeline(tmp_path):
     assert np.allclose(diag["junction_angles_deg"], 120.0, atol=3.0)
     assert (dout / "monotonicity.csv").exists()
     assert (dout / "hamiltonian.csv").exists()
+
+
+EQUILATERAL = {
+    "A": [0.0, 1.0],
+    "B": [math.sqrt(3) / 2, -0.5],
+    "C": [-math.sqrt(3) / 2, -0.5],
+    "e12": 1.0,
+    "e13": 1.0,
+    "e23": 1.0,
+}
+JUNCTION = {"potential": "triple_well", "group": "dihedral_3"}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("solve", dict(JUNCTION, grid={"points": 40})),
+        ("solve", dict(JUNCTION, grid={"half_width": "wide"})),
+        ("solve", dict(JUNCTION, grid=5)),
+        ("solve", dict(JUNCTION, solver={"max_iter": "many"})),
+        ("solve", dict(JUNCTION, solver={"k_sym": 0})),
+        ("solve", dict(JUNCTION, solver={"step_rule": "sideways"})),
+        ("solve", dict(JUNCTION, resume={"field": "missing.csv"})),
+        ("solve", dict(JUNCTION, grid={"points": 41}, solver={"step_rule": "fixed", "dt": 1.0})),
+        ("steiner", {"triangle": EQUILATERAL, "tol": "x"}),
+        ("connect1d", {"potential": "double_well", "intervals": "lots"}),
+        ("partition", {"partition": {"phases": 2, "segments": []}, "radii": ["a"]}),
+        ("steiner", ["not", "an", "object"]),
+    ],
+    ids=[
+        "even-points",
+        "text-half-width",
+        "grid-not-object",
+        "text-max-iter",
+        "zero-k-sym",
+        "unknown-step-rule",
+        "resume-without-meta",
+        "unstable-fixed-dt",
+        "text-tol",
+        "text-intervals",
+        "text-radii",
+        "config-not-object",
+    ],
+)
+def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path / "c.json", config)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
 
 
 def test_solve_dimension_mismatch(tmp_path):

@@ -89,6 +89,120 @@ def test_energy_gradient_is_the_descent_direction(dim, name):
         assert np.linalg.norm(fd - expect) <= 1e-6 * np.linalg.norm(expect)
 
 
+def _interior_random(g, m, rng):
+    v = np.zeros(g.shape + (m,))
+    inner = (slice(1, -1),) * g.dim
+    v[inner] = rng.normal(size=v[inner].shape)
+    return v
+
+
+@pytest.mark.parametrize("dim, name", [(1, "double_well"), (2, "triple_well"), (3, "tetra_well")])
+def test_newton_hessian_product_matches_gradient_difference(dim, name):
+    # the Newton systems use the exact Hessian of the discrete energy: h^dim
+    # times the product equals a central difference of h^dim (W_u - Delta_h u)
+    pot = potentials.get_potential(name)
+    g = fields.Grid(dim=dim, half_width=1.0, points=9)
+    rng = np.random.default_rng(10 + dim)
+    u = rng.normal(scale=0.5, size=g.shape + (pot.m,))
+    v = _interior_random(g, pot.m, rng)
+    interior = g.interior_mask.reshape(g.shape)
+
+    def gradient(vals):
+        w_u = pot.grad_field(vals.reshape(-1, pot.m)).reshape(vals.shape)
+        return g.spacing**dim * (w_u - kernels.laplacian(vals, g.spacing))
+
+    eps = 1e-6
+    fd = (gradient(u + eps * v) - gradient(u - eps * v)) / (2 * eps)
+    hv = g.spacing**dim * fields._hessian_product(u, pot, g.spacing)(v)
+    assert np.linalg.norm((hv - fd)[interior]) <= 1e-6 * np.linalg.norm(fd[interior])
+
+
+@pytest.mark.parametrize("dim, name", [(1, "double_well"), (2, "triple_well"), (3, "tetra_well")])
+def test_newton_preconditioner_inverts_shifted_laplacian(dim, name):
+    pot = potentials.get_potential(name)
+    g = fields.Grid(dim=dim, half_width=2.0, points=(41, 17, 9)[dim - 1])
+    shift = 2.0 * pot.c**2
+    v = _interior_random(g, pot.m, np.random.default_rng(20 + dim))
+    av = shift * v - kernels.laplacian(v, g.spacing)
+    back = fields._dirichlet_inverse(v.shape, g.spacing, shift)(av)
+    assert np.max(np.abs(back - v)) <= 1e-12
+
+
+def test_newton_slab_matches_explicit_descent(double_well, monkeypatch):
+    # criterion 6's wrong-width slab on 101^2: the Newton path reaches the
+    # explicit path's field, never raises the energy, and keeps the
+    # reflection symmetry to rounding up to its one final projection
+    g = fields.Grid(dim=2, half_width=5.0, points=101)
+
+    def wrong_width(pts):
+        return np.tanh(pts[:, 0])[:, None]
+
+    f0 = fields.field_from_function(g, wrong_width, 1)
+    base = dict(residual_target=1e-4, max_iter=40_000, k_sym=10, check_every=100)
+    explicit = fields.solve_dirichlet(
+        f0, double_well, wrong_width, opts=fields.SolveOptions(step_rule="fixed", **base)
+    )
+    projected = []
+    project = fields.symmetrize_pairs
+
+    def recording_project(field, pairs):
+        projected.append(fields.equivariance_residual_pairs(field, pairs))
+        return project(field, pairs)
+
+    monkeypatch.setattr(fields, "symmetrize_pairs", recording_project)
+    newton = fields.solve_dirichlet(f0, double_well, wrong_width, opts=fields.SolveOptions(**base))
+    assert explicit.method == "explicit" and newton.method == "newton"
+    assert newton.converged and newton.residual <= 1e-4
+    assert newton.iterations <= 5 < explicit.iterations  # 3 Newton steps, 2103 explicit
+    assert np.max(np.abs(newton.field.values - explicit.field.values)) <= 2e-4
+    assert newton.energy <= explicit.energy + 1e-12
+    hist = newton.energy_history
+    assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+    assert len(projected) == 1 and projected[0] <= 1e-12
+
+
+def test_newton_damps_steps_from_a_rough_start(double_well):
+    # full Newton steps from a rough field overshoot; the line search keeps
+    # every accepted step descending
+    g = fields.Grid(dim=2, half_width=3.0, points=41)
+    rng = np.random.default_rng(5)
+    f0 = fields.VectorField(g, rng.normal(scale=2.0, size=g.shape + (1,)))
+    res = fields.minimize(f0, double_well, opts=fields.SolveOptions(residual_target=1e-8))
+    assert (res.method, res.stop_reason) == ("newton", "converged")
+    hist = res.energy_history
+    assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+
+
+def test_solve_result_names_method_and_stop_reason(
+    slab_solution, junction, double_well, triple_well, dihedral3, monkeypatch
+):
+    slab = slab_solution["result"]
+    assert (slab.method, slab.stop_reason) == ("newton", "converged")
+    d3 = junction["result"]
+    assert (d3.method, d3.stop_reason) == ("explicit", "converged")
+    g = fields.Grid(dim=2, half_width=5.0, points=41)
+    f0 = fields.field_from_function(g, slab_fn, 1)
+    f0.values[1:-1, 1:-1] += 0.2
+    for rule, method in (("backtracking", "newton"), ("fixed", "explicit")):
+        opts = fields.SolveOptions(residual_target=1e-12, max_iter=1, step_rule=rule)
+        res = fields.minimize(f0, double_well, opts=opts)
+        assert (res.method, res.stop_reason, res.iterations) == (method, "max_iter", 1)
+    # a grid-rotating action stays on the explicit path
+    opts = fields.SolveOptions(residual_target=1e-12, max_iter=1)
+    res = fields.minimize(junction["initial"], triple_well, symmetry=dihedral3, opts=opts)
+    assert (res.method, res.stop_reason, res.iterations) == ("explicit", "max_iter", 1)
+    # an energy that rises on every evaluation defeats the Newton line search
+    calls = []
+
+    def rising_energy(field, potential):
+        calls.append(None)
+        return float(len(calls))
+
+    monkeypatch.setattr(fields, "energy", rising_energy)
+    res = fields.minimize(f0, double_well, opts=fields.SolveOptions(residual_target=1e-12))
+    assert (res.method, res.stop_reason, res.converged, res.iterations) == ("newton", "line_search", False, 0)
+
+
 # ---------------------------------------------------------------------------
 # initial data
 
