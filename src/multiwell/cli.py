@@ -117,22 +117,9 @@ def _positive_int(value) -> int:
     return n
 
 
-def _optional_float(value):
-    return None if value is None else float(value)
-
-
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
-def _float_list(value) -> np.ndarray:
-    return np.atleast_1d(_float_array(value))
-
-
-def _step_rule(value) -> str:
-    if value not in ("backtracking", "fixed"):
-        raise ValueError("must be 'backtracking' or 'fixed'")
-    return value
+def _floats(value) -> np.ndarray:
+    """A number or a (nested) list of numbers as a float array, at least 1-D."""
+    return np.atleast_1d(np.asarray(value, dtype=np.float64))
 
 
 def _resolve_potential(config) -> potentials.PotentialSpec:
@@ -183,7 +170,7 @@ def cmd_connect1d(args) -> int:
         a_minus, a_plus = pot.wells[0], pot.wells[1]
     else:
         try:
-            a_minus, a_plus = (_float_array(w) for w in wells_cfg)
+            a_minus, a_plus = (_floats(w) for w in wells_cfg)
         except (TypeError, ValueError) as e:
             raise UsageError(f"'wells' must be two points: {e}")
     try:
@@ -237,14 +224,22 @@ def cmd_solve(args) -> int:
     except ValueError as e:
         raise UsageError(f"bad grid: {e}")
     scfg = _section(config, "solver")
-    opts = fields.SolveOptions(
-        dt=_param(scfg, "dt", None, _optional_float),
-        max_iter=_param(scfg, "max_iter", 100_000, int),
-        residual_target=_param(scfg, "residual_target", 1e-3),
-        k_sym=_param(scfg, "k_sym", 10, _positive_int),
-        check_every=_param(scfg, "check_every", 200, _positive_int),
-        step_rule=_param(scfg, "step_rule", "backtracking", _step_rule),
-    )
+    dt = _param(scfg, "dt", None, lambda v: v if v is None else float(v))
+    max_iter = _param(scfg, "max_iter", 100_000, int)
+    residual_target = _param(scfg, "residual_target", 1e-3)
+    k_sym = _param(scfg, "k_sym", 10, int)
+    check_every = _param(scfg, "check_every", 200, int)
+    try:
+        opts = fields.SolveOptions(
+            dt=dt,
+            max_iter=max_iter,
+            residual_target=residual_target,
+            k_sym=k_sym,
+            check_every=check_every,
+            step_rule=scfg.get("step_rule", "backtracking"),
+        )
+    except ValueError as e:
+        raise UsageError(f"bad solver options: {e}")
     resume = config.get("resume")
     rm = groups.build_region_map(grp, pot.wells[0])
     if resume:
@@ -252,6 +247,11 @@ def cmd_solve(args) -> int:
             u0 = fields.load_field(resume["field"], resume["meta"])
         except (OSError, KeyError, TypeError, ValueError) as e:
             raise UsageError(f"cannot load resume field: {e}")
+        if (u0.grid.dim, u0.m) != (grp.dimension, pot.m):
+            raise UsageError(
+                f"resume field has dim {u0.grid.dim} and m {u0.m}; "
+                f"group and potential need {grp.dimension} and {pot.m}"
+            )
     else:
         ccfg = _section(config, "connection")
         prof = connect.solve_connection(
@@ -264,12 +264,14 @@ def cmd_solve(args) -> int:
         )
         u0 = fields.initial_guess(grp, rm, prof, grid)
     try:
+        opts.step_size(u0.grid)
+    except ValueError as e:
+        raise UsageError(f"bad solver options: {e}")
+    try:
         result = fields.minimize(u0, pot, symmetry=grp, opts=opts)
     except fields.SolveError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as e:  # options or a resumed field that minimize rejects
-        raise UsageError(str(e))
     fields.save_field(
         result.field,
         os.path.join(out, "field.csv"),
@@ -324,7 +326,7 @@ def cmd_diagnose(args) -> int:
     payload["divergence_residual"] = diagnostics.divergence_residual(se)
     payload["modica_deficit"] = diagnostics.modica_deficit(field, pot)
     if config.get("monotonicity_radii"):
-        radii = _param(config, "monotonicity_radii", None, _float_list)
+        radii = _param(config, "monotonicity_radii", None, _floats)
     else:
         radii = np.linspace(0.1 * field.grid.half_width, 0.9 * field.grid.half_width, 10)
     mono = diagnostics.monotonicity_profile(field, pot, np.zeros(field.grid.dim), radii)
@@ -334,7 +336,7 @@ def cmd_diagnose(args) -> int:
         ["radius", "energy", "ratio"],
         zip(mono["radii"], mono["energies"], mono["ratios"]),
     )
-    fcfg2 = _param(config, "flux_radii", [0.3 * field.grid.half_width, 0.5 * field.grid.half_width], _float_list)
+    fcfg2 = _param(config, "flux_radii", [0.3 * field.grid.half_width, 0.5 * field.grid.half_width], _floats)
     try:
         payload["flux"] = [
             diagnostics.flux_balance(field, pot, float(r)).tolist() for r in fcfg2
@@ -343,7 +345,7 @@ def cmd_diagnose(args) -> int:
         payload["flux"] = None
         payload["flux_flag"] = str(e)
     if field.grid.dim == 2:
-        strip = _param(config, "hamiltonian_strip", None, lambda v: tuple(_float_list(v)) if v else None)
+        strip = _param(config, "hamiltonian_strip", None, lambda v: tuple(_floats(v)) if v else None)
         try:
             ham = diagnostics.hamiltonian_variance(field, pot, strip=strip)
             payload["hamiltonian_relative_variance"] = ham["relative_variance"]
@@ -452,13 +454,13 @@ def cmd_partition(args) -> int:
     if tensions_cfg is None:
         e = np.ones((part.phases, part.phases)) - np.eye(part.phases)
     else:
-        e = _param(config, "tensions", None, _float_array)
+        e = _param(config, "tensions", None, _floats)
     try:
         tensions = partitions.TensionMatrix(e)
     except partitions.PartitionError as err:
         raise UsageError(str(err))
-    center = _param(config, "center", [0.0, 0.0], _float_array)
-    radii = _param(config, "radii", np.linspace(0.2, 2.0, 10), _float_list)
+    center = _param(config, "center", [0.0, 0.0], _floats)
+    radii = _param(config, "radii", np.linspace(0.2, 2.0, 10), _floats)
     rows = []
     for r in radii:
         w = partitions.disk(center, float(r))
@@ -470,7 +472,7 @@ def cmd_partition(args) -> int:
             ]
         )
     _write_csv(os.path.join(out, "density.csv"), ["radius", "density", "energy"], rows)
-    scales = _param(config, "blowdown_scales", [1.0, 0.5, 0.25, 0.125], _float_list)
+    scales = _param(config, "blowdown_scales", [1.0, 0.5, 0.25, 0.125], _floats)
     seq = partitions.blow_down(part, center, scales)
     unit = partitions.disk(center, 1.0)
     ref = config.get("blowdown_reference")

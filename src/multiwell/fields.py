@@ -11,8 +11,8 @@ Delta u = W_u(u).  ``minimize`` descends it along one of two paths:
   backtracking line search keeps every accepted step descending.  It runs
   when the symmetry action permutes grid nodes (or there is none) and the
   step rule is the default: the discrete energy is then exactly invariant,
-  the iterates stay equivariant to rounding, and one exact projection
-  finishes the solve.
+  so the iterates keep the equivariance of their start to rounding.  The
+  start is projected once before the first step and once after the last.
 - Explicit: gradient descent with dt ~ h^2, so its step count grows like
   h^-2.  Node-permuting actions are projected every few steps; actions
   that rotate the grid act by interpolation, are monitored and re-projected
@@ -317,7 +317,9 @@ class SolveOptions:
     """Options of ``minimize``.  ``max_iter``, ``residual_target``, the
     boundary settings and ``max_input_equivariance`` apply to both paths;
     ``dt``, ``k_sym``, ``check_every`` and ``equivariance_budget`` govern
-    only the explicit path.  ``step_rule="fixed"`` forces the explicit path."""
+    only the explicit path.  ``step_rule="fixed"`` forces the explicit path.
+    An unknown ``step_rule``, ``k_sym`` or ``check_every`` below 1, or a
+    non-positive ``dt`` raises ValueError on construction."""
 
     dt: float | None = None  # default 0.9 h^2 / (2 dim)
     max_iter: int = 200_000
@@ -335,6 +337,24 @@ class SolveOptions:
     # equivariance residual
     equivariance_budget: float = 2.0
 
+    def __post_init__(self):
+        if self.step_rule not in ("backtracking", "fixed"):
+            raise ValueError(f"step_rule must be 'backtracking' or 'fixed', not {self.step_rule!r}")
+        if self.k_sym < 1 or self.check_every < 1:
+            raise ValueError("k_sym and check_every must be >= 1")
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError("dt must be positive")
+
+    def step_size(self, grid: Grid) -> float:
+        """The explicit path's initial dt on ``grid``.  A fixed step above the
+        diffusion stability bound h^2/(2 dim) is a ValueError."""
+        h, n = grid.spacing, grid.dim
+        if self.dt is None:
+            return 0.9 * h * h / (2 * n)
+        if self.step_rule == "fixed" and self.dt > h * h / (2 * n) + 1e-15:
+            raise ValueError("fixed-step dt exceeds the diffusion stability bound h^2/(2 dim)")
+        return float(self.dt)
+
 
 @dataclass
 class SolveResult:
@@ -348,7 +368,7 @@ class SolveResult:
     equivariance_after: float | None = None
     symmetrization_drift: float = 0.0
     dt_final: float = 0.0
-    method: str = "explicit"  # newton | explicit: the path whose steps made the field
+    method: str = "explicit"  # newton | explicit: the path the routing chose
     stop_reason: str = "converged"  # converged | max_iter | line_search
 
 
@@ -383,9 +403,23 @@ def _apply_boundary(values: np.ndarray, bvals: np.ndarray, bmask_flat: np.ndarra
     v[bmask_flat] = bvals.reshape(-1, m)[bmask_flat]
 
 
-NEWTON_MAX_STEPS = 50  # after this many Newton steps the explicit loop takes over
 CG_MAX_ITER = 200
 LINE_SEARCH_HALVINGS = 40
+
+
+def _backtrack(state, direction, t, E, energy_of, halvings=LINE_SEARCH_HALVINGS):
+    """The first of the steps t, t/2, ... (``halvings`` tries) along
+    ``direction`` that does not raise the energy above E: (trial, energy, t),
+    or None when every try does.  A NaN energy raises SolveError."""
+    for _ in range(halvings):
+        trial = state + t * direction
+        E_new = energy_of(trial)
+        if np.isnan(E_new):
+            raise SolveError("energy became NaN during descent")
+        if E_new <= E + 1e-12:
+            return trial, E_new, t
+        t *= 0.5
+    return None
 
 
 def _dirichlet_inverse(shape: tuple, h: float, shift: float):
@@ -468,18 +502,10 @@ def _newton_descent(state, potential, grid: Grid, E, history, target, max_steps,
         # inexact Newton: solve to a relative tolerance that tightens with the residual
         tol = min(0.1, np.sqrt(res)) * np.linalg.norm(b)
         p = _truncated_cg(b, _hessian_product(state, potential, h), precond, tol)
-        t = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
-            trial = state + t * p
-            E_new = energy_of(trial)
-            if np.isnan(E_new):
-                raise SolveError("energy became NaN during descent")
-            if E_new <= E + 1e-12:
-                break
-            t *= 0.5
-        else:
+        taken = _backtrack(state, p, 1.0, E, energy_of)
+        if taken is None:
             return state, E, steps, res, "line_search"
-        state, E = trial, E_new
+        state, E, _ = taken
         steps += 1
         history.append(E)
 
@@ -488,29 +514,25 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     """Descend the discrete free energy to a stationary equivariant field.
 
     Boundary nodes are handled per opts; interior nodes move.  With the
-    default step rule and a node-permuting action (or none), damped
-    Newton-Krylov steps run first (see the module docstring) and one exact
-    projection finishes the solve; if they have not converged after
-    NEWTON_MAX_STEPS, the explicit loop continues from their state.
+    default step rule and a node-permuting action (or none), the field is
+    solved by damped Newton-Krylov steps (see the module docstring), up to
+    ``max_iter`` of them.  The action is projected out once before they
+    start, since the steps keep equivariance but do not restore it, and once
+    after they end, to clear rounding.
 
-    The explicit loop, the only one for grid-rotating actions and for
-    ``step_rule="fixed"``, is gradient descent u <- u + dt (Delta_h u -
-    W_u(u)).  Node-permuting actions are projected onto the equivariant
-    class every ``k_sym`` accepted steps; interpolating actions are
-    monitored and re-projected on drift (see SolveOptions).  Energy is
-    checked each step; with the backtracking rule an energy increase halves
-    dt instead of aborting.  ``result.method`` names the path whose steps
-    made the returned field and ``result.stop_reason`` why it stopped.
+    Otherwise (grid-rotating actions and ``step_rule="fixed"``) the field is
+    solved by explicit gradient descent u <- u + dt (Delta_h u - W_u(u)).
+    Node-permuting actions are projected onto the equivariant class every
+    ``k_sym`` accepted steps; interpolating actions are monitored and
+    re-projected on drift (see SolveOptions).  Energy is checked each step;
+    with the backtracking rule an energy increase halves dt instead of
+    aborting.  ``result.method`` names the path and ``result.stop_reason``
+    why it stopped.
     """
     opts = opts or SolveOptions()
-    if opts.k_sym < 1:
-        raise ValueError("k_sym must be >= 1")
     g = field.grid
-    n = g.dim
     h = g.spacing
-    dt0 = 0.9 * h * h / (2 * n) if opts.dt is None else float(opts.dt)
-    if opts.step_rule == "fixed" and dt0 > h * h / (2 * n) + 1e-15:
-        raise ValueError("fixed-step dt exceeds the diffusion stability bound h^2/(2 dim)")
+    dt0 = opts.step_size(g)
     pairs = as_pairs(symmetry)
     bvals = _resolve_boundary(field, potential, opts)
     bmask = _boundary_mask(g)
@@ -531,34 +553,32 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     def energy_of(vals):
         return energy(VectorField(g, vals), potential)
 
-    res = residual_of(state)
-    E = energy_of(state)
-    history = [E]
-    drift = 0.0
-    dt = dt0
-    accepted = 0
-    converged = res <= opts.residual_target
-
     def project(vals):
         out = symmetrize_pairs(VectorField(g, vals), pairs).values
         _apply_boundary(out, bvals, bmask)
         return out
 
-    interior = g.interior_mask.reshape(g.shape)
-    it = 0
-    steps_since_sym = opts.k_sym
-    pending_check = False
     exact_action = bool(pairs) and all(_box_preserving(gx) for gx, _ in pairs)
-    eq_budget = opts.equivariance_budget * max(eq_before or 0.0, 1e-12)
     newton = opts.step_rule == "backtracking" and (exact_action or not pairs)
-    newton_stop = None
-    if newton and not converged:
-        state, E, it, res, newton_stop = _newton_descent(
-            state, potential, g, E, history, opts.residual_target,
-            min(NEWTON_MAX_STEPS, opts.max_iter), energy_of,
-        )
-        if pairs:
-            # the invariant energy keeps the iterates equivariant to rounding
+    if newton and pairs:
+        state = project(state)
+
+    res = residual_of(state)
+    E = energy_of(state)
+    history = [E]
+    drift = 0.0
+    dt = dt0
+    it = 0
+    converged = res <= opts.residual_target
+    stop = None
+
+    if newton:
+        if not converged:
+            state, E, it, res, stop = _newton_descent(
+                state, potential, g, E, history, opts.residual_target, opts.max_iter, energy_of
+            )
+        if pairs and it:
+            # the invariant energy kept the iterates equivariant to rounding
             state = project(state)
             E_sym = energy_of(state)
             drift = abs(E_sym - E)
@@ -566,79 +586,63 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
             history.append(E)
             res = residual_of(state)
         converged = res <= opts.residual_target
-    newton_steps = it
-    while not converged and it < opts.max_iter and newton_stop != "line_search":
-        it += 1
-        lap = kernels.laplacian(state, h)
-        grad = potential.grad_field(state.reshape(-1, field.m)).reshape(state.shape)
-        step = lap - grad
-        step[~interior] = 0.0
+    else:
+        interior = g.interior_mask.reshape(g.shape)
+        accepted = 0
+        steps_since_sym = opts.k_sym
+        pending_check = False
+        eq_budget = opts.equivariance_budget * max(eq_before or 0.0, 1e-12)
+        while not converged and it < opts.max_iter:
+            it += 1
+            lap = kernels.laplacian(state, h)
+            grad = potential.grad_field(state.reshape(-1, field.m)).reshape(state.shape)
+            step = lap - grad
+            step[~interior] = 0.0
 
-        if opts.step_rule == "fixed":
-            trial = state + dt * step
-            E_new = energy_of(trial)
-            if np.isnan(E_new):
-                raise SolveError("energy became NaN during descent")
-            if E_new > E + 1e-12:
-                raise SolveError(
-                    f"energy increased at accepted step ({E_new - E:.3e}); reduce dt"
-                )
-            state, E = trial, E_new
-        else:
-            ok = False
-            for _ in range(40):
-                trial = state + dt * step
-                E_new = energy_of(trial)
-                if np.isnan(E_new):
-                    raise SolveError("energy became NaN during descent")
-                if E_new <= E + 1e-12:
-                    ok = True
-                    break
-                dt *= 0.5
-            if not ok:
-                raise SolveError("backtracking failed to find a descending step")
-            state, E = trial, E_new
-            if dt < dt0:
-                dt = min(dt * 1.05, dt0)
-        accepted += 1
-        steps_since_sym += 1
-        history.append(E)
-
-        if pairs and exact_action and accepted % opts.k_sym == 0:
-            state = project(state)
-            E_sym = energy_of(state)
-            drift = max(drift, abs(E_sym - E))
-            E = E_sym
-            steps_since_sym = 0
+            if opts.step_rule == "fixed":
+                taken = _backtrack(state, step, dt, E, energy_of, halvings=1)
+                if taken is None:
+                    raise SolveError("energy increased at an accepted step; reduce dt")
+                state, E, _ = taken
+            else:
+                taken = _backtrack(state, step, dt, E, energy_of)
+                if taken is None:
+                    raise SolveError("backtracking failed to find a descending step")
+                state, E, dt = taken
+                if dt < dt0:
+                    dt = min(dt * 1.05, dt0)
+            accepted += 1
+            steps_since_sym += 1
             history.append(E)
 
-        # residual checks read the raw descent state a few steps past the
-        # last projection so projection noise has been re-smoothed
-        if accepted % opts.check_every == 0:
-            pending_check = True
-        if pending_check and (not pairs or steps_since_sym >= min(3, opts.k_sym)):
-            pending_check = False
-            res = residual_of(state)
-            if pairs and not exact_action:
-                eq_now = equivariance_residual_pairs(VectorField(g, state), pairs)
-                if eq_now > eq_budget:
-                    state = project(state)
-                    drift = max(drift, abs(energy_of(state) - E))
-                    E = energy_of(state)
-                    steps_since_sym = 0
-                    continue
-            if res <= opts.residual_target:
-                converged = True
-                break
+            if exact_action and accepted % opts.k_sym == 0:
+                state = project(state)
+                E_sym = energy_of(state)
+                drift = max(drift, abs(E_sym - E))
+                E = E_sym
+                steps_since_sym = 0
+                history.append(E)
 
-    if converged:
-        stop_reason = "converged"
-    elif newton_stop == "line_search":
-        stop_reason = "line_search"
-    else:
-        stop_reason = "max_iter"
+            # residual checks read the raw descent state a few steps past the
+            # last projection so projection noise has been re-smoothed
+            if accepted % opts.check_every == 0:
+                pending_check = True
+            if pending_check and (not pairs or steps_since_sym >= min(3, opts.k_sym)):
+                pending_check = False
+                res = residual_of(state)
+                if pairs and not exact_action:
+                    eq_now = equivariance_residual_pairs(VectorField(g, state), pairs)
+                    if eq_now > eq_budget:
+                        state = project(state)
+                        drift = max(drift, abs(energy_of(state) - E))
+                        E = energy_of(state)
+                        steps_since_sym = 0
+                        continue
+                if res <= opts.residual_target:
+                    converged = True
+
     out = VectorField(g, state)
-    result = SolveResult(
+    return SolveResult(
         field=out,
         iterations=it,
         energy=E,
@@ -649,10 +653,9 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
         equivariance_after=equivariance_residual_pairs(out, pairs) if pairs else None,
         symmetrization_drift=drift,
         dt_final=dt,
-        method="newton" if newton and it == newton_steps else "explicit",
-        stop_reason=stop_reason,
+        method="newton" if newton else "explicit",
+        stop_reason="converged" if converged else ("line_search" if stop == "line_search" else "max_iter"),
     )
-    return result
 
 
 def solve_dirichlet(field0: VectorField, potential, boundary_data, opts: SolveOptions | None = None, symmetry=None) -> SolveResult:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from multiwell import cli
+from multiwell import cli, fields
 
 
 def run(args):
@@ -132,6 +132,7 @@ JUNCTION = {"potential": "triple_well", "group": "dihedral_3"}
         ("solve", dict(JUNCTION, solver={"max_iter": "many"})),
         ("solve", dict(JUNCTION, solver={"k_sym": 0})),
         ("solve", dict(JUNCTION, solver={"step_rule": "sideways"})),
+        ("solve", dict(JUNCTION, solver={"dt": -1.0})),
         ("solve", dict(JUNCTION, resume={"field": "missing.csv"})),
         ("solve", dict(JUNCTION, grid={"points": 41}, solver={"step_rule": "fixed", "dt": 1.0})),
         ("steiner", {"triangle": EQUILATERAL, "tol": "x"}),
@@ -146,6 +147,7 @@ JUNCTION = {"potential": "triple_well", "group": "dihedral_3"}
         "text-max-iter",
         "zero-k-sym",
         "unknown-step-rule",
+        "negative-dt",
         "resume-without-meta",
         "unstable-fixed-dt",
         "text-tol",
@@ -159,6 +161,17 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dim, m", [(1, 2), (2, 1)], ids=["wrong-dim", "wrong-m"])
+def test_resume_field_of_wrong_shape_is_usage_error(tmp_path, capsys, dim, m):
+    g = fields.Grid(dim=dim, half_width=2.0, points=5)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.json"
+    fields.save_field(fields.constant_field(g, np.zeros(m)), csv, meta)
+    cfg = write_config(tmp_path / "c.json", dict(JUNCTION, resume={"field": str(csv), "meta": str(meta)}))
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: resume field has dim") and "Traceback" not in err
 
 
 def test_solve_dimension_mismatch(tmp_path):

@@ -131,7 +131,7 @@ def test_newton_preconditioner_inverts_shifted_laplacian(dim, name):
 def test_newton_slab_matches_explicit_descent(double_well, monkeypatch):
     # criterion 6's wrong-width slab on 101^2: the Newton path reaches the
     # explicit path's field, never raises the energy, and keeps the
-    # reflection symmetry to rounding up to its one final projection
+    # reflection symmetry to rounding between its two projections
     g = fields.Grid(dim=2, half_width=5.0, points=101)
 
     def wrong_width(pts):
@@ -158,7 +158,34 @@ def test_newton_slab_matches_explicit_descent(double_well, monkeypatch):
     assert newton.energy <= explicit.energy + 1e-12
     hist = newton.energy_history
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
-    assert len(projected) == 1 and projected[0] <= 1e-12
+    assert len(projected) == 2 and max(projected) <= 1e-12
+
+
+def test_newton_projects_an_asymmetric_start(double_well):
+    # zero data under u1(-x1, x2) = -u1(x1, x2): the equivariant solution is
+    # a wall along x1 = 0, but a start pushed towards +1 on one side lies
+    # nearer non-equivariant critical points (u = 0 among them), which Newton
+    # finds unless the start is projected first
+    g = fields.Grid(dim=2, half_width=5.0, points=41)
+
+    def zero(pts):
+        return np.zeros((len(pts), 1))
+
+    def lopsided(pts):
+        bump = np.exp(-((pts[:, 0] - 1.5) ** 2 + pts[:, 1] ** 2))
+        return (0.1 * np.tanh(pts[:, 0]) + 0.9 * bump)[:, None]
+
+    f0 = fields.field_from_function(g, lopsided, 1)
+    base = dict(residual_target=1e-6, max_iter=40_000, k_sym=10, check_every=50)
+    explicit = fields.solve_dirichlet(f0, double_well, zero, opts=fields.SolveOptions(step_rule="fixed", **base))
+    newton = fields.solve_dirichlet(f0, double_well, zero, opts=fields.SolveOptions(**base))
+    assert newton.method == "newton" and newton.converged
+    assert newton.equivariance_before > 0.5 and newton.equivariance_after <= 1e-12
+    assert np.max(np.abs(explicit.field.values)) > 0.5  # the wall, not u = 0
+    assert np.max(np.abs(newton.field.values - explicit.field.values)) <= 1e-5
+    assert newton.energy <= explicit.energy + 1e-12
+    hist = newton.energy_history
+    assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
 def test_newton_damps_steps_from_a_rough_start(double_well):
