@@ -447,8 +447,8 @@ def cmd_partition(args) -> int:
             with open(pcfg) as fh:
                 part = partitions.partition_from_json(json.load(fh))
         else:
-            part = partitions.partition_from_json(pcfg)
-    except (OSError, KeyError, partitions.PartitionError) as e:
+            part = partitions.partition_from_json(_section(config, "partition"))
+    except (OSError, LookupError, TypeError, ValueError) as e:  # ValueError includes PartitionError
         raise UsageError(f"bad partition: {e}")
     tensions_cfg = config.get("tensions")
     if tensions_cfg is None:
@@ -459,8 +459,15 @@ def cmd_partition(args) -> int:
         tensions = partitions.TensionMatrix(e)
     except partitions.PartitionError as err:
         raise UsageError(str(err))
+    if tensions.phases < part.phases:
+        raise UsageError(f"tension matrix is {tensions.phases}x{tensions.phases} for {part.phases} phases")
     center = _param(config, "center", [0.0, 0.0], _floats)
     radii = _param(config, "radii", np.linspace(0.2, 2.0, 10), _floats)
+    scales = _param(config, "blowdown_scales", [1.0, 0.5, 0.25, 0.125], _floats)
+    if center.shape != (2,):
+        raise UsageError(f"'center' must be a point [x, y]; got {center.tolist()}")
+    if not (np.all(radii > 0) and np.all(scales > 0) and np.all(np.diff(scales) < 0)):
+        raise UsageError("'radii' must be positive and 'blowdown_scales' positive and strictly decreasing")
     rows = []
     for r in radii:
         w = partitions.disk(center, float(r))
@@ -472,7 +479,6 @@ def cmd_partition(args) -> int:
             ]
         )
     _write_csv(os.path.join(out, "density.csv"), ["radius", "density", "energy"], rows)
-    scales = _param(config, "blowdown_scales", [1.0, 0.5, 0.25, 0.125], _floats)
     seq = partitions.blow_down(part, center, scales)
     unit = partitions.disk(center, 1.0)
     ref = config.get("blowdown_reference")

@@ -563,20 +563,17 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     if newton and pairs:
         state = project(state)
 
-    res = residual_of(state)
     E = energy_of(state)
     history = [E]
     drift = 0.0
     dt = dt0
-    it = 0
-    converged = res <= opts.residual_target
     stop = None
 
     if newton:
-        if not converged:
-            state, E, it, res, stop = _newton_descent(
-                state, potential, g, E, history, opts.residual_target, opts.max_iter, energy_of
-            )
+        # the Newton loop measures the residual of its start and of every step
+        state, E, it, res, stop = _newton_descent(
+            state, potential, g, E, history, opts.residual_target, opts.max_iter, energy_of
+        )
         if pairs and it:
             # the invariant energy kept the iterates equivariant to rounding
             state = project(state)
@@ -587,6 +584,9 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
             res = residual_of(state)
         converged = res <= opts.residual_target
     else:
+        res = residual_of(state)
+        converged = res <= opts.residual_target
+        it = 0
         interior = g.interior_mask.reshape(g.shape)
         accepted = 0
         steps_since_sym = opts.k_sym
@@ -640,13 +640,14 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
                         continue
                 if res <= opts.residual_target:
                     converged = True
+        res = residual_of(state)
 
     out = VectorField(g, state)
     return SolveResult(
         field=out,
         iterations=it,
         energy=E,
-        residual=residual_of(state),
+        residual=res,
         converged=converged,
         energy_history=history,
         equivariance_before=eq_before,

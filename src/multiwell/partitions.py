@@ -214,18 +214,6 @@ def blow_down(part: PolygonalPartition, x0, scales) -> list[PolygonalPartition]:
     return [part.translated_scaled(x0, mu) for mu in scales]
 
 
-def _point_element_distance(p, el) -> float:
-    if isinstance(el, Segment):
-        v = el.p1 - el.p0
-        L2 = float(np.dot(v, v))
-        t = 0.0 if L2 == 0 else np.clip(np.dot(p - el.p0, v) / L2, 0.0, 1.0)
-        q = el.p0 + t * v
-    else:
-        t = max(0.0, float(np.dot(p - el.origin, el.direction)))
-        q = el.origin + t * el.direction
-    return float(np.linalg.norm(p - q))
-
-
 def _sample_skeleton(part: PolygonalPartition, window: Disk, step: float) -> np.ndarray:
     pts = []
     for el in part.elements:
@@ -251,6 +239,21 @@ def _sample_skeleton(part: PolygonalPartition, window: Disk, step: float) -> np.
     return np.vstack(pts)
 
 
+def _element_distances(pts: np.ndarray, el) -> np.ndarray:
+    """Exact distance from each row of ``pts`` to a segment or ray: the
+    projection parameter is clipped to [0, 1] on a segment, [0, inf) on a ray."""
+    if isinstance(el, Segment):
+        o, v = el.p0, el.p1 - el.p0
+        L2 = v[0] * v[0] + v[1] * v[1]
+        lo, hi = 0.0, 1.0
+    else:
+        o, v = el.origin, el.direction
+        L2, lo, hi = 1.0, 0.0, np.inf
+    d = pts - o
+    t = np.zeros(len(pts)) if L2 == 0 else np.clip((d[:, 0] * v[0] + d[:, 1] * v[1]) / L2, lo, hi)
+    return np.linalg.norm(pts - (o + t[:, None] * v), axis=1)
+
+
 def hausdorff_distance(a: PolygonalPartition, b: PolygonalPartition, window: Disk, step: float = 1e-3) -> float:
     """Hausdorff distance between the interface skeletons inside the window,
     by dense sampling (resolution ``step``) against exact element distances."""
@@ -260,11 +263,7 @@ def hausdorff_distance(a: PolygonalPartition, b: PolygonalPartition, window: Dis
         return float("inf")
 
     def directed(pts, other):
-        worst = 0.0
-        for p in pts:
-            d = min(_point_element_distance(p, el) for el in other.elements)
-            worst = max(worst, d)
-        return worst
+        return float(np.min([_element_distances(pts, el) for el in other.elements], axis=0).max())
 
     return max(directed(pa, b), directed(pb, a))
 
@@ -364,6 +363,9 @@ class WeightedTriangle:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if min(self.e12, self.e13, self.e23) <= 0:
             raise PartitionError("weights must be positive")
+        v = self.vertices  # first_order_residual divides by the distances between them
+        if np.min(np.linalg.norm(v - np.roll(v, 1, axis=0), axis=1)) <= 1e-12:
+            raise PartitionError("vertices must be distinct")
 
     @property
     def vertices(self) -> np.ndarray:
@@ -380,23 +382,36 @@ def weighted_sum(P, tri: WeightedTriangle) -> float:
     return float(tri.weights @ d)
 
 
+def _offsets(px: float, py: float, xs, ys):
+    """Offsets (dx, dy) of the vertices (xs, ys) from P = (px, py) and their
+    lengths d, as Python floats: the residual and the Weiszfeld loop run on these."""
+    dx = (xs[0] - px, xs[1] - px, xs[2] - px)
+    dy = (ys[0] - py, ys[1] - py, ys[2] - py)
+    return dx, dy, tuple(map(math.hypot, dx, dy))
+
+
+def _vertex_pull(i: int, dx, dy, d, ws) -> float:
+    """|sum of the weighted unit pulls of the other two vertices| on vertex i."""
+    j, k = (i + 1) % 3, (i + 2) % 3
+    return math.hypot(ws[j] * dx[j] / d[j] + ws[k] * dx[k] / d[k], ws[j] * dy[j] / d[j] + ws[k] * dy[k] / d[k])
+
+
+def _residual(dx, dy, d, ws) -> float:
+    """first_order_residual from the _offsets of P and the weights ws."""
+    for i in range(3):
+        if d[i] <= 1e-12:
+            return max(0.0, _vertex_pull(i, dx, dy, d, ws) - ws[i])
+    gx = ws[0] * (dx[0] / d[0]) + ws[1] * (dx[1] / d[1]) + ws[2] * (dx[2] / d[2])
+    gy = ws[0] * (dy[0] / d[0]) + ws[1] * (dy[1] / d[1]) + ws[2] * (dy[2] / d[2])
+    return math.hypot(gx, gy)
+
+
 def first_order_residual(P, tri: WeightedTriangle) -> float:
     """|sum of weighted unit pulls| at an interior P; at a vertex, the
     subgradient excess max(0, |pull from others| - own weight)."""
-    P = np.asarray(P, dtype=np.float64)
-    verts = tri.vertices
-    wts = tri.weights
-    d = np.linalg.norm(verts - P[None, :], axis=1)
-    at = np.flatnonzero(d <= 1e-12)
-    if at.size:
-        i = int(at[0])
-        pull = np.zeros(2)
-        for j in range(3):
-            if j != i:
-                pull += wts[j] * (verts[j] - P) / d[j]
-        return max(0.0, float(np.linalg.norm(pull)) - wts[i])
-    nus = (verts - P[None, :]) / d[:, None]
-    return float(np.linalg.norm(wts @ nus))
+    px, py = np.asarray(P, dtype=np.float64).tolist()
+    xs, ys = tri.vertices.T.tolist()
+    return _residual(*_offsets(px, py, xs, ys), tri.weights.tolist())
 
 
 def steiner_point(tri: WeightedTriangle, tol: float = 1e-10, max_iter: int = 200_000):
@@ -405,21 +420,10 @@ def steiner_point(tri: WeightedTriangle, tol: float = 1e-10, max_iter: int = 200
     Vertex capture is decided first by the subgradient test; otherwise the
     iteration starts at the weighted vertex centroid.  Returns (point, info)
     where info records capture/convergence and the first-order residual."""
-    verts = tri.vertices
-    wts = tri.weights
+    verts, wts = tri.vertices, tri.weights
+    (xs, ys), ws = verts.T.tolist(), wts.tolist()
     for i in range(3):
-        pull = np.zeros(2)
-        ok = True
-        for j in range(3):
-            if j == i:
-                continue
-            dv = verts[j] - verts[i]
-            dn = np.linalg.norm(dv)
-            if dn <= 1e-15:
-                ok = False
-                break
-            pull += wts[j] * dv / dn
-        if ok and np.linalg.norm(pull) <= wts[i] + 1e-14:
+        if _vertex_pull(i, *_offsets(xs[i], ys[i], xs, ys), ws) <= ws[i] + 1e-14:
             return verts[i].copy(), {
                 "captured": True,
                 "vertex": i,
@@ -427,19 +431,22 @@ def steiner_point(tri: WeightedTriangle, tol: float = 1e-10, max_iter: int = 200
                 "iterations": 0,
                 "residual": first_order_residual(verts[i], tri),
             }
-    P = (wts @ verts) / wts.sum()
+    px, py = ((wts @ verts) / wts.sum()).tolist()
     it = 0
-    res = first_order_residual(P, tri)
+    dx, dy, d = _offsets(px, py, xs, ys)
+    res = _residual(dx, dy, d, ws)
     while res > tol and it < max_iter:
-        d = np.linalg.norm(verts - P[None, :], axis=1)
-        if np.any(d <= 1e-15):
-            P = P + 1e-12 * np.ones(2)
-            d = np.linalg.norm(verts - P[None, :], axis=1)
-        w = wts / d
-        P = (w @ verts) / w.sum()
-        res = first_order_residual(P, tri)
+        if min(d) <= 1e-15:
+            px, py = px + 1e-12, py + 1e-12
+            d = _offsets(px, py, xs, ys)[2]
+        w = (ws[0] / d[0], ws[1] / d[1], ws[2] / d[2])
+        sw = w[0] + w[1] + w[2]
+        px = (w[0] * xs[0] + w[1] * xs[1] + w[2] * xs[2]) / sw
+        py = (w[0] * ys[0] + w[1] * ys[1] + w[2] * ys[2]) / sw
+        dx, dy, d = _offsets(px, py, xs, ys)
+        res = _residual(dx, dy, d, ws)
         it += 1
-    return P, {
+    return np.array([px, py]), {
         "captured": False,
         "vertex": None,
         "converged": bool(res <= tol),

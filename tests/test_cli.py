@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,15 @@ EQUILATERAL = {
     "e23": 1.0,
 }
 JUNCTION = {"potential": "triple_well", "group": "dihedral_3"}
+TRIOD = {
+    "phases": 3,
+    "segments": [],
+    "rays": [
+        {"phase_i": 1, "phase_j": 2, "origin": [0, 0], "direction": [0, 1]},
+        {"phase_i": 2, "phase_j": 3, "origin": [0, 0], "direction": [-0.866, -0.5]},
+        {"phase_i": 3, "phase_j": 1, "origin": [0, 0], "direction": [0.866, -0.5]},
+    ],
+}
 
 
 @pytest.mark.parametrize(
@@ -139,6 +152,14 @@ JUNCTION = {"potential": "triple_well", "group": "dihedral_3"}
         ("connect1d", {"potential": "double_well", "intervals": "lots"}),
         ("partition", {"partition": {"phases": 2, "segments": []}, "radii": ["a"]}),
         ("steiner", ["not", "an", "object"]),
+        ("partition", {"partition": TRIOD, "radii": [-1.0]}),
+        ("partition", {"partition": TRIOD, "blowdown_scales": [0.5, 1.0]}),
+        ("partition", {"partition": TRIOD, "blowdown_scales": [0.0]}),
+        ("partition", {"partition": TRIOD, "tensions": [[0.0, 1.0], [1.0, 0.0]]}),
+        ("partition", {"partition": TRIOD, "center": [1.0]}),
+        ("partition", {"partition": 5}),
+        ("partition", {"partition": {"phases": "two", "segments": []}}),
+        ("partition", {"partition": {"phases": 2, "segments": [{"phase_i": 1, "phase_j": 2, "endpoints": [[0, 0]]}]}}),
     ],
     ids=[
         "even-points",
@@ -154,6 +175,14 @@ JUNCTION = {"potential": "triple_well", "group": "dihedral_3"}
         "text-intervals",
         "text-radii",
         "config-not-object",
+        "negative-radius",
+        "increasing-scales",
+        "zero-scale",
+        "tensions-smaller-than-phases",
+        "one-element-center",
+        "partition-not-object",
+        "text-phases",
+        "one-endpoint",
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
@@ -242,6 +271,18 @@ def test_steiner_single_and_batch(tmp_path):
     assert rows[4][1:] == rows[0][1:] and rows[0][6] == ""
 
 
+def test_steiner_coincident_vertices_row_is_reported(tmp_path):
+    batch = tmp_path / "batch.csv"
+    batch.write_text("Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23\n0,0,1,0,1,0,1,1,1\n0,1,0.866,-0.5,-0.866,-0.5,1,1,1\n")
+    cfg = write_config(tmp_path / "s.json", {"batch": str(batch)})
+    out = tmp_path / "steiner"
+    assert run(["steiner", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["errors"] == 1
+    rows = [r.split(",") for r in (out / "steiner.csv").read_text().splitlines()[1:]]
+    assert rows[0][1:] == ["", "", "", "", "", "vertices must be distinct"]
+    assert rows[1][6] == "" and rows[1][5] == "1"
+
+
 def test_partition_command(tmp_path):
     part = {
         "phases": 3,
@@ -294,3 +335,13 @@ def test_resume_continues_from_saved_field(tmp_path):
     r2 = json.loads((out2 / "report.json").read_text())
     assert r2["pde_residual"] <= 2e-3 <= r1["pde_residual"] or r2["pde_residual"] <= r1["pde_residual"]
     assert r2["energy"] <= r1["energy"] + 1e-9
+
+
+def test_python_m_multiwell_runs_from_a_source_checkout():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "multiwell", "--help"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "partition" in done.stdout

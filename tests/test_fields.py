@@ -230,6 +230,23 @@ def test_solve_result_names_method_and_stop_reason(
     assert (res.method, res.stop_reason, res.converged, res.iterations) == ("newton", "line_search", False, 0)
 
 
+def test_solve_result_residual_is_that_of_its_field(slab_solution, junction, double_well, triple_well):
+    """The reported residual is pde_residual of the returned field on both
+    paths: after Newton's last step, after its closing projection, and when
+    the start already meets the target."""
+    for result, pot in ((slab_solution["result"], double_well), (junction["result"], triple_well)):
+        assert result.residual == fields.pde_residual(result.field, pot)
+    g = fields.Grid(dim=2, half_width=5.0, points=41)
+    f0 = fields.field_from_function(g, slab_fn, 1)
+    f0.values[1:-1, 1:-1] += 0.2
+    for symmetry in (None, fields.reflection_pairs(2, 1)):
+        for target, max_iter in ((1e-6, 0), (1e-6, 1), (1e-6, 50), (10.0, 50)):
+            opts = fields.SolveOptions(residual_target=target, max_iter=max_iter)
+            res = fields.minimize(f0, double_well, symmetry=symmetry, opts=opts)
+            assert res.residual == fields.pde_residual(res.field, double_well)
+            assert res.converged == (res.residual <= target)
+
+
 # ---------------------------------------------------------------------------
 # initial data
 

@@ -132,6 +132,88 @@ def test_nonpositive_weight_rejected():
         pt.WeightedTriangle(A=[0, 0], B=[1, 0], C=[0, 1], e12=1.0, e13=-1.0, e23=1.0)
 
 
+def test_coincident_vertices_rejected():
+    # the residual at B would divide 0/0 by the distance to C
+    with pytest.raises(pt.PartitionError, match="vertices must be distinct"):
+        pt.WeightedTriangle(A=[0, 0], B=[1, 0], C=[1, 0], e12=1.0, e13=1.0, e23=1.0)
+
+
+def test_first_order_residual_at_a_vertex_is_the_subgradient_excess():
+    tri = equilateral()
+    # at A the unit pulls of B and C meet at 60 degrees: |pull| = sqrt(3) > e12 = 1
+    assert pt.first_order_residual(tri.A, tri) == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-15)
+
+
+def _reference_residual(P, verts, wts):
+    d = np.linalg.norm(verts - P[None, :], axis=1)
+    at = np.flatnonzero(d <= 1e-12)
+    if at.size:
+        i = int(at[0])
+        pull = sum(wts[j] * (verts[j] - P) / d[j] for j in range(3) if j != i)
+        return max(0.0, float(np.linalg.norm(pull)) - wts[i])
+    return float(np.linalg.norm(wts @ ((verts - P[None, :]) / d[:, None])))
+
+
+def _reference_weiszfeld(tri, tol, max_iter=200_000):
+    """Vertex capture by the subgradient test, else Weiszfeld from the
+    weighted centroid on numpy 2-vectors, stopped once the residual is <= tol."""
+    verts, wts = tri.vertices, tri.weights
+    for i in range(3):
+        pull = sum(
+            wts[j] * (verts[j] - verts[i]) / np.linalg.norm(verts[j] - verts[i]) for j in range(3) if j != i
+        )
+        if np.linalg.norm(pull) <= wts[i] + 1e-14:
+            return verts[i], {"captured": True, "vertex": i, "converged": True, "iterations": 0}
+    P = (wts @ verts) / wts.sum()
+    it = 0
+    res = _reference_residual(P, verts, wts)
+    while res > tol and it < max_iter:
+        d = np.linalg.norm(verts - P[None, :], axis=1)
+        if np.any(d <= 1e-15):
+            P = P + 1e-12
+            d = np.linalg.norm(verts - P[None, :], axis=1)
+        w = wts / d
+        P = (w @ verts) / w.sum()
+        res = _reference_residual(P, verts, wts)
+        it += 1
+    return P, {"captured": False, "vertex": None, "converged": res <= tol, "iterations": it}
+
+
+def near_capture_instances(count=24, seed=31):
+    """Triangles within 0.05 of the capture transition on either side: the
+    ones random_steiner_instances skips, where Weiszfeld is slowest."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        verts = rng.uniform(-1.0, 1.0, (3, 2))
+        w = rng.uniform(0.5, 2.0, 3)
+        tri = pt.WeightedTriangle(A=verts[0], B=verts[1], C=verts[2], e12=w[0], e13=w[1], e23=w[2])
+        if abs(_capture_margin(tri)) < 0.05:
+            out.append(tri)
+    # and four with vertex A captured by a hair: e12 exceeds the pull of B and C by 1e-9
+    for tri in out[:4]:
+        A, B, C = tri.vertices
+        pull = tri.e13 * (B - A) / np.linalg.norm(B - A) + tri.e23 * (C - A) / np.linalg.norm(C - A)
+        out.append(pt.WeightedTriangle(A=A, B=B, C=C, e12=np.linalg.norm(pull) + 1e-9, e13=tri.e13, e23=tri.e23))
+    return out
+
+
+def test_steiner_point_matches_reference_weiszfeld():
+    instances = near_capture_instances()
+    infos = []
+    for tri in instances:
+        P, info = pt.steiner_point(tri, tol=1e-10)
+        P_ref, ref = _reference_weiszfeld(tri, tol=1e-10)
+        for key in ("captured", "converged", "vertex", "iterations"):
+            assert info[key] == ref[key], key
+        assert np.max(np.abs(P - P_ref)) <= 1e-14
+        infos.append(info)
+    # both sides of the transition are exercised, and some rows need many steps
+    assert any(i["captured"] for i in infos) and not all(i["captured"] for i in infos)
+    assert all(i["captured"] and i["vertex"] == 0 for i in infos[-4:])
+    assert max(i["iterations"] for i in infos) > 1000
+
+
 # ---------------------------------------------------------------------------
 # Young angles
 
@@ -319,6 +401,75 @@ def test_blow_down_fixes_cones():
     seq = pt.blow_down(line, [0.0, 0.0], [1.0, 0.25])
     for q in seq:
         assert pt.hausdorff_distance(line, q, w, step=2e-3) < 5e-3
+
+
+def _oracle_distance(p, el) -> float:
+    """Distance from the point p to a segment or ray, on Python floats."""
+    px, py = p
+    if isinstance(el, pt.Segment):
+        (ox, oy), (vx, vy) = el.p0.tolist(), (el.p1 - el.p0).tolist()
+        L2 = vx * vx + vy * vy
+        t = 0.0 if L2 == 0 else min(max(((px - ox) * vx + (py - oy) * vy) / L2, 0.0), 1.0)
+    else:
+        (ox, oy), (vx, vy) = el.origin.tolist(), el.direction.tolist()
+        t = max((px - ox) * vx + (py - oy) * vy, 0.0)
+    ex, ey = px - (ox + t * vx), py - (oy + t * vy)
+    return math.sqrt(ex * ex + ey * ey)
+
+
+def _oracle_hausdorff(a, b, window, step) -> float:
+    pa = pt._sample_skeleton(a, window, step)
+    pb = pt._sample_skeleton(b, window, step)
+    if len(pa) == 0 or len(pb) == 0:
+        return math.inf
+
+    def directed(pts, other):
+        worst = 0.0
+        for p in pts.tolist():
+            worst = max(worst, min(_oracle_distance(p, el) for el in other.elements))
+        return worst
+
+    return max(directed(pa, b), directed(pb, a))
+
+
+def _outside_elements(rng):
+    """A zero-length segment, a ray that starts outside the unit window and
+    points away from it, and a segment entirely outside it."""
+    a = rng.uniform(0.0, 2.0 * math.pi, 2)
+    u = np.array([math.cos(a[0]), math.sin(a[0])])
+    p = rng.uniform(-0.8, 0.8, 2)
+    far = 4.0 * u
+    return [
+        pt.Segment(1, 2, p, p.copy()),
+        pt.Ray(1, 3, 3.0 * u, u),
+        pt.Segment(2, 3, far, far + np.array([math.cos(a[1]), math.sin(a[1])])),
+    ]
+
+
+def _random_partition(rng):
+    def unit():
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        return np.array([math.cos(t), math.sin(t)])
+
+    elements = _outside_elements(rng)
+    elements += [pt.Segment(1, 2, rng.uniform(-1.2, 1.2, 2), rng.uniform(-1.2, 1.2, 2)) for _ in range(3)]
+    elements += [pt.Ray(2, 3, rng.uniform(-1.2, 1.2, 2), unit()) for _ in range(2)]
+    return pt.PolygonalPartition(phases=3, elements=tuple(elements))
+
+
+def test_hausdorff_matches_pointwise_oracle():
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        a, b = _random_partition(rng), _random_partition(rng)
+        w = pt.disk(rng.uniform(-0.2, 0.2, 2), 1.0)
+        got = pt.hausdorff_distance(a, b, w, step=4e-3)
+        assert 0.0 < got < math.inf
+        assert got == _oracle_hausdorff(a, b, w, 4e-3)
+    # nothing of an all-outside partition is sampled inside the window
+    empty = pt.PolygonalPartition(phases=3, elements=tuple(_outside_elements(rng)))
+    w = pt.disk([0.0, 0.0], 1.0)
+    assert pt.hausdorff_distance(empty, pt.x_cone(), w) == math.inf
+    assert pt.hausdorff_distance(pt.x_cone(), empty, w) == math.inf
 
 
 def test_blow_down_validates_scales():
