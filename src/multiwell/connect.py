@@ -130,9 +130,10 @@ def solve_connection(
     def action_and_grad(x):
         V = np.vstack([a_minus[None, :], x.reshape(K - 1, m), a_plus[None, :]])
         d = (V[1:] - V[:-1]) / h
-        act = 0.5 * h * float(np.sum(d * d)) + h * float(w @ potential.value_field(V))
+        W, W_u = potential.value_and_grad_field(V)
+        act = 0.5 * h * float(np.sum(d * d)) + h * float(w @ W)
         lap = (V[2:] - 2 * V[1:-1] + V[:-2]) / h**2
-        grad = h * (-lap + potential.grad_field(V[1:-1]))
+        grad = h * (-lap + W_u[1:-1])
         return act, grad.ravel()
 
     res = scipy.optimize.minimize(

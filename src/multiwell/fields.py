@@ -149,13 +149,29 @@ def energy(field: VectorField, potential) -> float:
     return grad_part + w_part
 
 
+def energy_and_grad(field: VectorField, potential) -> tuple[float, np.ndarray]:
+    """``energy`` and W_u(u) at every node (shaped like ``field.values``),
+    from one fused potential evaluation."""
+    if field.m != potential.m:
+        raise ValueError("field value dimension does not match potential")
+    g = field.grid
+    h = g.spacing
+    grad_part = kernels.link_energy(field.values, h)
+    W, W_u = potential.value_and_grad_field(field.flat())
+    w_part = float(g.trapezoid_weights @ W) * h**g.dim
+    return grad_part + w_part, W_u.reshape(field.values.shape)
+
+
 def pde_residual(field: VectorField, potential) -> float:
     """Sup norm over interior nodes of Delta_h u - W_u(u)."""
-    g = field.grid
-    lap = kernels.laplacian(field.values, g.spacing).reshape(-1, field.m)
-    r = lap - potential.grad_field(field.flat())
+    w_u = potential.grad_field(field.flat()).reshape(field.values.shape)
+    return _residual(field.values, w_u, field.grid)
+
+
+def _residual(values: np.ndarray, w_u: np.ndarray, grid: Grid) -> float:
+    r = (kernels.laplacian(values, grid.spacing) - w_u).reshape(-1, values.shape[-1])
     mags = np.sqrt(np.sum(r * r, axis=1))
-    return float(mags[g.interior_mask].max())
+    return float(mags[grid.interior_mask].max())
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +423,18 @@ CG_MAX_ITER = 200
 LINE_SEARCH_HALVINGS = 40
 
 
-def _backtrack(state, direction, t, E, energy_of, halvings=LINE_SEARCH_HALVINGS):
+def _backtrack(state, direction, t, E, evaluate, halvings=LINE_SEARCH_HALVINGS):
     """The first of the steps t, t/2, ... (``halvings`` tries) along
-    ``direction`` that does not raise the energy above E: (trial, energy, t),
-    or None when every try does.  A NaN energy raises SolveError."""
+    ``direction`` that does not raise the energy above E: (trial, energy,
+    W_u at the trial, t), or None when every try does.  ``evaluate`` returns
+    (energy, W_u) of a state.  A NaN energy raises SolveError."""
     for _ in range(halvings):
         trial = state + t * direction
-        E_new = energy_of(trial)
+        E_new, w_u = evaluate(trial)
         if np.isnan(E_new):
             raise SolveError("energy became NaN during descent")
         if E_new <= E + 1e-12:
-            return trial, E_new, t
+            return trial, E_new, w_u, t
         t *= 0.5
     return None
 
@@ -481,18 +498,18 @@ def _truncated_cg(b, hess_product, precond, tol: float):
     return p
 
 
-def _newton_descent(state, potential, grid: Grid, E, history, target, max_steps, energy_of):
-    """Damped Newton-Krylov descent over the interior nodes; the boundary
-    layer stays fixed.  Each accepted energy is appended to ``history``.
-    Returns (state, energy, steps, residual, stop) with stop one of
+def _newton_descent(state, E, w_u, potential, grid: Grid, history, target, max_steps, evaluate):
+    """Damped Newton-Krylov descent over the interior nodes from ``state``
+    with energy E and potential gradient ``w_u``; the boundary layer stays
+    fixed.  Each accepted energy is appended to ``history``.  Returns
+    (state, energy, steps, residual, stop) with stop one of
     "converged", "max_iter" (``max_steps`` taken) or "line_search"."""
-    shape = state.shape
     h = grid.spacing
     edge = ~grid.interior_mask.reshape(grid.shape)
-    precond = _dirichlet_inverse(shape, h, 2.0 * potential.c**2)
+    precond = _dirichlet_inverse(state.shape, h, 2.0 * potential.c**2)
     steps = 0
     while True:
-        b = kernels.laplacian(state, h) - potential.grad_field(state.reshape(-1, shape[-1])).reshape(shape)
+        b = kernels.laplacian(state, h) - w_u
         b[edge] = 0.0
         res = float(np.sqrt(np.sum(b * b, axis=-1)).max())
         if res <= target:
@@ -502,10 +519,10 @@ def _newton_descent(state, potential, grid: Grid, E, history, target, max_steps,
         # inexact Newton: solve to a relative tolerance that tightens with the residual
         tol = min(0.1, np.sqrt(res)) * np.linalg.norm(b)
         p = _truncated_cg(b, _hessian_product(state, potential, h), precond, tol)
-        taken = _backtrack(state, p, 1.0, E, energy_of)
+        taken = _backtrack(state, p, 1.0, E, evaluate)
         if taken is None:
             return state, E, steps, res, "line_search"
-        state, E, _ = taken
+        state, E, w_u, _ = taken
         steps += 1
         history.append(E)
 
@@ -547,11 +564,8 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
             f"allowed {opts.max_input_equivariance:.3e}"
         )
 
-    def residual_of(vals):
-        return pde_residual(VectorField(g, vals), potential)
-
-    def energy_of(vals):
-        return energy(VectorField(g, vals), potential)
+    def evaluate(vals):
+        return energy_and_grad(VectorField(g, vals), potential)
 
     def project(vals):
         out = symmetrize_pairs(VectorField(g, vals), pairs).values
@@ -563,7 +577,9 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     if newton and pairs:
         state = project(state)
 
-    E = energy_of(state)
+    # (E, w_u) always belong to the current state: an accepted trial brings its
+    # own, and a projection re-evaluates them
+    E, w_u = evaluate(state)
     history = [E]
     drift = 0.0
     dt = dt0
@@ -572,19 +588,19 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     if newton:
         # the Newton loop measures the residual of its start and of every step
         state, E, it, res, stop = _newton_descent(
-            state, potential, g, E, history, opts.residual_target, opts.max_iter, energy_of
+            state, E, w_u, potential, g, history, opts.residual_target, opts.max_iter, evaluate
         )
         if pairs and it:
             # the invariant energy kept the iterates equivariant to rounding
             state = project(state)
-            E_sym = energy_of(state)
+            E_sym, w_u = evaluate(state)
             drift = abs(E_sym - E)
             E = E_sym
             history.append(E)
-            res = residual_of(state)
+            res = _residual(state, w_u, g)
         converged = res <= opts.residual_target
     else:
-        res = residual_of(state)
+        res = _residual(state, w_u, g)
         converged = res <= opts.residual_target
         it = 0
         interior = g.interior_mask.reshape(g.shape)
@@ -594,21 +610,19 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
         eq_budget = opts.equivariance_budget * max(eq_before or 0.0, 1e-12)
         while not converged and it < opts.max_iter:
             it += 1
-            lap = kernels.laplacian(state, h)
-            grad = potential.grad_field(state.reshape(-1, field.m)).reshape(state.shape)
-            step = lap - grad
+            step = kernels.laplacian(state, h) - w_u
             step[~interior] = 0.0
 
             if opts.step_rule == "fixed":
-                taken = _backtrack(state, step, dt, E, energy_of, halvings=1)
+                taken = _backtrack(state, step, dt, E, evaluate, halvings=1)
                 if taken is None:
                     raise SolveError("energy increased at an accepted step; reduce dt")
-                state, E, _ = taken
+                state, E, w_u, _ = taken
             else:
-                taken = _backtrack(state, step, dt, E, energy_of)
+                taken = _backtrack(state, step, dt, E, evaluate)
                 if taken is None:
                     raise SolveError("backtracking failed to find a descending step")
-                state, E, dt = taken
+                state, E, w_u, dt = taken
                 if dt < dt0:
                     dt = min(dt * 1.05, dt0)
             accepted += 1
@@ -617,7 +631,7 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
 
             if exact_action and accepted % opts.k_sym == 0:
                 state = project(state)
-                E_sym = energy_of(state)
+                E_sym, w_u = evaluate(state)
                 drift = max(drift, abs(E_sym - E))
                 E = E_sym
                 steps_since_sym = 0
@@ -629,18 +643,19 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
                 pending_check = True
             if pending_check and (not pairs or steps_since_sym >= min(3, opts.k_sym)):
                 pending_check = False
-                res = residual_of(state)
+                res = _residual(state, w_u, g)
                 if pairs and not exact_action:
                     eq_now = equivariance_residual_pairs(VectorField(g, state), pairs)
                     if eq_now > eq_budget:
                         state = project(state)
-                        drift = max(drift, abs(energy_of(state) - E))
-                        E = energy_of(state)
+                        E_sym, w_u = evaluate(state)
+                        drift = max(drift, abs(E_sym - E))
+                        E = E_sym
                         steps_since_sym = 0
                         continue
                 if res <= opts.residual_target:
                     converged = True
-        res = residual_of(state)
+        res = _residual(state, w_u, g)
 
     out = VectorField(g, state)
     return SolveResult(

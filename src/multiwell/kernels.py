@@ -1,5 +1,6 @@
 """Hot numeric kernels: grid stencils, link quadrature, multilinear
-interpolation and fast potential evaluations, one numpy implementation each.
+interpolation and one fused value-and-gradient kernel per potential kind, one
+numpy implementation each.
 
 The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
 work in any grid dimension by slicing one axis at a time.
@@ -43,63 +44,76 @@ def laplacian(values: np.ndarray, h: float) -> np.ndarray:
 # Potential evaluations on flat point arrays (N, m).
 
 
-def prodwell_value(pts, wells, scale):
-    diff = pts[:, None, :] - wells[None, :, :]
-    return scale * np.prod(np.sum(diff * diff, axis=2), axis=1)
+def prodwell_value_grad(pts, wells, scale):
+    """W = scale * prod_i f_i with f_i = |u - a_i|^2, and its gradient
+    W_u = 2 scale * sum_i (u - a_i) prod_{j != i} f_j.
+
+    Each well's differences and factor are formed once, as contiguous (N,)
+    columns.  The excluded-factor products come from prefix and suffix
+    products, without division, so the gradient is exactly 0 at a well."""
+    diffs = [[u - aj for u, aj in zip(pts.T, a)] for a in wells]
+    f = []
+    for dw in diffs:
+        fi = dw[0] * dw[0]
+        for d in dw[1:]:
+            fi += d * d
+        f.append(fi)
+    after = [np.ones(pts.shape[0])]  # after[i] = prod_{j > i} f_j
+    for fi in f[:0:-1]:
+        after.insert(0, after[0] * fi)
+    grad = [np.zeros(pts.shape[0]) for _ in range(pts.shape[1])]
+    before = np.ones(pts.shape[0])  # prod_{j < i} f_j; the value at the end
+    for dw, fi, rest_after in zip(diffs, f, after):
+        rest = before * rest_after
+        for g, d in zip(grad, dw):
+            g += d * rest
+        before = before * fi
+    return scale * before, (2.0 * scale) * np.stack(grad, axis=1)
 
 
-def prodwell_grad(pts, wells, scale):
-    diff = pts[:, None, :] - wells[None, :, :]  # (N, nw, m)
-    f = np.sum(diff * diff, axis=2)  # (N, nw)
-    total = np.prod(f, axis=1)  # (N,)
-    out = np.zeros_like(pts)
-    for i in range(wells.shape[0]):
-        fi = f[:, i]
-        rest = np.where(fi > 0.0, total / np.where(fi > 0.0, fi, 1.0), 0.0)
-        # at a well the excluded-factor product must be rebuilt explicitly
-        at_well = fi <= 1e-300
-        if np.any(at_well):
-            idx = np.where(at_well)[0]
-            cols = [j for j in range(wells.shape[0]) if j != i]
-            rest[idx] = np.prod(f[np.ix_(idx, cols)], axis=1) if cols else 1.0
-        out += 2.0 * diff[:, i, :] * rest[:, None]
-    return scale * out
-
-
-def tetra_value(pts):
+def tetra_value_grad(pts):
+    """The tetrahedral quartic and its gradient, sharing r^2 = |u|^2."""
     u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    r2 = u1 * u1 + u2 * u2 + u3 * u3
-    return r2 * r2 - (4.0 / np.sqrt(3.0)) * (u1 * u1 - u2 * u2) * u3 - (2.0 / 3.0) * r2 + 5.0 / 9.0
-
-
-def tetra_grad(pts):
-    u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    r2 = u1 * u1 + u2 * u2 + u3 * u3
+    s1, s2 = u1 * u1, u2 * u2
+    r2 = s1 + s2 + u3 * u3
     c = 4.0 / np.sqrt(3.0)
+    value = r2 * r2 - c * (s1 - s2) * u3 - (2.0 / 3.0) * r2 + 5.0 / 9.0
     g = np.empty_like(pts)
     g[:, 0] = 4.0 * r2 * u1 - 2.0 * c * u1 * u3 - (4.0 / 3.0) * u1
     g[:, 1] = 4.0 * r2 * u2 + 2.0 * c * u2 * u3 - (4.0 / 3.0) * u2
-    g[:, 2] = 4.0 * r2 * u3 - c * (u1 * u1 - u2 * u2) - (4.0 / 3.0) * u3
-    return g
+    g[:, 2] = 4.0 * r2 * u3 - c * (s1 - s2) - (4.0 / 3.0) * u3
+    return value, g
 
 
-def poly_value(pts, coeffs, exps):
-    n, m = pts.shape
+def _power_table(pts, exps):
+    """pw[:, j, e] = pts[:, j] ** e up to the largest exponent, by repeated products."""
     emax = int(exps.max()) if exps.size else 0
-    pw = np.ones((n, m, emax + 1))
+    pw = np.ones(pts.shape + (emax + 1,))
     for e in range(1, emax + 1):
         pw[:, :, e] = pw[:, :, e - 1] * pts
-    terms = np.ones((n, exps.shape[0]))
-    for j in range(m):
+    return pw
+
+
+def _monomial_sum(pw, coeffs, exps):
+    terms = np.ones((pw.shape[0], exps.shape[0]))
+    for j in range(pw.shape[1]):
         terms *= pw[:, j, :][:, exps[:, j]]
     return terms @ coeffs
 
 
-def poly_grad(pts, gcoeffs, gexps):
-    out = np.empty_like(pts)
-    for comp in range(pts.shape[1]):
-        out[:, comp] = poly_value(pts, gcoeffs[comp], gexps[comp])
-    return out
+def poly_value(pts, coeffs, exps):
+    """sum_k coeffs[k] * prod_j pts[:, j] ** exps[k, j]."""
+    return _monomial_sum(_power_table(pts, exps), coeffs, exps)
+
+
+def poly_value_grad(pts, coeffs, exps, grads):
+    """A polynomial and its gradient from one power table; ``grads`` holds
+    the (coeffs, exps) monomial list of each partial derivative."""
+    pw = _power_table(pts, exps)
+    grad = np.empty_like(pts)
+    for j, (gcoeffs, gexps) in enumerate(grads):
+        grad[:, j] = _monomial_sum(pw, gcoeffs, gexps)
+    return _monomial_sum(pw, coeffs, exps), grad
 
 
 # ---------------------------------------------------------------------------

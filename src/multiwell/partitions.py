@@ -518,12 +518,15 @@ def partition_from_json(data) -> PolygonalPartition:
         )
     for r in data.get("rays", []):
         d = np.asarray(r["direction"], dtype=np.float64)
+        norm = np.linalg.norm(d)
+        if not (np.isfinite(norm) and norm > 0):
+            raise PartitionError("ray direction must be a finite non-zero vector")
         elements.append(
             Ray(
                 int(r["phase_i"]),
                 int(r["phase_j"]),
                 np.asarray(r["origin"], dtype=np.float64),
-                d / np.linalg.norm(d),
+                d / norm,
             )
         )
     return PolygonalPartition(phases=int(data["phases"]), elements=tuple(elements))

@@ -2,10 +2,12 @@
 
 Every entry is backed by an explicit polynomial in the order-parameter
 components, so gradients and Hessians come from exponent manipulation
-rather than automatic differentiation.  Fast vectorized evaluation paths
-(used by the field solver) live in :mod:`multiwell.kernels`; the polynomial
-form is the exactness reference and also serves custom potentials loaded
-from JSON monomial lists.
+rather than automatic differentiation.  Each kind of potential (``prodwell``,
+``tetra``, ``poly``) has one fused kernel in :mod:`multiwell.kernels` that
+returns the value and the gradient together from shared intermediates; the
+solvers take both from one call, and ``value_field``/``grad_field`` are
+views of it.  The polynomial form is the exactness reference and also
+serves custom potentials loaded from JSON monomial lists.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class PotentialSpec:
     c: float
     radial_radius: float
     strictness_radius: float
-    kind: str = "poly"  # fast-path selector: prodwell | tetra | poly
+    kind: str = "poly"  # fused-kernel selector: prodwell | tetra | poly
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -114,32 +116,25 @@ class PotentialSpec:
         object.__setattr__(
             self, "_hess_polys", [[g.derivative(j) for j in range(self.m)] for g in grads]
         )
-        kmax = max(g.coeffs.shape[0] for g in grads)
-        gc = np.zeros((self.m, kmax))
-        ge = np.zeros((self.m, kmax, self.m), dtype=np.int64)
-        for i, g in enumerate(grads):
-            gc[i, : g.coeffs.shape[0]] = g.coeffs
-            ge[i, : g.exps.shape[0]] = g.exps
-        object.__setattr__(self, "_gcoeffs", gc)
-        object.__setattr__(self, "_gexps", ge)
 
     # -- vectorized field paths -------------------------------------------
 
-    def value_field(self, pts: np.ndarray) -> np.ndarray:
+    def value_and_grad_field(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """W (N,) and W_u (N, m) at flat points (N, m), from the one fused
+        kernel of this potential's kind."""
         pts = np.ascontiguousarray(pts, dtype=np.float64)
         if self.kind == "prodwell":
-            return kernels.prodwell_value(pts, self.params["kwells"], self.params["scale"])
+            return kernels.prodwell_value_grad(pts, self.params["kwells"], self.params["scale"])
         if self.kind == "tetra":
-            return kernels.tetra_value(pts)
-        return kernels.poly_value(pts, self.poly.coeffs, self.poly.exps)
+            return kernels.tetra_value_grad(pts)
+        grads = [(g.coeffs, g.exps) for g in self._grad_polys]
+        return kernels.poly_value_grad(pts, self.poly.coeffs, self.poly.exps, grads)
+
+    def value_field(self, pts: np.ndarray) -> np.ndarray:
+        return self.value_and_grad_field(pts)[0]
 
     def grad_field(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.ascontiguousarray(pts, dtype=np.float64)
-        if self.kind == "prodwell":
-            return kernels.prodwell_grad(pts, self.params["kwells"], self.params["scale"])
-        if self.kind == "tetra":
-            return kernels.tetra_grad(pts)
-        return kernels.poly_grad(pts, self._gcoeffs, self._gexps)
+        return self.value_and_grad_field(pts)[1]
 
     # -- pointwise API ------------------------------------------------------
 

@@ -160,6 +160,7 @@ TRIOD = {
         ("partition", {"partition": 5}),
         ("partition", {"partition": {"phases": "two", "segments": []}}),
         ("partition", {"partition": {"phases": 2, "segments": [{"phase_i": 1, "phase_j": 2, "endpoints": [[0, 0]]}]}}),
+        ("partition", {"partition": {"phases": 2, "rays": [{"phase_i": 1, "phase_j": 2, "origin": [0, 0], "direction": [0, 0]}]}}),
     ],
     ids=[
         "even-points",
@@ -183,6 +184,7 @@ TRIOD = {
         "partition-not-object",
         "text-phases",
         "one-endpoint",
+        "zero-direction-ray",
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):

@@ -218,14 +218,16 @@ def test_solve_result_names_method_and_stop_reason(
     opts = fields.SolveOptions(residual_target=1e-12, max_iter=1)
     res = fields.minimize(junction["initial"], triple_well, symmetry=dihedral3, opts=opts)
     assert (res.method, res.stop_reason, res.iterations) == ("explicit", "max_iter", 1)
-    # an energy that rises on every evaluation defeats the Newton line search
+    # an energy that rises on every evaluation defeats the Newton line search;
+    # minimize takes energy and W_u from the fused energy_and_grad
     calls = []
+    fused = fields.energy_and_grad
 
     def rising_energy(field, potential):
         calls.append(None)
-        return float(len(calls))
+        return float(len(calls)), fused(field, potential)[1]
 
-    monkeypatch.setattr(fields, "energy", rising_energy)
+    monkeypatch.setattr(fields, "energy_and_grad", rising_energy)
     res = fields.minimize(f0, double_well, opts=fields.SolveOptions(residual_target=1e-12))
     assert (res.method, res.stop_reason, res.converged, res.iterations) == ("newton", "line_search", False, 0)
 
@@ -336,6 +338,110 @@ def test_minimize_liouville_growth(junction, triple_well):
     E = mono["energies"]
     slopes = np.diff(E) / np.diff(radii)
     assert np.all(slopes > 0.5)  # well above zero: no finite-energy profile
+
+
+# a 120-degree rotation of the grid acting trivially on scalar values: it
+# interpolates, so minimize keeps it on the explicit path
+ROTATION_120 = [
+    (np.eye(2), np.eye(1)),
+    (np.array([[-0.5, -np.sqrt(3.0) / 2], [np.sqrt(3.0) / 2, -0.5]]), np.eye(1)),
+]
+
+
+def _recomputing_descent(f0, pot, dt0, steps, pairs=None, k_sym=None):
+    """Test oracle for the explicit path: Laplacian and W_u recomputed from
+    the current state at every step, trial steps halved until the energy
+    does not rise, and, given ``pairs``, the action projected (and the
+    frozen boundary reset) every ``k_sym`` accepted steps.  Returns the
+    field and the number of halvings."""
+    g = f0.grid
+    interior = g.interior_mask.reshape(g.shape)
+    u = f0.values.copy()
+    E = fields.energy(f0, pot)
+    dt = dt0
+    halvings = 0
+    for n in range(1, steps + 1):
+        step = kernels.laplacian(u, g.spacing) - pot.grad_field(u.reshape(-1, pot.m)).reshape(u.shape)
+        step[~interior] = 0.0
+        while True:
+            trial = u + dt * step
+            E_trial = fields.energy(fields.VectorField(g, trial), pot)
+            if E_trial <= E + 1e-12:
+                break
+            dt *= 0.5
+            halvings += 1
+        u, E = trial, E_trial
+        dt = min(dt * 1.05, dt0) if dt < dt0 else dt
+        if pairs and n % k_sym == 0:
+            u = fields.symmetrize_pairs(fields.VectorField(g, u), pairs).values
+            u[~interior] = f0.values[~interior]
+            E = fields.energy(fields.VectorField(g, u), pot)
+    return u, halvings
+
+
+def test_explicit_descent_reuses_no_stale_gradient(double_well):
+    """minimize keeps W_u of each accepted trial for its next step; it must
+    equal a fresh evaluation after every step, after every projection, and
+    after rejected trials."""
+    g = fields.Grid(dim=2, half_width=4.0, points=41)
+    rng = np.random.default_rng(3)
+
+    def start(pts):
+        bump = 0.3 * np.exp(-np.sum((pts - [1.0, 0.5]) ** 2, axis=1))
+        return (np.tanh(pts[:, 0]) + bump)[:, None]
+
+    f0 = fields.field_from_function(g, start, 1)
+    f0.values[1:-1, 1:-1] += 1e-3 * rng.standard_normal(f0.values[1:-1, 1:-1].shape)
+    bound = g.spacing**2 / 4
+    # fixed steps under a reflection, projected every 3 steps
+    pairs = fields.reflection_pairs(2, 1)
+    opts = fields.SolveOptions(step_rule="fixed", dt=0.9 * bound, k_sym=3, max_iter=30, residual_target=1e-12)
+    res = fields.minimize(f0, double_well, symmetry=pairs, opts=opts)
+    oracle, halvings = _recomputing_descent(f0, double_well, 0.9 * bound, 30, pairs, k_sym=3)
+    assert (res.method, res.iterations, halvings) == ("explicit", 30, 0)
+    assert np.max(np.abs(res.field.values - oracle)) <= 1e-13
+    assert res.residual == fields.pde_residual(res.field, double_well)
+    # backtracking from above the stability bound rejects trials; the rotation
+    # keeps the explicit path, and an unbounded drift budget never projects
+    opts = fields.SolveOptions(dt=3.0 * bound, max_iter=30, residual_target=1e-12, equivariance_budget=np.inf)
+    res = fields.minimize(f0, double_well, symmetry=ROTATION_120, opts=opts)
+    oracle, halvings = _recomputing_descent(f0, double_well, 3.0 * bound, 30)
+    assert (res.method, res.iterations) == ("explicit", 30) and halvings > 0
+    assert np.max(np.abs(res.field.values - oracle)) <= 1e-13
+    assert res.residual == fields.pde_residual(res.field, double_well)
+
+
+def test_drift_projection_refreshes_the_gradient(double_well, monkeypatch):
+    """A rotating action re-projected on drift: every explicit step direction
+    equals Delta_h u - W_u(u) evaluated afresh at the state it starts from."""
+    g = fields.Grid(dim=2, half_width=4.0, points=41)
+    interior = g.interior_mask.reshape(g.shape)
+
+    def start(pts):
+        return 1.0 - 0.5 * np.exp(-np.sum((pts - [0.3, 0.2]) ** 2, axis=1))[:, None]
+
+    f0 = fields.field_from_function(g, start, 1)
+    backtrack, project = fields._backtrack, fields.symmetrize_pairs
+    steps, projections = [], []
+
+    def checked_backtrack(state, direction, *args, **kwargs):
+        w_u = double_well.grad_field(state.reshape(-1, 1)).reshape(state.shape)
+        fresh = kernels.laplacian(state, g.spacing) - w_u
+        fresh[~interior] = 0.0
+        steps.append(float(np.max(np.abs(direction - fresh))))
+        return backtrack(state, direction, *args, **kwargs)
+
+    def counted_project(field, pairs):
+        projections.append(len(steps))
+        return project(field, pairs)
+
+    monkeypatch.setattr(fields, "_backtrack", checked_backtrack)
+    monkeypatch.setattr(fields, "symmetrize_pairs", counted_project)
+    opts = fields.SolveOptions(max_iter=60, check_every=5, residual_target=1e-12, equivariance_budget=0.2)
+    res = fields.minimize(f0, double_well, symmetry=ROTATION_120, opts=opts)
+    assert (res.method, res.iterations, len(steps)) == ("explicit", 60, 60)
+    assert 0 < projections[0] < projections[-1] < 60  # re-projected on drift, more than once
+    assert max(steps) <= 1e-13
 
 
 def test_fixed_step_stability_guard(double_well):

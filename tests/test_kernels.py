@@ -3,6 +3,7 @@ polynomial reference evaluation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from multiwell import kernels, potentials
@@ -78,14 +79,15 @@ def test_link_energy_quadrature_value(dim):
 
 
 def test_potential_kernels_agree():
-    # the prodwell/tetra fast paths agree with the generic polynomial kernels
+    # the prodwell/tetra fused kernels agree with the generic polynomial kernel
     for name in ("double_well", "triple_well", "tetra_well"):
         spec = potentials.get_potential(name)
         assert spec.kind in ("prodwell", "tetra")
         pts = np.ascontiguousarray(np.vstack([rng.normal(size=(200, spec.m)), spec.wells]))
         ref = kernels.poly_value(pts, spec.poly.coeffs, spec.poly.exps)
         assert np.max(np.abs(spec.value_field(pts) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        gref = kernels.poly_grad(pts, spec._gcoeffs, spec._gexps)
+        derivs = [spec.poly.derivative(j) for j in range(spec.m)]
+        gref = np.stack([kernels.poly_value(pts, d.coeffs, d.exps) for d in derivs], axis=1)
         assert np.max(np.abs(spec.grad_field(pts) - gref)) <= 1e-12 * np.max(np.abs(gref))
 
 
@@ -97,11 +99,70 @@ def test_poly_kernels_agree():
     exps = np.array([[4, 0], [2, 2], [0, 0]], dtype=np.int64)
     direct = coeffs[0] * x**4 + coeffs[1] * x**2 * y**2 + coeffs[2]
     assert np.allclose(kernels.poly_value(pts, coeffs, exps), direct)
-    # gradient of x^4 - x^2 y^2 / 2, padded with a zero monomial in component 0
-    gcoeffs = np.array([[4.0, -1.0], [0.0, -1.0]])
-    gexps = np.zeros((2, 2, 2), dtype=np.int64)
-    gexps[0, 0] = [3, 0]
-    gexps[0, 1] = [1, 2]
-    gexps[1, 1] = [2, 1]
-    direct = np.stack([4 * x**3 - x * y**2, -(x**2) * y], axis=1)
-    assert np.allclose(kernels.poly_grad(pts, gcoeffs, gexps), direct)
+    # gradient of x^4 - x^2 y^2 / 2: one monomial list per component
+    grads = [
+        (np.array([4.0, -1.0]), np.array([[3, 0], [1, 2]], dtype=np.int64)),
+        (np.array([-1.0]), np.array([[2, 1]], dtype=np.int64)),
+    ]
+    value, grad = kernels.poly_value_grad(pts, coeffs, exps, grads)
+    assert np.allclose(value, direct)
+    assert np.allclose(grad, np.stack([4 * x**3 - x * y**2, -(x**2) * y], axis=1))
+
+
+# W = (u1^2 - 1)^2 + u2^2 (1 + u1^2): a custom potential on the generic
+# polynomial kernel, with exactly representable wells
+CUSTOM = {
+    "name": "custom_quartic",
+    "monomials": [
+        {"coeff": 1.0, "exponents": [4, 0]},
+        {"coeff": -2.0, "exponents": [2, 0]},
+        {"coeff": 1.0, "exponents": [0, 0]},
+        {"coeff": 1.0, "exponents": [0, 2]},
+        {"coeff": 1.0, "exponents": [2, 2]},
+    ],
+    "wells": [[1.0, 0.0], [-1.0, 0.0]],
+}
+SPECS = {name: potentials.get_potential(name) for name in sorted(potentials._CATALOG)}
+SPECS["custom"] = potentials.potential_from_json(CUSTOM)
+
+
+def _terms(poly, pts):
+    """The polynomial at pts and the largest sum of its absolute monomial
+    terms there: the relative error is taken against that, since a product
+    form cancels differently from the expansion where W or W_u is near 0."""
+    scale = kernels.poly_value(np.abs(pts), np.abs(poly.coeffs), poly.exps)
+    return kernels.poly_value(pts, poly.coeffs, poly.exps), np.max(scale)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_fused_kernels_match_polynomial_and_central_difference(name, data):
+    spec = SPECS[name]
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    drawn = data.draw(st.lists(st.lists(coord, min_size=spec.m, max_size=spec.m), min_size=1, max_size=8))
+    pts = np.vstack([np.array(drawn), spec.wells])
+    value, grad = spec.value_and_grad_field(pts)
+    ref, scale = _terms(spec.poly, pts)
+    assert np.max(np.abs(value - ref)) <= 1e-12 * scale
+    for j in range(spec.m):
+        gref, gscale = _terms(spec.poly.derivative(j), pts)
+        assert np.max(np.abs(grad[:, j] - gref)) <= 1e-12 * gscale
+    # the gradient is the derivative of the value the same kernel returns
+    delta = 1e-5
+    for j in range(spec.m):
+        e = np.zeros(spec.m)
+        e[j] = delta
+        fd = (spec.value_and_grad_field(pts + e)[0] - spec.value_and_grad_field(pts - e)[0]) / (2 * delta)
+        assert np.all(np.abs(grad[:, j] - fd) <= 1e-6 * (1.0 + np.abs(value) + np.abs(grad[:, j])))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_fused_gradient_vanishes_at_declared_wells(name):
+    spec = SPECS[name]
+    value, grad = spec.value_and_grad_field(spec.wells)
+    if name == "tetra_well":
+        # irrational wells: the stored doubles are off the zero set by an ulp,
+        # where the exact gradient is itself of order 1e-16
+        assert np.max(np.abs(grad)) <= 1e-15
+    else:
+        assert np.all(grad == 0.0) and np.all(value == 0.0)
