@@ -204,6 +204,10 @@ def cmd_connect1d(args) -> int:
     return EXIT_OK
 
 
+# the explicit-descent settings; a run that set one asked for another solver
+REMOVED_SOLVER_KEYS = ("step_rule", "dt", "equivariance_budget")
+
+
 def cmd_solve(args) -> int:
     config = _load_config(args)
     pot = _resolve_potential(config)
@@ -224,19 +228,15 @@ def cmd_solve(args) -> int:
     except ValueError as e:
         raise UsageError(f"bad grid: {e}")
     scfg = _section(config, "solver")
-    dt = _param(scfg, "dt", None, lambda v: v if v is None else float(v))
-    max_iter = _param(scfg, "max_iter", 100_000, int)
-    residual_target = _param(scfg, "residual_target", 1e-3)
-    k_sym = _param(scfg, "k_sym", 10, int)
-    check_every = _param(scfg, "check_every", 200, int)
+    for key in REMOVED_SOLVER_KEYS:
+        if key in scfg:
+            raise UsageError(f"solver key {key!r} no longer exists: every solve takes Newton steps")
     try:
         opts = fields.SolveOptions(
-            dt=dt,
-            max_iter=max_iter,
-            residual_target=residual_target,
-            k_sym=k_sym,
-            check_every=check_every,
-            step_rule=scfg.get("step_rule", "backtracking"),
+            max_iter=_param(scfg, "max_iter", 100_000, int),
+            residual_target=_param(scfg, "residual_target", 1e-3),
+            k_sym=_param(scfg, "k_sym", 10, int),
+            check_every=_param(scfg, "check_every", 200, int),
         )
     except ValueError as e:
         raise UsageError(f"bad solver options: {e}")
@@ -263,10 +263,6 @@ def cmd_solve(args) -> int:
             _param(ccfg, "tol", 1e-9),
         )
         u0 = fields.initial_guess(grp, rm, prof, grid)
-    try:
-        opts.step_size(u0.grid)
-    except ValueError as e:
-        raise UsageError(f"bad solver options: {e}")
     try:
         result = fields.minimize(u0, pot, symmetry=grp, opts=opts)
     except fields.SolveError as e:

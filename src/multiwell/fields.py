@@ -3,21 +3,19 @@
 The discrete free energy is a gradient quadrature over forward-difference
 links plus trapezoid weights for the potential term, so at interior nodes
 its first-order condition is exactly the 3/5/7-point collocation of
-Delta u = W_u(u).  ``minimize`` descends it along one of two paths:
+Delta u = W_u(u).  ``minimize`` descends it by damped Newton steps whose
+Hessian systems -Delta_h + W_uu are solved by truncated conjugate
+gradients, preconditioned by the exact inverse of -Delta_h + 2c^2 (a type-I
+sine transform); an energy backtracking line search keeps every accepted
+step descending.
 
-- Newton: damped Newton steps whose Hessian systems -Delta_h + W_uu are
-  solved by truncated conjugate gradients, preconditioned by the exact
-  inverse of -Delta_h + 2c^2 (a type-I sine transform); an energy
-  backtracking line search keeps every accepted step descending.  It runs
-  when the symmetry action permutes grid nodes (or there is none) and the
-  step rule is the default: the discrete energy is then exactly invariant,
-  so the iterates keep the equivariance of their start to rounding.  The
-  start is projected once before the first step and once after the last.
-- Explicit: gradient descent with dt ~ h^2, so its step count grows like
-  h^-2.  Node-permuting actions are projected every few steps; actions
-  that rotate the grid act by interpolation, are monitored and re-projected
-  only on drift.  Rotating actions stay here because a converged discrete
-  critical point sits further from equivariance than the input does.
+Symmetry actions enter only through their projection.  An action that
+permutes grid nodes leaves the discrete energy exactly invariant, so the
+iterates keep the equivariance of their start to rounding: the start is
+projected once before the first step and once after the last.  An action
+that rotates the grid is never projected.  The discrete critical point is
+equivariant only up to the O(h^2) error of the square-grid stencil, which
+``minimize`` reports as the equivariance defect after the solve.
 """
 
 from __future__ import annotations
@@ -330,46 +328,24 @@ def _sample_profile(eta, values, t):
 
 @dataclass
 class SolveOptions:
-    """Options of ``minimize``.  ``max_iter``, ``residual_target``, the
-    boundary settings and ``max_input_equivariance`` apply to both paths;
-    ``dt``, ``k_sym``, ``check_every`` and ``equivariance_budget`` govern
-    only the explicit path.  ``step_rule="fixed"`` forces the explicit path.
-    An unknown ``step_rule``, ``k_sym`` or ``check_every`` below 1, or a
-    non-positive ``dt`` raises ValueError on construction."""
+    """Options of ``minimize``: at most ``max_iter`` Newton steps, stopping
+    once the interior residual is at most ``residual_target``.
 
-    dt: float | None = None  # default 0.9 h^2 / (2 dim)
+    ``k_sym`` and ``check_every`` configured the explicit descent that
+    ``minimize`` no longer has.  They are validated (a value below 1 raises
+    ValueError on construction) and otherwise unused, and stay only until
+    the benchmark's workloads stop passing them."""
+
     max_iter: int = 200_000
     residual_target: float = 1e-3
     k_sym: int = 10
-    boundary_mode: str = "frozen"  # frozen | dirichlet | nearest_well
+    boundary_mode: str = "frozen"  # frozen | dirichlet
     boundary_values: np.ndarray | None = None
-    step_rule: str = "backtracking"  # backtracking | fixed
     check_every: int = 25
-    max_input_equivariance: float | None = None
-    # node-permuting actions are projected every k_sym steps (exact, free);
-    # interpolating actions would re-inject an O(h^2) smooth perturbation
-    # whose Laplacian never vanishes, so they are monitored instead and
-    # projected only when the drift exceeds this multiple of the input's
-    # equivariance residual
-    equivariance_budget: float = 2.0
 
     def __post_init__(self):
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"step_rule must be 'backtracking' or 'fixed', not {self.step_rule!r}")
         if self.k_sym < 1 or self.check_every < 1:
             raise ValueError("k_sym and check_every must be >= 1")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
-
-    def step_size(self, grid: Grid) -> float:
-        """The explicit path's initial dt on ``grid``.  A fixed step above the
-        diffusion stability bound h^2/(2 dim) is a ValueError."""
-        h, n = grid.spacing, grid.dim
-        if self.dt is None:
-            return 0.9 * h * h / (2 * n)
-        if self.step_rule == "fixed" and self.dt > h * h / (2 * n) + 1e-15:
-            raise ValueError("fixed-step dt exceeds the diffusion stability bound h^2/(2 dim)")
-        return float(self.dt)
 
 
 @dataclass
@@ -382,17 +358,11 @@ class SolveResult:
     energy_history: list = dc_field(default_factory=list)
     equivariance_before: float | None = None
     equivariance_after: float | None = None
-    symmetrization_drift: float = 0.0
-    dt_final: float = 0.0
-    method: str = "explicit"  # newton | explicit: the path the routing chose
+    method: str = "newton"  # the one solve path; reports name it
     stop_reason: str = "converged"  # converged | max_iter | line_search
 
 
-def _boundary_mask(grid: Grid) -> np.ndarray:
-    return ~grid.interior_mask
-
-
-def _resolve_boundary(field: VectorField, potential, opts: SolveOptions) -> np.ndarray:
+def _resolve_boundary(field: VectorField, opts: SolveOptions) -> np.ndarray:
     if opts.boundary_mode == "frozen":
         return field.values.copy()
     if opts.boundary_mode == "dirichlet":
@@ -402,14 +372,6 @@ def _resolve_boundary(field: VectorField, potential, opts: SolveOptions) -> np.n
         if bv.shape != field.values.shape:
             raise ValueError("boundary_values shape mismatch")
         return bv.copy()
-    if opts.boundary_mode == "nearest_well":
-        flat = field.flat()
-        wells = potential.wells
-        if wells.shape[0] == 0:
-            raise ValueError("nearest_well boundary needs a potential with wells")
-        d = np.linalg.norm(flat[:, None, :] - wells[None, :, :], axis=2)
-        vals = wells[np.argmin(d, axis=1)]
-        return vals.reshape(field.values.shape)
     raise ValueError(f"unknown boundary mode {opts.boundary_mode!r}")
 
 
@@ -421,22 +383,6 @@ def _apply_boundary(values: np.ndarray, bvals: np.ndarray, bmask_flat: np.ndarra
 
 CG_MAX_ITER = 200
 LINE_SEARCH_HALVINGS = 40
-
-
-def _backtrack(state, direction, t, E, evaluate, halvings=LINE_SEARCH_HALVINGS):
-    """The first of the steps t, t/2, ... (``halvings`` tries) along
-    ``direction`` that does not raise the energy above E: (trial, energy,
-    W_u at the trial, t), or None when every try does.  ``evaluate`` returns
-    (energy, W_u) of a state.  A NaN energy raises SolveError."""
-    for _ in range(halvings):
-        trial = state + t * direction
-        E_new, w_u = evaluate(trial)
-        if np.isnan(E_new):
-            raise SolveError("energy became NaN during descent")
-        if E_new <= E + 1e-12:
-            return trial, E_new, w_u, t
-        t *= 0.5
-    return None
 
 
 def _dirichlet_inverse(shape: tuple, h: float, shift: float):
@@ -477,7 +423,10 @@ def _hessian_product(state: np.ndarray, potential, h: float):
 def _truncated_cg(b, hess_product, precond, tol: float):
     """Preconditioned CG for A p = b, stopped at |r| <= tol or at the first
     direction of non-positive curvature.  Every returned p (on that first
-    pass, the preconditioned b) is a descent direction of the energy."""
+    pass, the preconditioned b) is a descent direction of the energy.  The
+    iterates are updated in place with the spent A d as scratch, so beyond
+    the Hessian product and the preconditioner an iteration allocates
+    nothing."""
     p = np.zeros_like(b)
     r = b.copy()
     d = precond(r)
@@ -488,81 +437,44 @@ def _truncated_cg(b, hess_product, precond, tol: float):
         if dAd <= 0.0:
             return p if i else d
         alpha = rz / dAd
-        p += alpha * d
-        r -= alpha * Ad
+        r -= np.multiply(Ad, alpha, out=Ad)
+        p += np.multiply(d, alpha, out=Ad)
         if np.linalg.norm(r) <= tol:
             break
         z = precond(r)
         rz, rz_old = np.vdot(r, z), rz
-        d = z + (rz / rz_old) * d
+        d *= rz / rz_old
+        d += z
     return p
-
-
-def _newton_descent(state, E, w_u, potential, grid: Grid, history, target, max_steps, evaluate):
-    """Damped Newton-Krylov descent over the interior nodes from ``state``
-    with energy E and potential gradient ``w_u``; the boundary layer stays
-    fixed.  Each accepted energy is appended to ``history``.  Returns
-    (state, energy, steps, residual, stop) with stop one of
-    "converged", "max_iter" (``max_steps`` taken) or "line_search"."""
-    h = grid.spacing
-    edge = ~grid.interior_mask.reshape(grid.shape)
-    precond = _dirichlet_inverse(state.shape, h, 2.0 * potential.c**2)
-    steps = 0
-    while True:
-        b = kernels.laplacian(state, h) - w_u
-        b[edge] = 0.0
-        res = float(np.sqrt(np.sum(b * b, axis=-1)).max())
-        if res <= target:
-            return state, E, steps, res, "converged"
-        if steps >= max_steps:
-            return state, E, steps, res, "max_iter"
-        # inexact Newton: solve to a relative tolerance that tightens with the residual
-        tol = min(0.1, np.sqrt(res)) * np.linalg.norm(b)
-        p = _truncated_cg(b, _hessian_product(state, potential, h), precond, tol)
-        taken = _backtrack(state, p, 1.0, E, evaluate)
-        if taken is None:
-            return state, E, steps, res, "line_search"
-        state, E, w_u, _ = taken
-        steps += 1
-        history.append(E)
 
 
 def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | None = None) -> SolveResult:
     """Descend the discrete free energy to a stationary equivariant field.
 
-    Boundary nodes are handled per opts; interior nodes move.  With the
-    default step rule and a node-permuting action (or none), the field is
-    solved by damped Newton-Krylov steps (see the module docstring), up to
-    ``max_iter`` of them.  The action is projected out once before they
-    start, since the steps keep equivariance but do not restore it, and once
-    after they end, to clear rounding.
+    Boundary nodes are handled per opts; interior nodes move by damped
+    Newton-Krylov steps (see the module docstring), up to ``max_iter`` of
+    them.  Each step tries the lengths 1, 1/2, ... (``LINE_SEARCH_HALVINGS``
+    of them) until the energy does not rise; when none does, the solve stops
+    with ``stop_reason="line_search"``, and a NaN energy raises SolveError.
 
-    Otherwise (grid-rotating actions and ``step_rule="fixed"``) the field is
-    solved by explicit gradient descent u <- u + dt (Delta_h u - W_u(u)).
-    Node-permuting actions are projected onto the equivariant class every
-    ``k_sym`` accepted steps; interpolating actions are monitored and
-    re-projected on drift (see SolveOptions).  Energy is checked each step;
-    with the backtracking rule an energy increase halves dt instead of
-    aborting.  ``result.method`` names the path and ``result.stop_reason``
-    why it stopped.
+    An action that permutes grid nodes is projected out once before the
+    steps start, since they keep equivariance but do not restore it, and
+    once after they end, to clear rounding.  An action that rotates the grid
+    is only measured, before and after: its projection interpolates, and the
+    discrete critical point is equivariant only up to the O(h^2) error of
+    the square-grid stencil.
     """
     opts = opts or SolveOptions()
     g = field.grid
     h = g.spacing
-    dt0 = opts.step_size(g)
     pairs = as_pairs(symmetry)
-    bvals = _resolve_boundary(field, potential, opts)
-    bmask = _boundary_mask(g)
+    bvals = _resolve_boundary(field, opts)
+    bmask = ~g.interior_mask
 
     state = field.values.copy()
     _apply_boundary(state, bvals, bmask)
 
     eq_before = equivariance_residual_pairs(VectorField(g, state), pairs) if pairs else None
-    if pairs and opts.max_input_equivariance is not None and eq_before > opts.max_input_equivariance:
-        raise SolveError(
-            f"initial field equivariance residual {eq_before:.3e} exceeds "
-            f"allowed {opts.max_input_equivariance:.3e}"
-        )
 
     def evaluate(vals):
         return energy_and_grad(VectorField(g, vals), potential)
@@ -572,90 +484,48 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
         _apply_boundary(out, bvals, bmask)
         return out
 
-    exact_action = bool(pairs) and all(_box_preserving(gx) for gx, _ in pairs)
-    newton = opts.step_rule == "backtracking" and (exact_action or not pairs)
-    if newton and pairs:
+    node_permuting = bool(pairs) and all(_box_preserving(gx) for gx, _ in pairs)
+    if node_permuting:
         state = project(state)
 
-    # (E, w_u) always belong to the current state: an accepted trial brings its
-    # own, and a projection re-evaluates them
+    # (E, w_u) always belong to the current state: an accepted trial brings its own
     E, w_u = evaluate(state)
     history = [E]
-    drift = 0.0
-    dt = dt0
-    stop = None
+    precond = _dirichlet_inverse(state.shape, h, 2.0 * potential.c**2)
+    edge = bmask.reshape(g.shape)
+    it, stop = 0, "max_iter"
+    while True:
+        b = kernels.laplacian(state, h) - w_u
+        b[edge] = 0.0
+        res = float(np.sqrt(np.sum(b * b, axis=-1)).max())
+        if res <= opts.residual_target or it >= opts.max_iter:
+            break
+        # inexact Newton: solve to a relative tolerance that tightens with the residual
+        tol = min(0.1, np.sqrt(res)) * np.linalg.norm(b)
+        p = _truncated_cg(b, _hessian_product(state, potential, h), precond, tol)
+        t = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            trial = state + t * p
+            E_trial, w_trial = evaluate(trial)
+            if np.isnan(E_trial):
+                raise SolveError("energy became NaN during descent")
+            if E_trial <= E + 1e-12:
+                break
+            t *= 0.5
+        else:
+            stop = "line_search"
+            break
+        state, E, w_u = trial, E_trial, w_trial
+        it += 1
+        history.append(E)
 
-    if newton:
-        # the Newton loop measures the residual of its start and of every step
-        state, E, it, res, stop = _newton_descent(
-            state, E, w_u, potential, g, history, opts.residual_target, opts.max_iter, evaluate
-        )
-        if pairs and it:
-            # the invariant energy kept the iterates equivariant to rounding
-            state = project(state)
-            E_sym, w_u = evaluate(state)
-            drift = abs(E_sym - E)
-            E = E_sym
-            history.append(E)
-            res = _residual(state, w_u, g)
-        converged = res <= opts.residual_target
-    else:
+    if node_permuting and it:
+        # the invariant energy kept the iterates equivariant to rounding
+        state = project(state)
+        E, w_u = evaluate(state)
+        history.append(E)
         res = _residual(state, w_u, g)
-        converged = res <= opts.residual_target
-        it = 0
-        interior = g.interior_mask.reshape(g.shape)
-        accepted = 0
-        steps_since_sym = opts.k_sym
-        pending_check = False
-        eq_budget = opts.equivariance_budget * max(eq_before or 0.0, 1e-12)
-        while not converged and it < opts.max_iter:
-            it += 1
-            step = kernels.laplacian(state, h) - w_u
-            step[~interior] = 0.0
-
-            if opts.step_rule == "fixed":
-                taken = _backtrack(state, step, dt, E, evaluate, halvings=1)
-                if taken is None:
-                    raise SolveError("energy increased at an accepted step; reduce dt")
-                state, E, w_u, _ = taken
-            else:
-                taken = _backtrack(state, step, dt, E, evaluate)
-                if taken is None:
-                    raise SolveError("backtracking failed to find a descending step")
-                state, E, w_u, dt = taken
-                if dt < dt0:
-                    dt = min(dt * 1.05, dt0)
-            accepted += 1
-            steps_since_sym += 1
-            history.append(E)
-
-            if exact_action and accepted % opts.k_sym == 0:
-                state = project(state)
-                E_sym, w_u = evaluate(state)
-                drift = max(drift, abs(E_sym - E))
-                E = E_sym
-                steps_since_sym = 0
-                history.append(E)
-
-            # residual checks read the raw descent state a few steps past the
-            # last projection so projection noise has been re-smoothed
-            if accepted % opts.check_every == 0:
-                pending_check = True
-            if pending_check and (not pairs or steps_since_sym >= min(3, opts.k_sym)):
-                pending_check = False
-                res = _residual(state, w_u, g)
-                if pairs and not exact_action:
-                    eq_now = equivariance_residual_pairs(VectorField(g, state), pairs)
-                    if eq_now > eq_budget:
-                        state = project(state)
-                        E_sym, w_u = evaluate(state)
-                        drift = max(drift, abs(E_sym - E))
-                        E = E_sym
-                        steps_since_sym = 0
-                        continue
-                if res <= opts.residual_target:
-                    converged = True
-        res = _residual(state, w_u, g)
+    converged = res <= opts.residual_target
 
     out = VectorField(g, state)
     return SolveResult(
@@ -667,10 +537,7 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
         energy_history=history,
         equivariance_before=eq_before,
         equivariance_after=equivariance_residual_pairs(out, pairs) if pairs else None,
-        symmetrization_drift=drift,
-        dt_final=dt,
-        method="newton" if newton else "explicit",
-        stop_reason="converged" if converged else ("line_search" if stop == "line_search" else "max_iter"),
+        stop_reason="converged" if converged else stop,
     )
 
 

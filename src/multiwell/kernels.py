@@ -1,6 +1,7 @@
 """Hot numeric kernels: grid stencils, link quadrature, multilinear
-interpolation and one fused value-and-gradient kernel per potential kind, one
-numpy implementation each.
+interpolation, and per potential kind one fused value-and-gradient kernel
+(with a value-only branch) and, for the closed-form kinds, one Hessian
+kernel; one numpy implementation each.
 
 The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
 work in any grid dimension by slicing one axis at a time.
@@ -44,13 +45,8 @@ def laplacian(values: np.ndarray, h: float) -> np.ndarray:
 # Potential evaluations on flat point arrays (N, m).
 
 
-def prodwell_value_grad(pts, wells, scale):
-    """W = scale * prod_i f_i with f_i = |u - a_i|^2, and its gradient
-    W_u = 2 scale * sum_i (u - a_i) prod_{j != i} f_j.
-
-    Each well's differences and factor are formed once, as contiguous (N,)
-    columns.  The excluded-factor products come from prefix and suffix
-    products, without division, so the gradient is exactly 0 at a well."""
+def _well_factors(pts, wells):
+    """Per well, the difference columns u_j - a_j and the factor |u - a|^2."""
     diffs = [[u - aj for u, aj in zip(pts.T, a)] for a in wells]
     f = []
     for dw in diffs:
@@ -58,6 +54,23 @@ def prodwell_value_grad(pts, wells, scale):
         for d in dw[1:]:
             fi += d * d
         f.append(fi)
+    return diffs, f
+
+
+def prodwell_value_grad(pts, wells, scale, grad=True):
+    """W = scale * prod_i f_i with f_i = |u - a_i|^2, and its gradient
+    W_u = 2 scale * sum_i (u - a_i) prod_{j != i} f_j (None when ``grad`` is
+    false).
+
+    Each well's differences and factor are formed once, as contiguous (N,)
+    columns.  The excluded-factor products come from prefix and suffix
+    products, without division, so the gradient is exactly 0 at a well."""
+    diffs, f = _well_factors(pts, wells)
+    if not grad:
+        value = f[0]
+        for fi in f[1:]:
+            value = value * fi
+        return scale * value, None
     after = [np.ones(pts.shape[0])]  # after[i] = prod_{j > i} f_j
     for fi in f[:0:-1]:
         after.insert(0, after[0] * fi)
@@ -71,18 +84,71 @@ def prodwell_value_grad(pts, wells, scale):
     return scale * before, (2.0 * scale) * np.stack(grad, axis=1)
 
 
-def tetra_value_grad(pts):
-    """The tetrahedral quartic and its gradient, sharing r^2 = |u|^2."""
+def prodwell_hess(pts, wells, scale):
+    """W_uu (N, m, m) of the product well:
+    2 scale [(sum_i P_i) I + 2 sum_{i < j} P_ij (d_i d_j^T + d_j d_i^T)],
+    with d_i = u - a_i, P_i = prod_{k != i} f_k and P_ij = prod_{k != i, j} f_k,
+    assembled entry by entry from (N,) columns."""
+    n, m = pts.shape
+    diffs, f = _well_factors(pts, wells)
+
+    def excluded(*skip):
+        out = np.ones(n)
+        for k, fk in enumerate(f):
+            if k not in skip:
+                out = out * fk
+        return out
+
+    H = np.zeros((n, m, m))
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            w = 2.0 * excluded(i, j)
+            di, dj = diffs[i], diffs[j]
+            for a in range(m):
+                for b in range(a, m):
+                    H[:, a, b] += w * (di[a] * dj[b] + dj[a] * di[b])
+    trace = sum(excluded(i) for i in range(len(f)))
+    for a in range(m):
+        H[:, a, a] += trace
+        for b in range(a + 1, m):
+            H[:, b, a] = H[:, a, b]
+    H *= 2.0 * scale
+    return H
+
+
+def tetra_value_grad(pts, grad=True):
+    """The tetrahedral quartic and its gradient (None when ``grad`` is
+    false), sharing r^2 = |u|^2."""
     u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
     s1, s2 = u1 * u1, u2 * u2
     r2 = s1 + s2 + u3 * u3
     c = 4.0 / np.sqrt(3.0)
     value = r2 * r2 - c * (s1 - s2) * u3 - (2.0 / 3.0) * r2 + 5.0 / 9.0
+    if not grad:
+        return value, None
     g = np.empty_like(pts)
     g[:, 0] = 4.0 * r2 * u1 - 2.0 * c * u1 * u3 - (4.0 / 3.0) * u1
     g[:, 1] = 4.0 * r2 * u2 + 2.0 * c * u2 * u3 - (4.0 / 3.0) * u2
     g[:, 2] = 4.0 * r2 * u3 - c * (s1 - s2) - (4.0 / 3.0) * u3
     return value, g
+
+
+def tetra_hess(pts):
+    """W_uu (N, 3, 3) of the tetrahedral quartic:
+    (4 |u|^2 - 4/3) I + 8 u u^T plus the terms of the cubic -c (u1^2 - u2^2) u3."""
+    u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
+    c2 = 8.0 / np.sqrt(3.0)  # 2c
+    H = np.multiply(pts[:, :, None], pts[:, None, :])
+    H *= 8.0
+    diag = 4.0 * np.einsum("nj,nj->n", pts, pts) - 4.0 / 3.0
+    H[:, 0, 0] += diag - c2 * u3
+    H[:, 1, 1] += diag + c2 * u3
+    H[:, 2, 2] += diag
+    H[:, 0, 2] -= c2 * u1
+    H[:, 2, 0] = H[:, 0, 2]
+    H[:, 1, 2] += c2 * u2
+    H[:, 2, 1] = H[:, 1, 2]
+    return H
 
 
 def _power_table(pts, exps):
@@ -108,8 +174,11 @@ def poly_value(pts, coeffs, exps):
 
 def poly_value_grad(pts, coeffs, exps, grads):
     """A polynomial and its gradient from one power table; ``grads`` holds
-    the (coeffs, exps) monomial list of each partial derivative."""
+    the (coeffs, exps) monomial list of each partial derivative, or is None
+    for the value alone (the gradient is then None)."""
     pw = _power_table(pts, exps)
+    if grads is None:
+        return _monomial_sum(pw, coeffs, exps), None
     grad = np.empty_like(pts)
     for j, (gcoeffs, gexps) in enumerate(grads):
         grad[:, j] = _monomial_sum(pw, gcoeffs, gexps)

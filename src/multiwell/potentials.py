@@ -4,10 +4,12 @@ Every entry is backed by an explicit polynomial in the order-parameter
 components, so gradients and Hessians come from exponent manipulation
 rather than automatic differentiation.  Each kind of potential (``prodwell``,
 ``tetra``, ``poly``) has one fused kernel in :mod:`multiwell.kernels` that
-returns the value and the gradient together from shared intermediates; the
-solvers take both from one call, and ``value_field``/``grad_field`` are
-views of it.  The polynomial form is the exactness reference and also
-serves custom potentials loaded from JSON monomial lists.
+returns the value and the gradient together from shared intermediates, or
+the value alone; the solvers take both from one call, and
+``value_field``/``grad_field`` are views of it.  The ``prodwell`` and
+``tetra`` kinds also have closed-form Hessian kernels.  The polynomial form
+is the exactness reference and also serves custom potentials loaded from
+JSON monomial lists.
 """
 
 from __future__ import annotations
@@ -119,22 +121,40 @@ class PotentialSpec:
 
     # -- vectorized field paths -------------------------------------------
 
-    def value_and_grad_field(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """W (N,) and W_u (N, m) at flat points (N, m), from the one fused
-        kernel of this potential's kind."""
+    def _fused(self, pts: np.ndarray, grad: bool) -> tuple:
+        """(W, W_u) from the one fused kernel of this potential's kind; W_u
+        is None, and not computed, when ``grad`` is false."""
         pts = np.ascontiguousarray(pts, dtype=np.float64)
         if self.kind == "prodwell":
-            return kernels.prodwell_value_grad(pts, self.params["kwells"], self.params["scale"])
+            return kernels.prodwell_value_grad(pts, self.params["kwells"], self.params["scale"], grad)
         if self.kind == "tetra":
-            return kernels.tetra_value_grad(pts)
-        grads = [(g.coeffs, g.exps) for g in self._grad_polys]
+            return kernels.tetra_value_grad(pts, grad)
+        grads = [(g.coeffs, g.exps) for g in self._grad_polys] if grad else None
         return kernels.poly_value_grad(pts, self.poly.coeffs, self.poly.exps, grads)
 
+    def value_and_grad_field(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """W (N,) and W_u (N, m) at flat points (N, m), from one kernel call."""
+        return self._fused(pts, True)
+
     def value_field(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_and_grad_field(pts)[0]
+        return self._fused(pts, False)[0]
 
     def grad_field(self, pts: np.ndarray) -> np.ndarray:
-        return self.value_and_grad_field(pts)[1]
+        return self._fused(pts, True)[1]
+
+    def hess_field(self, pts: np.ndarray) -> np.ndarray:
+        """W_uu (N, m, m) at flat points: the closed-form kernel of the
+        ``prodwell`` and ``tetra`` kinds, else one polynomial per entry."""
+        pts = np.ascontiguousarray(pts, dtype=np.float64).reshape(-1, self.m)
+        if self.kind == "prodwell":
+            return kernels.prodwell_hess(pts, self.params["kwells"], self.params["scale"])
+        if self.kind == "tetra":
+            return kernels.tetra_hess(pts)
+        H = np.empty((pts.shape[0], self.m, self.m))
+        for i in range(self.m):
+            for j in range(self.m):
+                H[:, i, j] = self._hess_polys[i][j](pts)
+        return H
 
     # -- pointwise API ------------------------------------------------------
 
@@ -159,19 +179,7 @@ class PotentialSpec:
         pts, shape = self._as_points(u)
         if shape != ():
             raise ValueError("hess takes a single point")
-        H = np.empty((self.m, self.m))
-        for i in range(self.m):
-            for j in range(self.m):
-                H[i, j] = self._hess_polys[i][j](pts)[0]
-        return H
-
-    def hess_field(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.ascontiguousarray(pts, dtype=np.float64).reshape(-1, self.m)
-        H = np.empty((pts.shape[0], self.m, self.m))
-        for i in range(self.m):
-            for j in range(self.m):
-                H[:, i, j] = self._hess_polys[i][j](pts)
-        return H
+        return self.hess_field(pts)[0]
 
 
 def _well_constants(poly: Polynomial, wells: np.ndarray) -> float:

@@ -95,8 +95,8 @@ def test_solve_and_diagnose_pipeline(tmp_path):
     assert report["converged"]
     assert report["pde_residual"] <= 5e-3
     assert report["group"] == "dihedral_3"
-    # dihedral-3 rotates the grid, so the explicit path solves it
-    assert report["method"] == "explicit" and report["stop_reason"] == "converged"
+    # dihedral-3 rotates the grid; Newton solves it like every other action
+    assert report["method"] == "newton" and report["stop_reason"] == "converged"
 
     dcfg = write_config(
         tmp_path / "diag.json",
@@ -148,6 +148,9 @@ TRIOD = {
         ("solve", dict(JUNCTION, solver={"dt": -1.0})),
         ("solve", dict(JUNCTION, resume={"field": "missing.csv"})),
         ("solve", dict(JUNCTION, grid={"points": 41}, solver={"step_rule": "fixed", "dt": 1.0})),
+        ("solve", dict(JUNCTION, solver={"step_rule": "fixed"})),
+        ("solve", dict(JUNCTION, solver={"dt": 1e-3})),
+        ("solve", dict(JUNCTION, solver={"equivariance_budget": 2.0})),
         ("steiner", {"triangle": EQUILATERAL, "tol": "x"}),
         ("connect1d", {"potential": "double_well", "intervals": "lots"}),
         ("partition", {"partition": {"phases": 2, "segments": []}, "radii": ["a"]}),
@@ -172,6 +175,9 @@ TRIOD = {
         "negative-dt",
         "resume-without-meta",
         "unstable-fixed-dt",
+        "removed-step-rule",
+        "removed-dt",
+        "removed-equivariance-budget",
         "text-tol",
         "text-intervals",
         "text-radii",
@@ -192,6 +198,15 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def test_removed_solver_key_is_named(tmp_path, capsys):
+    # a key of the deleted explicit solver asked for a different solver than
+    # the one that would run, so the error names it
+    for key, value in (("step_rule", "fixed"), ("dt", 1e-3), ("equivariance_budget", 2.0)):
+        cfg = write_config(tmp_path / "c.json", dict(JUNCTION, solver={"residual_target": 1e-3, key: value}))
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"usage error: solver key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim, m", [(1, 2), (2, 1)], ids=["wrong-dim", "wrong-m"])

@@ -144,6 +144,8 @@ def test_fused_kernels_match_polynomial_and_central_difference(name, data):
     value, grad = spec.value_and_grad_field(pts)
     ref, scale = _terms(spec.poly, pts)
     assert np.max(np.abs(value - ref)) <= 1e-12 * scale
+    # the value-only branch computes the value the same way
+    assert np.array_equal(spec.value_field(pts), value)
     for j in range(spec.m):
         gref, gscale = _terms(spec.poly.derivative(j), pts)
         assert np.max(np.abs(grad[:, j] - gref)) <= 1e-12 * gscale
@@ -154,6 +156,28 @@ def test_fused_kernels_match_polynomial_and_central_difference(name, data):
         e[j] = delta
         fd = (spec.value_and_grad_field(pts + e)[0] - spec.value_and_grad_field(pts - e)[0]) / (2 * delta)
         assert np.all(np.abs(grad[:, j] - fd) <= 1e-6 * (1.0 + np.abs(value) + np.abs(grad[:, j])))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(SPECS)), data=st.data())
+def test_hessian_kernels_match_polynomial_and_central_difference(name, data):
+    # the closed-form prodwell/tetra Hessians (and the poly route) against
+    # the second-derivative polynomials and a central difference of W_u
+    spec = SPECS[name]
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    drawn = data.draw(st.lists(st.lists(coord, min_size=spec.m, max_size=spec.m), min_size=1, max_size=8))
+    pts = np.vstack([np.array(drawn), spec.wells])
+    H = spec.hess_field(pts)
+    for i in range(spec.m):
+        for j in range(spec.m):
+            ref, scale = _terms(spec._hess_polys[i][j], pts)
+            assert np.max(np.abs(H[:, i, j] - ref)) <= 1e-12 * scale
+    delta = 1e-5
+    for j in range(spec.m):
+        e = np.zeros(spec.m)
+        e[j] = delta
+        fd = (spec.grad_field(pts + e) - spec.grad_field(pts - e)) / (2 * delta)
+        assert np.all(np.abs(H[:, :, j] - fd) <= 1e-6 * (1.0 + np.abs(H[:, :, j])))
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
