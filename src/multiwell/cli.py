@@ -175,6 +175,8 @@ def cmd_connect1d(args) -> int:
             raise UsageError(f"'wells' must be two points: {e}")
     try:
         prof = connect.solve_connection(pot, a_minus, a_plus, half_length, intervals, tol)
+    except ValueError as e:
+        raise UsageError(str(e))
     except connect.ConnectionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -254,20 +256,25 @@ def cmd_solve(args) -> int:
             )
     else:
         ccfg = _section(config, "connection")
-        prof = connect.solve_connection(
-            pot,
-            rm.wells[1],
-            rm.wells[0],
-            _param(ccfg, "half_length", 6.0),
-            _param(ccfg, "intervals", 1200, _positive_int),
-            _param(ccfg, "tol", 1e-9),
-        )
+        try:
+            prof = connect.solve_connection(
+                pot,
+                rm.wells[1],
+                rm.wells[0],
+                _param(ccfg, "half_length", 6.0),
+                _param(ccfg, "intervals", 1200, _positive_int),
+                _param(ccfg, "tol", 1e-9),
+            )
+        except ValueError as e:
+            raise UsageError(f"bad connection: {e}")
         u0 = fields.initial_guess(grp, rm, prof, grid)
     try:
         result = fields.minimize(u0, pot, symmetry=grp, opts=opts)
     except fields.SolveError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as e:  # a resume field whose boundary the action would reset
+        raise UsageError(f"bad start field: {e}")
     fields.save_field(
         result.field,
         os.path.join(out, "field.csv"),

@@ -1,10 +1,11 @@
 """1D heteroclinic connections between wells by discrete action minimization.
 
-The profile U on [-L, L] (clamped ends) first descends the discrete action
-with L-BFGS, then a damped Newton polish drives the collocation residual
-U_{j+1} - 2 U_j + U_{j-1} = h^2 W_u(U_j) to tolerance.  The action of the
-solved profile is the interface energy sigma fed to the sharp-interface
-side.
+The profile U on [-L, L] has its ends clamped to the wells; its interior
+descends the discrete action, the 1D case of the field energy, by the
+Newton-Krylov loop that also solves the 2D and 3D fields
+(``fields.newton_krylov``) until the collocation residual
+U_{j+1} - 2 U_j + U_{j-1} - h^2 W_u(U_j) is at tolerance.  The action of the
+solved profile is the interface energy sigma fed to the sharp-interface side.
 """
 
 from __future__ import annotations
@@ -12,9 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from . import fields, kernels, potentials
+
+MAX_STEPS = 60  # Newton steps of one connection solve
+MIN_INTERVALS = 4  # the smallest grid whose linearized spectrum can be computed
+INVARIANCE_TOL = 1e-8  # sampled |W(r u) - W(u)| below which W counts as r-invariant
 
 
 @dataclass(frozen=True)
@@ -67,26 +73,34 @@ class ConnectionError(RuntimeError):
     pass
 
 
-def _collocation_residual(U: np.ndarray, h: float, potential) -> np.ndarray:
-    lap = (U[2:] - 2 * U[1:-1] + U[:-2]) / (h * h)
-    return lap - potential.grad_field(U[1:-1])
-
-
 def _newton_matrix(U: np.ndarray, h: float, potential) -> sp.csc_matrix:
-    n_int = U.shape[0] - 2
-    m = U.shape[1]
-    H = potential.hess_field(U[1:-1])
-    diag_blocks = -(2.0 / h**2) * np.eye(m)[None, :, :] - H
-    base = np.arange(n_int) * m
-    rows = np.broadcast_to(base[:, None, None] + np.arange(m)[None, :, None], (n_int, m, m)).ravel()
-    cols = np.broadcast_to(base[:, None, None] + np.arange(m)[None, None, :], (n_int, m, m)).ravel()
-    data = diag_blocks.ravel()
-    off = np.arange((n_int - 1) * m)
-    rows = np.concatenate([rows, off, off + m])
-    cols = np.concatenate([cols, off + m, off])
-    data = np.concatenate([data, np.full(2 * (n_int - 1) * m, 1.0 / h**2)])
-    N = n_int * m
-    return sp.coo_matrix((data, (rows, cols)), shape=(N, N)).tocsc()
+    """The linearization v -> v'' - W_uu(U) v over interior nodes, Dirichlet ends."""
+    n_int, m = U.shape[0] - 2, U.shape[1]
+    lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n_int, n_int)) / h**2
+    H = sp.bsr_matrix((potential.hess_field(U[1:-1]), np.arange(n_int), np.arange(n_int + 1)))
+    return (sp.kron(lap, sp.eye(m)) - H).tocsc()
+
+
+def _pair_reflection(a_minus, a_plus) -> np.ndarray:
+    """The reflection across the plane normal to a_plus - a_minus through 0."""
+    n = a_plus - a_minus
+    norm = np.linalg.norm(n)
+    if norm < 1e-12:  # degenerate (constant) profile: no wall to reflect across
+        return np.eye(n.shape[0])
+    n = n / norm
+    return np.eye(n.shape[0]) - 2.0 * np.outer(n, n)
+
+
+def _symmetric_projection(potential, a_minus, a_plus):
+    """The projection V -> (V + r V reversed) / 2 onto U(-eta) = r U(eta),
+    r = ``_pair_reflection`` of the wells, if r swaps them and leaves W
+    invariant on a fixed sample (as ``verify_hypotheses`` checks); else None."""
+    r = _pair_reflection(a_minus, a_plus)
+    if np.linalg.norm(r @ a_plus - a_minus) > 1e-9:
+        return None
+    if potentials.invariance_residual(potential, [r], np.random.default_rng(0)) > INVARIANCE_TOL:
+        return None
+    return lambda V: 0.5 * (V + V[::-1] @ r.T)
 
 
 def solve_connection(
@@ -96,15 +110,32 @@ def solve_connection(
     half_length: float = 10.0,
     intervals: int = 2000,
     tol: float = 1e-8,
-    max_newton: int = 60,
-    lbfgs_iter: int = 500,
 ) -> ConnectionProfile:
     """Compute the heteroclinic connection between two wells.
 
-    Parameters follow the discretization: nodes eta_j = -L + j h with
-    h = 2L/intervals, endpoint values clamped to the wells.  Raises
-    ConnectionError for identical endpoints; non-convergence is reported on
-    the returned profile (converged flag and final residual)."""
+    Nodes eta_j = -L + j h with h = 2L/intervals, the ends clamped to the
+    wells; from a tanh ramp, ``fields.newton_krylov`` descends the discrete
+    action over the interior (at most ``MAX_STEPS`` steps).  Newton steps
+    drift along the clamped interval's near-null translation mode, so when
+    the reflection r swapping the wells leaves W invariant, the start and
+    every direction are projected onto the class U(-eta) = r U(eta).
+    Without that symmetry fine grids can stop short (an asymmetric sextic
+    double well: residual 1.2e-6 at 10 000 intervals against tol 1e-10).
+
+    ``residual`` is the sup over interior nodes of the Euclidean norm of the
+    collocation residual, as in fields (for m > 1 stricter than the
+    componentwise sup).  Raises ValueError for a half_length that is not
+    positive and finite, fewer than ``MIN_INTERVALS`` intervals or a tol
+    that is not positive, and ConnectionError for identical endpoints or
+    one that is not a zero of W; non-convergence is reported on the
+    returned profile (converged flag and final residual)."""
+    half_length, K, tol = float(half_length), int(intervals), float(tol)
+    if not (np.isfinite(half_length) and half_length > 0):
+        raise ValueError(f"half_length must be positive and finite; got {half_length!r}")
+    if K < MIN_INTERVALS:
+        raise ValueError(f"intervals must be at least {MIN_INTERVALS}; got {K}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive; got {tol!r}")
     a_minus = np.atleast_1d(np.asarray(a_minus, dtype=np.float64))
     a_plus = np.atleast_1d(np.asarray(a_plus, dtype=np.float64))
     if np.linalg.norm(a_plus - a_minus) <= 1e-8:
@@ -112,8 +143,6 @@ def solve_connection(
     for a in (a_minus, a_plus):
         if abs(potential.value(a)) > 1e-8:
             raise ConnectionError("endpoint is not a zero of the potential")
-    m = a_minus.shape[0]
-    K = int(intervals)
     h = 2.0 * half_length / K
     eta = -half_length + h * np.arange(K + 1)
 
@@ -121,62 +150,28 @@ def solve_connection(
     rate = np.sqrt(2.0) * max(potential.c, 0.3) / gap
     ramp = 0.5 * (1.0 + np.tanh(rate * eta))[:, None]
     U = a_minus[None, :] + (a_plus - a_minus)[None, :] * ramp
+    project = _symmetric_projection(potential, a_minus, a_plus)
+    if project is not None:
+        U = project(U)
     U[0] = a_minus
     U[-1] = a_plus
 
     w = np.ones(K + 1)
     w[0] = w[-1] = 0.5
 
-    def action_and_grad(x):
-        V = np.vstack([a_minus[None, :], x.reshape(K - 1, m), a_plus[None, :]])
-        d = (V[1:] - V[:-1]) / h
+    def evaluate(V):
         W, W_u = potential.value_and_grad_field(V)
-        act = 0.5 * h * float(np.sum(d * d)) + h * float(w @ W)
-        lap = (V[2:] - 2 * V[1:-1] + V[:-2]) / h**2
-        grad = h * (-lap + W_u[1:-1])
-        return act, grad.ravel()
+        return kernels.link_energy(V, h) + h * float(w @ W), W_u
 
-    res = scipy.optimize.minimize(
-        action_and_grad,
-        U[1:-1].ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": lbfgs_iter, "gtol": 1e-8},
-    )
-    U[1:-1] = res.x.reshape(K - 1, m)
-
-    # Newton polish on the collocation system
-    r = _collocation_residual(U, h, potential)
-    rnorm = float(np.max(np.abs(r)))
-    for _ in range(max_newton):
-        if rnorm <= tol:
-            break
-        J = _newton_matrix(U, h, potential)
-        try:
-            delta = spla.spsolve(J, -r.ravel()).reshape(K - 1, m)
-        except RuntimeError:
-            break
-        lam = 1.0
-        while lam > 1e-6:
-            trial = U.copy()
-            trial[1:-1] += lam * delta
-            rt = _collocation_residual(trial, h, potential)
-            rtn = float(np.max(np.abs(rt)))
-            if rtn < rnorm:
-                U, r, rnorm = trial, rt, rtn
-                break
-            lam *= 0.5
-        else:
-            break
-
+    U, _, res, _, _, _ = fields.newton_krylov(U, evaluate, potential, h, tol, MAX_STEPS, project)
     return ConnectionProfile(
         eta=eta,
         values=U,
         a_minus=a_minus,
         a_plus=a_plus,
         potential=potential,
-        residual=rnorm,
-        converged=bool(rnorm <= tol),
+        residual=res,
+        converged=bool(res <= tol),
     )
 
 
@@ -200,15 +195,6 @@ def action(profile: ConnectionProfile) -> float:
     return float(profile.h * (w @ integrand))
 
 
-def _pair_reflection(profile: ConnectionProfile) -> np.ndarray:
-    n = profile.a_plus - profile.a_minus
-    norm = np.linalg.norm(n)
-    if norm < 1e-12:  # degenerate (constant) profile: no wall to reflect across
-        return np.eye(profile.m)
-    n = n / norm
-    return np.eye(profile.m) - 2.0 * np.outer(n, n)
-
-
 def linearized_spectrum(profile: ConnectionProfile, k: int = 6):
     """Eigenvalues of L v = v'' - W_uu(U) v near zero (Dirichlet ends).
 
@@ -224,7 +210,7 @@ def linearized_spectrum(profile: ConnectionProfile, k: int = 6):
     k = min(k, A.shape[0] - 2)
     v0 = np.ones(A.shape[0])  # deterministic ARPACK start
     vals, vecs = spla.eigsh(A, k=k, sigma=0.0, which="LM", v0=v0)
-    T = _pair_reflection(profile)
+    T = _pair_reflection(profile.a_minus, profile.a_plus)
     order = np.argsort(np.abs(vals))
     vals = vals[order]
     vecs = vecs[:, order]

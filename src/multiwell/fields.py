@@ -3,7 +3,8 @@
 The discrete free energy is a gradient quadrature over forward-difference
 links plus trapezoid weights for the potential term, so at interior nodes
 its first-order condition is exactly the 3/5/7-point collocation of
-Delta u = W_u(u).  ``minimize`` descends it by damped Newton steps whose
+Delta u = W_u(u).  ``newton_krylov`` descends it, for ``minimize`` and for
+the 1D connections of :mod:`multiwell.connect`, by damped Newton steps whose
 Hessian systems -Delta_h + W_uu are solved by truncated conjugate
 gradients, preconditioned by the exact inverse of -Delta_h + 2c^2 (a type-I
 sine transform); an energy backtracking line search keeps every accepted
@@ -235,20 +236,26 @@ def equivariance_residual_pairs(field: VectorField, pairs) -> float:
     otherwise it is restricted to the inner ball where the projection is
     exact (every compared sample stays inside the sampled domain)."""
     g = field.grid
-    pts = g.nodes
-    R = g.half_width
     if all(_box_preserving(gx) for gx, _ in pairs):
-        sel = np.ones(pts.shape[0], dtype=bool)
+        sel = np.ones(g.nodes.shape[0], dtype=bool)
     else:
-        r = np.linalg.norm(pts, axis=1)
-        sel = r <= SYM_MEASURE_FRAC * R + BOX_EDGE_TOL
-    flat = field.flat()
+        sel = np.linalg.norm(g.nodes, axis=1) <= SYM_MEASURE_FRAC * g.half_width + BOX_EDGE_TOL
+    return _equivariance_defect(field.values, g, pairs, sel)
+
+
+def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel: np.ndarray) -> float:
+    """max over the pairs and the nodes ``sel`` picks of |u(g x) - g u(x)|,
+    interpolating only those nodes; the identity pair, which compares u(x)
+    with itself, is skipped."""
+    pts = grid.nodes[sel]
+    flat = values.reshape(-1, values.shape[-1])[sel]
     worst = 0.0
     for gx, gu in pairs:
-        lhs = kernels.interp(field.values, pts @ gx.T, -R, g.spacing)
-        rhs = flat @ gu.T
-        diff = np.sqrt(np.sum((lhs - rhs) ** 2, axis=1))
-        worst = max(worst, float(diff[sel].max()))
+        if np.array_equal(gx, np.eye(gx.shape[0])) and np.array_equal(gu, np.eye(gu.shape[0])):
+            continue
+        lhs = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing)
+        diff = np.sqrt(np.sum((lhs - flat @ gu.T) ** 2, axis=1))
+        worst = max(worst, float(diff.max()))
     return worst
 
 
@@ -382,6 +389,7 @@ def _apply_boundary(values: np.ndarray, bvals: np.ndarray, bmask_flat: np.ndarra
 
 
 CG_MAX_ITER = 200
+BOUNDARY_EQUIVARIANCE_TOL = 1e-6
 LINE_SEARCH_HALVINGS = 40
 
 
@@ -448,21 +456,67 @@ def _truncated_cg(b, hess_product, precond, tol: float):
     return p
 
 
+def newton_krylov(state, evaluate, potential, h: float, target: float, max_iter: int, project=None):
+    """Descend a discrete energy over the interior nodes of a node-sampled
+    (..., m) array, boundary layer frozen, by the Newton steps of the module
+    docstring until the residual (sup over interior nodes of |Delta_h u -
+    W_u|) is at most ``target``, for at most ``max_iter`` steps.
+    ``evaluate(values)`` returns the energy and W_u at every node.  A linear
+    ``project`` that the Hessian commutes with follows the preconditioner,
+    so every direction stays in its class.  A NaN energy raises SolveError.
+
+    Returns (values, W_u, residual, steps, energy history, stop reason); the
+    reason, "max_iter" or "line_search", matters only above ``target``."""
+    # (E, w_u) always belong to the current state: an accepted trial brings its own
+    E, w_u = evaluate(state)
+    history = [E]
+    shift_inverse = _dirichlet_inverse(state.shape, h, 2.0 * potential.c**2)
+    precond = shift_inverse if project is None else (lambda r: project(shift_inverse(r)))
+    inner = (slice(1, -1),) * (state.ndim - 1)
+    it, stop = 0, "max_iter"
+    while True:
+        b = kernels.laplacian(state, h)  # zero on the boundary layer
+        b[inner] -= w_u[inner]
+        res = float(np.sqrt(np.sum(b * b, axis=-1)).max())
+        if res <= target or it >= max_iter:
+            break
+        # inexact Newton: solve to a relative tolerance that tightens with the residual
+        tol = min(0.1, np.sqrt(res)) * np.linalg.norm(b)
+        p = _truncated_cg(b, _hessian_product(state, potential, h), precond, tol)
+        t = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            trial = state + t * p
+            E_trial, w_trial = evaluate(trial)
+            if np.isnan(E_trial):
+                raise SolveError("energy became NaN during descent")
+            if E_trial <= E + 1e-12:
+                break
+            t *= 0.5
+        else:
+            stop = "line_search"
+            break
+        state, E, w_u = trial, E_trial, w_trial
+        it += 1
+        history.append(E)
+    return state, w_u, res, it, history, stop
+
+
 def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | None = None) -> SolveResult:
     """Descend the discrete free energy to a stationary equivariant field.
 
-    Boundary nodes are handled per opts; interior nodes move by damped
-    Newton-Krylov steps (see the module docstring), up to ``max_iter`` of
-    them.  Each step tries the lengths 1, 1/2, ... (``LINE_SEARCH_HALVINGS``
-    of them) until the energy does not rise; when none does, the solve stops
-    with ``stop_reason="line_search"``, and a NaN energy raises SolveError.
+    Boundary nodes are handled per opts; interior nodes move by
+    ``newton_krylov``, up to ``max_iter`` steps.  When no step length keeps
+    the energy from rising the solve stops with
+    ``stop_reason="line_search"``; a NaN energy raises SolveError.
 
     An action that permutes grid nodes is projected out once before the
     steps start, since they keep equivariance but do not restore it, and
-    once after they end, to clear rounding.  An action that rotates the grid
-    is only measured, before and after: its projection interpolates, and the
-    discrete critical point is equivariant only up to the O(h^2) error of
-    the square-grid stencil.
+    once after they end, to clear rounding.  Its projection maps boundary
+    nodes to boundary nodes, so boundary values that are not equivariant
+    raise ValueError: the projection would reset them and the solve could
+    not converge.  An action that rotates the grid is only measured, before
+    and after: its projection interpolates, and the discrete critical point
+    is equivariant only up to the O(h^2) error of the square-grid stencil.
     """
     opts = opts or SolveOptions()
     g = field.grid
@@ -486,38 +540,14 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
 
     node_permuting = bool(pairs) and all(_box_preserving(gx) for gx, _ in pairs)
     if node_permuting:
+        edge_res = _equivariance_defect(state, g, pairs, bmask)
+        if edge_res > BOUNDARY_EQUIVARIANCE_TOL:
+            raise ValueError(f"boundary values are not equivariant (boundary residual {edge_res:.3e})")
         state = project(state)
 
-    # (E, w_u) always belong to the current state: an accepted trial brings its own
-    E, w_u = evaluate(state)
-    history = [E]
-    precond = _dirichlet_inverse(state.shape, h, 2.0 * potential.c**2)
-    edge = bmask.reshape(g.shape)
-    it, stop = 0, "max_iter"
-    while True:
-        b = kernels.laplacian(state, h) - w_u
-        b[edge] = 0.0
-        res = float(np.sqrt(np.sum(b * b, axis=-1)).max())
-        if res <= opts.residual_target or it >= opts.max_iter:
-            break
-        # inexact Newton: solve to a relative tolerance that tightens with the residual
-        tol = min(0.1, np.sqrt(res)) * np.linalg.norm(b)
-        p = _truncated_cg(b, _hessian_product(state, potential, h), precond, tol)
-        t = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
-            trial = state + t * p
-            E_trial, w_trial = evaluate(trial)
-            if np.isnan(E_trial):
-                raise SolveError("energy became NaN during descent")
-            if E_trial <= E + 1e-12:
-                break
-            t *= 0.5
-        else:
-            stop = "line_search"
-            break
-        state, E, w_u = trial, E_trial, w_trial
-        it += 1
-        history.append(E)
+    state, w_u, res, it, history, stop = newton_krylov(
+        state, evaluate, potential, h, opts.residual_target, opts.max_iter
+    )
 
     if node_permuting and it:
         # the invariant energy kept the iterates equivariant to rounding
@@ -531,7 +561,7 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     return SolveResult(
         field=out,
         iterations=it,
-        energy=E,
+        energy=history[-1],
         residual=res,
         converged=converged,
         energy_history=history,
@@ -545,8 +575,9 @@ def solve_dirichlet(field0: VectorField, potential, boundary_data, opts: SolveOp
     """Clamped-boundary solve of Delta u = W_u(u) with the boundary held at
     ``boundary_data`` (full-shape array or callable on node coordinates).
 
-    The data must be equivariant under the supplied symmetry action; the
-    default action is the first-coordinate reflection pair."""
+    The data must be equivariant under the supplied symmetry action (the
+    default is the first-coordinate reflection pair); ``minimize`` raises
+    ValueError when its boundary values are not."""
     g = field0.grid
     if callable(boundary_data):
         bv = np.asarray(boundary_data(g.nodes), dtype=np.float64).reshape(field0.values.shape)
@@ -554,13 +585,9 @@ def solve_dirichlet(field0: VectorField, potential, boundary_data, opts: SolveOp
         bv = np.asarray(boundary_data, dtype=np.float64).reshape(field0.values.shape)
     if symmetry is None:
         symmetry = reflection_pairs(g.dim, field0.m)
-    pairs = as_pairs(symmetry)
-    data_res = equivariance_residual_pairs(VectorField(g, bv), pairs)
-    if data_res > 1e-6:
-        raise ValueError(f"boundary data is not equivariant (residual {data_res:.3e})")
     opts = opts or SolveOptions()
     opts = SolveOptions(**{**opts.__dict__, "boundary_mode": "dirichlet", "boundary_values": bv})
-    return minimize(field0, potential, symmetry=pairs, opts=opts)
+    return minimize(field0, potential, symmetry=symmetry, opts=opts)
 
 
 def positivity_violation(field: VectorField, wall_normals: np.ndarray) -> float:

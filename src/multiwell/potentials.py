@@ -359,6 +359,15 @@ def potential_from_json(path_or_dict) -> PotentialSpec:
     return _build(data.get("name", "custom"), poly, wells)
 
 
+def invariance_residual(spec: PotentialSpec, maps, rng, sample_count: int = 100) -> float:
+    """max over the orthogonal maps g and ``sample_count`` points u drawn
+    uniformly from [-2, 2]^m of |W(g u) - W(u)|: a sampled invariance check,
+    not a proof."""
+    samples = rng.uniform(-2.0, 2.0, size=(sample_count, spec.m))
+    W = spec.value_field(samples)
+    return max(float(np.max(np.abs(spec.value_field(samples @ g.T) - W))) for g in maps)
+
+
 def verify_hypotheses(spec: PotentialSpec, group, sample_count: int = 100, tol: float = 1e-10, seed: int = 0) -> dict:
     """Check the standing structural assumptions on a catalog entry.
 
@@ -366,10 +375,7 @@ def verify_hypotheses(spec: PotentialSpec, group, sample_count: int = 100, tol: 
     degenerate (connected zero set) the isolated-well checks are skipped.
     """
     rng = np.random.default_rng(seed)
-    samples = rng.uniform(-2.0, 2.0, size=(sample_count, spec.m))
-    inv = 0.0
-    for g in group.elements:
-        inv = max(inv, float(np.max(np.abs(spec.value_field(samples @ g.T) - spec.value_field(samples)))))
+    inv = invariance_residual(spec, group.elements, rng, sample_count)
     report = {
         "potential": spec.name,
         "group": group.name,

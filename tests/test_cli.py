@@ -153,6 +153,18 @@ TRIOD = {
         ("solve", dict(JUNCTION, solver={"equivariance_budget": 2.0})),
         ("steiner", {"triangle": EQUILATERAL, "tol": "x"}),
         ("connect1d", {"potential": "double_well", "intervals": "lots"}),
+        ("connect1d", {"potential": "double_well", "half_length": -1}),
+        ("connect1d", {"potential": "double_well", "half_length": 0}),
+        ("connect1d", {"potential": "double_well", "half_length": "nan"}),
+        ("connect1d", {"potential": "double_well", "intervals": 1}),
+        ("connect1d", {"potential": "double_well", "intervals": 2}),
+        ("connect1d", {"potential": "double_well", "tol": -1}),
+        ("solve", dict(JUNCTION, connection={"half_length": -1})),
+        ("solve", dict(JUNCTION, connection={"half_length": 0})),
+        ("solve", dict(JUNCTION, connection={"half_length": "nan"})),
+        ("solve", dict(JUNCTION, connection={"intervals": 1})),
+        ("solve", dict(JUNCTION, connection={"intervals": 2})),
+        ("solve", dict(JUNCTION, connection={"tol": -1})),
         ("partition", {"partition": {"phases": 2, "segments": []}, "radii": ["a"]}),
         ("steiner", ["not", "an", "object"]),
         ("partition", {"partition": TRIOD, "radii": [-1.0]}),
@@ -180,6 +192,18 @@ TRIOD = {
         "removed-equivariance-budget",
         "text-tol",
         "text-intervals",
+        "negative-half-length",
+        "zero-half-length",
+        "nan-half-length",
+        "one-interval",
+        "two-intervals",
+        "negative-tol",
+        "connection-negative-half-length",
+        "connection-zero-half-length",
+        "connection-nan-half-length",
+        "connection-one-interval",
+        "connection-two-intervals",
+        "connection-negative-tol",
         "text-radii",
         "config-not-object",
         "negative-radius",
@@ -198,6 +222,41 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["connect1d", "solve"])
+def test_bad_connection_value_names_the_key(tmp_path, capsys, command):
+    for key, value in (("half_length", 0), ("intervals", 2), ("tol", -1)):
+        if command == "connect1d":
+            config = {"potential": "double_well", key: value}
+        else:
+            config = dict(JUNCTION, connection={key: value})
+        cfg = write_config(tmp_path / "c.json", config)
+        assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+
+
+def test_resume_field_with_non_equivariant_boundary_is_usage_error(tmp_path, capsys):
+    # dihedral_2 flips coordinate signs, so its projection maps boundary
+    # nodes to boundary nodes and could not keep a boundary that breaks it
+    ridge = {  # W = (u1^2 - 1)^2 / 4 + u2^2 / 2, invariant under dihedral_2
+        "monomials": [
+            {"coeff": 0.25, "exponents": [4, 0]},
+            {"coeff": -0.5, "exponents": [2, 0]},
+            {"coeff": 0.25, "exponents": [0, 0]},
+            {"coeff": 0.5, "exponents": [0, 2]},
+        ],
+        "wells": [[1.0, 0.0], [-1.0, 0.0]],
+    }
+    g = fields.Grid(dim=2, half_width=2.0, points=11)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.json"
+    fields.save_field(fields.VectorField(g, np.random.default_rng(0).normal(size=g.shape + (2,))), csv, meta)
+    config = {"potential": ridge, "group": "dihedral_2", "resume": {"field": str(csv), "meta": str(meta)}}
+    cfg = write_config(tmp_path / "c.json", config)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bad start field: boundary values are not equivariant")
+    assert "Traceback" not in err
 
 
 def test_removed_solver_key_is_named(tmp_path, capsys):

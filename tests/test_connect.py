@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -88,6 +90,80 @@ def test_identical_endpoints_rejected(double_well):
 def test_non_well_endpoint_rejected(double_well):
     with pytest.raises(connect.ConnectionError):
         connect.solve_connection(double_well, [-1.0], [0.5], 10.0, 100)
+
+
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        ({"half_length": -1.0}, "half_length"),
+        ({"half_length": 0.0}, "half_length"),
+        ({"half_length": float("nan")}, "half_length"),
+        ({"intervals": 1}, "intervals"),
+        ({"intervals": 2}, "intervals"),
+        ({"tol": -1.0}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+    ],
+)
+def test_bad_discretization_rejected(double_well, kwargs, key):
+    with pytest.raises(ValueError, match=key):
+        connect.solve_connection(double_well, [-1.0], [1.0], **kwargs)
+
+
+def _class_defect(prof) -> float:
+    """max over nodes of |U(-eta) - r U(eta)|, r the reflection swapping the wells."""
+    r = connect._pair_reflection(prof.a_minus, prof.a_plus)
+    return float(np.max(np.abs(prof.values[::-1] - prof.values @ r.T)))
+
+
+@pytest.mark.parametrize(
+    "name, half_length, intervals, tol",
+    [
+        ("double_well", 10.0, 2000, 1e-8),
+        ("double_well", 10.0, 4000, 1e-8),
+        ("double_well", 6.0, 600, 1e-8),
+        ("double_well", 10.0, 10_000, 1e-10),
+        ("triple_well", 6.0, 1200, 1e-9),
+        ("triple_well", 5.0, 1000, 1e-9),
+        ("tetra_well", 5.0, 500, 1e-8),
+        ("tetra_well", 5.0, 500, 1e-9),
+    ],
+)
+def test_catalog_connections_lie_in_the_symmetric_class(name, half_length, intervals, tol):
+    # every catalog well pair is swapped by a reflection that leaves W
+    # invariant, so its connection solves in the class U(-eta) = r U(eta):
+    # the clamped interval's near-null translation mode is never entered
+    pot = potentials.get_potential(name)
+    for i, j in itertools.permutations(range(len(pot.wells)), 2):
+        prof = connect.solve_connection(pot, pot.wells[i], pot.wells[j], half_length, intervals, tol=tol)
+        assert prof.converged and prof.residual <= tol
+        assert _class_defect(prof) <= 1e-12
+        r = connect._pair_reflection(prof.a_minus, prof.a_plus)
+        if np.array_equal(np.abs(r), np.eye(pot.m)):
+            # a coordinate sign flip is exact in floating point, so the
+            # projected start and directions keep the class exactly
+            assert _class_defect(prof) == 0.0
+
+
+# W = (u^2 - 1)^2 (u^2 + u/2 + 1) / 4: wells at -1 and +1, W(-u) != W(u)
+ASYMMETRIC_WELLS = {
+    "name": "asymmetric_double_well",
+    "monomials": [
+        {"coeff": c, "exponents": [e]}
+        for c, e in [(0.25, 6), (0.125, 5), (-0.25, 4), (-0.25, 3), (-0.25, 2), (0.125, 1), (0.25, 0)]
+    ],
+    "wells": [[-1.0], [1.0]],
+}
+
+
+def test_connection_without_swap_symmetry_is_not_projected():
+    pot = potentials.potential_from_json(ASYMMETRIC_WELLS)
+    a_minus, a_plus = np.array([-1.0]), np.array([1.0])
+    assert connect._symmetric_projection(pot, a_minus, a_plus) is None
+    prof = connect.solve_connection(pot, a_minus, a_plus)  # the CLI defaults
+    assert prof.converged and prof.residual <= 1e-8
+    assert _class_defect(prof) > 1e-2  # the connection itself is not r-symmetric
+    oracle, _ = scipy.integrate.quad(lambda u: np.sqrt(2.0 * pot.value(u)), -1.0, 1.0)
+    assert connect.action(prof) == pytest.approx(oracle, abs=1e-4)
 
 
 def test_triple_well_connection(triangle_profile, triple_well):

@@ -121,6 +121,7 @@ def test_modica_scalar_fine_profile(double_well):
     # solved 1D scalar field at h = 2e-3: the pointwise gradient bound holds
     # to below 1e-6 (discrete equipartition)
     prof = connect.solve_connection(double_well, [-1.0], [1.0], 10.0, 10_000, tol=1e-10)
+    assert prof.converged
     g1 = fields.Grid(dim=1, half_width=10.0, points=10_001)
     f1 = fields.VectorField(g1, prof.values.copy())
     assert diagnostics.modica_deficit(f1, double_well) <= 1e-6

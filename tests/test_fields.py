@@ -477,6 +477,18 @@ def test_dirichlet_rejects_asymmetric_data(double_well):
         fields.solve_dirichlet(f0, double_well, bad)
 
 
+def test_minimize_rejects_non_equivariant_boundary(double_well):
+    # a node-permuting projection maps the boundary layer to itself and the
+    # solve resets it afterwards, so a boundary that is not equivariant could
+    # never converge: the solve names it instead of running out of steps
+    g = fields.Grid(dim=2, half_width=5.0, points=41)
+    rng = np.random.default_rng(0)
+    f0 = fields.VectorField(g, rng.normal(scale=2.0, size=g.shape + (1,)))
+    opts = fields.SolveOptions(max_iter=200)
+    with pytest.raises(ValueError, match="boundary residual"):
+        fields.minimize(f0, double_well, symmetry=fields.reflection_pairs(2, 1), opts=opts)
+
+
 # ---------------------------------------------------------------------------
 # 3D smoke test and persistence
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from multiwell import fields, groups, potentials
+from multiwell import fields, groups, kernels, potentials
 
 
 def validate_group(g, expected_order=None):
@@ -182,6 +182,42 @@ def test_equivariance_residual_witness(dihedral3):
     pairs = fields.reflection_pairs(2, 2, x_axis=0, u_axis=0)
     odd = fields.field_from_function(grid, lambda p: np.stack([p[:, 0] ** 3, 0 * p[:, 0]], axis=1), 2)
     assert fields.equivariance_residual_pairs(odd, pairs) < 1e-12
+
+
+def _full_box_equivariance(field, pairs) -> float:
+    """Reference: every pair, the identity included, interpolated at every
+    node of the box; the maximum is then taken over the measured nodes."""
+    g = field.grid
+    pts = g.nodes
+    if all(fields._box_preserving(gx) for gx, _ in pairs):
+        sel = np.ones(pts.shape[0], dtype=bool)
+    else:
+        sel = np.linalg.norm(pts, axis=1) <= fields.SYM_MEASURE_FRAC * g.half_width + fields.BOX_EDGE_TOL
+    worst = 0.0
+    for gx, gu in pairs:
+        lhs = kernels.interp(field.values, pts @ gx.T, -g.half_width, g.spacing)
+        diff = np.sqrt(np.sum((lhs - field.flat() @ gu.T) ** 2, axis=1))
+        worst = max(worst, float(diff[sel].max()))
+    return worst
+
+
+@pytest.mark.parametrize("action", sorted(groups.GROUP_BUILDERS) + ["reflection_pairs"])
+def test_equivariance_residual_matches_full_box_reference(action):
+    # on grids where (x + R) / h is integral at every node, interpolation
+    # returns node values exactly, so measuring only the selected nodes and
+    # skipping the identity pair changes no bit of the result
+    if action == "reflection_pairs":
+        dim, pairs = 2, fields.reflection_pairs(2, 1)
+    else:
+        grp = groups.get_group(action)
+        dim, pairs = grp.dimension, fields.as_pairs(grp)
+    grid = fields.Grid(dim=dim, half_width=4.0, points=17 if dim == 3 else 33)
+    m = pairs[0][1].shape[0]
+    rng = np.random.default_rng(3)
+    rough = fields.VectorField(grid, rng.normal(size=grid.shape + (m,)))
+    smooth = fields.VectorField(grid, np.sin(grid.nodes @ rng.normal(size=(dim, m))).reshape(grid.shape + (m,)))
+    for field in (rough, smooth, fields.symmetrize_pairs(smooth, pairs)):
+        assert fields.equivariance_residual_pairs(field, pairs) == _full_box_equivariance(field, pairs)
 
 
 def test_region_of_labels(tetrahedral, triangle_region):
