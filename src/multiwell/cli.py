@@ -207,7 +207,7 @@ def cmd_connect1d(args) -> int:
 
 
 # the explicit-descent settings; a run that set one asked for another solver
-REMOVED_SOLVER_KEYS = ("step_rule", "dt", "equivariance_budget")
+REMOVED_SOLVER_KEYS = ("step_rule", "dt", "equivariance_budget", "k_sym", "check_every")
 
 
 def cmd_solve(args) -> int:
@@ -237,8 +237,6 @@ def cmd_solve(args) -> int:
         opts = fields.SolveOptions(
             max_iter=_param(scfg, "max_iter", 100_000, int),
             residual_target=_param(scfg, "residual_target", 1e-3),
-            k_sym=_param(scfg, "k_sym", 10, int),
-            check_every=_param(scfg, "check_every", 200, int),
         )
     except ValueError as e:
         raise UsageError(f"bad solver options: {e}")
@@ -404,13 +402,14 @@ def _triangle(cells) -> partitions.WeightedTriangle:
 def cmd_steiner(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
+    if "tol" in config:
+        raise UsageError("steiner key 'tol' no longer exists: the Steiner point is computed in closed form")
     rows = _steiner_rows(config)
-    tol = _param(config, "tol", 1e-10)
     out_rows = []
     n_err = 0
     for i, cells in enumerate(rows):
         try:
-            P, info = partitions.steiner_point(_triangle(cells), tol=tol)
+            P, info = partitions.steiner_point(_triangle(cells))
             out_rows.append(
                 [
                     str(i),

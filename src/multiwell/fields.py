@@ -204,6 +204,10 @@ def _box_preserving(mat: np.ndarray) -> bool:
     return bool(np.all((a < 1e-12) | (np.abs(a - 1.0) < 1e-12)))
 
 
+def _is_identity(gx: np.ndarray, gu: np.ndarray) -> bool:
+    return np.array_equal(gx, np.eye(gx.shape[0])) and np.array_equal(gu, np.eye(gu.shape[0]))
+
+
 def symmetrize_pairs(field: VectorField, pairs) -> VectorField:
     """Project a sampled field onto the equivariant class of the action pairs:
     the average of g_u^{-1} u(g_x x) over all pairs.
@@ -219,6 +223,9 @@ def symmetrize_pairs(field: VectorField, pairs) -> VectorField:
     R = g.half_width
     acc = np.zeros((pts.shape[0], field.m))
     for gx, gu in pairs:
+        if _is_identity(gx, gu):
+            acc += field.flat()
+            continue
         vals = kernels.interp(field.values, pts @ gx.T, -R, g.spacing)
         acc += vals @ gu
     acc /= len(pairs)
@@ -251,7 +258,7 @@ def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel: np.ndarray)
     flat = values.reshape(-1, values.shape[-1])[sel]
     worst = 0.0
     for gx, gu in pairs:
-        if np.array_equal(gx, np.eye(gx.shape[0])) and np.array_equal(gu, np.eye(gu.shape[0])):
+        if _is_identity(gx, gu):
             continue
         lhs = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing)
         diff = np.sqrt(np.sum((lhs - flat @ gu.T) ** 2, axis=1))
@@ -336,18 +343,17 @@ def _sample_profile(eta, values, t):
 @dataclass
 class SolveOptions:
     """Options of ``minimize``: at most ``max_iter`` Newton steps, stopping
-    once the interior residual is at most ``residual_target``.
+    once the interior residual is at most ``residual_target``.  The
+    boundary layer of the start field is held fixed.
 
     ``k_sym`` and ``check_every`` configured the explicit descent that
     ``minimize`` no longer has.  They are validated (a value below 1 raises
     ValueError on construction) and otherwise unused, and stay only until
-    the benchmark's workloads stop passing them."""
+    the benchmark's workloads stop passing them; the CLI rejects both."""
 
     max_iter: int = 200_000
     residual_target: float = 1e-3
     k_sym: int = 10
-    boundary_mode: str = "frozen"  # frozen | dirichlet
-    boundary_values: np.ndarray | None = None
     check_every: int = 25
 
     def __post_init__(self):
@@ -367,19 +373,6 @@ class SolveResult:
     equivariance_after: float | None = None
     method: str = "newton"  # the one solve path; reports name it
     stop_reason: str = "converged"  # converged | max_iter | line_search
-
-
-def _resolve_boundary(field: VectorField, opts: SolveOptions) -> np.ndarray:
-    if opts.boundary_mode == "frozen":
-        return field.values.copy()
-    if opts.boundary_mode == "dirichlet":
-        if opts.boundary_values is None:
-            raise ValueError("dirichlet mode requires boundary_values")
-        bv = np.asarray(opts.boundary_values, dtype=np.float64)
-        if bv.shape != field.values.shape:
-            raise ValueError("boundary_values shape mismatch")
-        return bv.copy()
-    raise ValueError(f"unknown boundary mode {opts.boundary_mode!r}")
 
 
 def _apply_boundary(values: np.ndarray, bvals: np.ndarray, bmask_flat: np.ndarray):
@@ -504,7 +497,7 @@ def newton_krylov(state, evaluate, potential, h: float, target: float, max_iter:
 def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | None = None) -> SolveResult:
     """Descend the discrete free energy to a stationary equivariant field.
 
-    Boundary nodes are handled per opts; interior nodes move by
+    Boundary nodes keep their values in ``field``; interior nodes move by
     ``newton_krylov``, up to ``max_iter`` steps.  When no step length keeps
     the energy from rising the solve stops with
     ``stop_reason="line_search"``; a NaN energy raises SolveError.
@@ -522,11 +515,8 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     g = field.grid
     h = g.spacing
     pairs = as_pairs(symmetry)
-    bvals = _resolve_boundary(field, opts)
     bmask = ~g.interior_mask
-
     state = field.values.copy()
-    _apply_boundary(state, bvals, bmask)
 
     eq_before = equivariance_residual_pairs(VectorField(g, state), pairs) if pairs else None
 
@@ -535,7 +525,7 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
 
     def project(vals):
         out = symmetrize_pairs(VectorField(g, vals), pairs).values
-        _apply_boundary(out, bvals, bmask)
+        _apply_boundary(out, field.values, bmask)
         return out
 
     node_permuting = bool(pairs) and all(_box_preserving(gx) for gx, _ in pairs)
@@ -573,21 +563,22 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
 
 def solve_dirichlet(field0: VectorField, potential, boundary_data, opts: SolveOptions | None = None, symmetry=None) -> SolveResult:
     """Clamped-boundary solve of Delta u = W_u(u) with the boundary held at
-    ``boundary_data`` (full-shape array or callable on node coordinates).
+    ``boundary_data`` (full-shape array or callable on node coordinates):
+    the data are written onto the boundary layer of a copy of ``field0``,
+    which ``minimize`` then holds fixed.
 
     The data must be equivariant under the supplied symmetry action (the
     default is the first-coordinate reflection pair); ``minimize`` raises
     ValueError when its boundary values are not."""
     g = field0.grid
     if callable(boundary_data):
-        bv = np.asarray(boundary_data(g.nodes), dtype=np.float64).reshape(field0.values.shape)
-    else:
-        bv = np.asarray(boundary_data, dtype=np.float64).reshape(field0.values.shape)
+        boundary_data = boundary_data(g.nodes)
+    bv = np.asarray(boundary_data, dtype=np.float64).reshape(field0.values.shape)
+    start = field0.values.copy()
+    _apply_boundary(start, bv, ~g.interior_mask)
     if symmetry is None:
         symmetry = reflection_pairs(g.dim, field0.m)
-    opts = opts or SolveOptions()
-    opts = SolveOptions(**{**opts.__dict__, "boundary_mode": "dirichlet", "boundary_values": bv})
-    return minimize(field0, potential, symmetry=symmetry, opts=opts)
+    return minimize(VectorField(g, start), potential, symmetry=symmetry, opts=opts)
 
 
 def positivity_violation(field: VectorField, wall_normals: np.ndarray) -> float:

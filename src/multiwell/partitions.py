@@ -2,9 +2,9 @@
 
 Partitions are explicit segment/ray complexes with phase-pair tags, so
 interface masses, densities, and windowed energies are analytic rather than
-pixel counts.  Includes the weighted Steiner point (vertex capture per the
-subgradient test), Young's law angles, the shortest-path reduction of
-surface-tension matrices, cones, and blow-downs.
+pixel counts.  Includes the weighted Steiner point (in closed form, with
+vertex capture by the subgradient test), Young's law angles, the
+shortest-path reduction of surface-tension matrices, cones, and blow-downs.
 """
 
 from __future__ import annotations
@@ -382,76 +382,72 @@ def weighted_sum(P, tri: WeightedTriangle) -> float:
     return float(tri.weights @ d)
 
 
-def _offsets(px: float, py: float, xs, ys):
-    """Offsets (dx, dy) of the vertices (xs, ys) from P = (px, py) and their
-    lengths d, as Python floats: the residual and the Weiszfeld loop run on these."""
-    dx = (xs[0] - px, xs[1] - px, xs[2] - px)
-    dy = (ys[0] - py, ys[1] - py, ys[2] - py)
-    return dx, dy, tuple(map(math.hypot, dx, dy))
-
-
-def _vertex_pull(i: int, dx, dy, d, ws) -> float:
-    """|sum of the weighted unit pulls of the other two vertices| on vertex i."""
-    j, k = (i + 1) % 3, (i + 2) % 3
-    return math.hypot(ws[j] * dx[j] / d[j] + ws[k] * dx[k] / d[k], ws[j] * dy[j] / d[j] + ws[k] * dy[k] / d[k])
-
-
-def _residual(dx, dy, d, ws) -> float:
-    """first_order_residual from the _offsets of P and the weights ws."""
-    for i in range(3):
-        if d[i] <= 1e-12:
-            return max(0.0, _vertex_pull(i, dx, dy, d, ws) - ws[i])
-    gx = ws[0] * (dx[0] / d[0]) + ws[1] * (dx[1] / d[1]) + ws[2] * (dx[2] / d[2])
-    gy = ws[0] * (dy[0] / d[0]) + ws[1] * (dy[1] / d[1]) + ws[2] * (dy[2] / d[2])
-    return math.hypot(gx, gy)
+def _pull(P: np.ndarray, tri: WeightedTriangle, skip=None) -> float:
+    """|sum of the weighted unit pulls w_j (V_j - P) / |V_j - P|| over the
+    vertices j other than ``skip``."""
+    keep = [j for j in range(3) if j != skip]
+    dv = tri.vertices[keep] - P
+    pulls = tri.weights[keep, None] * dv / np.hypot(dv[:, 0], dv[:, 1])[:, None]
+    return float(np.hypot(*pulls.sum(axis=0)))
 
 
 def first_order_residual(P, tri: WeightedTriangle) -> float:
     """|sum of weighted unit pulls| at an interior P; at a vertex, the
     subgradient excess max(0, |pull from others| - own weight)."""
-    px, py = np.asarray(P, dtype=np.float64).tolist()
-    xs, ys = tri.vertices.T.tolist()
-    return _residual(*_offsets(px, py, xs, ys), tri.weights.tolist())
+    P = np.asarray(P, dtype=np.float64)
+    dv = tri.vertices - P
+    at = np.flatnonzero(np.hypot(dv[:, 0], dv[:, 1]) <= 1e-12)
+    if at.size:
+        return max(0.0, _pull(P, tri, skip=at[0]) - float(tri.weights[at[0]]))
+    return _pull(P, tri)
 
 
-def steiner_point(tri: WeightedTriangle, tol: float = 1e-10, max_iter: int = 200_000):
-    """Minimize the weighted vertex-distance sum by Weiszfeld iteration.
+def _arc_centre(X, Y, Z, cos_angle: float) -> np.ndarray:
+    """Centre of the circle through X and Y from whose arc on Z's side the
+    chord XY is seen at the angle with this cosine (in (-1, 1))."""
+    n = np.array([Y[1] - X[1], X[0] - Y[0]])  # normal to XY, |n| = |XY|
+    if n @ (Z - X) < 0:
+        n = -n
+    # inscribed angle theorem: the centre sits |XY| cot(angle) / 2 from the midpoint
+    return (X + Y) / 2 + 0.5 * cos_angle / math.sqrt(1.0 - cos_angle**2) * n
 
-    Vertex capture is decided first by the subgradient test; otherwise the
-    iteration starts at the weighted vertex centroid.  Returns (point, info)
-    where info records capture/convergence and the first-order residual."""
-    verts, wts = tri.vertices, tri.weights
-    (xs, ys), ws = verts.T.tolist(), wts.tolist()
+
+def steiner_point(tri: WeightedTriangle):
+    """Minimize the weighted vertex-distance sum in closed form.
+
+    Vertex capture is decided first by the subgradient test.  Otherwise the
+    weighted unit pulls at the minimizer P close a triangle with sides
+    (e12, e13, e23), so the law of cosines fixes the angles APB and APC:
+    P lies on the arc through A and B that sees AB at angle APB, and on the
+    arc through A and C that sees AC at angle APC.  Both circles pass
+    through A, so P is A reflected across the line through their centres.
+
+    Returns (point, info): info records ``captured``, the captured
+    ``vertex`` (or None) and the first-order ``residual``; ``converged`` is
+    always True and ``iterations`` always 0."""
+    verts, w = tri.vertices, tri.weights.tolist()
     for i in range(3):
-        if _vertex_pull(i, *_offsets(xs[i], ys[i], xs, ys), ws) <= ws[i] + 1e-14:
+        excess = _pull(verts[i], tri, skip=i) - w[i]
+        if excess <= 1e-14:
             return verts[i].copy(), {
                 "captured": True,
                 "vertex": i,
                 "converged": True,
                 "iterations": 0,
-                "residual": first_order_residual(verts[i], tri),
+                "residual": max(0.0, excess),
             }
-    px, py = ((wts @ verts) / wts.sum()).tolist()
-    it = 0
-    dx, dy, d = _offsets(px, py, xs, ys)
-    res = _residual(dx, dy, d, ws)
-    while res > tol and it < max_iter:
-        if min(d) <= 1e-15:
-            px, py = px + 1e-12, py + 1e-12
-            d = _offsets(px, py, xs, ys)[2]
-        w = (ws[0] / d[0], ws[1] / d[1], ws[2] / d[2])
-        sw = w[0] + w[1] + w[2]
-        px = (w[0] * xs[0] + w[1] * xs[1] + w[2] * xs[2]) / sw
-        py = (w[0] * ys[0] + w[1] * ys[1] + w[2] * ys[2]) / sw
-        dx, dy, d = _offsets(px, py, xs, ys)
-        res = _residual(dx, dy, d, ws)
-        it += 1
-    return np.array([px, py]), {
+    # not captured, so the weights satisfy the strict triangle inequality
+    (A, B, C), (wa, wb, wc) = verts, w
+    o1 = _arc_centre(A, B, C, (wc * wc - wa * wa - wb * wb) / (2 * wa * wb))
+    o2 = _arc_centre(A, C, B, (wb * wb - wa * wa - wc * wc) / (2 * wa * wc))
+    u = o2 - o1
+    P = 2 * (o1 + ((A - o1) @ u) / (u @ u) * u) - A
+    return P, {
         "captured": False,
         "vertex": None,
-        "converged": bool(res <= tol),
-        "iterations": it,
-        "residual": res,
+        "converged": True,
+        "iterations": 0,
+        "residual": first_order_residual(P, tri),
     }
 
 

@@ -201,17 +201,17 @@ def test_criterion_6_dirichlet_hierarchy(slab_solution, double_well):
 
 
 def test_criterion_7_steiner_suite():
-    """Weiszfeld vs brute force, capture, and Young angles."""
+    """Closed-form Steiner point vs brute force, capture, and Young angles."""
     from test_partitions import _brute_force, equilateral, random_steiner_instances
 
     t0 = time.time()
     tri = equilateral()
-    P, info = partitions.steiner_point(tri, tol=1e-12)
+    P, info = partitions.steiner_point(tri)
     centroid_ok = partitions.first_order_residual(P, tri) <= 1e-12
 
     match_ok = True
     for inst in random_steiner_instances():
-        P, _ = partitions.steiner_point(inst, tol=1e-10)
+        P, _ = partitions.steiner_point(inst)
         bf, cell = _brute_force(inst)
         if not np.all(np.abs(P - bf) <= 2 * cell + 1e-12):
             match_ok = False

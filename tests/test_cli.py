@@ -85,7 +85,7 @@ def test_solve_and_diagnose_pipeline(tmp_path):
             "potential": "triple_well",
             "group": "dihedral_3",
             "grid": {"half_width": 6.0, "points": 121},
-            "solver": {"residual_target": 5e-3, "max_iter": 20_000, "check_every": 100},
+            "solver": {"residual_target": 5e-3, "max_iter": 20_000},
             "connection": {"half_length": 5.0, "intervals": 1000},
         },
     )
@@ -151,7 +151,9 @@ TRIOD = {
         ("solve", dict(JUNCTION, solver={"step_rule": "fixed"})),
         ("solve", dict(JUNCTION, solver={"dt": 1e-3})),
         ("solve", dict(JUNCTION, solver={"equivariance_budget": 2.0})),
+        ("solve", dict(JUNCTION, solver={"check_every": 100})),
         ("steiner", {"triangle": EQUILATERAL, "tol": "x"}),
+        ("steiner", {"triangle": EQUILATERAL, "tol": 1e-10}),
         ("connect1d", {"potential": "double_well", "intervals": "lots"}),
         ("connect1d", {"potential": "double_well", "half_length": -1}),
         ("connect1d", {"potential": "double_well", "half_length": 0}),
@@ -190,7 +192,9 @@ TRIOD = {
         "removed-step-rule",
         "removed-dt",
         "removed-equivariance-budget",
+        "removed-check-every",
         "text-tol",
+        "removed-steiner-tol",
         "text-intervals",
         "negative-half-length",
         "zero-half-length",
@@ -222,6 +226,20 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [("solve", "solver", "k_sym"), ("solve", "solver", "check_every"), ("steiner", None, "tol")],
+)
+def test_removed_key_is_named(tmp_path, capsys, command, section, key):
+    if section is None:
+        config = {"triangle": EQUILATERAL, key: 1}
+    else:
+        config = dict(JUNCTION, **{section: {key: 1}})
+    cfg = write_config(tmp_path / "c.json", config)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"{key!r} no longer exists" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["connect1d", "solve"])
@@ -395,7 +413,7 @@ def test_resume_continues_from_saved_field(tmp_path):
         "potential": "triple_well",
         "group": "dihedral_3",
         "grid": {"half_width": 6.0, "points": 121},
-        "solver": {"residual_target": 5e-3, "max_iter": 20_000, "check_every": 100},
+        "solver": {"residual_target": 5e-3, "max_iter": 20_000},
         "connection": {"half_length": 5.0, "intervals": 1000},
     }
     cfg = write_config(tmp_path / "a.json", base)

@@ -277,6 +277,15 @@ def test_initial_guess_symmetrize_fixed_point(junction, dihedral3):
     assert np.max(np.abs((s.values - u0.values)[inner])) <= 2 * h**2 * 18.0
 
 
+def test_symmetrize_identity_action_is_exact():
+    # on this grid (x + R) / h is not integral at every node, so interpolating
+    # the identity pair would round the values it should return unchanged
+    g = fields.Grid(dim=2, half_width=5.0, points=101)
+    u = fields.VectorField(g, np.random.default_rng(3).standard_normal(g.shape + (2,)))
+    s = fields.symmetrize_pairs(u, [(np.eye(2), np.eye(2))])
+    assert np.array_equal(s.values, u.values)
+
+
 def test_initial_guess_rejects_foreign_profile(double_well, triangle_region, dihedral3):
     prof = connect.solve_connection(double_well, [-1.0], [1.0], 6.0, 600)
     grid = fields.Grid(dim=2, half_width=4.0, points=41)
