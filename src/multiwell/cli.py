@@ -122,6 +122,31 @@ def _floats(value) -> np.ndarray:
     return np.atleast_1d(np.asarray(value, dtype=np.float64))
 
 
+def _positive(value) -> float:
+    x = float(value)
+    if not x > 0:
+        raise ValueError("must be positive")
+    return x
+
+
+def _radii(value, half_width: float | None = None) -> np.ndarray:
+    """A non-empty 1-D list of positive radii; ball radii (``half_width``
+    given) are also strictly increasing and at most the half-width."""
+    r = _floats(value)
+    if r.ndim != 1 or not r.size or not np.all(r > 0):
+        raise ValueError("must be a non-empty list of positive radii")
+    if half_width is not None and (np.any(np.diff(r) <= 0) or r[-1] > half_width):
+        raise ValueError(f"must be strictly increasing and at most the half-width {half_width:g}")
+    return r
+
+
+def _strip(value) -> tuple:
+    lo_hi = _floats(value)
+    if lo_hi.shape != (2,) or not lo_hi[0] < lo_hi[1]:
+        raise ValueError("must be two numbers lo < hi")
+    return tuple(lo_hi)
+
+
 def _resolve_potential(config) -> potentials.PotentialSpec:
     if "potential" not in config:
         raise UsageError("config needs a 'potential' entry")
@@ -310,6 +335,14 @@ def cmd_diagnose(args) -> int:
         field = fields.load_field(fcfg["csv"], fcfg["meta"])
     except (OSError, KeyError, ValueError) as e:
         raise UsageError(f"cannot load field: {e}")
+    if pot.m != field.m:
+        raise UsageError(f"'potential' {pot.name!r} takes m = {pot.m} values; the field has m = {field.m}")
+    hw = field.grid.half_width
+    default = np.linspace(0.1 * hw, 0.9 * hw, 10)
+    radii = _param(config, "monotonicity_radii", default, lambda v: _radii(v, hw))
+    flux_radii = _param(config, "flux_radii", [0.3 * hw, 0.5 * hw], _radii)
+    strip = _param(config, "hamiltonian_strip", None, lambda v: None if v is None else _strip(v))
+    angle_radius = _param(config, "angle_radius", 0.6 * hw, _positive)
     h = field.grid.spacing
     payload: dict = {
         "potential": pot.name,
@@ -326,10 +359,6 @@ def cmd_diagnose(args) -> int:
     se = diagnostics.stress_energy(field, pot)
     payload["divergence_residual"] = diagnostics.divergence_residual(se)
     payload["modica_deficit"] = diagnostics.modica_deficit(field, pot)
-    if config.get("monotonicity_radii"):
-        radii = _param(config, "monotonicity_radii", None, _floats)
-    else:
-        radii = np.linspace(0.1 * field.grid.half_width, 0.9 * field.grid.half_width, 10)
     mono = diagnostics.monotonicity_profile(field, pot, np.zeros(field.grid.dim), radii)
     payload["monotonicity_violation"] = mono["max_relative_violation"]
     _write_csv(
@@ -337,16 +366,12 @@ def cmd_diagnose(args) -> int:
         ["radius", "energy", "ratio"],
         zip(mono["radii"], mono["energies"], mono["ratios"]),
     )
-    fcfg2 = _param(config, "flux_radii", [0.3 * field.grid.half_width, 0.5 * field.grid.half_width], _floats)
     try:
-        payload["flux"] = [
-            diagnostics.flux_balance(field, pot, float(r)).tolist() for r in fcfg2
-        ]
+        payload["flux"] = [diagnostics.flux_balance(field, pot, float(r)).tolist() for r in flux_radii]
     except diagnostics.DiagnosticsError as e:
         payload["flux"] = None
         payload["flux_flag"] = str(e)
     if field.grid.dim == 2:
-        strip = _param(config, "hamiltonian_strip", None, lambda v: tuple(_floats(v)) if v else None)
         try:
             ham = diagnostics.hamiltonian_variance(field, pot, strip=strip)
             payload["hamiltonian_relative_variance"] = ham["relative_variance"]
@@ -360,9 +385,7 @@ def cmd_diagnose(args) -> int:
             payload["hamiltonian_flag"] = str(e)
         if pot.wells.shape[0] >= 3:
             try:
-                ang = diagnostics.junction_angles(
-                    field, pot.wells, r0=_param(config, "angle_radius", 0.6 * field.grid.half_width)
-                )
+                ang = diagnostics.junction_angles(field, pot.wells, r0=angle_radius)
                 payload["junction_angles_deg"] = np.degrees(ang["angles"]).tolist()
                 payload["junction_center"] = ang["center"].tolist()
                 payload["single_junction"] = ang["single_junction"]

@@ -1,9 +1,9 @@
 """1D heteroclinic connections between wells by discrete action minimization.
 
 The profile U on [-L, L] has its ends clamped to the wells; its interior
-descends the discrete action, the 1D case of the field energy, by the
-Newton-Krylov loop that also solves the 2D and 3D fields
-(``fields.newton_krylov``) until the collocation residual
+descends the discrete action, which is ``fields.discrete_energy`` of the
+(K+1, m) profile, by the Newton-Krylov loop that also solves the 2D and 3D
+fields (``fields.newton_krylov``) until the collocation residual
 U_{j+1} - 2 U_j + U_{j-1} - h^2 W_u(U_j) is at tolerance.  The action of the
 solved profile is the interface energy sigma fed to the sharp-interface side.
 """
@@ -156,14 +156,7 @@ def solve_connection(
     U[0] = a_minus
     U[-1] = a_plus
 
-    w = np.ones(K + 1)
-    w[0] = w[-1] = 0.5
-
-    def evaluate(V):
-        W, W_u = potential.value_and_grad_field(V)
-        return kernels.link_energy(V, h) + h * float(w @ W), W_u
-
-    U, _, res, _, _, _ = fields.newton_krylov(U, evaluate, potential, h, tol, MAX_STEPS, project)
+    U, _, res, _, _, _ = fields.newton_krylov(U, potential, h, tol, MAX_STEPS, project)
     return ConnectionProfile(
         eta=eta,
         values=U,
@@ -190,9 +183,7 @@ def action(profile: ConnectionProfile) -> float:
     interface energy sigma."""
     dU = profile.derivative()
     integrand = 0.5 * np.sum(dU * dU, axis=1) + profile.potential.value_field(profile.values)
-    w = np.ones(len(integrand))
-    w[0] = w[-1] = 0.5
-    return float(profile.h * (w @ integrand))
+    return float(profile.h * (kernels.trapezoid_weights(integrand.shape) @ integrand))
 
 
 def linearized_spectrum(profile: ConnectionProfile, k: int = 6):

@@ -38,6 +38,14 @@ def _interior_gradients(field: VectorField) -> list[np.ndarray]:
     return grads
 
 
+def _interior_terms(field: VectorField, potential):
+    """The centered gradients, |grad u|^2 and W(u) on interior nodes."""
+    grads = _interior_gradients(field)
+    sq = sum(np.sum(d * d, axis=-1) for d in grads)
+    inner = field.values[_interior_slices(field.grid.dim)]
+    return grads, sq, potential.value_field(inner.reshape(-1, field.m)).reshape(sq.shape)
+
+
 @dataclass(frozen=True)
 class StressEnergy:
     """Node-sampled stress-energy tensor on the interior of the grid.
@@ -66,9 +74,7 @@ class StressEnergy:
 def stress_energy(field: VectorField, potential) -> StressEnergy:
     g = field.grid
     n = g.dim
-    grads = _interior_gradients(field)
-    sq = sum(np.sum(d * d, axis=-1) for d in grads)
-    W = potential.value_field(field.values[_interior_slices(n)].reshape(-1, field.m)).reshape(sq.shape)
+    grads, sq, W = _interior_terms(field, potential)
     diag = 0.5 * sq + W
     shape = sq.shape
     T = np.empty(shape + (n, n))
@@ -95,10 +101,8 @@ def divergence_residual(se: StressEnergy) -> float:
 
 
 def energy_density_interior(field: VectorField, potential) -> np.ndarray:
-    grads = _interior_gradients(field)
-    sq = sum(np.sum(d * d, axis=-1) for d in grads)
-    W = potential.value_field(field.values[_interior_slices(field.grid.dim)].reshape(-1, field.m))
-    return 0.5 * sq + W.reshape(sq.shape)
+    _, sq, W = _interior_terms(field, potential)
+    return 0.5 * sq + W
 
 
 def monotonicity_profile(field: VectorField, potential, x0, radii, strong: bool = False) -> dict:
@@ -133,10 +137,8 @@ def monotonicity_profile(field: VectorField, potential, x0, radii, strong: bool 
 def modica_deficit(field: VectorField, potential) -> float:
     """max over interior nodes of |grad u|^2/2 - W(u); positive = violation
     of the scalar gradient bound."""
-    grads = _interior_gradients(field)
-    sq = sum(np.sum(d * d, axis=-1) for d in grads)
-    W = potential.value_field(field.values[_interior_slices(field.grid.dim)].reshape(-1, field.m))
-    return float((0.5 * sq - W.reshape(sq.shape)).max())
+    _, sq, W = _interior_terms(field, potential)
+    return float((0.5 * sq - W).max())
 
 
 def _full_gradients(field: VectorField) -> list[np.ndarray]:
@@ -165,7 +167,7 @@ def pohozaev_residual(field: VectorField, potential, x0) -> float:
     grads = _full_gradients(field)
     sq = sum(np.sum(d * d, axis=-1) for d in grads)
     W = potential.value_field(field.flat()).reshape(g.shape)
-    wts = g.trapezoid_weights.reshape(g.shape)
+    wts = kernels.trapezoid_weights(g.shape)
     hn = h**n
     vol = (n - 2) / 2.0 * hn * float(np.sum(wts * sq)) + n * hn * float(np.sum(wts * W))
 
@@ -175,14 +177,7 @@ def pohozaev_residual(field: VectorField, potential, x0) -> float:
             face = tuple(idx if b == a else slice(None) for b in range(n))
             sq_face = sq[face]
             nu_dot = side * g.half_width - x0[a]
-            if n == 1:
-                w_face = np.array(1.0)
-            else:
-                w1 = np.ones(g.points)
-                w1[0] = w1[-1] = 0.5
-                w_face = w1
-                for _ in range(n - 2):
-                    w_face = np.multiply.outer(w_face, w1)
+            w_face = kernels.trapezoid_weights(sq_face.shape)
             bdry += side * nu_dot * float(np.sum(w_face * sq_face)) * h ** (n - 1)
     return abs(vol + 0.5 * bdry)
 
@@ -213,8 +208,7 @@ def hamiltonian_variance(field: VectorField, potential, strip=None, decay_tol: f
         ends = np.concatenate([u[0, rows, :], u[-1, rows, :]])
         d = np.linalg.norm(ends[:, None, :] - wells[None, :, :], axis=2).min(axis=1)
         flagged = bool(d.max() > decay_tol)
-    w = np.ones(g.points)
-    w[0] = w[-1] = 0.5
+    w = kernels.trapezoid_weights(axis.shape)
     series = []
     W = potential.value_field(field.flat()).reshape(g.shape)
     for j in rows:

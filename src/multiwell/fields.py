@@ -1,14 +1,14 @@
 """Sampled vector fields on origin-centered box grids and the energy-descent solver.
 
-The discrete free energy is a gradient quadrature over forward-difference
-links plus trapezoid weights for the potential term, so at interior nodes
-its first-order condition is exactly the 3/5/7-point collocation of
-Delta u = W_u(u).  ``newton_krylov`` descends it, for ``minimize`` and for
-the 1D connections of :mod:`multiwell.connect`, by damped Newton steps whose
-Hessian systems -Delta_h + W_uu are solved by truncated conjugate
-gradients, preconditioned by the exact inverse of -Delta_h + 2c^2 (a type-I
-sine transform); an energy backtracking line search keeps every accepted
-step descending.
+The one discrete free energy, ``discrete_energy``, is a gradient quadrature
+over forward-difference links plus the trapezoid rule for the potential
+term, so at interior nodes its first-order condition is exactly the
+3/5/7-point collocation of Delta u = W_u(u).  ``newton_krylov`` descends it,
+for ``minimize`` and for the 1D connections of :mod:`multiwell.connect`, by
+damped Newton steps whose Hessian systems -Delta_h + W_uu are solved by
+truncated conjugate gradients, preconditioned by the exact inverse of
+-Delta_h + 2c^2 (a type-I sine transform); an energy backtracking line
+search keeps every accepted step descending.
 
 Symmetry actions enter only through their projection.  An action that
 permutes grid nodes leaves the discrete energy exactly invariant, so the
@@ -22,7 +22,7 @@ equivariant only up to the O(h^2) error of the square-grid stencil, which
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
 import numpy as np
@@ -81,15 +81,6 @@ class Grid:
         mask[inner] = True
         return mask.ravel()
 
-    @cached_property
-    def trapezoid_weights(self) -> np.ndarray:
-        w = np.ones(self.points)
-        w[0] = w[-1] = 0.5
-        out = w
-        for _ in range(self.dim - 1):
-            out = np.multiply.outer(out, w)
-        return out.ravel()
-
 
 @dataclass
 class VectorField:
@@ -133,32 +124,28 @@ def field_from_function(grid: Grid, fn, m: int) -> VectorField:
 # Energy and residual
 
 
+def discrete_energy(values: np.ndarray, h: float, potential, grad: bool = True):
+    """Free energy of a node-sampled (..., m) array with spacing h: links for
+    |grad u|^2 / 2, trapezoid weights for W(u).  Returns (energy, W_u) with
+    W_u(u) shaped like ``values`` from the same fused potential call, or None
+    when ``grad`` is false."""
+    m = values.shape[-1]
+    if m != potential.m:
+        raise ValueError("field value dimension does not match potential")
+    grad_part = kernels.link_energy(values, h)
+    flat = values.reshape(-1, m)
+    if grad:
+        W, W_u = potential.value_and_grad_field(flat)
+        W_u = W_u.reshape(values.shape)
+    else:
+        W, W_u = potential.value_field(flat), None
+    w = kernels.trapezoid_weights(values.shape[:-1]).ravel()
+    return grad_part + float(w @ W) * h ** (values.ndim - 1), W_u
+
+
 def energy(field: VectorField, potential) -> float:
-    """Free energy: integral of |grad u|^2 / 2 + W(u) over the box.
-
-    Forward differences per cell for the gradient part, trapezoid weights
-    for the potential part.
-    """
-    if field.m != potential.m:
-        raise ValueError("field value dimension does not match potential")
-    g = field.grid
-    h = g.spacing
-    grad_part = kernels.link_energy(field.values, h)
-    w_part = float(g.trapezoid_weights @ potential.value_field(field.flat())) * h**g.dim
-    return grad_part + w_part
-
-
-def energy_and_grad(field: VectorField, potential) -> tuple[float, np.ndarray]:
-    """``energy`` and W_u(u) at every node (shaped like ``field.values``),
-    from one fused potential evaluation."""
-    if field.m != potential.m:
-        raise ValueError("field value dimension does not match potential")
-    g = field.grid
-    h = g.spacing
-    grad_part = kernels.link_energy(field.values, h)
-    W, W_u = potential.value_and_grad_field(field.flat())
-    w_part = float(g.trapezoid_weights @ W) * h**g.dim
-    return grad_part + w_part, W_u.reshape(field.values.shape)
+    """Free energy of a field: integral of |grad u|^2 / 2 + W(u) over the box."""
+    return discrete_energy(field.values, field.grid.spacing, potential, grad=False)[0]
 
 
 def pde_residual(field: VectorField, potential) -> float:
@@ -293,8 +280,7 @@ def initial_guess(group, region_map, profile, grid: Grid) -> VectorField:
             raise ValueError("profile endpoints do not include the base well")
     adj = region_map.well_index(profile.a_minus)
 
-    sym_vals = region_map.symmetrized_profile_values(profile, adj)
-    eta = profile.eta
+    sym_profile = replace(profile, values=region_map.symmetrized_profile_values(profile, adj))
     pts = grid.nodes
     N = wells.shape[0]
     m = wells.shape[1]
@@ -321,19 +307,12 @@ def initial_guess(group, region_map, profile, grid: Grid) -> VectorField:
         dwell = wells[i] - wells[j]
         scale = width * np.linalg.norm(dwell)
         d = (pts @ dwell) / np.linalg.norm(dwell)
-        pvals[q] = _sample_profile(eta, sym_vals, d) @ rep.T
+        pvals[q] = sym_profile.sample(d) @ rep.T
         exponents[:, q] = (deficits[:, i] ** 2 + deficits[:, j] ** 2) / scale**2
     exponents -= exponents.min(axis=1)[:, None]
     w = np.exp(-exponents)
     out = np.einsum("pq,qpm->pm", w, pvals) / w.sum(axis=1)[:, None]
     return VectorField(grid, out.reshape(grid.shape + (m,)))
-
-
-def _sample_profile(eta, values, t):
-    t = np.clip(t, eta[0], eta[-1])
-    idx = np.clip(np.searchsorted(eta, t) - 1, 0, len(eta) - 2)
-    frac = ((t - eta[idx]) / (eta[1] - eta[0]))[:, None]
-    return values[idx] * (1 - frac) + values[idx + 1] * frac
 
 
 # ---------------------------------------------------------------------------
@@ -449,19 +428,18 @@ def _truncated_cg(b, hess_product, precond, tol: float):
     return p
 
 
-def newton_krylov(state, evaluate, potential, h: float, target: float, max_iter: int, project=None):
-    """Descend a discrete energy over the interior nodes of a node-sampled
+def newton_krylov(state, potential, h: float, target: float, max_iter: int, project=None):
+    """Descend ``discrete_energy`` over the interior nodes of a node-sampled
     (..., m) array, boundary layer frozen, by the Newton steps of the module
     docstring until the residual (sup over interior nodes of |Delta_h u -
-    W_u|) is at most ``target``, for at most ``max_iter`` steps.
-    ``evaluate(values)`` returns the energy and W_u at every node.  A linear
+    W_u|) is at most ``target``, for at most ``max_iter`` steps.  A linear
     ``project`` that the Hessian commutes with follows the preconditioner,
     so every direction stays in its class.  A NaN energy raises SolveError.
 
     Returns (values, W_u, residual, steps, energy history, stop reason); the
     reason, "max_iter" or "line_search", matters only above ``target``."""
     # (E, w_u) always belong to the current state: an accepted trial brings its own
-    E, w_u = evaluate(state)
+    E, w_u = discrete_energy(state, h, potential)
     history = [E]
     shift_inverse = _dirichlet_inverse(state.shape, h, 2.0 * potential.c**2)
     precond = shift_inverse if project is None else (lambda r: project(shift_inverse(r)))
@@ -479,7 +457,7 @@ def newton_krylov(state, evaluate, potential, h: float, target: float, max_iter:
         t = 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
             trial = state + t * p
-            E_trial, w_trial = evaluate(trial)
+            E_trial, w_trial = discrete_energy(trial, h, potential)
             if np.isnan(E_trial):
                 raise SolveError("energy became NaN during descent")
             if E_trial <= E + 1e-12:
@@ -520,9 +498,6 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
 
     eq_before = equivariance_residual_pairs(VectorField(g, state), pairs) if pairs else None
 
-    def evaluate(vals):
-        return energy_and_grad(VectorField(g, vals), potential)
-
     def project(vals):
         out = symmetrize_pairs(VectorField(g, vals), pairs).values
         _apply_boundary(out, field.values, bmask)
@@ -535,14 +510,12 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
             raise ValueError(f"boundary values are not equivariant (boundary residual {edge_res:.3e})")
         state = project(state)
 
-    state, w_u, res, it, history, stop = newton_krylov(
-        state, evaluate, potential, h, opts.residual_target, opts.max_iter
-    )
+    state, w_u, res, it, history, stop = newton_krylov(state, potential, h, opts.residual_target, opts.max_iter)
 
     if node_permuting and it:
         # the invariant energy kept the iterates equivariant to rounding
         state = project(state)
-        E, w_u = evaluate(state)
+        E, w_u = discrete_energy(state, h, potential)
         history.append(E)
         res = _residual(state, w_u, g)
     converged = res <= opts.residual_target

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -203,11 +202,16 @@ def build_cubic() -> ReflectionGroup:
     return _build_group("cubic", gens, interior_point=np.array([0.1, 0.22, 0.35]))
 
 
+def _carries(group: ReflectionGroup, src, dst, tol: float = POINT_TOL) -> np.ndarray:
+    """Mask of the group elements g with |g a - b| <= tol for every point
+    pair (a, b) of ``src`` and ``dst``."""
+    return np.all([np.linalg.norm(group.elements @ a - b, axis=1) <= tol for a, b in zip(src, dst)], axis=0)
+
+
 def stabilizer(group: ReflectionGroup, p, tol: float = POINT_TOL) -> ReflectionGroup:
     """Subgroup of elements fixing the point p."""
-    p = np.asarray(p, dtype=np.float64)
     d = group.dimension
-    keep = np.array([g for g in group.elements if np.linalg.norm(g @ p - p) <= tol])
+    keep = group.elements[_carries(group, [p], [p], tol)]
     refl = [g for g in keep if _is_reflection(g)]
     gens = np.array(refl) if refl else np.zeros((0, d, d))
     normals = np.array([_reflection_normal(g) for g in refl]) if refl else np.zeros((0, d))
@@ -300,41 +304,19 @@ class RegionMap:
             dists.append(float(np.dot(x, dw) / np.linalg.norm(dw)))
         return min(dists)
 
-    @cached_property
-    def _pair_cache(self) -> dict:
-        return {}
-
     def pair_rep(self, i: int, j: int, adj: int) -> np.ndarray:
         """Lex-smallest group element mapping (base, wells[adj]) -> (wells[i], wells[j])."""
-        key = (i, j, adj)
-        cache = self._pair_cache
-        if key not in cache:
-            a1 = self.wells[0]
-            a2 = self.wells[adj]
-            best = None
-            for g in self.group.elements:
-                if (
-                    np.linalg.norm(g @ a1 - self.wells[i]) <= POINT_TOL
-                    and np.linalg.norm(g @ a2 - self.wells[j]) <= POINT_TOL
-                ):
-                    best = g
-                    break  # elements are lex sorted
-            if best is None:
-                raise ValueError(
-                    f"no group element maps the base well pair to wells ({i}, {j}); "
-                    "the connection profile does not match this region geometry"
-                )
-            cache[key] = best
-        return cache[key]
+        hits = np.flatnonzero(_carries(self.group, self.wells[[0, adj]], self.wells[[i, j]]))
+        if not hits.size:
+            raise ValueError(
+                f"no group element maps the base well pair to wells ({i}, {j}); "
+                "the connection profile does not match this region geometry"
+            )
+        return self.group.elements[hits[0]]  # elements are lex sorted
 
     def pair_stabilizer_elements(self, adj: int) -> np.ndarray:
-        a1, a2 = self.wells[0], self.wells[adj]
-        keep = [
-            g
-            for g in self.group.elements
-            if np.linalg.norm(g @ a1 - a1) <= POINT_TOL and np.linalg.norm(g @ a2 - a2) <= POINT_TOL
-        ]
-        return np.array(keep)
+        pair = self.wells[[0, adj]]
+        return self.group.elements[_carries(self.group, pair, pair)]
 
     def symmetrized_profile_values(self, profile, adj: int) -> np.ndarray:
         """Profile values projected onto the symmetry class of the well pair:
@@ -362,14 +344,8 @@ def build_region_map(group: ReflectionGroup, base_well) -> RegionMap:
         key=lambda p: tuple(np.round(p, 9)),
     )
     wells = np.vstack([base[None, :]] + [p[None, :] for p in others])
-    reps = []
-    for w in wells:
-        rep = None
-        for g in group.elements:  # lex sorted, first hit is lex-smallest
-            if np.linalg.norm(g @ base - w) <= POINT_TOL:
-                rep = g
-                break
-        reps.append(rep)
+    # elements are lex sorted, so the first hit is the lex-smallest
+    reps = [group.elements[np.argmax(_carries(group, [base], [w]))] for w in wells]
     return RegionMap(
         group=group,
         base_well=base,

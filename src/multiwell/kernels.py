@@ -1,7 +1,7 @@
-"""Hot numeric kernels: grid stencils, link quadrature, multilinear
-interpolation, and per potential kind one fused value-and-gradient kernel
-(with a value-only branch) and, for the closed-form kinds, one Hessian
-kernel; one numpy implementation each.
+"""Hot numeric kernels: grid stencils, the trapezoid rule, link quadrature,
+multilinear interpolation, and per potential kind one fused
+value-and-gradient kernel (with a value-only branch) and, for the
+closed-form kinds, one Hessian kernel; one numpy implementation each.
 
 The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
 work in any grid dimension by slicing one axis at a time.
@@ -216,21 +216,27 @@ def interp(values: np.ndarray, pts: np.ndarray, lo: float, h: float) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Gradient-part quadrature: forward-difference links weighted h^n with
-# trapezoid weights on the transverse axes (so descent is the exact gradient
-# flow of the reported energy at interior nodes).
+# Quadrature: the trapezoid rule on node grids, and the gradient part of the
+# energy as forward-difference links weighted h^n with trapezoid weights on
+# the transverse axes (so descent is the exact gradient flow of the reported
+# energy at interior nodes).
 
 
-def _trap(P):
-    w = np.ones(P)
-    w[0] = w[-1] = 0.5
-    return w
+def trapezoid_weights(shape) -> np.ndarray:
+    """Product trapezoid weights on a node grid of this shape: 1/2 at both
+    ends of every axis, 1 elsewhere (1.0 for the empty shape)."""
+    out = np.ones(())
+    for P in shape:
+        w = np.ones(P)
+        w[0] = w[-1] = 0.5
+        out = np.multiply.outer(out, w)
+    return out
 
 
 def link_energy(values: np.ndarray, h: float) -> float:
     dim = values.ndim - 1
     idx = "ijk"[:dim]
-    weights = [_trap(P) for P in values.shape[:-1]]
+    weights = [trapezoid_weights((P,)) for P in values.shape[:-1]]
     s = 0.0
     for a in range(dim):
         d = np.diff(values, axis=a)

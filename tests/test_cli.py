@@ -229,6 +229,47 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [
+        ("potential", "tetra_well"),
+        ("potential", "double_well"),
+        ("monotonicity_radii", [100.0]),
+        ("monotonicity_radii", [0.0, 1.0]),
+        ("monotonicity_radii", [-1.0, 1.0]),
+        ("monotonicity_radii", [2.0, 1.0]),
+        ("flux_radii", [[1, 2]]),
+        ("flux_radii", [-1.0]),
+        ("hamiltonian_strip", [1.0]),
+        ("hamiltonian_strip", [2.0, -2.0]),
+        ("angle_radius", 0),
+    ],
+    ids=[
+        "m-too-large",
+        "m-too-small",
+        "radius-beyond-box",
+        "zero-radius",
+        "negative-radius",
+        "decreasing-radii",
+        "nested-flux-radii",
+        "negative-flux-radius",
+        "one-number-strip",
+        "reversed-strip",
+        "zero-angle-radius",
+    ],
+)
+def test_bad_diagnose_value_is_usage_error(tmp_path, capsys, key, value):
+    g = fields.Grid(dim=2, half_width=4.0, points=21)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.json"
+    fields.save_field(fields.VectorField(g, np.random.default_rng(0).normal(size=g.shape + (2,))), csv, meta)
+    config = {"potential": "triple_well", "field": {"csv": str(csv), "meta": str(meta)}, key: value}
+    cfg = write_config(tmp_path / "c.json", config)
+    assert run(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err and repr(key) in err
+    assert not list((tmp_path / "o").iterdir())  # rejected before any output is written
+
+
+@pytest.mark.parametrize(
     "command, section, key",
     [("solve", "solver", "k_sym"), ("solve", "solver", "check_every"), ("steiner", None, "tol")],
 )

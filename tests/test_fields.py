@@ -47,6 +47,24 @@ def test_energy_dimension_mismatch(double_well):
         fields.energy(f, double_well)
 
 
+@pytest.mark.parametrize(
+    "group, name, dim, points",
+    [("cubic", "ginzburg_landau_3", 3, 9), ("dihedral_4", "ginzburg_landau_2", 2, 21), (None, "double_well", 2, 21)],
+    ids=["cubic", "dihedral_4", "reflection"],
+)
+def test_energy_invariant_under_node_permuting_actions(group, name, dim, points):
+    # an action that permutes grid nodes permutes the links and the trapezoid
+    # weights, so the discrete energy of every image agrees to rounding
+    potential = potentials.get_potential(name)
+    pairs = fields.as_pairs(groups.get_group(group)) if group else fields.reflection_pairs(2, 1)
+    g = fields.Grid(dim=dim, half_width=2.0, points=points)
+    u = fields.VectorField(g, np.random.default_rng(0).normal(size=g.shape + (potential.m,)))
+    E = fields.energy(u, potential)
+    for pair in pairs:
+        image = fields.symmetrize_pairs(u, [pair])
+        assert fields.energy(image, potential) == pytest.approx(E, rel=1e-12, abs=0)
+
+
 def test_pde_residual_exact_well(double_well):
     g = fields.Grid(dim=2, half_width=3.0, points=61)
     assert fields.pde_residual(fields.constant_field(g, [1.0]), double_well) == 0.0
@@ -217,15 +235,15 @@ def test_solve_result_names_method_and_stop_reason(
     res = fields.minimize(junction["initial"], triple_well, symmetry=dihedral3, opts=opts)
     assert (res.method, res.stop_reason, res.iterations) == ("newton", "max_iter", 1)
     # an energy that rises on every evaluation defeats the Newton line search;
-    # minimize takes energy and W_u from the fused energy_and_grad
+    # minimize takes energy and W_u from the fused discrete_energy
     calls = []
-    fused = fields.energy_and_grad
+    fused = fields.discrete_energy
 
-    def rising_energy(field, potential):
+    def rising_energy(values, h, potential, grad=True):
         calls.append(None)
-        return float(len(calls)), fused(field, potential)[1]
+        return float(len(calls)), fused(values, h, potential, grad)[1]
 
-    monkeypatch.setattr(fields, "energy_and_grad", rising_energy)
+    monkeypatch.setattr(fields, "discrete_energy", rising_energy)
     res = fields.minimize(f0, double_well, opts=fields.SolveOptions(residual_target=1e-12))
     assert (res.method, res.stop_reason, res.converged, res.iterations) == ("newton", "line_search", False, 0)
 

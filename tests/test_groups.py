@@ -91,6 +91,33 @@ def test_stabilizer_cases(cubic, dihedral3):
     assert groups.stabilizer(dihedral3, np.array([0.37, 0.21])).order == 1
 
 
+def test_region_map_searches_match_elementwise_loop(tetrahedral, triangle_region):
+    # the vectorized element searches against a loop over the lex-sorted
+    # elements, whose first hit is the lex-smallest element
+    def carries(g, src, dst):
+        return all(np.linalg.norm(g @ a - b) <= groups.POINT_TOL for a, b in zip(src, dst))
+
+    def first(grp, src, dst):
+        return next((g for g in grp.elements if carries(g, src, dst)), None)
+
+    for rm in (triangle_region, groups.build_region_map(tetrahedral, potentials.TETRA_A1)):
+        grp, wells = rm.group, rm.wells
+        for w, rep in zip(wells, rm.coset_reps):
+            assert np.array_equal(rep, first(grp, [wells[0]], [w]))
+        for adj in range(1, rm.orbit_size):
+            pair = wells[[0, adj]]
+            loop = [g for g in grp.elements if carries(g, pair, pair)]
+            assert np.array_equal(rm.pair_stabilizer_elements(adj), np.array(loop))
+            for i in range(rm.orbit_size):
+                for j in range(rm.orbit_size):
+                    ref = first(grp, pair, wells[[i, j]])
+                    if ref is None:
+                        with pytest.raises(ValueError):
+                            rm.pair_rep(i, j, adj)
+                    else:
+                        assert np.array_equal(rm.pair_rep(i, j, adj), ref)
+
+
 def test_fundamental_region_tiles(cubic, tetrahedral, dihedral3):
     rng = np.random.default_rng(11)
     for g in (cubic, tetrahedral, dihedral3):

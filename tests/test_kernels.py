@@ -78,6 +78,19 @@ def test_link_energy_quadrature_value(dim):
     assert np.isclose(kernels.link_energy(vals, h), expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(), (5,), (5, 7), (3, 5, 7)], ids=["0d", "1d", "2d", "3d"])
+def test_trapezoid_weights(shape):
+    # the product of the 1D rules, summing to the cell count exactly
+    w = kernels.trapezoid_weights(shape)
+    expected = np.ones(())
+    for P in shape:
+        w1 = np.r_[0.5, np.ones(P - 2), 0.5]
+        expected = np.multiply.outer(expected, w1)
+    assert w.shape == shape
+    assert np.array_equal(w, expected)
+    assert w.sum() == np.prod([P - 1 for P in shape])
+
+
 def test_potential_kernels_agree():
     # the prodwell/tetra fused kernels agree with the generic polynomial kernel
     for name in ("double_well", "triple_well", "tetra_well"):
