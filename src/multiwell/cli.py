@@ -173,6 +173,7 @@ def _resolve_group(config) -> groups.ReflectionGroup:
 
 
 def _out_dir(args) -> str:
+    """The --out directory, made just before the first write so that a rejected config leaves none."""
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
@@ -184,7 +185,6 @@ def _out_dir(args) -> str:
 def cmd_connect1d(args) -> int:
     config = _load_config(args)
     pot = _resolve_potential(config)
-    out = _out_dir(args)
     half_length = _param(config, "half_length", 10.0)
     intervals = _param(config, "intervals", 2000, _positive_int)
     tol = _param(config, "tol", 1e-8)
@@ -205,6 +205,7 @@ def cmd_connect1d(args) -> int:
     except connect.ConnectionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    out = _out_dir(args)
     connect.save_profile(prof, os.path.join(out, "profile.csv"))
     sigma = connect.action(prof)
     payload = {
@@ -239,7 +240,6 @@ def cmd_solve(args) -> int:
     config = _load_config(args)
     pot = _resolve_potential(config)
     grp = _resolve_group(config)
-    out = _out_dir(args)
     if grp.dimension != pot.m or pot.m not in (2, 3):
         raise UsageError(
             f"need matching dimensions n = m in {{2, 3}}; group acts on R^{grp.dimension}, "
@@ -298,6 +298,7 @@ def cmd_solve(args) -> int:
         return EXIT_NUMERICAL
     except ValueError as e:  # a resume field whose boundary the action would reset
         raise UsageError(f"bad start field: {e}")
+    out = _out_dir(args)
     fields.save_field(
         result.field,
         os.path.join(out, "field.csv"),
@@ -327,7 +328,6 @@ def cmd_solve(args) -> int:
 def cmd_diagnose(args) -> int:
     config = _load_config(args)
     pot = _resolve_potential(config)
-    out = _out_dir(args)
     fcfg = config.get("field")
     if not fcfg:
         raise UsageError("config needs 'field': {'csv': ..., 'meta': ...}")
@@ -361,6 +361,7 @@ def cmd_diagnose(args) -> int:
     payload["modica_deficit"] = diagnostics.modica_deficit(field, pot)
     mono = diagnostics.monotonicity_profile(field, pot, np.zeros(field.grid.dim), radii)
     payload["monotonicity_violation"] = mono["max_relative_violation"]
+    out = _out_dir(args)
     _write_csv(
         os.path.join(out, "monotonicity.csv"),
         ["radius", "energy", "ratio"],
@@ -424,7 +425,6 @@ def _triangle(cells) -> partitions.WeightedTriangle:
 
 def cmd_steiner(args) -> int:
     config = _load_config(args)
-    out = _out_dir(args)
     if "tol" in config:
         raise UsageError("steiner key 'tol' no longer exists: the Steiner point is computed in closed form")
     rows = _steiner_rows(config)
@@ -447,6 +447,7 @@ def cmd_steiner(args) -> int:
         except ValueError as e:  # malformed row or partitions.PartitionError
             n_err += 1
             out_rows.append([str(i), "", "", "", "", "", str(e)])
+    out = _out_dir(args)
     _write_csv(
         os.path.join(out, "steiner.csv"),
         ["index", "px", "py", "residual", "captured", "converged", "error"],
@@ -463,7 +464,6 @@ def cmd_steiner(args) -> int:
 
 def cmd_partition(args) -> int:
     config = _load_config(args)
-    out = _out_dir(args)
     pcfg = config.get("partition")
     if pcfg is None:
         raise UsageError("config needs a 'partition' entry (inline JSON or path)")
@@ -503,6 +503,7 @@ def cmd_partition(args) -> int:
                 partitions.partition_energy(part, tensions, w),
             ]
         )
+    out = _out_dir(args)
     _write_csv(os.path.join(out, "density.csv"), ["radius", "density", "energy"], rows)
     seq = partitions.blow_down(part, center, scales)
     unit = partitions.disk(center, 1.0)

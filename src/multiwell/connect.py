@@ -244,8 +244,4 @@ def tail_decay_rate(profile: ConnectionProfile, lo: float = 1e-10, hi: float = 1
 
 def save_profile(profile: ConnectionProfile, csv_path):
     header = ["eta"] + [f"U{i + 1}" for i in range(profile.m)]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, row in zip(profile.eta, profile.values):
-            cells = [format(t, ".17g")] + [format(v, ".17g") for v in row]
-            fh.write(",".join(cells) + "\n")
+    fields.write_csv(csv_path, header, np.column_stack([profile.eta, profile.values]))

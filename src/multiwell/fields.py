@@ -10,13 +10,16 @@ truncated conjugate gradients, preconditioned by the exact inverse of
 -Delta_h + 2c^2 (a type-I sine transform); an energy backtracking line
 search keeps every accepted step descending.
 
-Symmetry actions enter only through their projection.  An action that
-permutes grid nodes leaves the discrete energy exactly invariant, so the
-iterates keep the equivariance of their start to rounding: the start is
-projected once before the first step and once after the last.  An action
-that rotates the grid is never projected.  The discrete critical point is
-equivariant only up to the O(h^2) error of the square-grid stencil, which
-``minimize`` reports as the equivariance defect after the solve.
+Symmetry actions enter only through their projection.  Per element, a
+box-preserving g_x maps nodes to nodes, so u(g_x x) is read as a node image
+(a flipped, transposed view of the stored values); only an element that
+rotates the grid is interpolated.  An action that permutes grid nodes
+leaves the discrete energy exactly invariant, so the iterates keep the
+equivariance of their start to rounding: the start is projected once before
+the first step and once after the last.  An action that rotates the grid is
+never projected.  The discrete critical point is equivariant only up to the
+O(h^2) error of the square-grid stencil, which ``minimize`` reports as the
+equivariance defect after the solve.
 """
 
 from __future__ import annotations
@@ -195,16 +198,32 @@ def _is_identity(gx: np.ndarray, gu: np.ndarray) -> bool:
     return np.array_equal(gx, np.eye(gx.shape[0])) and np.array_equal(gu, np.eye(gu.shape[0]))
 
 
+def _node_image(values: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """u(g_x x) at every node for a box-preserving g_x, as a view of the
+    (grid.shape + (m,)) array ``values``.  A signed permutation,
+    (g_x x)_a = s_a x_src[a], maps the nodes of an origin-centred grid with
+    the same odd point count on every axis onto themselves: flip the axes
+    with s_a < 0, then read axis src[a] as axis a."""
+    P = np.rint(gx)
+    src = np.abs(P).argmax(axis=1)
+    sign = P[np.arange(src.size), src]
+    flipped = np.flip(values, axis=tuple(np.flatnonzero(sign < 0)))
+    return np.transpose(flipped, tuple(np.argsort(src)) + (values.ndim - 1,))
+
+
 def symmetrize_pairs(field: VectorField, pairs) -> VectorField:
     """Project a sampled field onto the equivariant class of the action pairs:
     the average of g_u^{-1} u(g_x x) over all pairs.
 
-    Orthogonal maps preserve the 2-norm, so on the inscribed ball every
-    sample g_x x stays inside the box and the average is the exact
-    projection (up to interpolation error).  Signed-permutation actions
-    preserve the whole box and are averaged everywhere; otherwise the
-    projection is blended back into the input over a thin shell at the ball
-    edge and the corner region keeps the input values."""
+    A box-preserving g_x maps nodes to nodes, so u(g_x x) is read off the
+    stored values (``_node_image``); only an element that rotates the grid
+    is interpolated.  Orthogonal maps preserve the 2-norm, so on the
+    inscribed ball every sample g_x x stays inside the box and the average
+    is the exact projection (up to interpolation error).  Signed-permutation
+    actions preserve the whole box and are averaged everywhere, from node
+    images alone; otherwise the projection is blended back into the input
+    over a thin shell at the ball edge and the corner region keeps the input
+    values."""
     g = field.grid
     pts = g.nodes
     R = g.half_width
@@ -212,9 +231,10 @@ def symmetrize_pairs(field: VectorField, pairs) -> VectorField:
     for gx, gu in pairs:
         if _is_identity(gx, gu):
             acc += field.flat()
-            continue
-        vals = kernels.interp(field.values, pts @ gx.T, -R, g.spacing)
-        acc += vals @ gu
+        elif _box_preserving(gx):
+            acc += _node_image(field.values, gx).reshape(-1, field.m) @ gu
+        else:
+            acc += kernels.interp(field.values, pts @ gx.T, -R, g.spacing) @ gu
     acc /= len(pairs)
     if not all(_box_preserving(gx) for gx, _ in pairs):
         r = np.linalg.norm(pts, axis=1)
@@ -231,23 +251,29 @@ def equivariance_residual_pairs(field: VectorField, pairs) -> float:
     exact (every compared sample stays inside the sampled domain)."""
     g = field.grid
     if all(_box_preserving(gx) for gx, _ in pairs):
-        sel = np.ones(g.nodes.shape[0], dtype=bool)
+        sel = slice(None)
     else:
         sel = np.linalg.norm(g.nodes, axis=1) <= SYM_MEASURE_FRAC * g.half_width + BOX_EDGE_TOL
     return _equivariance_defect(field.values, g, pairs, sel)
 
 
-def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel: np.ndarray) -> float:
-    """max over the pairs and the nodes ``sel`` picks of |u(g x) - g u(x)|,
-    interpolating only those nodes; the identity pair, which compares u(x)
-    with itself, is skipped."""
-    pts = grid.nodes[sel]
-    flat = values.reshape(-1, values.shape[-1])[sel]
+def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
+    """max over the pairs and the nodes ``sel`` (a mask or slice of the flat
+    nodes) picks of |u(g x) - g u(x)|: node images for box-preserving
+    elements, interpolation at the picked nodes only for the others; the
+    identity pair, which compares u(x) with itself, is skipped."""
+    m = values.shape[-1]
+    flat = values.reshape(-1, m)[sel]
+    pts = None
     worst = 0.0
     for gx, gu in pairs:
         if _is_identity(gx, gu):
             continue
-        lhs = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing)
+        if _box_preserving(gx):
+            lhs = _node_image(values, gx).reshape(-1, m)[sel]
+        else:
+            pts = grid.nodes[sel] if pts is None else pts
+            lhs = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing)
         diff = np.sqrt(np.sum((lhs - flat @ gu.T) ** 2, axis=1))
         worst = max(worst, float(diff.max()))
     return worst
@@ -486,8 +512,9 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     nodes to boundary nodes, so boundary values that are not equivariant
     raise ValueError: the projection would reset them and the solve could
     not converge.  An action that rotates the grid is only measured, before
-    and after: its projection interpolates, and the discrete critical point
-    is equivariant only up to the O(h^2) error of the square-grid stencil.
+    and after: its projection interpolates the rotating elements, and the
+    discrete critical point is equivariant only up to the O(h^2) error of
+    the square-grid stencil.
     """
     opts = opts or SolveOptions()
     g = field.grid
@@ -570,16 +597,19 @@ def positivity_violation(field: VectorField, wall_normals: np.ndarray) -> float:
 # CSV / JSON persistence (17 significant digits for byte-reproducible round trips)
 
 
+def write_csv(path, header, table: np.ndarray):
+    """A header line, then one line of %.17g cells (the strings of
+    ``format(v, ".17g")``) per row of the 2D float table, formatted in one pass."""
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((row_fmt * table.shape[0]) % tuple(table.ravel().tolist()))
+
+
 def save_field(field: VectorField, csv_path, meta_path, extra_meta: dict | None = None):
     g = field.grid
-    pts = g.nodes
-    flat = field.flat()
     header = [f"x{i + 1}" for i in range(g.dim)] + [f"u{i + 1}" for i in range(field.m)]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row_pt, row_u in zip(pts, flat):
-            cells = [format(v, ".17g") for v in row_pt] + [format(v, ".17g") for v in row_u]
-            fh.write(",".join(cells) + "\n")
+    write_csv(csv_path, header, np.hstack([g.nodes, field.flat()]))
     meta = {
         "dim": g.dim,
         "half_width": g.half_width,

@@ -229,6 +229,25 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
 
 
 @pytest.mark.parametrize(
+    "command, config",
+    [
+        ("connect1d", {"potential": "double_well", "tol": -1}),
+        ("solve", dict(JUNCTION, connection={"tol": -1})),
+        ("diagnose", {"potential": "double_well", "field": {"csv": "missing.csv", "meta": "missing.json"}}),
+        ("steiner", {"triangle": EQUILATERAL, "tol": 1e-10}),
+        ("partition", {"partition": TRIOD, "blowdown_scales": [0.5, 1.0]}),
+    ],
+    ids=["connect1d", "solve", "diagnose", "steiner", "partition"],
+)
+def test_usage_error_creates_no_out_directory(tmp_path, command, config):
+    # the output directory is made just before the first write, so a
+    # rejected config leaves nothing behind
+    cfg = write_config(tmp_path / "c.json", config)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("potential", "tetra_well"),
@@ -266,7 +285,7 @@ def test_bad_diagnose_value_is_usage_error(tmp_path, capsys, key, value):
     assert run(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err and repr(key) in err
-    assert not list((tmp_path / "o").iterdir())  # rejected before any output is written
+    assert not (tmp_path / "o").exists()  # rejected before any output is written
 
 
 @pytest.mark.parametrize(

@@ -304,6 +304,64 @@ def test_symmetrize_identity_action_is_exact():
     assert np.array_equal(s.values, u.values)
 
 
+def _box_preserving_elements(action: str, dim: int) -> list:
+    if action == "reflection_pairs":
+        return [fields.reflection_pairs(dim, 1, x_axis=a)[1][0] for a in range(dim)]
+    return [gx for gx in groups.get_group(action).elements if fields._box_preserving(gx)]
+
+
+@pytest.mark.parametrize(
+    "action, dim",
+    [
+        ("dihedral_2", 2),
+        ("dihedral_3", 2),
+        ("dihedral_4", 2),
+        ("dihedral_6", 2),
+        ("tetrahedral", 3),
+        ("cubic", 3),
+        ("reflection_pairs", 2),
+        ("reflection_pairs", 3),
+    ],
+)
+def test_node_image_matches_rounding_gather(action, dim):
+    # a box-preserving g_x maps every node to a node, so u(g_x x) is the
+    # stored value at the node nearest to g_x x, bit for bit
+    elements = _box_preserving_elements(action, dim)
+    assert elements
+    for points in (9, 17, 33) if dim == 2 else (9, 17):
+        g = fields.Grid(dim=dim, half_width=2.5, points=points)
+        u = np.random.default_rng(points).normal(size=g.shape + (2,))
+        flat = u.reshape(-1, 2)
+        for gx in elements:
+            idx = np.rint((g.nodes @ gx.T + g.half_width) / g.spacing).astype(int)
+            gathered = flat[np.ravel_multi_index(tuple(idx.T), g.shape)]
+            assert np.array_equal(fields._node_image(u, gx).reshape(-1, 2), gathered)
+
+
+@pytest.mark.parametrize(
+    "action, dim, points",
+    [("reflection_pairs", 2, 101), ("dihedral_2", 2, 101), ("dihedral_4", 2, 101), ("cubic", 3, 21)],
+)
+def test_node_permuting_projection_is_exact(action, dim, points):
+    # on 101^2 at half-width 5, interpolating at reflected nodes is off by up
+    # to 1e-13; node images are the stored values, so a two-element action is
+    # projected exactly and the larger groups only to summation rounding
+    if action == "reflection_pairs":
+        pairs = fields.reflection_pairs(dim, 1)
+    else:
+        pairs = fields.as_pairs(groups.get_group(action))
+    g = fields.Grid(dim=dim, half_width=5.0, points=points)
+    m = pairs[0][1].shape[0]
+    u = fields.VectorField(g, np.random.default_rng(1).normal(size=g.shape + (m,)))
+    s = fields.symmetrize_pairs(u, pairs)
+    res = fields.equivariance_residual_pairs(s, pairs)
+    if action == "reflection_pairs":
+        assert res == 0.0
+        assert np.array_equal(fields.symmetrize_pairs(s, pairs).values, s.values)
+    else:
+        assert res <= 1e-14 * np.abs(s.values).max()
+
+
 def test_initial_guess_rejects_foreign_profile(double_well, triangle_region, dihedral3):
     prof = connect.solve_connection(double_well, [-1.0], [1.0], 6.0, 600)
     grid = fields.Grid(dim=2, half_width=4.0, points=41)
@@ -542,3 +600,28 @@ def test_field_csv_roundtrip_bitwise(tmp_path, junction):
     back = fields.load_field(csv, meta)
     assert np.array_equal(back.values, f.values)  # 17 significant digits round-trip
     assert back.grid == f.grid
+
+
+def test_csv_writers_match_per_value_format(tmp_path, double_well):
+    # the one-pass %.17g writers give the bytes of format(v, ".17g") per value
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e16, 2.0**53, np.inf, -np.inf, np.nan, 0.1, -1.0 / 3.0]
+    rng = np.random.default_rng(7)
+    g = fields.Grid(dim=2, half_width=1.5, points=9)
+    vals = rng.normal(size=g.shape + (2,)) * 10.0 ** rng.uniform(-30, 30, size=g.shape + (2,))
+    vals.ravel()[: len(special)] = special
+    field = fields.VectorField(g, vals)
+    eta = np.linspace(-3.0, 3.0, 41)
+    values = np.tanh(eta)[:, None] * 10.0 ** rng.uniform(-300, 300, size=(41, 1))
+    values[: len(special), 0] = special
+    prof = connect.ConnectionProfile(eta, values, np.array([-1.0]), np.array([1.0]), double_well)
+
+    def expected(header, table):
+        rows = [",".join(format(v, ".17g") for v in row) for row in table]
+        return "\n".join([",".join(header)] + rows) + "\n"
+
+    fields.save_field(field, tmp_path / "f.csv", tmp_path / "f.json")
+    table = np.hstack([g.nodes, field.flat()])
+    assert (tmp_path / "f.csv").read_text() == expected(["x1", "x2", "u1", "u2"], table)
+    connect.save_profile(prof, tmp_path / "p.csv")
+    table = np.column_stack([eta, values])
+    assert (tmp_path / "p.csv").read_text() == expected(["eta", "U1"], table)
