@@ -4,12 +4,14 @@ Subcommands: connect1d, solve, diagnose, steiner, partition.  Runs are
 deterministic: identical config and seed produce byte-identical outputs
 (floats are written with 17 significant digits), and every report embeds
 the config hash, seed, and tool version.  Exit codes: 0 success, 1 usage
-or config error, 2 numerical failure.
+or config error, 2 numerical failure.  Each subcommand reads its config by
+its table in ``TABLES``; a key outside the table is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -78,43 +80,14 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
 
 
-def _load_config(args) -> dict:
-    if args.config is None:
-        raise UsageError("--config is required")
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config not found: {args.config}")
-    except json.JSONDecodeError as e:
-        raise UsageError(f"config is not valid JSON: {e}")
-    if not isinstance(config, dict):
-        raise UsageError("config must be a JSON object")
-    return config
+REQUIRED = object()  # the default of a key that a config must set
 
 
-def _section(config: dict, key: str) -> dict:
-    section = config.get(key, {})
-    if not isinstance(section, dict):
-        raise UsageError(f"config entry {key!r} must be a JSON object")
-    return section
-
-
-def _param(section: dict, key: str, default, convert=float):
-    """``convert`` applied to ``section[key]`` (``default`` when absent); a
-    value it rejects with ValueError or TypeError is a usage error."""
-    value = section.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"bad value for {key!r}: {value!r} ({e})")
-
-
-def _positive_int(value) -> int:
-    n = int(value)
-    if n < 1:
-        raise ValueError("must be a positive integer")
-    return n
+def _int(value) -> int:
+    """An integer; booleans and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError("must be an integer")
+    return int(value)
 
 
 def _floats(value) -> np.ndarray:
@@ -129,14 +102,14 @@ def _positive(value) -> float:
     return x
 
 
-def _radii(value, half_width: float | None = None) -> np.ndarray:
-    """A non-empty 1-D list of positive radii; ball radii (``half_width``
-    given) are also strictly increasing and at most the half-width."""
+def _radii(value, order: int = 0) -> np.ndarray:
+    """A non-empty 1-D list of positive numbers, strictly increasing for
+    ``order`` 1 and strictly decreasing for ``order`` -1."""
     r = _floats(value)
     if r.ndim != 1 or not r.size or not np.all(r > 0):
-        raise ValueError("must be a non-empty list of positive radii")
-    if half_width is not None and (np.any(np.diff(r) <= 0) or r[-1] > half_width):
-        raise ValueError(f"must be strictly increasing and at most the half-width {half_width:g}")
+        raise ValueError("must be a non-empty list of positive numbers")
+    if order and not np.all(order * np.diff(r) > 0):
+        raise ValueError("must be strictly " + ("increasing" if order > 0 else "decreasing"))
     return r
 
 
@@ -147,29 +120,140 @@ def _strip(value) -> tuple:
     return tuple(lo_hi)
 
 
-def _resolve_potential(config) -> potentials.PotentialSpec:
-    if "potential" not in config:
-        raise UsageError("config needs a 'potential' entry")
-    pot = config["potential"]
-    if isinstance(pot, dict) or (isinstance(pot, str) and pot.endswith(".json")):
-        try:
-            return potentials.potential_from_json(pot)
-        except (OSError, KeyError, ValueError) as e:
-            raise UsageError(f"bad custom potential: {e}")
-    try:
-        return potentials.get_potential(pot)
-    except KeyError as e:
-        raise UsageError(str(e))
+def _point(value) -> np.ndarray:
+    p = _floats(value)
+    if p.shape != (2,):
+        raise ValueError("must be a point [x, y]")
+    return p
 
 
-def _resolve_group(config) -> groups.ReflectionGroup:
-    name = config.get("group")
-    if name is None:
-        raise UsageError("config needs a 'group' entry")
+def _wells(value) -> tuple:
+    a_minus, a_plus = (_floats(w) for w in value)
+    return a_minus, a_plus
+
+
+def _path(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise TypeError("must be a non-empty path string")
+    return value
+
+
+def _potential(value) -> potentials.PotentialSpec:
+    """A catalog name, or a custom potential inline or as the path of its JSON file."""
+    if isinstance(value, dict) or (isinstance(value, str) and value.endswith(".json")):
+        return potentials.potential_from_json(value)
+    return potentials.get_potential(value)
+
+
+def _group(value) -> groups.ReflectionGroup:
+    if not isinstance(value, str):
+        raise TypeError("must be a group name")
+    return groups.get_group(value)
+
+
+def _partition(value) -> partitions.PolygonalPartition:
+    """An inline partition, or the path of its JSON file."""
+    if isinstance(value, str):
+        with open(value) as fh:
+            value = json.load(fh)
+    if not isinstance(value, dict):
+        raise TypeError("must be a partition object or the path of one")
+    return partitions.partition_from_json(value)
+
+
+def _x_cone(value) -> str:
+    if value != "x_cone":
+        raise ValueError("the only reference is 'x_cone'")
+    return value
+
+
+# One table per subcommand: each key maps to (converter, default) and a nested
+# dict is a section.  A default of None that depends on the loaded field is
+# filled in by the command.
+TABLES = {
+    "connect1d": {
+        "potential": (_potential, REQUIRED),
+        "half_length": (float, 10.0),
+        "intervals": (_int, 2000),
+        "tol": (float, 1e-8),
+        "wells": (_wells, None),
+    },
+    "solve": {
+        "potential": (_potential, REQUIRED),
+        "group": (_group, REQUIRED),
+        "grid": {"half_width": (float, 8.0), "points": (_int, 161)},
+        "solver": {"max_iter": (_int, 100_000), "residual_target": (_positive, 1e-3)},
+        "connection": {"half_length": (float, 6.0), "intervals": (_int, 1200), "tol": (float, 1e-9)},
+        "resume": {"field": (_path, REQUIRED), "meta": (_path, REQUIRED)},
+    },
+    "diagnose": {
+        "potential": (_potential, REQUIRED),
+        "field": {"csv": (_path, REQUIRED), "meta": (_path, REQUIRED)},
+        "monotonicity_radii": (lambda v: _radii(v, 1), None),
+        "flux_radii": (_radii, None),
+        "hamiltonian_strip": (_strip, None),
+        "angle_radius": (_positive, None),
+    },
+    "steiner": {
+        "batch": (_path, None),
+        "triangle": {"A": (_point, REQUIRED), "B": (_point, REQUIRED), "C": (_point, REQUIRED),
+                     "e12": (float, REQUIRED), "e13": (float, REQUIRED), "e23": (float, REQUIRED)},
+    },
+    "partition": {
+        "partition": (_partition, REQUIRED),
+        "tensions": (partitions.TensionMatrix, None),
+        "center": (_point, np.zeros(2)),
+        "radii": (_radii, np.linspace(0.2, 2.0, 10)),
+        "blowdown_scales": (lambda v: _radii(v, -1), np.array([1.0, 0.5, 0.25, 0.125])),
+        "blowdown_reference": (_x_cone, None),
+    },
+}
+
+
+def _read(section, table: dict, where: str) -> dict:
+    """Every key of ``table`` read from ``section``: converted, or its default
+    when absent.  A section absent from the config reads as its defaults, or
+    as None when it has a required key.  A key outside the table, a value its
+    converter rejects (or a path it cannot open) and a missing required key
+    are usage errors."""
+    if not isinstance(section, dict):
+        raise UsageError(f"config entry {where!r} must be a JSON object")
+    for key in section:
+        if key not in table:
+            hint = difflib.get_close_matches(key, table, n=1)
+            raise UsageError(f"{where} key {key!r} is unknown" + (f"; did you mean {hint[0]!r}?" if hint else ""))
+    out = {}
+    for key, spec in table.items():
+        if isinstance(spec, dict):
+            skip = key not in section and any(default is REQUIRED for _, default in spec.values())
+            out[key] = None if skip else _read(section.get(key, {}), spec, key)
+        elif key in section:
+            value = section[key]
+            try:
+                out[key] = spec[0](value)
+            except (ValueError, TypeError, LookupError, OSError) as e:  # OSError: an unreadable path
+                raise UsageError(f"bad value for {key!r}: {value!r} ({e})")
+        elif spec[1] is REQUIRED:
+            raise UsageError(f"{where} needs a {key!r} entry")
+        else:
+            out[key] = spec[1]
+    return out
+
+
+def _load_config(args) -> tuple:
+    """The config as loaded, and as read by its subcommand's table."""
+    if args.config is None:
+        raise UsageError("--config is required")
     try:
-        return groups.get_group(name)
-    except (KeyError, ValueError) as e:
-        raise UsageError(str(e))
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except FileNotFoundError:
+        raise UsageError(f"config not found: {args.config}")
+    except json.JSONDecodeError as e:
+        raise UsageError(f"config is not valid JSON: {e}")
+    if not isinstance(config, dict):
+        raise UsageError("config must be a JSON object")
+    return config, _read(config, TABLES[args.command], args.command)
 
 
 def _out_dir(args) -> str:
@@ -183,23 +267,13 @@ def _out_dir(args) -> str:
 
 
 def cmd_connect1d(args) -> int:
-    config = _load_config(args)
-    pot = _resolve_potential(config)
-    half_length = _param(config, "half_length", 10.0)
-    intervals = _param(config, "intervals", 2000, _positive_int)
-    tol = _param(config, "tol", 1e-8)
-    wells_cfg = config.get("wells")
-    if wells_cfg is None:
-        if pot.wells.shape[0] < 2:
-            raise UsageError("potential has fewer than two wells; specify 'wells'")
-        a_minus, a_plus = pot.wells[0], pot.wells[1]
-    else:
-        try:
-            a_minus, a_plus = (_floats(w) for w in wells_cfg)
-        except (TypeError, ValueError) as e:
-            raise UsageError(f"'wells' must be two points: {e}")
+    config, cfg = _load_config(args)
+    pot = cfg["potential"]
+    if cfg["wells"] is None and pot.wells.shape[0] < 2:
+        raise UsageError("potential has fewer than two wells; specify 'wells'")
+    a_minus, a_plus = pot.wells[:2] if cfg["wells"] is None else cfg["wells"]
     try:
-        prof = connect.solve_connection(pot, a_minus, a_plus, half_length, intervals, tol)
+        prof = connect.solve_connection(pot, a_minus, a_plus, cfg["half_length"], cfg["intervals"], cfg["tol"])
     except ValueError as e:
         raise UsageError(str(e))
     except connect.ConnectionError as e:
@@ -215,8 +289,8 @@ def cmd_connect1d(args) -> int:
         "converged": prof.converged,
         "equipartition_residual": connect.equipartition_residual(prof),
         "hyperbolicity_gap": connect.hyperbolicity_gap(prof),
-        "half_length": half_length,
-        "intervals": intervals,
+        "half_length": cfg["half_length"],
+        "intervals": cfg["intervals"],
     }
     try:
         K, k = connect.tail_decay_rate(prof)
@@ -232,14 +306,9 @@ def cmd_connect1d(args) -> int:
     return EXIT_OK
 
 
-# the explicit-descent settings; a run that set one asked for another solver
-REMOVED_SOLVER_KEYS = ("step_rule", "dt", "equivariance_budget", "k_sym", "check_every")
-
-
 def cmd_solve(args) -> int:
-    config = _load_config(args)
-    pot = _resolve_potential(config)
-    grp = _resolve_group(config)
+    config, cfg = _load_config(args)
+    pot, grp = cfg["potential"], cfg["group"]
     if grp.dimension != pot.m or pot.m not in (2, 3):
         raise UsageError(
             f"need matching dimensions n = m in {{2, 3}}; group acts on R^{grp.dimension}, "
@@ -247,27 +316,14 @@ def cmd_solve(args) -> int:
         )
     if pot.wells.shape[0] < 2:
         raise UsageError(f"potential {pot.name!r} declares fewer than two wells")
-    gcfg = _section(config, "grid")
-    half_width = _param(gcfg, "half_width", 8.0)
-    points = _param(gcfg, "points", 161, int)
     try:
-        grid = fields.Grid(dim=grp.dimension, half_width=half_width, points=points)
+        grid = fields.Grid(dim=grp.dimension, **cfg["grid"])
     except ValueError as e:
         raise UsageError(f"bad grid: {e}")
-    scfg = _section(config, "solver")
-    for key in REMOVED_SOLVER_KEYS:
-        if key in scfg:
-            raise UsageError(f"solver key {key!r} no longer exists: every solve takes Newton steps")
-    try:
-        opts = fields.SolveOptions(
-            max_iter=_param(scfg, "max_iter", 100_000, int),
-            residual_target=_param(scfg, "residual_target", 1e-3),
-        )
-    except ValueError as e:
-        raise UsageError(f"bad solver options: {e}")
-    resume = config.get("resume")
+    opts = fields.SolveOptions(**cfg["solver"])
     rm = groups.build_region_map(grp, pot.wells[0])
-    if resume:
+    resume = cfg["resume"]
+    if resume is not None:
         try:
             u0 = fields.load_field(resume["field"], resume["meta"])
         except (OSError, KeyError, TypeError, ValueError) as e:
@@ -278,16 +334,8 @@ def cmd_solve(args) -> int:
                 f"group and potential need {grp.dimension} and {pot.m}"
             )
     else:
-        ccfg = _section(config, "connection")
         try:
-            prof = connect.solve_connection(
-                pot,
-                rm.wells[1],
-                rm.wells[0],
-                _param(ccfg, "half_length", 6.0),
-                _param(ccfg, "intervals", 1200, _positive_int),
-                _param(ccfg, "tol", 1e-9),
-            )
+            prof = connect.solve_connection(pot, rm.wells[1], rm.wells[0], **cfg["connection"])
         except ValueError as e:
             raise UsageError(f"bad connection: {e}")
         u0 = fields.initial_guess(grp, rm, prof, grid)
@@ -326,10 +374,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    config = _load_config(args)
-    pot = _resolve_potential(config)
-    fcfg = config.get("field")
-    if not fcfg:
+    config, cfg = _load_config(args)
+    pot, fcfg = cfg["potential"], cfg["field"]
+    if fcfg is None:
         raise UsageError("config needs 'field': {'csv': ..., 'meta': ...}")
     try:
         field = fields.load_field(fcfg["csv"], fcfg["meta"])
@@ -338,11 +385,13 @@ def cmd_diagnose(args) -> int:
     if pot.m != field.m:
         raise UsageError(f"'potential' {pot.name!r} takes m = {pot.m} values; the field has m = {field.m}")
     hw = field.grid.half_width
-    default = np.linspace(0.1 * hw, 0.9 * hw, 10)
-    radii = _param(config, "monotonicity_radii", default, lambda v: _radii(v, hw))
-    flux_radii = _param(config, "flux_radii", [0.3 * hw, 0.5 * hw], _radii)
-    strip = _param(config, "hamiltonian_strip", None, lambda v: None if v is None else _strip(v))
-    angle_radius = _param(config, "angle_radius", 0.6 * hw, _positive)
+    radii = cfg["monotonicity_radii"]
+    if radii is None:
+        radii = np.linspace(0.1 * hw, 0.9 * hw, 10)
+    elif radii[-1] > hw:
+        raise UsageError(f"bad value for 'monotonicity_radii': {radii.tolist()} (must be at most the half-width {hw:g})")
+    flux_radii = [0.3 * hw, 0.5 * hw] if cfg["flux_radii"] is None else cfg["flux_radii"]
+    angle_radius = 0.6 * hw if cfg["angle_radius"] is None else cfg["angle_radius"]
     h = field.grid.spacing
     payload: dict = {
         "potential": pot.name,
@@ -374,7 +423,7 @@ def cmd_diagnose(args) -> int:
         payload["flux_flag"] = str(e)
     if field.grid.dim == 2:
         try:
-            ham = diagnostics.hamiltonian_variance(field, pot, strip=strip)
+            ham = diagnostics.hamiltonian_variance(field, pot, strip=cfg["hamiltonian_strip"])
             payload["hamiltonian_relative_variance"] = ham["relative_variance"]
             payload["hamiltonian_precondition_met"] = ham["decay_precondition_met"]
             _write_csv(
@@ -396,24 +445,20 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _steiner_rows(config) -> list:
+def _steiner_rows(cfg) -> list:
     """Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23 rows: CSV cells of the batch, or the single triangle."""
-    batch = config.get("batch")
-    if batch:
+    if cfg["batch"] is not None:
         try:
-            with open(batch) as fh:
+            with open(cfg["batch"]) as fh:
                 lines = fh.read().splitlines()[1:]
         except OSError as e:
             raise UsageError(f"cannot read batch: {e}")
         stripped = (line.split("#")[0].strip() for line in lines)
         return [line.split(",") for line in stripped if line]
-    if "triangle" in config:
-        t = config["triangle"]
-        try:
-            return [[*t["A"], *t["B"], *t["C"], t["e12"], t["e13"], t["e23"]]]
-        except (KeyError, TypeError) as e:
-            raise UsageError(f"triangle needs A, B, C and e12, e13, e23: {e}")
-    raise UsageError("steiner config needs 'batch' (CSV path) or 'triangle'")
+    t = cfg["triangle"]
+    if t is None:
+        raise UsageError("steiner config needs 'batch' (CSV path) or 'triangle'")
+    return [[*t["A"], *t["B"], *t["C"], t["e12"], t["e13"], t["e23"]]]
 
 
 def _triangle(cells) -> partitions.WeightedTriangle:
@@ -424,10 +469,8 @@ def _triangle(cells) -> partitions.WeightedTriangle:
 
 
 def cmd_steiner(args) -> int:
-    config = _load_config(args)
-    if "tol" in config:
-        raise UsageError("steiner key 'tol' no longer exists: the Steiner point is computed in closed form")
-    rows = _steiner_rows(config)
+    config, cfg = _load_config(args)
+    rows = _steiner_rows(cfg)
     out_rows = []
     n_err = 0
     for i, cells in enumerate(rows):
@@ -463,36 +506,13 @@ def cmd_steiner(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    config = _load_config(args)
-    pcfg = config.get("partition")
-    if pcfg is None:
-        raise UsageError("config needs a 'partition' entry (inline JSON or path)")
-    try:
-        if isinstance(pcfg, str):
-            with open(pcfg) as fh:
-                part = partitions.partition_from_json(json.load(fh))
-        else:
-            part = partitions.partition_from_json(_section(config, "partition"))
-    except (OSError, LookupError, TypeError, ValueError) as e:  # ValueError includes PartitionError
-        raise UsageError(f"bad partition: {e}")
-    tensions_cfg = config.get("tensions")
-    if tensions_cfg is None:
-        e = np.ones((part.phases, part.phases)) - np.eye(part.phases)
-    else:
-        e = _param(config, "tensions", None, _floats)
-    try:
-        tensions = partitions.TensionMatrix(e)
-    except partitions.PartitionError as err:
-        raise UsageError(str(err))
+    config, cfg = _load_config(args)
+    part, tensions = cfg["partition"], cfg["tensions"]
+    if tensions is None:
+        tensions = partitions.TensionMatrix(np.ones((part.phases, part.phases)) - np.eye(part.phases))
     if tensions.phases < part.phases:
         raise UsageError(f"tension matrix is {tensions.phases}x{tensions.phases} for {part.phases} phases")
-    center = _param(config, "center", [0.0, 0.0], _floats)
-    radii = _param(config, "radii", np.linspace(0.2, 2.0, 10), _floats)
-    scales = _param(config, "blowdown_scales", [1.0, 0.5, 0.25, 0.125], _floats)
-    if center.shape != (2,):
-        raise UsageError(f"'center' must be a point [x, y]; got {center.tolist()}")
-    if not (np.all(radii > 0) and np.all(scales > 0) and np.all(np.diff(scales) < 0)):
-        raise UsageError("'radii' must be positive and 'blowdown_scales' positive and strictly decreasing")
+    center, radii, scales = cfg["center"], cfg["radii"], cfg["blowdown_scales"]
     rows = []
     for r in radii:
         w = partitions.disk(center, float(r))
@@ -507,7 +527,7 @@ def cmd_partition(args) -> int:
     _write_csv(os.path.join(out, "density.csv"), ["radius", "density", "energy"], rows)
     seq = partitions.blow_down(part, center, scales)
     unit = partitions.disk(center, 1.0)
-    ref = config.get("blowdown_reference")
+    ref = cfg["blowdown_reference"]
     rows = []
     for mu, q in zip(scales, seq):
         row = [float(mu), partitions.density(q, center, 1.0)]

@@ -54,8 +54,8 @@ class Grid:
     def __post_init__(self):
         if self.points < 3 or self.points % 2 == 0:
             raise ValueError("points must be odd and >= 3 so the origin is a node")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError("half_width must be positive and finite")
         if self.dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2, or 3")
 
@@ -459,7 +459,8 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
     (..., m) array, boundary layer frozen, by the Newton steps of the module
     docstring until the residual (sup over interior nodes of |Delta_h u -
     W_u|) is at most ``target``, for at most ``max_iter`` steps.  A linear
-    ``project`` that the Hessian commutes with follows the preconditioner,
+    ``project`` that the Hessian commutes with is applied to each right-hand
+    side (after its residual is measured) and follows the preconditioner,
     so every direction stays in its class.  A NaN energy raises SolveError.
 
     Returns (values, W_u, residual, steps, energy history, stop reason); the
@@ -477,6 +478,8 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
         res = float(np.sqrt(np.sum(b * b, axis=-1)).max())
         if res <= target or it >= max_iter:
             break
+        if project is not None:  # CG cannot reduce the part of b outside the class
+            b = project(b)
         # inexact Newton: solve to a relative tolerance that tightens with the residual
         tol = min(0.1, np.sqrt(res)) * np.linalg.norm(b)
         p = _truncated_cg(b, _hessian_product(state, potential, h), precond, tol)

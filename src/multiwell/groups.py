@@ -34,6 +34,9 @@ def _close(generators: list[np.ndarray], cap: int = 400) -> np.ndarray:
         for a in frontier:
             for b in generators:
                 c = a @ b
+                # snap the rounding off integral entries, so signed permutations come out exact
+                near = np.rint(c)
+                c = np.where(np.abs(c - near) <= 1e-12, near, c)
                 k = _key(c)
                 if k not in seen:
                     seen.add(k)

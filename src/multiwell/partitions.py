@@ -119,6 +119,8 @@ class PolygonalPartition:
     elements: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        if self.phases < 1:
+            raise PartitionError(f"a partition needs at least one phase; got {self.phases}")
         for el in self.elements:
             for p in (el.phase_i, el.phase_j):
                 if not (1 <= p <= self.phases):
@@ -526,13 +528,6 @@ def partition_from_json(data) -> PolygonalPartition:
             )
         )
     return PolygonalPartition(phases=int(data["phases"]), elements=tuple(elements))
-
-
-def label_field(field, wells: np.ndarray) -> np.ndarray:
-    """Nearest-well labels of a sampled field (diffuse-solver import)."""
-    flat = field.flat()
-    d = np.linalg.norm(flat[:, None, :] - np.asarray(wells)[None, :, :], axis=2)
-    return np.argmin(d, axis=1).reshape(field.grid.shape)
 
 
 def voxel_interface_energy(labels: np.ndarray, spacing: float, tensions: TensionMatrix) -> float:

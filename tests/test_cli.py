@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiwell import cli, fields
 
@@ -178,6 +183,14 @@ TRIOD = {
         ("partition", {"partition": {"phases": "two", "segments": []}}),
         ("partition", {"partition": {"phases": 2, "segments": [{"phase_i": 1, "phase_j": 2, "endpoints": [[0, 0]]}]}}),
         ("partition", {"partition": {"phases": 2, "rays": [{"phase_i": 1, "phase_j": 2, "origin": [0, 0], "direction": [0, 0]}]}}),
+        ("connect1d", {"potential": ["double_well"]}),
+        ("solve", dict(JUNCTION, group=["dihedral_3"])),
+        ("diagnose", {"potential": "triple_well", "field": "x.csv"}),
+        ("partition", {"partition": TRIOD, "radii": [[1, 2]]}),
+        ("partition", {"partition": TRIOD, "blowdown_reference": "x-cone"}),
+        ("steiner", {"batch": 5}),
+        ("connect1d", {"potential": "double_well", "intervals": 2.7}),
+        ("solve", dict(JUNCTION, solver={"residual_target": -1})),
     ],
     ids=[
         "even-points",
@@ -219,6 +232,14 @@ TRIOD = {
         "text-phases",
         "one-endpoint",
         "zero-direction-ray",
+        "listed-potential",
+        "listed-group",
+        "field-not-object",
+        "nested-radii",
+        "misspelled-reference",
+        "numeric-batch",
+        "fractional-intervals",
+        "negative-residual-target",
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
@@ -299,7 +320,123 @@ def test_removed_key_is_named(tmp_path, capsys, command, section, key):
         config = dict(JUNCTION, **{section: {key: 1}})
     cfg = write_config(tmp_path / "c.json", config)
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert f"{key!r} no longer exists" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"usage error: {section or command} key {key!r} is unknown\n"
+
+
+MISSING_FIELD = {"csv": "missing.csv", "meta": "missing.json"}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("solve", dict(JUNCTION, solver={"residual_targt": 1e-9}), "solver key 'residual_targt' is unknown; did you mean 'residual_target'?"),
+        ("solve", dict(JUNCTION, conection={"tol": 1e-9}), "solve key 'conection' is unknown; did you mean 'connection'?"),
+        ("connect1d", {"potential": "double_well", "half_lenght": 3.0}, "connect1d key 'half_lenght' is unknown; did you mean 'half_length'?"),
+        ("diagnose", {"potential": "triple_well", "field": MISSING_FIELD, "angle_radus": 4.0}, "diagnose key 'angle_radus' is unknown; did you mean 'angle_radius'?"),
+        ("steiner", {"triangle": EQUILATERAL, "weights": [1, 1, 1]}, "steiner key 'weights' is unknown"),
+        ("steiner", {"triangle": dict(EQUILATERAL, E12=1.0)}, "triangle key 'E12' is unknown; did you mean 'e12'?"),
+        ("partition", {"partition": TRIOD, "centre": [0, 0]}, "partition key 'centre' is unknown; did you mean 'center'?"),
+    ],
+    ids=["solver-typo", "section-typo", "connect1d-typo", "diagnose", "steiner", "triangle", "partition"],
+)
+def test_unknown_key_is_named(tmp_path, capsys, command, config, message):
+    # a key the table does not declare would be silently ignored, so the run
+    # would differ from the one the config describes
+    cfg = write_config(tmp_path / "c.json", config)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("phases", [0, -1])
+def test_partition_without_phases_is_usage_error(tmp_path, capsys, phases):
+    cfg = write_config(tmp_path / "c.json", {"partition": {"phases": phases}})
+    assert run(["partition", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("usage error: bad value for 'partition'")
+
+
+def _key_paths(table, prefix=()):
+    """Every key path of a config table, section keys included."""
+    for key, spec in table.items():
+        yield prefix + (key,)
+        if isinstance(spec, dict):
+            yield from _key_paths(spec, prefix + (key,))
+
+
+# JSON values of every type; none sizes a grid or a profile beyond the bases below
+FUZZ_POOL = [None, True, 0, -1, 3, 0.5, -1.0, "", "x", [], [[1, 2]], {}, {"a": 1}]
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    """A small valid config per subcommand; diagnose reads the field that solve's writes."""
+    work = tmp_path_factory.mktemp("fuzz")
+    bases = {
+        "connect1d": {"potential": "double_well", "half_length": 4.0, "intervals": 40, "tol": 1e-6},
+        "solve": dict(
+            JUNCTION,
+            grid={"half_width": 3.0, "points": 21},
+            solver={"residual_target": 1e-2, "max_iter": 20},
+            connection={"half_length": 3.0, "intervals": 40},
+        ),
+        "diagnose": {
+            "potential": "triple_well",
+            "field": {"csv": str(work / "solve" / "field.csv"), "meta": str(work / "solve" / "field_meta.json")},
+        },
+        "steiner": {"triangle": EQUILATERAL},
+        "partition": {"partition": TRIOD, "radii": [0.5, 1.0], "blowdown_scales": [1.0, 0.5]},
+    }
+    for command, config in bases.items():  # solve first: diagnose reads its field
+        cfg = write_config(work / f"{command}.json", config)
+        assert run([command, "--config", cfg, "--out", str(work / command)]) == 0
+    return bases
+
+
+@pytest.mark.parametrize("command", sorted(cli.TABLES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_exits_cleanly(fuzz_bases, command, data):
+    # one table key set to a pool value, or one unknown key added: the run
+    # succeeds, fails as a usage error or fails numerically, never by a traceback
+    config = json.loads(json.dumps(fuzz_bases[command]))
+    table = cli.TABLES[command]
+    if data.draw(st.booleans(), label="replace"):
+        *section, key = data.draw(st.sampled_from(list(_key_paths(table))), label="key")
+    else:
+        section = data.draw(st.sampled_from([[]] + [[k] for k, v in table.items() if isinstance(v, dict)]), label="section")
+        known = table[section[0]] if section else table
+        key = data.draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).filter(lambda k: k not in known))
+    target = config
+    for name in section:
+        target = target.setdefault(name, {})
+    target[key] = data.draw(st.sampled_from(FUZZ_POOL), label="value")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = write_config(Path(tmp) / "c.json", config)
+        code = run([command, "--config", cfg, "--out", os.path.join(tmp, "o")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("usage error: ")
+
+
+def _readme_subcommands() -> dict:
+    """The README's "Command line" section split at its subcommand headings."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return {part.split("\n", 1)[0].strip("` "): part for part in section.split("\n### ")[1:]}
+
+
+def test_readme_lists_every_table_key():
+    parts = _readme_subcommands()
+    assert set(parts) == set(cli.TABLES)
+    for command, table in cli.TABLES.items():
+        for path in _key_paths(table):
+            assert f"`{path[-1]}`" in parts[command], (command, path)
+        examples = re.findall(r"```json\n(.*?)```", parts[command], re.S)
+        assert examples, command
+        for example in examples:
+            cli._read(json.loads(example), table, command)
 
 
 @pytest.mark.parametrize("command", ["connect1d", "solve"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from multiwell import connect, potentials
+from multiwell import connect, fields, groups, potentials
 
 SIGMA_DW = 2.0 * np.sqrt(2.0) / 3.0  # int sqrt(2 W) du for the double well
 
@@ -164,6 +164,30 @@ def test_connection_without_swap_symmetry_is_not_projected():
     assert _class_defect(prof) > 1e-2  # the connection itself is not r-symmetric
     oracle, _ = scipy.integrate.quad(lambda u: np.sqrt(2.0 * pot.value(u)), -1.0, 1.0)
     assert connect.action(prof) == pytest.approx(oracle, abs=1e-4)
+
+
+def test_symmetric_class_solve_never_exhausts_cg(monkeypatch):
+    # the Newton right-hand side is projected onto the class before CG: its
+    # part outside the class is rounding that no class direction can reduce,
+    # and chasing it would run every late step to the CG iteration cap
+    hessian_product, products = fields._hessian_product, []
+
+    def counting_hessian_product(state, potential, h):
+        apply = hessian_product(state, potential, h)
+        products.append(0)  # one Hessian per Newton step
+
+        def counted(v):
+            products[-1] += 1
+            return apply(v)
+
+        return counted
+
+    monkeypatch.setattr(fields, "_hessian_product", counting_hessian_product)
+    pot = potentials.get_potential("triple_well")
+    rm = groups.build_region_map(groups.get_group("dihedral_3"), pot.wells[0])
+    prof = connect.solve_connection(pot, rm.wells[1], rm.wells[0], 6.0, 1200, tol=1e-9)  # `multiwell solve`'s
+    assert prof.converged and products
+    assert max(products) < fields.CG_MAX_ITER, products
 
 
 def test_triple_well_connection(triangle_profile, triple_well):

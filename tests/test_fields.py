@@ -10,6 +10,12 @@ def slab_fn(pts):
     return np.tanh(pts[:, 0] / np.sqrt(2.0))[:, None]
 
 
+@pytest.mark.parametrize("half_width", [float("nan"), float("inf")])
+def test_grid_rejects_non_finite_half_width(half_width):
+    with pytest.raises(ValueError, match="half_width"):
+        fields.Grid(dim=2, half_width=half_width, points=21)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         fields.Grid(dim=2, half_width=1.0, points=40)  # even: origin not a node

@@ -38,6 +38,16 @@ def test_dihedral_rejects_small_k():
         groups.build_dihedral(1)
 
 
+@pytest.mark.parametrize("name", sorted(groups.GROUP_BUILDERS))
+def test_box_preserving_elements_are_exact(name):
+    # node images read u(g x) through the entries of g, so a signed
+    # permutation must hold exactly 0 and +-1, not their rounded neighbours
+    box = [g for g in groups.get_group(name).elements if fields._box_preserving(g)]
+    assert box
+    for g in box:
+        assert set(np.unique(g)) <= {-1.0, 0.0, 1.0}, g
+
+
 def test_tetrahedral_order_and_placement(tetrahedral):
     validate_group(tetrahedral, 24)
     a1 = potentials.TETRA_A1
