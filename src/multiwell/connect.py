@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fields, kernels, potentials
 
@@ -73,8 +71,12 @@ class ConnectionError(RuntimeError):
     pass
 
 
-def _newton_matrix(U: np.ndarray, h: float, potential) -> sp.csc_matrix:
-    """The linearization v -> v'' - W_uu(U) v over interior nodes, Dirichlet ends."""
+def _newton_matrix(U: np.ndarray, h: float, potential):
+    """The linearization v -> v'' - W_uu(U) v over interior nodes, Dirichlet
+    ends, as a scipy CSC matrix.  scipy is imported here and in
+    ``linearized_spectrum`` only, so that loading the package never loads it."""
+    import scipy.sparse as sp
+
     n_int, m = U.shape[0] - 2, U.shape[1]
     lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n_int, n_int)) / h**2
     H = sp.bsr_matrix((potential.hess_field(U[1:-1]), np.arange(n_int), np.arange(n_int + 1)))
@@ -193,6 +195,8 @@ def linearized_spectrum(profile: ConnectionProfile, k: int = 6):
     eigenvectors in the symmetric class v(-eta) = T v(eta) with T the
     reflection swapping the endpoint wells, -1 otherwise (the translation
     mode U' lives in the -1 sector)."""
+    import scipy.sparse.linalg as spla
+
     U = profile.values
     h = profile.h
     A = _newton_matrix(U, h, profile.potential)

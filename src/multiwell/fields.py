@@ -7,8 +7,12 @@ term, so at interior nodes its first-order condition is exactly the
 for ``minimize`` and for the 1D connections of :mod:`multiwell.connect`, by
 damped Newton steps whose Hessian systems -Delta_h + W_uu are solved by
 truncated conjugate gradients, preconditioned by the exact inverse of
--Delta_h + 2c^2 (a type-I sine transform); an energy backtracking line
-search keeps every accepted step descending.
+-Delta_h + 2c^2; an energy backtracking line search keeps every accepted
+step descending.  That inverse is the type-I sine transform of
+``kernels.sine_solve``, in numpy: a matrix product along short axes, an FFT
+of the odd extension along long ones.  The residual is formed with the
+stencil in difference form (``kernels.link_laplacian``), the literal
+gradient of the link energy, whose rounding floor is lower.
 
 Symmetry actions enter only through their projection.  Per element, a
 box-preserving g_x maps nodes to nodes, so u(g_x x) is read as a node image
@@ -29,7 +33,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from . import kernels
 
@@ -158,7 +161,7 @@ def pde_residual(field: VectorField, potential) -> float:
 
 
 def _residual(values: np.ndarray, w_u: np.ndarray, grid: Grid) -> float:
-    r = (kernels.laplacian(values, grid.spacing) - w_u).reshape(-1, values.shape[-1])
+    r = (kernels.link_laplacian(values, grid.spacing) - w_u).reshape(-1, values.shape[-1])
     mags = np.sqrt(np.sum(r * r, axis=1))
     return float(mags[grid.interior_mask].max())
 
@@ -396,20 +399,12 @@ def _dirichlet_inverse(shape: tuple, h: float, shift: float):
     boundary values, per component: the type-I sine transform diagonalizes
     the Dirichlet stencil along every axis."""
     dim = len(shape) - 1
-    inner = (slice(1, -1),) * dim
-    axes = tuple(range(dim))
-    eig = np.full((1,) * (dim + 1), float(shift))
-    for a in axes:
+    eig = np.full((1,) * dim, float(shift))
+    for a in range(dim):
         k = np.arange(1, shape[a] - 1)
         lam = (2.0 / h * np.sin(0.5 * np.pi * k / (shape[a] - 1))) ** 2
-        eig = eig + lam.reshape([-1 if b == a else 1 for b in range(dim + 1)])
-
-    def apply(r):
-        out = np.zeros_like(r)
-        out[inner] = scipy.fft.idstn(scipy.fft.dstn(r[inner], type=1, axes=axes) / eig, type=1, axes=axes)
-        return out
-
-    return apply
+        eig = eig + lam.reshape([-1 if b == a else 1 for b in range(dim)])
+    return lambda r: kernels.sine_solve(r, eig)
 
 
 def _hessian_product(state: np.ndarray, potential, h: float):
@@ -473,7 +468,7 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
     inner = (slice(1, -1),) * (state.ndim - 1)
     it, stop = 0, "max_iter"
     while True:
-        b = kernels.laplacian(state, h)  # zero on the boundary layer
+        b = kernels.link_laplacian(state, h)  # zero on the boundary layer
         b[inner] -= w_u[inner]
         res = float(np.sqrt(np.sum(b * b, axis=-1)).max())
         if res <= target or it >= max_iter:

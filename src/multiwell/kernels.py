@@ -1,7 +1,8 @@
-"""Hot numeric kernels: grid stencils, the trapezoid rule, link quadrature,
-multilinear interpolation, and per potential kind one fused
-value-and-gradient kernel (with a value-only branch) and, for the
-closed-form kinds, one Hessian kernel; one numpy implementation each.
+"""Hot numeric kernels: grid stencils, the Dirichlet sine transform, the
+trapezoid rule, link quadrature, multilinear interpolation, and per
+potential kind one fused value-and-gradient kernel (with a value-only
+branch) and, for the closed-form kinds, one Hessian kernel; one numpy
+implementation each.
 
 The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
 work in any grid dimension by slicing one axis at a time.
@@ -9,6 +10,7 @@ work in any grid dimension by slicing one axis at a time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -39,6 +41,108 @@ def laplacian(values: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros_like(values)
     out[inner] = acc
     return out
+
+
+def link_laplacian(values: np.ndarray, h: float) -> np.ndarray:
+    """The same stencil in difference form, the sum over axes of
+    (u[j+1] - u[j]) - (u[j] - u[j-1]) over h^2: the literal gradient of
+    ``link_energy`` (times -1/h^dim) at interior nodes.  Where neighbours
+    are close, as near a well, the differences are exact and the sum rounds
+    once, so a residual formed from it has a lower rounding floor than one
+    from ``laplacian``; it costs more per call, so Hessian products keep
+    ``laplacian``.  Zeros on the boundary layer."""
+    dim = values.ndim - 1
+    acc = None
+    for a in range(dim):
+        links = np.diff(values[tuple(slice(None) if b == a else slice(1, -1) for b in range(dim))], axis=a)
+        lo = tuple(slice(None, -1) if b == a else slice(None) for b in range(dim))
+        hi = tuple(slice(1, None) if b == a else slice(None) for b in range(dim))
+        if acc is None:
+            acc = links[hi] - links[lo]
+        else:
+            acc += links[hi]
+            acc -= links[lo]
+    acc /= h * h
+    out = np.zeros_like(values)
+    out[(slice(1, -1),) * dim] = acc
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Orthonormal type-I sine transform over interior nodes, which diagonalizes
+# the Dirichlet stencil along every axis.
+
+# Axes with more interior nodes than this use the FFT of the odd extension
+# instead of the matrix, FFT_COLUMNS columns at a time (larger batches leave
+# the cache: 499^2 in one batch took 5.7 ms a step, in batches of 64 2.3 ms).
+# One step, numpy on one core, minimum of interleaved runs, matrix / FFT:
+# 199 nodes x 3 columns 0.017 / 0.029 ms, 255 x 3 0.026 / 0.031 ms, 299 x 3
+# 0.030 / 0.021 ms, 499 x 3 0.118 / 0.043 ms; 255 x 257 0.62 / 0.53 ms,
+# 399 x 401 2.27 / 1.63 ms, 599 x 601 6.9 / 3.7 ms.
+SINE_MATRIX_MAX = 256
+FFT_COLUMNS = 64
+
+
+@functools.lru_cache(maxsize=8)
+def _sine_matrix(points: int) -> np.ndarray:
+    """Q[j, k] = sqrt(2/(n+1)) sin(pi j k / (n+1)) for the n = points - 2
+    interior nodes j and modes k, with zero rows for the two boundary nodes.
+    The interior block is symmetric and its own inverse."""
+    n = points - 2
+    k = np.arange(1, n + 1)
+    q = np.zeros((points, n))
+    # reduce j k mod 2(n+1) so the sine's argument stays below 2 pi
+    q[1:-1] = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * (n + 1))))
+    q.flags.writeable = False  # one cached copy serves every caller
+    return q
+
+
+def _sine_rotate(x: np.ndarray, points: int, to_nodes: bool) -> np.ndarray:
+    """Sine transform of the leading axis of x, moved to the end.  That axis
+    holds the ``points`` nodes of a grid axis (boundary values ignored) and
+    becomes its interior modes, or with ``to_nodes`` holds the modes and
+    becomes the nodes, zero at both ends."""
+    cols = x.reshape(x.shape[0], -1).T
+    n = points - 2
+    if n <= SINE_MATRIX_MAX:
+        q = _sine_matrix(points)
+        y = cols @ (q.T if to_nodes else q)
+    else:
+        src = cols if to_nodes else cols[:, 1:-1]
+        y = np.zeros((src.shape[0], points)) if to_nodes else np.empty((src.shape[0], n))
+        modes = y[:, 1:-1] if to_nodes else y
+        # -Im rfft of the odd extension (0, v, 0, -v reversed) is 2 sum_j v_j sin(pi j k / (n+1))
+        ext = np.zeros((min(FFT_COLUMNS, src.shape[0]), 2 * (n + 1)))
+        scale = -np.sqrt(0.5 / (n + 1))
+        for lo in range(0, src.shape[0], FFT_COLUMNS):
+            part = src[lo : lo + FFT_COLUMNS]
+            e = ext[: part.shape[0]]
+            e[:, 1 : n + 1] = part
+            np.negative(part[:, ::-1], out=e[:, n + 2 :])
+            np.multiply(np.fft.rfft(e, axis=1).imag[:, 1 : n + 1], scale, out=modes[lo : lo + FFT_COLUMNS])
+    return y.reshape(x.shape[1:] + (y.shape[1],))
+
+
+def sine_solve(values: np.ndarray, eig: np.ndarray) -> np.ndarray:
+    """Q (Q v / eig), per component, for a node-sampled (..., m) array:
+    Q is the orthonormal type-I sine transform over the interior nodes of
+    every axis and ``eig`` (the interior shape) the spectrum that Q
+    diagonalizes.  The boundary layer of ``values`` is ignored, and is zero
+    in the result.
+
+    Each step transforms the leading axis by one matrix product (or FFT) and
+    rotates it to the end, so after the spatial axes the component axis
+    leads; a transpose puts it last again, before the inverse rotations and
+    after them."""
+    shape = values.shape
+    y = values
+    for points in shape[:-1]:
+        y = _sine_rotate(y, points, to_nodes=False)
+    y /= eig
+    y = np.ascontiguousarray(np.moveaxis(y, 0, -1))
+    for points in shape[:-1]:
+        y = _sine_rotate(y, points, to_nodes=True)
+    return np.ascontiguousarray(np.moveaxis(y, 0, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .potentials import _known_keys
+
 
 class PartitionError(ValueError):
     pass
@@ -502,10 +504,15 @@ def partition_to_json(part: PolygonalPartition) -> dict:
 
 
 def partition_from_json(data) -> PolygonalPartition:
+    """The partition that ``partition_to_json`` wrote: {"phases", "segments":
+    [{"phase_i", "phase_j", "endpoints"}], "rays": [{"phase_i", "phase_j",
+    "origin", "direction"}]}.  Any other key raises ValueError naming it."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    _known_keys(data, ("phases", "segments", "rays"), "partition")
     elements: list = []
     for s in data.get("segments", []):
+        _known_keys(s, ("phase_i", "phase_j", "endpoints"), "segment")
         elements.append(
             Segment(
                 int(s["phase_i"]),
@@ -515,6 +522,7 @@ def partition_from_json(data) -> PolygonalPartition:
             )
         )
     for r in data.get("rays", []):
+        _known_keys(r, ("phase_i", "phase_j", "origin", "direction"), "ray")
         d = np.asarray(r["direction"], dtype=np.float64)
         norm = np.linalg.norm(d)
         if not (np.isfinite(norm) and norm > 0):

@@ -341,8 +341,17 @@ def get_potential(name: str) -> PotentialSpec:
     return _CATALOG[name]()
 
 
+def _known_keys(obj: dict, keys: tuple, where: str):
+    """Raise ValueError naming the first key of ``obj`` outside ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{where} key {key!r} is unknown; the keys are {', '.join(keys)}")
+
+
 def potential_from_json(path_or_dict) -> PotentialSpec:
-    """Load a custom polynomial potential: {"monomials": [{"coeff", "exponents"}]}."""
+    """Load a custom polynomial potential:
+    {"name", "monomials": [{"coeff", "exponents"}], "wells"}.  Any other
+    key raises ValueError naming it."""
     if isinstance(path_or_dict, (str, bytes)):
         with open(path_or_dict) as fh:
             data = json.load(fh)
@@ -351,6 +360,9 @@ def potential_from_json(path_or_dict) -> PotentialSpec:
     monos = data.get("monomials") if isinstance(data, dict) else None
     if not monos:
         raise ValueError("custom potential needs a non-empty 'monomials' list")
+    _known_keys(data, ("name", "monomials", "wells"), "custom potential")
+    for mo in monos:
+        _known_keys(mo, ("coeff", "exponents"), "monomial")
     exps = [mo["exponents"] for mo in monos]
     coeffs = [mo["coeff"] for mo in monos]
     m = len(exps[0])

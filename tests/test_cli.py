@@ -348,6 +348,38 @@ def test_unknown_key_is_named(tmp_path, capsys, command, config, message):
     assert not (tmp_path / "o").exists()
 
 
+QUARTIC_WELL = {  # W = (u^2 - 1)^2, written as a custom potential
+    "monomials": [
+        {"coeff": 1.0, "exponents": [4]},
+        {"coeff": -2.0, "exponents": [2]},
+        {"coeff": 1.0, "exponents": [0]},
+    ],
+    "wells": [[-1.0], [1.0]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("partition", {"partition": {"phases": 3, "ray": TRIOD["rays"]}}, "partition key 'ray' is unknown"),
+        ("partition", {"partition": dict(TRIOD, rays=[dict(TRIOD["rays"][0], dir=[0, 1])])}, "ray key 'dir' is unknown"),
+        ("connect1d", {"potential": {"monomials": QUARTIC_WELL["monomials"], "well": [[-1.0], [1.0]]},
+                       "wells": [[-1.0], [1.0]], "intervals": 100}, "custom potential key 'well' is unknown"),
+        ("connect1d", {"potential": dict(QUARTIC_WELL, monomials=[{"coef": 1.0, "exponents": [4]}]), "intervals": 100},
+         "monomial key 'coef' is unknown"),
+    ],
+    ids=["partition-ray", "ray-dir", "potential-well", "monomial-coef"],
+)
+def test_unknown_schema_key_is_named(tmp_path, capsys, command, config, message):
+    # the partition and custom-potential schemas read only the keys they
+    # know, so a misspelled one would be read as absent: no rays, no wells
+    cfg = write_config(tmp_path / "c.json", config)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bad value for ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("phases", [0, -1])
 def test_partition_without_phases_is_usage_error(tmp_path, capsys, phases):
     cfg = write_config(tmp_path / "c.json", {"partition": {"phases": phases}})

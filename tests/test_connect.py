@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +248,50 @@ def test_save_profile_roundtrip(tmp_path, dw_profile):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], dw_profile["profile"].eta)
     assert np.array_equal(data[:, 1], dw_profile["profile"].values[:, 0])
+
+
+def test_double_well_connection_goes_below_the_summed_stencil_floor(double_well):
+    # criterion 1's grid (h = 0.002): the residual formed in difference form
+    # reaches 5.4e-11, where the summed stencil's rounding held it at 1.06e-10
+    prof = connect.solve_connection(double_well, [-1.0], [1.0], 10.0, 10_000, tol=7e-11)
+    assert prof.converged and prof.residual <= 7e-11
+
+
+SCIPY_FREE_RUN = """
+import sys
+import multiwell.cli
+from multiwell import connect, fields, groups, potentials
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+assert not scipy_modules(), scipy_modules()
+pot = potentials.get_potential("tetra_well")
+group = groups.get_group("tetrahedral")
+rm = groups.build_region_map(group, pot.wells[0])
+prof = connect.solve_connection(pot, rm.wells[1], rm.wells[0], 5.0, 500, tol=1e-9)
+u0 = fields.initial_guess(group, rm, prof, fields.Grid(dim=3, half_width=5.0, points=9))
+fields.minimize(u0, pot, symmetry=group, opts=fields.SolveOptions(max_iter=2))
+assert not scipy_modules(), scipy_modules()
+dw = potentials.get_potential("double_well")
+tw = potentials.get_potential("triple_well")
+dw_prof = connect.solve_connection(dw, [-1.0], [1.0], 10.0, 400, tol=1e-9)
+tw_prof = connect.solve_connection(tw, tw.wells[1], tw.wells[0], 6.0, 1200, tol=1e-9)
+print(repr(connect.hyperbolicity_gap(dw_prof)), repr(connect.hyperbolicity_gap(tw_prof)))
+print("scipy.sparse.linalg" in sys.modules)
+"""
+
+
+def test_solves_never_load_scipy():
+    # loading the package, connections, initial data and field solves need
+    # numpy alone; only the spectrum imports scipy (ARPACK), when first called
+    src = str(Path(connect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    gaps, loaded = done.stdout.split("\n")[:2]
+    # reference gaps from solves preconditioned by scipy's dstn; the profiles differ only by rounding
+    assert [float(g) for g in gaps.split()] == pytest.approx([1.4999148283329728, 7.0425753410909016], rel=1e-9)
+    assert loaded == "True"

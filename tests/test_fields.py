@@ -141,10 +141,17 @@ def test_newton_hessian_product_matches_gradient_difference(dim, name):
     assert np.linalg.norm((hv - fd)[interior]) <= 1e-6 * np.linalg.norm(fd[interior])
 
 
-@pytest.mark.parametrize("dim, name", [(1, "double_well"), (2, "triple_well"), (3, "tetra_well")])
-def test_newton_preconditioner_inverts_shifted_laplacian(dim, name):
+@pytest.mark.parametrize(
+    "dim, name, points",
+    [(1, "double_well", 41), (2, "triple_well", 17), (3, "tetra_well", 9), (1, "double_well", 601), (2, "triple_well", 263)],
+    ids=["1-double_well", "2-triple_well", "3-tetra_well", "1-double_well-fft", "2-triple_well-fft"],
+)
+def test_newton_preconditioner_inverts_shifted_laplacian(dim, name, points):
+    # the last two grids have more interior nodes per axis than
+    # kernels.SINE_MATRIX_MAX, so their sine transforms take the FFT path
+    assert (points - 2 > kernels.SINE_MATRIX_MAX) == (points > 41)
     pot = potentials.get_potential(name)
-    g = fields.Grid(dim=dim, half_width=2.0, points=(41, 17, 9)[dim - 1])
+    g = fields.Grid(dim=dim, half_width=2.0, points=points)
     shift = 2.0 * pot.c**2
     v = _interior_random(g, pot.m, np.random.default_rng(20 + dim))
     av = shift * v - kernels.laplacian(v, g.spacing)

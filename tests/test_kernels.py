@@ -4,6 +4,7 @@ polynomial reference evaluation."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.fft
 from scipy.interpolate import RegularGridInterpolator
 
 from multiwell import kernels, potentials
@@ -31,6 +32,59 @@ def test_laplacian_of_quadratic(dim):
     edge = np.ones(lap.shape[:-1], dtype=bool)
     edge[inner] = False
     assert np.all(lap[edge] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_link_laplacian_is_the_stencil_in_difference_form(dim):
+    # the same stencil up to rounding, exact on quadratics, zero on the boundary layer
+    x, h = box_nodes(dim, 11)
+    r2 = np.sum(x * x, axis=-1)
+    lap = kernels.link_laplacian(np.stack([r2, 3.0 - 0.5 * r2], axis=-1), h)
+    inner = (slice(1, -1),) * dim
+    assert np.allclose(lap[inner], [2.0 * dim, -dim], rtol=0, atol=1e-12)
+    vals = rng.normal(size=(9,) * dim + (3,))
+    summed = kernels.laplacian(vals, 0.1)
+    diffs = kernels.link_laplacian(vals, 0.1)
+    assert np.max(np.abs(diffs - summed)) <= 1e-12 * np.max(np.abs(summed))
+    edge = np.ones(vals.shape[:-1], dtype=bool)
+    edge[inner] = False
+    assert np.all(diffs[edge] == 0.0)
+
+
+# one interior node, then both sides of the switch from the matrix to the FFT
+SINE_POINTS = [3, 34, kernels.SINE_MATRIX_MAX + 2, kernels.SINE_MATRIX_MAX + 3, 602]
+
+
+@pytest.mark.parametrize("points", SINE_POINTS)
+def test_sine_transform_matches_scipy_dst(points):
+    # scipy's orthonormal DST-I is an independent reference for both paths
+    n = points - 2
+    nodes = rng.normal(size=(points, 2))
+    modes = kernels._sine_rotate(nodes, points, to_nodes=False)
+    ref = scipy.fft.dst(nodes[1:-1], type=1, norm="ortho", axis=0).T
+    assert modes.shape == (2, n)
+    assert np.max(np.abs(modes - ref)) <= 1e-13 * np.max(np.abs(ref))
+    coeffs = rng.normal(size=(n, 2))
+    back = kernels._sine_rotate(coeffs, points, to_nodes=True)
+    ref = scipy.fft.dst(coeffs, type=1, norm="ortho", axis=0).T
+    assert back.shape == (2, points) and np.all(back[:, [0, -1]] == 0.0)
+    assert np.max(np.abs(back[:, 1:-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", [(602, 3), (263, 9, 2), (9, 263, 1), (7, 6, 5, 3)])
+def test_sine_solve_matches_scipy_dstn(shape):
+    # transform, divide, transform back, with the axes on either side of the switch
+    vals = rng.normal(size=shape)
+    eig = rng.uniform(1.0, 2.0, size=tuple(P - 2 for P in shape[:-1]))
+    out = kernels.sine_solve(vals, eig)
+    inner = (slice(1, -1),) * (len(shape) - 1)
+    axes = tuple(range(len(shape) - 1))
+    ref = scipy.fft.idstn(scipy.fft.dstn(vals[inner], type=1, axes=axes) / eig[..., None], type=1, axes=axes)
+    assert out.shape == shape and out.flags.c_contiguous
+    assert np.max(np.abs(out[inner] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    edge = np.ones(shape[:-1], dtype=bool)
+    edge[inner] = False
+    assert np.all(out[edge] == 0.0)
 
 
 def test_interp_lanes_agree_and_hit_nodes():
