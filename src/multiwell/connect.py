@@ -17,8 +17,11 @@ import numpy as np
 from . import fields, kernels, potentials
 
 MAX_STEPS = 60  # Newton steps of one connection solve
-MIN_INTERVALS = 4  # the smallest grid whose linearized spectrum can be computed
+MIN_INTERVALS = 4  # the fewest intervals accepted
 INVARIANCE_TOL = 1e-8  # sampled |W(r u) - W(u)| below which W counts as r-invariant
+GAP_TOL = 1e-10  # relative eigen-residual at which the hyperbolicity gap stops
+GAP_MAX_ITER = 200  # LOBPCG steps of the hyperbolicity gap
+GAP_RANK_TOL = 1e-8  # singular values below this fraction of the largest leave the basis
 
 
 @dataclass(frozen=True)
@@ -69,18 +72,6 @@ class ConnectionProfile:
 
 class ConnectionError(RuntimeError):
     pass
-
-
-def _newton_matrix(U: np.ndarray, h: float, potential):
-    """The linearization v -> v'' - W_uu(U) v over interior nodes, Dirichlet
-    ends, as a scipy CSC matrix.  scipy is imported here and in
-    ``linearized_spectrum`` only, so that loading the package never loads it."""
-    import scipy.sparse as sp
-
-    n_int, m = U.shape[0] - 2, U.shape[1]
-    lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n_int, n_int)) / h**2
-    H = sp.bsr_matrix((potential.hess_field(U[1:-1]), np.arange(n_int), np.arange(n_int + 1)))
-    return (sp.kron(lap, sp.eye(m)) - H).tocsc()
 
 
 def _pair_reflection(a_minus, a_plus) -> np.ndarray:
@@ -188,46 +179,47 @@ def action(profile: ConnectionProfile) -> float:
     return float(profile.h * (kernels.trapezoid_weights(integrand.shape) @ integrand))
 
 
-def linearized_spectrum(profile: ConnectionProfile, k: int = 6):
-    """Eigenvalues of L v = v'' - W_uu(U) v near zero (Dirichlet ends).
-
-    Returns (eigenvalues, parities) sorted by |eigenvalue|; parity is +1 for
-    eigenvectors in the symmetric class v(-eta) = T v(eta) with T the
-    reflection swapping the endpoint wells, -1 otherwise (the translation
-    mode U' lives in the -1 sector)."""
-    import scipy.sparse.linalg as spla
-
-    U = profile.values
-    h = profile.h
-    A = _newton_matrix(U, h, profile.potential)
-    n_int = U.shape[0] - 2
-    m = profile.m
-    k = min(k, A.shape[0] - 2)
-    v0 = np.ones(A.shape[0])  # deterministic ARPACK start
-    vals, vecs = spla.eigsh(A, k=k, sigma=0.0, which="LM", v0=v0)
-    T = _pair_reflection(profile.a_minus, profile.a_plus)
-    order = np.argsort(np.abs(vals))
-    vals = vals[order]
-    vecs = vecs[:, order]
-    parities = []
-    for i in range(vals.shape[0]):
-        v = vecs[:, i].reshape(n_int, m)
-        sv = (v[::-1] @ T.T).ravel()
-        plus = np.linalg.norm(sv - vecs[:, i])
-        minus = np.linalg.norm(sv + vecs[:, i])
-        parities.append(1 if plus < minus else -1)
-    return vals, np.array(parities)
-
-
-def hyperbolicity_gap(profile: ConnectionProfile) -> float:
-    """Smallest |eigenvalue| of the linearized operator restricted to the
-    symmetric variation class (translation mode removed)."""
-    vals, parities = linearized_spectrum(profile)
-    sym = np.abs(vals[parities == 1])
-    if sym.size == 0:
-        # all computed modes antisymmetric: the symmetric sector starts higher
-        return float(np.max(np.abs(vals)))
-    return float(np.min(sym))
+def hyperbolicity_gap(profile: ConnectionProfile) -> float | None:
+    """Smallest eigenvalue of the Newton Hessian A = -Delta_h + W_uu(U) on
+    the class U(-eta) = r U(eta) of ``_symmetric_projection``, which holds no
+    translation mode; None for a pair without that symmetry.  A single-vector
+    LOBPCG from the projection of a seeded normal vector: Rayleigh-Ritz on
+    the iterate x, the projected preconditioned residual and the last step,
+    until |A x - lambda x| <= GAP_TOL |lambda| (ConnectionError after
+    GAP_MAX_ITER steps).  Ritz vectors combine these class vectors S, with
+    coefficients from an SVD of S: an orthonormal basis computed outright
+    (QR, or the SVD's own) carries rounding out of the class, and its Ritz
+    values sink below the class's."""
+    project = _symmetric_projection(profile.potential, profile.a_minus, profile.a_plus)
+    if project is None:
+        return None
+    U, h, pot = profile.values, profile.h, profile.potential
+    hess = fields._hessian_product(U, pot, h)
+    precond = fields._dirichlet_inverse(U.shape, h, 2.0 * pot.c**2)
+    x = project(np.random.default_rng(0).standard_normal(U.shape))
+    x[0] = x[-1] = 0.0
+    x /= np.linalg.norm(x)
+    Ax = hess(x)
+    lam = np.vdot(x, Ax)
+    step = []  # none before the first
+    for _ in range(GAP_MAX_ITER):
+        r = Ax - lam * x
+        if np.linalg.norm(r) <= GAP_TOL * abs(lam):
+            return float(lam)
+        dirs = [v / np.linalg.norm(v) for v in [project(precond(r))] + step]
+        S = np.stack([v.ravel() for v in [x] + dirs], axis=1)
+        AS = np.stack([Ax.ravel()] + [hess(v).ravel() for v in dirs], axis=1)
+        _, s, Vt = np.linalg.svd(S, full_matrices=False)
+        kept = s > GAP_RANK_TOL * s[0]
+        C = Vt[kept].T / s[kept]  # S @ C is orthonormal
+        T = C.T @ (S.T @ AS) @ C
+        y = C @ np.linalg.eigh(0.5 * (T + T.T))[1][:, 0]
+        step = [project((S[:, 1:] @ y[1:]).reshape(U.shape))]
+        x, Ax = project((S @ y).reshape(U.shape)), project((AS @ y).reshape(U.shape))
+        norm = np.linalg.norm(x)
+        x, Ax = x / norm, Ax / norm
+        lam = np.vdot(x, Ax)
+    raise ConnectionError(f"hyperbolicity gap not converged in {GAP_MAX_ITER} steps")
 
 
 def tail_decay_rate(profile: ConnectionProfile, lo: float = 1e-10, hi: float = 1e-1):

@@ -380,7 +380,7 @@ class SolveResult:
     equivariance_before: float | None = None
     equivariance_after: float | None = None
     method: str = "newton"  # the one solve path; reports name it
-    stop_reason: str = "converged"  # converged | max_iter | line_search
+    stop_reason: str = "converged"  # converged | max_iter | line_search | stalled
 
 
 def _apply_boundary(values: np.ndarray, bvals: np.ndarray, bmask_flat: np.ndarray):
@@ -390,6 +390,7 @@ def _apply_boundary(values: np.ndarray, bvals: np.ndarray, bmask_flat: np.ndarra
 
 
 CG_MAX_ITER = 200
+STALL_STEPS = 4  # Newton steps without residual progress that count as a stall
 BOUNDARY_EQUIVARIANCE_TOL = 1e-6
 LINE_SEARCH_HALVINGS = 40
 
@@ -457,21 +458,28 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
     ``project`` that the Hessian commutes with is applied to each right-hand
     side (after its residual is measured) and follows the preconditioner,
     so every direction stays in its class.  A NaN energy raises SolveError.
+    A residual that falls neither below its lowest value nor below half the
+    one before for ``STALL_STEPS`` steps in a row is at its rounding floor.
 
     Returns (values, W_u, residual, steps, energy history, stop reason); the
-    reason, "max_iter" or "line_search", matters only above ``target``."""
+    reason, "max_iter", "line_search" or "stalled", matters only above target."""
     # (E, w_u) always belong to the current state: an accepted trial brings its own
     E, w_u = discrete_energy(state, h, potential)
     history = [E]
     shift_inverse = _dirichlet_inverse(state.shape, h, 2.0 * potential.c**2)
     precond = shift_inverse if project is None else (lambda r: project(shift_inverse(r)))
     inner = (slice(1, -1),) * (state.ndim - 1)
-    it, stop = 0, "max_iter"
+    it, stop, best, res, idle = 0, "max_iter", np.inf, np.inf, 0
     while True:
         b = kernels.link_laplacian(state, h)  # zero on the boundary layer
         b[inner] -= w_u[inner]
-        res = float(np.sqrt(np.sum(b * b, axis=-1)).max())
+        res, prev = float(np.sqrt(np.sum(b * b, axis=-1)).max()), res
+        idle = 0 if res < best or res < 0.5 * prev else idle + 1
+        best = min(best, res)
         if res <= target or it >= max_iter:
+            break
+        if idle >= STALL_STEPS:
+            stop = "stalled"
             break
         if project is not None:  # CG cannot reduce the part of b outside the class
             b = project(b)

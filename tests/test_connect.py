@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -7,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
+import scipy.sparse.linalg
 
-from multiwell import connect, fields, groups, potentials
+from multiwell import cli, connect, fields, groups, potentials
 
 SIGMA_DW = 2.0 * np.sqrt(2.0) / 3.0  # int sqrt(2 W) du for the double well
 
@@ -170,6 +173,15 @@ def test_connection_without_swap_symmetry_is_not_projected():
     assert connect.action(prof) == pytest.approx(oracle, abs=1e-4)
 
 
+def test_connection_without_swap_symmetry_has_no_gap(tmp_path):
+    # no symmetric class, so no gap: connect1d reports null and succeeds
+    (tmp_path / "asym.json").write_text(json.dumps(ASYMMETRIC_WELLS))
+    (tmp_path / "c.json").write_text(json.dumps({"potential": str(tmp_path / "asym.json")}))
+    out = tmp_path / "out"
+    assert cli.main(["connect1d", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["hyperbolicity_gap"] is None
+
+
 def test_symmetric_class_solve_never_exhausts_cg(monkeypatch):
     # the Newton right-hand side is projected onto the class before CG: its
     # part outside the class is rounding that no class direction can reduce,
@@ -208,14 +220,66 @@ def test_endpoint_decay(dw_profile, double_well):
     assert abs(k - expected) / expected < 0.2
 
 
+def _newton_matrix(U: np.ndarray, h: float, potential):
+    """The linearization v -> v'' - W_uu(U) v over interior nodes, Dirichlet
+    ends, as a scipy CSC matrix."""
+    n_int, m = U.shape[0] - 2, U.shape[1]
+    lap = scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n_int, n_int)) / h**2
+    H = scipy.sparse.bsr_matrix((potential.hess_field(U[1:-1]), np.arange(n_int), np.arange(n_int + 1)))
+    return (scipy.sparse.kron(lap, scipy.sparse.eye(m)) - H).tocsc()
+
+
+def linearized_spectrum(profile, k: int = 6):
+    """Oracle: the k eigenvalues of L v = v'' - W_uu(U) v nearest zero
+    (Dirichlet ends, ARPACK shift-invert), sorted by |eigenvalue|, with
+    parities: +1 for eigenvectors nearer the class v(-eta) = T v(eta), T the
+    reflection swapping the endpoint wells, -1 otherwise (the translation
+    mode U' lives in the -1 sector)."""
+    U = profile.values
+    A = _newton_matrix(U, profile.h, profile.potential)
+    k = min(k, A.shape[0] - 2)
+    vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", v0=np.ones(A.shape[0]))
+    order = np.argsort(np.abs(vals))
+    vals, vecs = vals[order], vecs[:, order]
+    T = connect._pair_reflection(profile.a_minus, profile.a_plus)
+    parities = []
+    for v in vecs.T:
+        sv = (v.reshape(U.shape[0] - 2, -1)[::-1] @ T.T).ravel()
+        parities.append(1 if np.linalg.norm(sv - v) < np.linalg.norm(sv + v) else -1)
+    return vals, np.array(parities)
+
+
 def test_hyperbolicity_gap_double_well(dw_profile):
     # symmetric-class gap of the linearization at tanh: exactly 3/2
     gap = connect.hyperbolicity_gap(dw_profile["profile"])
     assert gap == pytest.approx(1.5, abs=0.02)
 
 
+@pytest.mark.parametrize(
+    "name, pair, half_length, intervals",
+    [
+        ("double_well", (0, 1), 10.0, 400),
+        ("triple_well", (1, 0), 6.0, 1200),
+        ("triple_well", (0, 1), 6.0, 1200),
+        # a doubly degenerate bottom of the class spectrum: 4.000123 twice
+        ("tetra_well", (1, 0), 5.0, 500),
+        # a close cluster on a coarse grid (4.004859, then 4.015461 twice):
+        # Ritz vectors from an orthonormal basis computed outright (QR, or
+        # the SVD's left singular vectors) sank to 3.99 here
+        ("tetra_well", (1, 0), 3.0, 20),
+    ],
+)
+def test_hyperbolicity_gap_matches_arpack(name, pair, half_length, intervals):
+    pot = potentials.get_potential(name)
+    prof = connect.solve_connection(pot, pot.wells[pair[0]], pot.wells[pair[1]], half_length, intervals, tol=1e-9)
+    vals, parities = linearized_spectrum(prof)
+    assert parities[0] == -1  # the translation mode, outside the class
+    oracle = float(np.min(np.abs(vals[parities == 1])))
+    assert connect.hyperbolicity_gap(prof) == pytest.approx(oracle, rel=1e-9)
+
+
 def test_translation_mode_is_antisymmetric(dw_profile):
-    vals, parities = connect.linearized_spectrum(dw_profile["profile"])
+    vals, parities = linearized_spectrum(dw_profile["profile"])
     assert abs(vals[0]) < 1e-2  # near-zero translation mode
     assert parities[0] == -1  # excluded from the symmetric class
 
@@ -229,7 +293,7 @@ def test_constant_profile_gap_bounded_below(double_well):
         a_plus=np.array([1.0]),
         potential=double_well,
     )
-    vals, _ = connect.linearized_spectrum(const)
+    vals, _ = linearized_spectrum(const)
     gap = float(np.min(np.abs(vals)))
     assert gap >= 2.0 * double_well.c**2 - 0.05  # operator is -(d/dx)^2 + W''(a)
 
@@ -248,6 +312,18 @@ def test_save_profile_roundtrip(tmp_path, dw_profile):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], dw_profile["profile"].eta)
     assert np.array_equal(data[:, 1], dw_profile["profile"].values[:, 0])
+
+
+def test_newton_stops_when_the_residual_stalls(double_well, monkeypatch):
+    # tol 1e-11 lies below the rounding floor of the double well at 10 000
+    # intervals (5.2e-11, reached in 4 steps): the loop stops STALL_STEPS
+    # steps later as stalled, not after all MAX_STEPS
+    runs, newton_krylov = [], fields.newton_krylov
+    monkeypatch.setattr(fields, "newton_krylov", lambda *args: runs.append(newton_krylov(*args)) or runs[-1])
+    prof = connect.solve_connection(double_well, [-1.0], [1.0], 10.0, 10_000, tol=1e-11)
+    _, _, res, steps, _, stop = runs[0]
+    assert not prof.converged and prof.residual == res < 1e-10
+    assert stop == "stalled" and steps <= 4 + fields.STALL_STEPS
 
 
 def test_double_well_connection_goes_below_the_summed_stencil_floor(double_well):
@@ -280,18 +356,23 @@ tw = potentials.get_potential("triple_well")
 dw_prof = connect.solve_connection(dw, [-1.0], [1.0], 10.0, 400, tol=1e-9)
 tw_prof = connect.solve_connection(tw, tw.wells[1], tw.wells[0], 6.0, 1200, tol=1e-9)
 print(repr(connect.hyperbolicity_gap(dw_prof)), repr(connect.hyperbolicity_gap(tw_prof)))
-print("scipy.sparse.linalg" in sys.modules)
+config = sys.argv[1] + "/c.json"
+with open(config, "w") as fh:
+    fh.write('{"potential": "triple_well", "half_length": 6.0, "intervals": 1200, "tol": 1e-9}')
+assert multiwell.cli.main(["connect1d", "--config", config, "--out", sys.argv[1]]) == 0
+print(bool(scipy_modules()))
 """
 
 
-def test_solves_never_load_scipy():
-    # loading the package, connections, initial data and field solves need
-    # numpy alone; only the spectrum imports scipy (ARPACK), when first called
+def test_solves_never_load_scipy(tmp_path):
+    # loading the package, connections, their gap, initial data, field
+    # solves and the connect1d subcommand need numpy alone
     src = str(Path(connect.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN], capture_output=True, text=True, env=env, timeout=300)
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN, str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     gaps, loaded = done.stdout.split("\n")[:2]
-    # reference gaps from solves preconditioned by scipy's dstn; the profiles differ only by rounding
+    # reference gaps: ARPACK on solves preconditioned by scipy's dstn; the profiles differ only by rounding
     assert [float(g) for g in gaps.split()] == pytest.approx([1.4999148283329728, 7.0425753410909016], rel=1e-9)
-    assert loaded == "True"
+    assert loaded == "False"
