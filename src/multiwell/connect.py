@@ -19,7 +19,7 @@ from . import fields, kernels, potentials
 MAX_STEPS = 60  # Newton steps of one connection solve
 MIN_INTERVALS = 4  # the fewest intervals accepted
 INVARIANCE_TOL = 1e-8  # sampled |W(r u) - W(u)| below which W counts as r-invariant
-GAP_TOL = 1e-10  # relative eigen-residual at which the hyperbolicity gap stops
+GAP_TOL = 1e-12  # eigen-residual, relative to |lambda| + 4 dim / h^2, that stops the gap
 GAP_MAX_ITER = 200  # LOBPCG steps of the hyperbolicity gap
 GAP_RANK_TOL = 1e-8  # singular values below this fraction of the largest leave the basis
 
@@ -146,8 +146,7 @@ def solve_connection(
     project = _symmetric_projection(potential, a_minus, a_plus)
     if project is not None:
         U = project(U)
-    U[0] = a_minus
-    U[-1] = a_plus
+    U[0], U[-1] = a_minus, a_plus
 
     U, _, res, _, _, _ = fields.newton_krylov(U, potential, h, tol, MAX_STEPS, project)
     return ConnectionProfile(
@@ -182,14 +181,16 @@ def action(profile: ConnectionProfile) -> float:
 def hyperbolicity_gap(profile: ConnectionProfile) -> float | None:
     """Smallest eigenvalue of the Newton Hessian A = -Delta_h + W_uu(U) on
     the class U(-eta) = r U(eta) of ``_symmetric_projection``, which holds no
-    translation mode; None for a pair without that symmetry.  A single-vector
-    LOBPCG from the projection of a seeded normal vector: Rayleigh-Ritz on
-    the iterate x, the projected preconditioned residual and the last step,
-    until |A x - lambda x| <= GAP_TOL |lambda| (ConnectionError after
-    GAP_MAX_ITER steps).  Ritz vectors combine these class vectors S, with
-    coefficients from an SVD of S: an orthonormal basis computed outright
-    (QR, or the SVD's own) carries rounding out of the class, and its Ritz
-    values sink below the class's."""
+    translation mode; None for a pair without that symmetry, negative for a
+    profile that is not a minimizer in the class.  A single-vector LOBPCG
+    from the projection of a seeded normal vector: Rayleigh-Ritz on the
+    iterate x, the projected preconditioned residual and the last step,
+    until |A x - lambda x| <= GAP_TOL (|lambda| + 4 dim / h^2): |A| bounds
+    the stencil's rounding floor, so fine grids and a gap near 0 converge
+    (ConnectionError after GAP_MAX_ITER steps).  Ritz vectors combine these
+    class vectors S, with coefficients from an SVD of S: an orthonormal
+    basis computed outright (QR, or the SVD's own) carries rounding out of
+    the class, and its Ritz values sink below the class's."""
     project = _symmetric_projection(profile.potential, profile.a_minus, profile.a_plus)
     if project is None:
         return None
@@ -198,13 +199,13 @@ def hyperbolicity_gap(profile: ConnectionProfile) -> float | None:
     precond = fields._dirichlet_inverse(U.shape, h, 2.0 * pot.c**2)
     x = project(np.random.default_rng(0).standard_normal(U.shape))
     x[0] = x[-1] = 0.0
-    x /= np.linalg.norm(x)
-    Ax = hess(x)
-    lam = np.vdot(x, Ax)
-    step = []  # none before the first
+    Ax, step = hess(x), []  # no step before the first
     for _ in range(GAP_MAX_ITER):
+        norm = np.linalg.norm(x)
+        x, Ax = x / norm, Ax / norm
+        lam = np.vdot(x, Ax)
         r = Ax - lam * x
-        if np.linalg.norm(r) <= GAP_TOL * abs(lam):
+        if np.linalg.norm(r) <= GAP_TOL * (abs(lam) + 4.0 * (U.ndim - 1) / h**2):
             return float(lam)
         dirs = [v / np.linalg.norm(v) for v in [project(precond(r))] + step]
         S = np.stack([v.ravel() for v in [x] + dirs], axis=1)
@@ -216,9 +217,6 @@ def hyperbolicity_gap(profile: ConnectionProfile) -> float | None:
         y = C @ np.linalg.eigh(0.5 * (T + T.T))[1][:, 0]
         step = [project((S[:, 1:] @ y[1:]).reshape(U.shape))]
         x, Ax = project((S @ y).reshape(U.shape)), project((AS @ y).reshape(U.shape))
-        norm = np.linalg.norm(x)
-        x, Ax = x / norm, Ax / norm
-        lam = np.vdot(x, Ax)
     raise ConnectionError(f"hyperbolicity gap not converged in {GAP_MAX_ITER} steps")
 
 

@@ -458,8 +458,9 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
     ``project`` that the Hessian commutes with is applied to each right-hand
     side (after its residual is measured) and follows the preconditioner,
     so every direction stays in its class.  A NaN energy raises SolveError.
-    A residual that falls neither below its lowest value nor below half the
-    one before for ``STALL_STEPS`` steps in a row is at its rounding floor.
+    A step that brings the residual neither below its lowest value nor below
+    half the one before, and the energy down by at most 1e-14 |E|, is idle:
+    ``STALL_STEPS`` idle steps in a row are at the rounding floor.
 
     Returns (values, W_u, residual, steps, energy history, stop reason); the
     reason, "max_iter", "line_search" or "stalled", matters only above target."""
@@ -474,7 +475,8 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
         b = kernels.link_laplacian(state, h)  # zero on the boundary layer
         b[inner] -= w_u[inner]
         res, prev = float(np.sqrt(np.sum(b * b, axis=-1)).max()), res
-        idle = 0 if res < best or res < 0.5 * prev else idle + 1
+        falling = len(history) > 1 and history[-1] < history[-2] - 1e-14 * abs(E)
+        idle = 0 if res < best or res < 0.5 * prev or falling else idle + 1
         best = min(best, res)
         if res <= target or it >= max_iter:
             break

@@ -267,6 +267,11 @@ def test_hyperbolicity_gap_double_well(dw_profile):
         # Ritz vectors from an orthonormal basis computed outright (QR, or
         # the SVD's left singular vectors) sank to 3.99 here
         ("tetra_well", (1, 0), 3.0, 20),
+        # fine grids: |A x - lambda x| has a rounding floor of about
+        # eps |x| / h^2, which a stop at 1e-10 lambda met at 40 000
+        # intervals only by chance
+        ("double_well", (0, 1), 10.0, 20_000),
+        ("double_well", (0, 1), 10.0, 40_000),
     ],
 )
 def test_hyperbolicity_gap_matches_arpack(name, pair, half_length, intervals):
@@ -276,6 +281,25 @@ def test_hyperbolicity_gap_matches_arpack(name, pair, half_length, intervals):
     assert parities[0] == -1  # the translation mode, outside the class
     oracle = float(np.min(np.abs(vals[parities == 1])))
     assert connect.hyperbolicity_gap(prof) == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("half_length", [10.0, np.pi])
+def test_hyperbolicity_gap_of_the_saddle_is_negative(double_well, half_length):
+    # U = 0 between the wells is no minimizer: A = -Delta_h - 1 on odd
+    # vectors, whose lowest mode is sin(pi eta / L), so the gap is
+    # (2/h sin(pi/K))^2 - 1; at L = pi it is about -2e-5, a gap near 0
+    K = 400
+    h = 2.0 * half_length / K
+    saddle = connect.ConnectionProfile(
+        eta=np.linspace(-half_length, half_length, K + 1),
+        values=np.zeros((K + 1, 1)),
+        a_minus=np.array([-1.0]),
+        a_plus=np.array([1.0]),
+        potential=double_well,
+    )
+    exact = (2.0 / h * np.sin(np.pi / K)) ** 2 - 1.0
+    assert exact < 0
+    assert connect.hyperbolicity_gap(saddle) == pytest.approx(exact, rel=1e-9)
 
 
 def test_translation_mode_is_antisymmetric(dw_profile):

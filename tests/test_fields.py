@@ -539,6 +539,22 @@ def test_nan_abort(double_well):
         fields.minimize(f, double_well, opts=fields.SolveOptions(max_iter=50))
 
 
+def test_descent_from_a_saddle_is_no_stall(double_well):
+    # 1e-6 cos(pi x / 20) next to the saddle u = 0: the residual rises for
+    # more than STALL_STEPS steps while the energy falls, and the descent
+    # goes on to the well-to-well layer
+    g = fields.Grid(dim=1, half_width=10.0, points=201)
+    f = fields.VectorField(g, 1e-6 * np.cos(np.pi * g.nodes[:, :1] / 20.0))
+    rising = [
+        fields.minimize(f, double_well, opts=fields.SolveOptions(max_iter=n, residual_target=1e-10)).residual
+        for n in range(fields.STALL_STEPS + 3)
+    ]
+    assert np.all(np.diff(rising) > 0)
+    res = fields.minimize(f, double_well, opts=fields.SolveOptions(max_iter=200, residual_target=1e-10))
+    assert res.stop_reason == "converged" and res.iterations > fields.STALL_STEPS + 2
+    assert np.all(np.diff(res.energy_history[: fields.STALL_STEPS + 3]) < 0)
+
+
 # ---------------------------------------------------------------------------
 # solve_dirichlet
 
