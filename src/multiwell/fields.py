@@ -16,8 +16,11 @@ gradient of the link energy, whose rounding floor is lower.
 
 Symmetry actions enter only through their projection.  Per element, a
 box-preserving g_x maps nodes to nodes, so u(g_x x) is read as a node image
-(a flipped, transposed view of the stored values); only an element that
-rotates the grid is interpolated.  An action that permutes grid nodes
+(a flipped, transposed view of the stored values).  The elements that
+rotate the grid fall into cosets r b of the box-preserving ones, and
+u(r_x b_x x) is the node image under b_x of the one image u(r_x .), so one
+interpolation serves each coset: two for dihedral-3, dihedral-6 and the
+tetrahedral group.  An action that permutes grid nodes
 leaves the discrete energy exactly invariant, so the iterates keep the
 equivariance of their start to rounding: the start is projected once before
 the first step and once after the last.  An action that rotates the grid is
@@ -37,6 +40,8 @@ import numpy as np
 from . import kernels
 
 BOX_EDGE_TOL = 1e-9
+SYM_RAMP_FRAC = 0.05  # blend shell width (fraction of the half-width)
+SYM_MEASURE_FRAC = 0.9  # residuals are measured on this fraction of the ball
 
 
 class SolveError(RuntimeError):
@@ -79,6 +84,14 @@ class Grid:
         ax = self.axis()
         grids = np.meshgrid(*([ax] * self.dim), indexing="ij")
         return np.ascontiguousarray(np.stack([g.ravel() for g in grids], axis=1))
+
+    @cached_property
+    def measure_ball(self) -> np.ndarray:
+        """Flat indices of the nodes within ``SYM_MEASURE_FRAC`` of the
+        half-width of the origin, where the equivariance of an action that
+        rotates the grid is measured."""
+        r = np.linalg.norm(self.nodes, axis=1)
+        return np.flatnonzero(r <= SYM_MEASURE_FRAC * self.half_width + BOX_EDGE_TOL)
 
     @cached_property
     def interior_mask(self) -> np.ndarray:
@@ -188,10 +201,6 @@ def reflection_pairs(n: int, m: int, x_axis: int = 0, u_axis: int = 0) -> list:
     return [(np.eye(n), np.eye(m)), (gx, gu)]
 
 
-SYM_RAMP_FRAC = 0.05  # blend shell width (fraction of the half-width)
-SYM_MEASURE_FRAC = 0.9  # residuals are measured on this fraction of the ball
-
-
 def _box_preserving(mat: np.ndarray) -> bool:
     a = np.abs(mat)
     return bool(np.all((a < 1e-12) | (np.abs(a - 1.0) < 1e-12)))
@@ -214,30 +223,65 @@ def _node_image(values: np.ndarray, gx: np.ndarray) -> np.ndarray:
     return np.transpose(flipped, tuple(np.argsort(src)) + (values.ndim - 1,))
 
 
+def _pair_images(values: np.ndarray, grid: Grid, pairs, sel):
+    """Yield u(g_x x) at the nodes ``sel`` picks (a slice, mask or index
+    array of the flat nodes), one (K, m) array per pair in order, with one
+    interpolation per coset of the box-preserving elements.
+
+    The identity is the first representative, with image u itself.  A pair
+    whose g_x no earlier representative r_x absorbs (b_x = r_x^T g_x
+    box-preserving) becomes one: its image is interpolated at the picked
+    nodes.  Every other pair reads u(g_x x) = u(r_x (b_x x)) as the row of
+    its representative's image at the node b_x x, through the node image of
+    the node numbers, and is interpolated directly when that node is not
+    picked."""
+    m = values.shape[-1]
+    flat = values.reshape(-1, m)
+    number = np.arange(flat.shape[0]).reshape(grid.shape + (1,))  # node numbers, the rows of u
+    reps = [(np.eye(grid.dim), flat, None)]  # (r_x, image, image row of each node or None)
+    pts = row = None
+    for gx, _ in pairs:
+        rep = next((r for r in reps if _box_preserving(r[0].T @ gx)), None)
+        if rep is not None:
+            rx, image, rows = rep
+            src = _node_image(number, rx.T @ gx).reshape(-1)[sel]
+            if rows is not None:  # an image of the picked nodes: -1 marks a node not picked
+                src = rows[src]
+            if rows is None or np.all(src >= 0):
+                yield np.take(image, src, axis=0)
+                continue
+        if pts is None:
+            pts = grid.nodes[sel]
+            row = np.full(flat.shape[0], -1)
+            row[sel] = np.arange(pts.shape[0])
+        image = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing)
+        if rep is None:
+            reps.append((gx, image, row))
+        yield image
+
+
 def symmetrize_pairs(field: VectorField, pairs) -> VectorField:
     """Project a sampled field onto the equivariant class of the action pairs:
     the average of g_u^{-1} u(g_x x) over all pairs.
 
-    A box-preserving g_x maps nodes to nodes, so u(g_x x) is read off the
-    stored values (``_node_image``); only an element that rotates the grid
-    is interpolated.  Orthogonal maps preserve the 2-norm, so on the
-    inscribed ball every sample g_x x stays inside the box and the average
-    is the exact projection (up to interpolation error).  Signed-permutation
-    actions preserve the whole box and are averaged everywhere, from node
-    images alone; otherwise the projection is blended back into the input
-    over a thin shell at the ball edge and the corner region keeps the input
+    The images u(g_x x) come from ``_pair_images``: node images for the
+    box-preserving elements, and one interpolation on the whole grid per
+    further coset of them (2 for dihedral-3, dihedral-6 and the tetrahedral
+    group).  Orthogonal maps preserve the 2-norm, so on the inscribed ball
+    every sample g_x x stays inside the box and the average is the exact
+    projection (up to interpolation error).  Signed-permutation actions
+    preserve the whole box and are averaged everywhere, from node images
+    alone; otherwise the projection is blended back into the input over a
+    thin shell at the ball edge and the corner region keeps the input
     values."""
     g = field.grid
     pts = g.nodes
     R = g.half_width
     acc = np.zeros((pts.shape[0], field.m))
-    for gx, gu in pairs:
-        if _is_identity(gx, gu):
-            acc += field.flat()
-        elif _box_preserving(gx):
-            acc += _node_image(field.values, gx).reshape(-1, field.m) @ gu
-        else:
-            acc += kernels.interp(field.values, pts @ gx.T, -R, g.spacing) @ gu
+    identity = [_is_identity(gx, gu) for gx, gu in pairs]
+    images = _pair_images(field.values, g, [p for p, i in zip(pairs, identity) if not i], slice(None))
+    for (_, gu), is_identity in zip(pairs, identity):
+        acc += field.flat() if is_identity else next(images) @ gu
     acc /= len(pairs)
     if not all(_box_preserving(gx) for gx, _ in pairs):
         r = np.linalg.norm(pts, axis=1)
@@ -250,33 +294,28 @@ def equivariance_residual_pairs(field: VectorField, pairs) -> float:
     """max over pairs and measurement-ball nodes of |u(g x) - g u(x)|.
 
     For box-preserving actions the measurement covers the whole box;
-    otherwise it is restricted to the inner ball where the projection is
-    exact (every compared sample stays inside the sampled domain)."""
+    otherwise it is restricted to the inner ball ``Grid.measure_ball`` where
+    the projection is exact (every compared sample stays inside the sampled
+    domain)."""
     g = field.grid
-    if all(_box_preserving(gx) for gx, _ in pairs):
-        sel = slice(None)
-    else:
-        sel = np.linalg.norm(g.nodes, axis=1) <= SYM_MEASURE_FRAC * g.half_width + BOX_EDGE_TOL
+    sel = slice(None) if all(_box_preserving(gx) for gx, _ in pairs) else g.measure_ball
     return _equivariance_defect(field.values, g, pairs, sel)
 
 
 def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
-    """max over the pairs and the nodes ``sel`` (a mask or slice of the flat
-    nodes) picks of |u(g x) - g u(x)|: node images for box-preserving
-    elements, interpolation at the picked nodes only for the others; the
-    identity pair, which compares u(x) with itself, is skipped."""
+    """max over the pairs and the nodes ``sel`` (a slice, mask or index array
+    of the flat nodes) picks of |u(g x) - g u(x)|, skipping the identity
+    pair, which compares u(x) with itself.  The images u(g x) come from
+    ``_pair_images`` at the picked nodes only: node images for box-preserving
+    elements, and one interpolation per further coset of them, so the
+    tetrahedral group, dihedral-3 and dihedral-6 interpolate twice where
+    they have 16, 4 and 8 grid-rotating elements.  An element whose node
+    b_x x falls outside the picked nodes is interpolated directly."""
     m = values.shape[-1]
     flat = values.reshape(-1, m)[sel]
-    pts = None
+    pairs = [(gx, gu) for gx, gu in pairs if not _is_identity(gx, gu)]
     worst = 0.0
-    for gx, gu in pairs:
-        if _is_identity(gx, gu):
-            continue
-        if _box_preserving(gx):
-            lhs = _node_image(values, gx).reshape(-1, m)[sel]
-        else:
-            pts = grid.nodes[sel] if pts is None else pts
-            lhs = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing)
+    for (gx, gu), lhs in zip(pairs, _pair_images(values, grid, pairs, sel)):
         diff = np.sqrt(np.sum((lhs - flat @ gu.T) ** 2, axis=1))
         worst = max(worst, float(diff.max()))
     return worst
@@ -458,9 +497,11 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
     ``project`` that the Hessian commutes with is applied to each right-hand
     side (after its residual is measured) and follows the preconditioner,
     so every direction stays in its class.  A NaN energy raises SolveError.
-    A step that brings the residual neither below its lowest value nor below
-    half the one before, and the energy down by at most 1e-14 |E|, is idle:
-    ``STALL_STEPS`` idle steps in a row are at the rounding floor.
+    A step that brings the residual neither below its lowest value, below
+    half the one before nor above 1.25 times it, and the energy down by at
+    most 1e-14 |E|, is idle: ``STALL_STEPS`` idle steps in a row are at the
+    rounding floor.  A residual that grows by a quarter or more is a descent
+    leaving a saddle, whose energy may fall by less than 1e-14 |E| per step.
 
     Returns (values, W_u, residual, steps, energy history, stop reason); the
     reason, "max_iter", "line_search" or "stalled", matters only above target."""
@@ -476,7 +517,8 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
         b[inner] -= w_u[inner]
         res, prev = float(np.sqrt(np.sum(b * b, axis=-1)).max()), res
         falling = len(history) > 1 and history[-1] < history[-2] - 1e-14 * abs(E)
-        idle = 0 if res < best or res < 0.5 * prev or falling else idle + 1
+        progress = res < best or res < 0.5 * prev or res > 1.25 * prev or falling
+        idle = 0 if progress else idle + 1
         best = min(best, res)
         if res <= target or it >= max_iter:
             break

@@ -10,7 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from multiwell import connect, fields, groups, potentials
+from multiwell import connect, fields, groups, kernels, potentials
+
+
+@pytest.fixture
+def interp_calls(monkeypatch):
+    """The point counts of the ``kernels.interp`` calls made during the test."""
+    calls, interp = [], kernels.interp
+    monkeypatch.setattr(kernels, "interp", lambda *args: calls.append(len(args[1])) or interp(*args))
+    return calls
 
 
 @pytest.fixture(scope="session")

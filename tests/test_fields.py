@@ -555,6 +555,18 @@ def test_descent_from_a_saddle_is_no_stall(double_well):
     assert np.all(np.diff(res.energy_history[: fields.STALL_STEPS + 3]) < 0)
 
 
+@pytest.mark.parametrize("amplitude", [1e-8, 1e-10])
+def test_descent_from_within_rounding_of_a_saddle_is_no_stall(double_well, amplitude):
+    # closer to the saddle u = 0 the energy falls by less than 1e-14 |E| per
+    # step at first, while the residual rises about 1.5x per step: a rise
+    # above 1.25x is progress, so the descent goes on to the layer
+    g = fields.Grid(dim=1, half_width=20.0, points=401)
+    f = fields.VectorField(g, amplitude * np.cos(np.pi * g.nodes[:, :1] / 40.0))
+    res = fields.minimize(f, double_well, opts=fields.SolveOptions(max_iter=200, residual_target=1e-12))
+    assert res.stop_reason == "converged" and res.iterations > 10 * fields.STALL_STEPS
+    assert res.energy < 0.1 * res.energy_history[0]
+
+
 # ---------------------------------------------------------------------------
 # solve_dirichlet
 
@@ -619,6 +631,16 @@ def test_tetra_3d_descent_smoke(tetra_well, tetrahedral):
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
     assert res.residual < r0
     assert res.equivariance_after <= 2.0 * res.equivariance_before + 5e-9
+
+
+def test_minimize_interpolates_one_image_per_coset(tetra_well, tetrahedral, interp_calls):
+    # the defect is measured before and after the steps; each measurement
+    # interpolates the two coset representatives besides the identity, where
+    # the tetrahedral group has 16 elements that rotate the grid
+    grid = fields.Grid(dim=3, half_width=3.0, points=13)
+    u0 = fields.VectorField(grid, np.tanh(grid.nodes).reshape(grid.shape + (3,)))
+    res = fields.minimize(u0, tetra_well, symmetry=tetrahedral, opts=fields.SolveOptions(max_iter=3))
+    assert res.iterations > 0 and len(interp_calls) == 4
 
 
 def test_field_csv_roundtrip_bitwise(tmp_path, junction):

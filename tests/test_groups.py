@@ -221,16 +221,16 @@ def test_equivariance_residual_witness(dihedral3):
     assert fields.equivariance_residual_pairs(odd, pairs) < 1e-12
 
 
-def _full_box_equivariance(field, pairs) -> float:
+def _full_box_equivariance(field, pairs, sel=None) -> float:
     """Reference: every pair, the identity included, evaluated at every node
     of the box (box-preserving elements by gathering the node nearest to
     g x, the others by interpolation); the maximum is then taken over the
-    measured nodes."""
+    nodes ``sel`` picks, by default the measured nodes."""
     g = field.grid
     pts = g.nodes
-    if all(fields._box_preserving(gx) for gx, _ in pairs):
+    if sel is None and all(fields._box_preserving(gx) for gx, _ in pairs):
         sel = np.ones(pts.shape[0], dtype=bool)
-    else:
+    elif sel is None:
         sel = np.linalg.norm(pts, axis=1) <= fields.SYM_MEASURE_FRAC * g.half_width + fields.BOX_EDGE_TOL
     worst = 0.0
     for gx, gu in pairs:
@@ -244,10 +244,9 @@ def _full_box_equivariance(field, pairs) -> float:
     return worst
 
 
-@pytest.mark.parametrize("action", sorted(groups.GROUP_BUILDERS) + ["reflection_pairs"])
-def test_equivariance_residual_matches_full_box_reference(action):
-    # measuring only the selected nodes, skipping the identity pair and
-    # reading node images as views change no bit of the result
+def _test_fields(action):
+    """The action's pairs and three fields on a small grid: rough, smooth,
+    and the smooth one projected."""
     if action == "reflection_pairs":
         dim, pairs = 2, fields.reflection_pairs(2, 1)
     else:
@@ -258,8 +257,55 @@ def test_equivariance_residual_matches_full_box_reference(action):
     rng = np.random.default_rng(3)
     rough = fields.VectorField(grid, rng.normal(size=grid.shape + (m,)))
     smooth = fields.VectorField(grid, np.sin(grid.nodes @ rng.normal(size=(dim, m))).reshape(grid.shape + (m,)))
-    for field in (rough, smooth, fields.symmetrize_pairs(smooth, pairs)):
-        assert fields.equivariance_residual_pairs(field, pairs) == _full_box_equivariance(field, pairs)
+    return pairs, (rough, smooth, fields.symmetrize_pairs(smooth, pairs))
+
+
+ACTIONS = sorted(groups.GROUP_BUILDERS) + ["reflection_pairs"]
+ROTATING = ("dihedral_3", "dihedral_6", "tetrahedral")
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+def test_equivariance_residual_matches_full_box_reference(action):
+    # measuring only the selected nodes, skipping the identity pair and
+    # reading node images change no bit of the result; an action that
+    # rotates the grid reads u(g_x x) as u(r_x (b_x x)) from one image per
+    # coset, and r_x (b_x x) differs from g_x x by the rounding of the
+    # matrix product
+    pairs, tested = _test_fields(action)
+    for field in tested:
+        measured = fields.equivariance_residual_pairs(field, pairs)
+        if action in ROTATING:
+            tol = 1e-14 * np.abs(field.values).max()
+            assert measured == pytest.approx(_full_box_equivariance(field, pairs), rel=0, abs=tol)
+        else:
+            assert measured == _full_box_equivariance(field, pairs)
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+def test_equivariance_residual_interpolates_once_per_coset(action, interp_calls):
+    # the box-preserving elements form a subgroup with three cosets in the
+    # tetrahedral group, dihedral-3 and dihedral-6: the identity's image is
+    # u itself, so two images are interpolated; node-permuting actions none
+    pairs, (field, _, _) = _test_fields(action)
+    interp_calls.clear()
+    fields.equivariance_residual_pairs(field, pairs)
+    assert len(interp_calls) == (2 if action in ROTATING else 0)
+
+
+@pytest.mark.parametrize("action", ROTATING)
+def test_equivariance_defect_off_a_closed_node_set_interpolates_directly(action, interp_calls):
+    # a random node set is not closed under the box-preserving b_x, so the
+    # node b_x x of some picked x is not picked: every grid-rotating element
+    # past the representatives is interpolated at the picked nodes directly
+    pairs, tested = _test_fields(action)
+    grid = tested[0].grid
+    sel = np.random.default_rng(7).random(grid.nodes.shape[0]) < 0.5
+    rotating = sum(not fields._box_preserving(gx) for gx, _ in pairs)
+    for field in tested:
+        expected = _full_box_equivariance(field, pairs, sel)
+        interp_calls.clear()
+        assert fields._equivariance_defect(field.values, grid, pairs, sel) == expected
+        assert len(interp_calls) == rotating
 
 
 def test_region_of_labels(tetrahedral, triangle_region):
