@@ -53,11 +53,16 @@ class ConnectionProfile:
         )
 
     def sample(self, t) -> np.ndarray:
-        """Clamped linear interpolation of the profile."""
-        t = np.clip(np.asarray(t, dtype=np.float64), self.eta[0], self.eta[-1])
-        idx = np.clip(np.searchsorted(self.eta, t) - 1, 0, len(self.eta) - 2)
-        frac = ((t - self.eta[idx]) / self.h)[..., None]
-        return self.values[idx] * (1 - frac) + self.values[idx + 1] * frac
+        """The profile at the points t, shape t.shape + (m,): linear
+        interpolation between the nodes, clamped to [eta_0, eta_K]
+        (``kernels.interp`` on the 1D profile).  The spacing is the span over
+        the intervals: eta_1 - eta_0 carries the rounding of eta_0, up to
+        eps L / h relative, which the node index (t - eta_0) / h would
+        multiply by up to K."""
+        t = np.asarray(t, dtype=np.float64)
+        h = (self.eta[-1] - self.eta[0]) / (len(self.eta) - 1)
+        out = kernels.interp(self.values, t.reshape(-1, 1), self.eta[0], h)
+        return out.reshape(t.shape + (self.m,))
 
     def derivative(self) -> np.ndarray:
         """Centered first derivative (one-sided second order at the ends)."""

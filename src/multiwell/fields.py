@@ -232,31 +232,42 @@ def _pair_images(values: np.ndarray, grid: Grid, pairs, sel):
     whose g_x no earlier representative r_x absorbs (b_x = r_x^T g_x
     box-preserving) becomes one: its image is interpolated at the picked
     nodes.  Every other pair reads u(g_x x) = u(r_x (b_x x)) as the row of
-    its representative's image at the node b_x x, through the node image of
-    the node numbers, and is interpolated directly when that node is not
-    picked."""
+    its representative's image at the node b_x x, and is interpolated
+    directly when that node is not picked.  The node map x -> b_x x (the
+    node image of the node numbers) is formed once per distinct b_x and,
+    when there are several cosets, shared by the cosets that read it."""
     m = values.shape[-1]
     flat = values.reshape(-1, m)
-    number = np.arange(flat.shape[0]).reshape(grid.shape + (1,))  # node numbers, the rows of u
-    reps = [(np.eye(grid.dim), flat, None)]  # (r_x, image, image row of each node or None)
-    pts = row = None
+    reps, plan = [np.eye(grid.dim)], []  # the r_x; per pair (its coset, b_x or None for a new one)
     for gx, _ in pairs:
-        rep = next((r for r in reps if _box_preserving(r[0].T @ gx)), None)
-        if rep is not None:
-            rx, image, rows = rep
-            src = _node_image(number, rx.T @ gx).reshape(-1)[sel]
-            if rows is not None:  # an image of the picked nodes: -1 marks a node not picked
-                src = rows[src]
-            if rows is None or np.all(src >= 0):
-                yield np.take(image, src, axis=0)
+        k = next((k for k, rx in enumerate(reps) if _box_preserving(rx.T @ gx)), None)
+        if k is None:
+            plan.append((len(reps), None))
+            reps.append(gx)
+        else:
+            plan.append((k, np.rint(reps[k].T @ gx).astype(np.int64)))
+    number = np.arange(flat.shape[0]).reshape(grid.shape + (1,))  # node numbers, the rows of u
+    images, maps = [flat], {}  # the image of each r_x; the picked node maps by b_x
+    pts = row = None
+    for (gx, _), (k, bx) in zip(pairs, plan):
+        if bx is not None:
+            src = maps.get(bx.tobytes())
+            if src is None:
+                src = _node_image(number, bx).reshape(-1)[sel]
+                if len(reps) > 1:  # with one coset no map is read twice, so none is kept
+                    maps[bx.tobytes()] = src
+            if k:  # an image of the picked nodes: -1 marks a node not picked
+                src = row[src]
+            if not k or np.all(src >= 0):
+                yield np.take(images[k], src, axis=0)
                 continue
         if pts is None:
             pts = grid.nodes[sel]
             row = np.full(flat.shape[0], -1)
             row[sel] = np.arange(pts.shape[0])
         image = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing)
-        if rep is None:
-            reps.append((gx, image, row))
+        if bx is None:
+            images.append(image)
         yield image
 
 
@@ -309,16 +320,22 @@ def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
     ``_pair_images`` at the picked nodes only: node images for box-preserving
     elements, and one interpolation per further coset of them, so the
     tetrahedral group, dihedral-3 and dihedral-6 interpolate twice where
-    they have 16, 4 and 8 grid-rotating elements.  An element whose node
-    b_x x falls outside the picked nodes is interpolated directly."""
+    they have 16, 4 and 8 grid-rotating elements, and form 7, 1 and 3 node
+    maps, one per box-preserving b_x.  An element whose node b_x x falls
+    outside the picked nodes is interpolated directly.  The squared
+    components of each difference are summed column by column (the bits of
+    a row sum) and the one square root is taken of the largest sum."""
     m = values.shape[-1]
     flat = values.reshape(-1, m)[sel]
     pairs = [(gx, gu) for gx, gu in pairs if not _is_identity(gx, gu)]
     worst = 0.0
     for (gx, gu), lhs in zip(pairs, _pair_images(values, grid, pairs, sel)):
-        diff = np.sqrt(np.sum((lhs - flat @ gu.T) ** 2, axis=1))
-        worst = max(worst, float(diff.max()))
-    return worst
+        diff = lhs - flat @ gu.T
+        sq = diff[:, 0] ** 2
+        for a in range(1, m):
+            sq += diff[:, a] ** 2
+        worst = max(worst, float(sq.max()))
+    return float(np.sqrt(worst))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +349,9 @@ def initial_guess(group, region_map, profile, grid: Grid) -> VectorField:
     Within a region the two nearest walls compete; their profile values are
     blended on the interface-width scale so the construction is continuous
     across the medial set (up to the measure-zero junction core for orbits
-    of four or more wells)."""
+    of four or more wells).  The well dot products, deficits and blend
+    exponents are laid out nodes-last, (wells or pairs, nodes), and reduced
+    over the short leading axis; the profile is sampled once per well pair."""
     if group is not region_map.group:
         if group.order != region_map.group.order:
             raise ValueError("group does not match region map")
@@ -352,8 +371,8 @@ def initial_guess(group, region_map, profile, grid: Grid) -> VectorField:
     pts = grid.nodes
     N = wells.shape[0]
     m = wells.shape[1]
-    dots = pts @ wells.T
-    deficits = dots.max(axis=1)[:, None] - dots  # 0 for the locally dominant well
+    dots = wells @ pts.T  # (wells, nodes)
+    deficits = dots.max(axis=0) - dots  # 0 for the locally dominant well
 
     # one transported profile per reflection-related well pair; both
     # orientations give the same function, so unordered pairs suffice
@@ -369,17 +388,17 @@ def initial_guess(group, region_map, profile, grid: Grid) -> VectorField:
         raise ValueError("no well pair is related to the profile endpoints by the group")
 
     width = 1.0 / (np.sqrt(2.0) * max(getattr(profile.potential, "c", 1.0), 0.3))
-    exponents = np.empty((pts.shape[0], len(pairs)))
+    exponents = np.empty((len(pairs), pts.shape[0]))
     pvals = np.empty((len(pairs), pts.shape[0], m))
     for q, (i, j, rep) in enumerate(pairs):
         dwell = wells[i] - wells[j]
         scale = width * np.linalg.norm(dwell)
         d = (pts @ dwell) / np.linalg.norm(dwell)
         pvals[q] = sym_profile.sample(d) @ rep.T
-        exponents[:, q] = (deficits[:, i] ** 2 + deficits[:, j] ** 2) / scale**2
-    exponents -= exponents.min(axis=1)[:, None]
+        exponents[q] = (deficits[i] ** 2 + deficits[j] ** 2) / scale**2
+    exponents -= exponents.min(axis=0)
     w = np.exp(-exponents)
-    out = np.einsum("pq,qpm->pm", w, pvals) / w.sum(axis=1)[:, None]
+    out = np.einsum("qp,qpm->pm", w, pvals) / w.sum(axis=0)[:, None]
     return VectorField(grid, out.reshape(grid.shape + (m,)))
 
 

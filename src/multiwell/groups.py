@@ -9,7 +9,6 @@ equivariant projection of sampled fields.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,34 +354,6 @@ def build_region_map(group: ReflectionGroup, base_well) -> RegionMap:
         stabilizer=stab,
         wells=wells,
         coset_reps=np.array(reps),
-    )
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization: {name, dimension, generators, elements} with row-major rows.
-
-
-def group_to_json(group: ReflectionGroup) -> dict:
-    return {
-        "name": group.name,
-        "dimension": group.dimension,
-        "generators": [g.ravel().tolist() for g in group.generators],
-        "elements": [g.ravel().tolist() for g in group.elements],
-    }
-
-
-def group_from_json(data) -> ReflectionGroup:
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    d = int(data["dimension"])
-    gens = np.array([np.asarray(g, dtype=np.float64).reshape(d, d) for g in data["generators"]])
-    elements = np.array([np.asarray(g, dtype=np.float64).reshape(d, d) for g in data["elements"]])
-    return ReflectionGroup(
-        name=data["name"],
-        dimension=d,
-        generators=gens,
-        elements=elements,
-        wall_normals=_chamber_normals(elements),
     )
 
 

@@ -476,7 +476,7 @@ def young_angles(e12: float, e13: float, e23: float):
 
 
 # ---------------------------------------------------------------------------
-# Serialization and the voxel-label adapter
+# Serialization
 
 
 def partition_to_json(part: PolygonalPartition) -> dict:
@@ -536,20 +536,3 @@ def partition_from_json(data) -> PolygonalPartition:
             )
         )
     return PolygonalPartition(phases=int(data["phases"]), elements=tuple(elements))
-
-
-def voxel_interface_energy(labels: np.ndarray, spacing: float, tensions: TensionMatrix) -> float:
-    """Interface energy estimate from a label grid: one face per label-changing
-    link.  Carries an O(h) mass bias (faces are axis-aligned); use the exact
-    polygonal path when geometry is available."""
-    total = 0.0
-    dim = labels.ndim
-    for a in range(dim):
-        lo = tuple(slice(None, -1) if b == a else slice(None) for b in range(dim))
-        hi = tuple(slice(1, None) if b == a else slice(None) for b in range(dim))
-        li = labels[lo]
-        lj = labels[hi]
-        changed = li != lj
-        if np.any(changed):
-            total += float(np.sum(tensions.e[li[changed], lj[changed]])) * spacing ** (dim - 1)
-    return total

@@ -21,6 +21,14 @@ def interp_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def node_image_calls(monkeypatch):
+    """The g_x of the ``fields._node_image`` calls made during the test."""
+    calls, node_image = [], fields._node_image
+    monkeypatch.setattr(fields, "_node_image", lambda values, gx: calls.append(gx) or node_image(values, gx))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def double_well():
     return potentials.scalar_double_well()

@@ -330,6 +330,36 @@ def test_profile_sample_and_reverse(dw_profile):
     assert np.allclose(prof.sample(np.array([100.0]))[0], prof.a_plus)
 
 
+def _searchsorted_lerp(prof, t):
+    """The clamped linear interpolation by ``np.searchsorted`` that
+    ``ConnectionProfile.sample`` once computed, kept as the reference."""
+    t = np.clip(np.asarray(t, dtype=np.float64), prof.eta[0], prof.eta[-1])
+    idx = np.clip(np.searchsorted(prof.eta, t) - 1, 0, len(prof.eta) - 2)
+    frac = ((t - prof.eta[idx]) / prof.h)[..., None]
+    return prof.values[idx] * (1 - frac) + prof.values[idx + 1] * frac
+
+
+@pytest.mark.parametrize("name", ["dw_profile", "triangle_profile"])
+def test_profile_sample_matches_searchsorted_lerp(name, request):
+    fixture = request.getfixturevalue(name)
+    prof = fixture["profile"] if name == "dw_profile" else fixture
+    L = prof.eta[-1]
+    rng = np.random.default_rng(2)
+    inside = np.sort(rng.uniform(-L, L, 2001))
+    cases = {
+        "sorted": np.concatenate([inside, prof.eta]),  # the nodes themselves included
+        "shuffled": rng.permutation(inside),
+        "out of range": np.concatenate([rng.uniform(-3 * L, -L, 50), rng.uniform(L, 3 * L, 50), [-np.inf, np.inf]]),
+    }
+    for t in cases.values():
+        np.testing.assert_allclose(prof.sample(t), _searchsorted_lerp(prof, t), rtol=0, atol=1e-13)
+    # the shape contract: t.shape + (m,)
+    for t in (np.float64(0.3), inside[:7], inside[:12].reshape(3, 4)):
+        out = prof.sample(t)
+        assert out.shape == np.shape(t) + (prof.m,)
+        np.testing.assert_allclose(out, _searchsorted_lerp(prof, t), rtol=0, atol=1e-13)
+
+
 def test_save_profile_roundtrip(tmp_path, dw_profile):
     path = tmp_path / "profile.csv"
     connect.save_profile(dw_profile["profile"], path)

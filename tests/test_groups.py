@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -308,6 +306,48 @@ def test_equivariance_defect_off_a_closed_node_set_interpolates_directly(action,
         assert len(interp_calls) == rotating
 
 
+@pytest.mark.parametrize("action", ACTIONS)
+def test_equivariance_residual_forms_one_node_map_per_box_preserving_element(action, node_image_calls):
+    # every coset of the box-preserving elements reads the node maps of the
+    # same b_x, so each map is formed once: 7 for the tetrahedral group,
+    # whose 21 elements past the identity and the two representatives
+    # each read one
+    pairs, (field, _, _) = _test_fields(action)
+    node_image_calls.clear()
+    fields.equivariance_residual_pairs(field, pairs)
+    box = [gx for gx, gu in pairs if fields._box_preserving(gx) and not fields._is_identity(gx, gu)]
+    assert len(node_image_calls) == len(box)
+    assert len({np.rint(gx).astype(int).tobytes() for gx in node_image_calls}) == len(box)
+    if action == "tetrahedral":
+        assert len(box) == 7
+
+
+def _rotation_cycle_pairs():
+    """A non-diagonal action with m != dim: the 120-degree rotations of the
+    plane, acting on R^3 by cyclic permutations of the coordinates."""
+    c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
+    rot = np.array([[c, -s], [s, c]])
+    cycle = np.roll(np.eye(3), 1, axis=0)
+    return [(np.linalg.matrix_power(rot, k), np.linalg.matrix_power(cycle, k)) for k in range(3)]
+
+
+def test_equivariance_defect_of_a_rotation_cycling_components():
+    # every element past the identity rotates the grid and is its own coset,
+    # so its image is interpolated at the picked nodes, as in the reference;
+    # the per-component sum over m = 3 columns on a 2D grid is bit-equal to
+    # the reference's row sum, on the measurement ball and on a random node set
+    pairs = _rotation_cycle_pairs()
+    grid = fields.Grid(dim=2, half_width=4.0, points=33)
+    rng = np.random.default_rng(11)
+    rough = fields.VectorField(grid, rng.normal(size=grid.shape + (3,)))
+    smooth = fields.VectorField(grid, np.sin(grid.nodes @ rng.normal(size=(2, 3))).reshape(grid.shape + (3,)))
+    sel = rng.random(grid.nodes.shape[0]) < 0.5
+    for field in (rough, smooth, fields.symmetrize_pairs(smooth, pairs)):
+        assert fields.equivariance_residual_pairs(field, pairs) == _full_box_equivariance(field, pairs)
+        expected = _full_box_equivariance(field, pairs, sel)
+        assert fields._equivariance_defect(field.values, grid, pairs, sel) == expected
+
+
 def test_region_of_labels(tetrahedral, triangle_region):
     rm_t = groups.build_region_map(tetrahedral, potentials.TETRA_A1)
     # base well and its images resolve to the right cosets
@@ -343,11 +383,3 @@ def test_wall_distance(triangle_region):
     for t in (0.5, 1.0, 3.0):
         d = triangle_region.wall_distance(np.array([t, 0.0]))
         assert np.isclose(d, t * np.sqrt(3.0) / 2.0, rtol=1e-12)
-
-
-def test_group_json_roundtrip(tetrahedral):
-    data = json.loads(json.dumps(groups.group_to_json(tetrahedral)))
-    g2 = groups.group_from_json(data)
-    assert g2.order == tetrahedral.order
-    assert np.allclose(g2.elements, tetrahedral.elements)
-    assert g2.name == tetrahedral.name

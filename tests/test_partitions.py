@@ -544,19 +544,3 @@ def test_invalid_partition_labels():
             phases=2,
             elements=(pt.Segment(1, 1, np.zeros(2), np.ones(2)),),
         )
-
-
-def test_voxel_adapter_mass_bias():
-    # axis-aligned interface: exact link count; diagonal interface: the
-    # documented staircase overcount (factor sqrt(2))
-    labels = np.zeros((100, 100), dtype=np.int64)
-    labels[50:, :] = 1
-    t = unit_tensions(2)
-    h = 2.0 / 99
-    mass = pt.voxel_interface_energy(labels, h, t)
-    assert mass == pytest.approx(100 * h, rel=1e-12)
-    ii, jj = np.meshgrid(np.arange(100), np.arange(100), indexing="ij")
-    diag = (ii + jj >= 100).astype(np.int64)
-    mass_diag = pt.voxel_interface_energy(diag, h, t)
-    true_len = math.sqrt(2.0) * 98 * h
-    assert mass_diag == pytest.approx(math.sqrt(2.0) * true_len, rel=0.05)
