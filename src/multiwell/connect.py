@@ -167,11 +167,9 @@ def solve_connection(
 
 def equipartition_residual(profile: ConnectionProfile) -> float:
     """max over interior nodes of | |U'|^2/2 - W(U) | (centered differences)."""
-    U = profile.values
-    h = profile.h
-    dU = (U[2:] - U[:-2]) / (2 * h)
+    dU = profile.derivative()[1:-1]
     kin = 0.5 * np.sum(dU * dU, axis=1)
-    pot = profile.potential.value_field(U[1:-1])
+    pot = profile.potential.value_field(profile.values[1:-1])
     return float(np.max(np.abs(kin - pot)))
 
 

@@ -200,8 +200,7 @@ def hamiltonian_variance(field: VectorField, potential, strip=None, decay_tol: f
     if rows.size < 2:
         raise DiagnosticsError("strip selects fewer than two rows")
     u = field.values
-    du1 = np.gradient(u, h, axis=0, edge_order=2)
-    du2 = np.gradient(u, h, axis=1, edge_order=2)
+    du1, du2 = _full_gradients(field)
     wells = potential.wells
     flagged = False
     if wells.shape[0]:

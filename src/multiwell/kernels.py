@@ -1,7 +1,8 @@
 """Hot numeric kernels: grid stencils, the Dirichlet sine transform, the
-trapezoid rule, link quadrature, multilinear interpolation, and per
-potential kind one fused value-and-gradient kernel (with a value-only
-branch) and, for the closed-form kinds, one Hessian kernel; one numpy
+trapezoid rule, link quadrature, multilinear interpolation, and the
+potentials: one generic kernel that evaluates several polynomials (a value
+and its gradient, or the upper triangle of a Hessian) from one power table,
+and the product-of-wells form with its closed-form Hessian; one numpy
 implementation each.
 
 The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
@@ -220,73 +221,66 @@ def prodwell_hess(pts, wells, scale):
     return H
 
 
-def tetra_value_grad(pts, grad=True):
-    """The tetrahedral quartic and its gradient (None when ``grad`` is
-    false), sharing r^2 = |u|^2."""
-    u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    s1, s2 = u1 * u1, u2 * u2
-    r2 = s1 + s2 + u3 * u3
-    c = 4.0 / np.sqrt(3.0)
-    value = r2 * r2 - c * (s1 - s2) * u3 - (2.0 / 3.0) * r2 + 5.0 / 9.0
-    if not grad:
-        return value, None
-    g = np.empty_like(pts)
-    g[:, 0] = 4.0 * r2 * u1 - 2.0 * c * u1 * u3 - (4.0 / 3.0) * u1
-    g[:, 1] = 4.0 * r2 * u2 + 2.0 * c * u2 * u3 - (4.0 / 3.0) * u2
-    g[:, 2] = 4.0 * r2 * u3 - c * (s1 - s2) - (4.0 / 3.0) * u3
-    return value, g
+def poly_terms(coeffs, exps):
+    """A monomial list (coeffs (K,), exps (K, m)) as the terms
+    (coeff, ((axis, exponent), ...)) that ``poly_columns`` reads, with the
+    zero exponents dropped."""
+    return tuple(
+        (float(c), tuple((j, int(e)) for j, e in enumerate(row) if e)) for c, row in zip(coeffs, exps)
+    )
 
 
-def tetra_hess(pts):
-    """W_uu (N, 3, 3) of the tetrahedral quartic:
-    (4 |u|^2 - 4/3) I + 8 u u^T plus the terms of the cubic -c (u1^2 - u2^2) u3."""
-    u1, u2, u3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    c2 = 8.0 / np.sqrt(3.0)  # 2c
-    H = np.multiply(pts[:, :, None], pts[:, None, :])
-    H *= 8.0
-    diag = 4.0 * np.einsum("nj,nj->n", pts, pts) - 4.0 / 3.0
-    H[:, 0, 0] += diag - c2 * u3
-    H[:, 1, 1] += diag + c2 * u3
-    H[:, 2, 2] += diag
-    H[:, 0, 2] -= c2 * u1
-    H[:, 2, 0] = H[:, 0, 2]
-    H[:, 1, 2] += c2 * u2
-    H[:, 2, 1] = H[:, 1, 2]
-    return H
+# Points per block of ``poly_columns``, so that a block's power columns, rows
+# and scratch column stay in a 2 MB L2 cache.  At 33^3 the tetrahedral Hessian
+# (9 columns, 6 of them formed from 19 terms) took 3.5 ms in one block, 1.38,
+# 1.35 and 3.0 ms in blocks of 4096, 8192 and 16384 points; its value and
+# gradient 2.7, 1.7, 1.5 and 1.4 ms.  Fastest of 180 calls on one core of a
+# Xeon with 2 MB of L2 per core, numpy 2.4.6.
+POLY_BLOCK = 8192
 
 
-def _power_table(pts, exps):
-    """pw[:, j, e] = pts[:, j] ** e up to the largest exponent, by repeated products."""
-    emax = int(exps.max()) if exps.size else 0
-    pw = np.ones(pts.shape + (emax + 1,))
-    for e in range(1, emax + 1):
-        pw[:, :, e] = pw[:, :, e - 1] * pts
-    return pw
+def poly_columns(pts, polys, emax):
+    """Several polynomials, each a ``poly_terms`` tuple, at the points
+    (N, m), as the columns of an (N, len(polys)) array.
 
-
-def _monomial_sum(pw, coeffs, exps):
-    terms = np.ones((pw.shape[0], exps.shape[0]))
-    for j in range(pw.shape[1]):
-        terms *= pw[:, j, :][:, exps[:, j]]
-    return terms @ coeffs
-
-
-def poly_value(pts, coeffs, exps):
-    """sum_k coeffs[k] * prod_j pts[:, j] ** exps[k, j]."""
-    return _monomial_sum(_power_table(pts, exps), coeffs, exps)
-
-
-def poly_value_grad(pts, coeffs, exps, grads):
-    """A polynomial and its gradient from one power table; ``grads`` holds
-    the (coeffs, exps) monomial list of each partial derivative, or is None
-    for the value alone (the gradient is then None)."""
-    pw = _power_table(pts, exps)
-    if grads is None:
-        return _monomial_sum(pw, coeffs, exps), None
-    grad = np.empty_like(pts)
-    for j, (gcoeffs, gexps) in enumerate(grads):
-        grad[:, j] = _monomial_sum(pw, gcoeffs, gexps)
-    return _monomial_sum(pw, coeffs, exps), grad
+    Block by block of points, the powers pts[:, j] ** e for 1 <= e <= emax
+    (at least every exponent in use) are contiguous columns, formed once by
+    repeated products and shared by all the polynomials; each term is formed
+    in one scratch column by in-place multiplies and added to its row of the
+    block, and a polynomial listed again is copied, not formed again.  The
+    rows are written out transposed, so the output is the only array of N
+    rows: a Hessian's m^2 columns reshape to (N, m, m) in place."""
+    out = np.empty((pts.shape[0], len(polys)))
+    rows = np.empty((len(polys), min(POLY_BLOCK, pts.shape[0])))
+    for lo in range(0, pts.shape[0], POLY_BLOCK):
+        block = pts[lo : lo + POLY_BLOCK]
+        n = block.shape[0]
+        powers = []
+        for col in block.T:
+            table = [None, np.ascontiguousarray(col)]
+            for _ in range(emax - 1):
+                table.append(table[-1] * table[1])
+            powers.append(table)
+        scratch = np.empty(n)
+        formed = {}  # terms -> the row that holds them
+        for k, terms in enumerate(polys):
+            row = rows[k, :n]
+            if terms in formed:
+                row[...] = rows[formed[terms], :n]
+                continue
+            formed[terms] = k
+            row[...] = 0.0
+            for c, factors in terms:
+                if not factors:
+                    row += c
+                    continue
+                (j, e), *rest = factors
+                np.multiply(powers[j][e], c, out=scratch)
+                for j, e in rest:
+                    scratch *= powers[j][e]
+                row += scratch
+        out[lo : lo + n] = rows[:, :n].T
+    return out
 
 
 # ---------------------------------------------------------------------------

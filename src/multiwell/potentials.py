@@ -1,21 +1,23 @@
 """Catalog of multi-well potentials with exact gradients and Hessians.
 
-Every entry is backed by an explicit polynomial in the order-parameter
-components, so gradients and Hessians come from exponent manipulation
-rather than automatic differentiation.  Each kind of potential (``prodwell``,
-``tetra``, ``poly``) has one fused kernel in :mod:`multiwell.kernels` that
-returns the value and the gradient together from shared intermediates, or
-the value alone; the solvers take both from one call, and
-``value_field``/``grad_field`` are views of it.  The ``prodwell`` and
-``tetra`` kinds also have closed-form Hessian kernels.  The polynomial form
-is the exactness reference and also serves custom potentials loaded from
-JSON monomial lists.
+Every entry is an explicit polynomial in the order-parameter components,
+so gradients and Hessians come from exponent manipulation rather than
+automatic differentiation.  One generic kernel, ``kernels.poly_columns``,
+evaluates the value and the gradient polynomials together from one power
+table (or the value alone), and the upper triangle of the Hessian from
+another; the solvers take W and W_u from one call, and
+``value_field``/``grad_field`` are views of it.  A potential declared as a
+product of squared well distances (``product_scale``) is evaluated in that
+form instead, because the product is exactly zero, with an exactly zero
+gradient, at wells that are not representable, where the expanded
+polynomial rounds.  Custom potentials are loaded from JSON monomial lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +32,8 @@ class Polynomial:
         coeffs = np.asarray(coeffs, dtype=np.float64)
         exps = np.asarray(exps, dtype=np.int64).reshape(len(coeffs), nvars)
         self.coeffs, self.exps = self._canonical(coeffs, exps)
+        self.terms = kernels.poly_terms(self.coeffs, self.exps)
+        self.degree = int(self.exps.sum(axis=1).max())  # total degree, which bounds every exponent
 
     @staticmethod
     def _canonical(coeffs, exps):
@@ -48,16 +52,14 @@ class Polynomial:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.ascontiguousarray(pts, dtype=np.float64).reshape(-1, self.nvars)
-        return kernels.poly_value(pts, self.coeffs, self.exps)
+        return kernels.poly_columns(pts, [self.terms], self.degree)[:, 0]
 
     def derivative(self, j: int) -> "Polynomial":
         mask = self.exps[:, j] > 0
         coeffs = self.coeffs[mask] * self.exps[mask, j]
         exps = self.exps[mask].copy()
         exps[:, j] -= 1
-        if coeffs.size == 0:
-            return Polynomial(self.nvars, [0.0], [[0] * self.nvars])
-        return Polynomial(self.nvars, coeffs, exps)
+        return Polynomial(self.nvars, coeffs, exps)  # the zero polynomial when no term has u_j
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         coeffs = np.outer(self.coeffs, other.coeffs).ravel()
@@ -73,21 +75,10 @@ class Polynomial:
 
 
 def _quadratic_well(nvars: int, a: np.ndarray) -> Polynomial:
-    """|u - a|^2 as a Polynomial."""
-    coeffs = []
-    exps = []
-    for j in range(nvars):
-        e = [0] * nvars
-        e[j] = 2
-        coeffs.append(1.0)
-        exps.append(e)
-        e = [0] * nvars
-        e[j] = 1
-        coeffs.append(-2.0 * a[j])
-        exps.append(e)
-    coeffs.append(float(np.dot(a, a)))
-    exps.append([0] * nvars)
-    return Polynomial(nvars, coeffs, exps)
+    """|u - a|^2 as a Polynomial: the terms u_j^2, -2 a_j u_j and |a|^2."""
+    eye = np.eye(nvars, dtype=np.int64)
+    coeffs = np.concatenate([np.ones(nvars), -2.0 * np.asarray(a), [float(np.dot(a, a))]])
+    return Polynomial(nvars, coeffs, np.vstack([2 * eye, eye, np.zeros((1, nvars), dtype=np.int64)]))
 
 
 @dataclass(frozen=True)
@@ -98,7 +89,9 @@ class PotentialSpec:
     the wells equals ``2 c^2``.  ``radial_radius`` is the radius at which
     radial monotonicity W(s u) >= W(u), s >= 1 is spot-checked (recorded by
     sampling, not proved).  ``strictness_radius`` is a radius of guaranteed
-    local strictness around each well.
+    local strictness around each well.  ``product_scale``, when set, says
+    that ``poly`` is product_scale * prod_i |u - a_i|^2 over the wells, and
+    the potential is evaluated in that product form.
     """
 
     name: str
@@ -109,28 +102,23 @@ class PotentialSpec:
     c: float
     radial_radius: float
     strictness_radius: float
-    kind: str = "poly"  # fused-kernel selector: prodwell | tetra | poly
-    params: dict = field(default_factory=dict)
+    product_scale: float | None = None
 
     def __post_init__(self):
-        grads = [self.poly.derivative(j) for j in range(self.m)]
-        object.__setattr__(self, "_grad_polys", grads)
-        object.__setattr__(
-            self, "_hess_polys", [[g.derivative(j) for j in range(self.m)] for g in grads]
-        )
+        grads = [self.poly.derivative(j).terms for j in range(self.m)]
+        object.__setattr__(self, "_fused_terms", [self.poly.terms] + grads)
+        object.__setattr__(self, "_hess_terms", _hess_terms(self.poly))
 
     # -- vectorized field paths -------------------------------------------
 
     def _fused(self, pts: np.ndarray, grad: bool) -> tuple:
-        """(W, W_u) from the one fused kernel of this potential's kind; W_u
-        is None, and not computed, when ``grad`` is false."""
+        """(W, W_u) from one kernel call; W_u is None, and not computed,
+        when ``grad`` is false."""
         pts = np.ascontiguousarray(pts, dtype=np.float64)
-        if self.kind == "prodwell":
-            return kernels.prodwell_value_grad(pts, self.params["kwells"], self.params["scale"], grad)
-        if self.kind == "tetra":
-            return kernels.tetra_value_grad(pts, grad)
-        grads = [(g.coeffs, g.exps) for g in self._grad_polys] if grad else None
-        return kernels.poly_value_grad(pts, self.poly.coeffs, self.poly.exps, grads)
+        if self.product_scale is not None:
+            return kernels.prodwell_value_grad(pts, self.wells, self.product_scale, grad)
+        cols = kernels.poly_columns(pts, self._fused_terms if grad else self._fused_terms[:1], self.poly.degree)
+        return cols[:, 0], (cols[:, 1:] if grad else None)
 
     def value_and_grad_field(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """W (N,) and W_u (N, m) at flat points (N, m), from one kernel call."""
@@ -143,18 +131,13 @@ class PotentialSpec:
         return self._fused(pts, True)[1]
 
     def hess_field(self, pts: np.ndarray) -> np.ndarray:
-        """W_uu (N, m, m) at flat points: the closed-form kernel of the
-        ``prodwell`` and ``tetra`` kinds, else one polynomial per entry."""
+        """W_uu (N, m, m) at flat points: the product form's closed-form
+        kernel, else the upper triangle's polynomials from one power table,
+        written out as the full matrix."""
         pts = np.ascontiguousarray(pts, dtype=np.float64).reshape(-1, self.m)
-        if self.kind == "prodwell":
-            return kernels.prodwell_hess(pts, self.params["kwells"], self.params["scale"])
-        if self.kind == "tetra":
-            return kernels.tetra_hess(pts)
-        H = np.empty((pts.shape[0], self.m, self.m))
-        for i in range(self.m):
-            for j in range(self.m):
-                H[:, i, j] = self._hess_polys[i][j](pts)
-        return H
+        if self.product_scale is not None:
+            return kernels.prodwell_hess(pts, self.wells, self.product_scale)
+        return kernels.poly_columns(pts, self._hess_terms, self.poly.degree).reshape(-1, self.m, self.m)
 
     # -- pointwise API ------------------------------------------------------
 
@@ -182,18 +165,22 @@ class PotentialSpec:
         return self.hess_field(pts)[0]
 
 
-def _well_constants(poly: Polynomial, wells: np.ndarray) -> float:
-    """Smallest Hessian eigenvalue over the declared wells."""
+def _hess_terms(poly: Polynomial) -> list:
+    """The terms of the W_uu entries row by row; (j, i) lists the same tuple
+    as (i, j), which ``poly_columns`` then forms once."""
     m = poly.nvars
     grads = [poly.derivative(j) for j in range(m)]
-    lam = np.inf
-    for a in wells:
-        H = np.array([[grads[i].derivative(j)(a[None, :])[0] for j in range(m)] for i in range(m)])
-        lam = min(lam, float(np.linalg.eigvalsh(H)[0]))
-    return lam
+    upper = {(i, j): grads[i].derivative(j).terms for i, j in itertools.combinations_with_replacement(range(m), 2)}
+    return [upper[min(i, j), max(i, j)] for i in range(m) for j in range(m)]
 
 
-def _build(name, poly, wells, kind="poly", params=None, radial_radius=None):
+def _well_constants(poly: Polynomial, wells: np.ndarray) -> float:
+    """Smallest Hessian eigenvalue over the declared wells."""
+    H = kernels.poly_columns(wells, _hess_terms(poly), poly.degree).reshape(-1, poly.nvars, poly.nvars)
+    return float(np.linalg.eigvalsh(H)[:, 0].min())
+
+
+def _build(name, poly, wells, product_scale=None):
     wells = np.asarray(wells, dtype=np.float64).reshape(-1, poly.nvars)
     nondeg = wells.shape[0] > 0
     lam = _well_constants(poly, wells) if nondeg else 0.0
@@ -204,8 +191,7 @@ def _build(name, poly, wells, kind="poly", params=None, radial_radius=None):
         q0 = 0.5 * float(dist[dist > 0].min())
     else:
         q0 = 1.0
-    if radial_radius is None:
-        radial_radius = 2.0 * float(np.max(np.abs(wells))) + 1.0 if nondeg else 2.0
+    radial_radius = 2.0 * float(np.max(np.abs(wells))) + 1.0 if nondeg else 2.0
     return PotentialSpec(
         name=name,
         m=poly.nvars,
@@ -215,18 +201,14 @@ def _build(name, poly, wells, kind="poly", params=None, radial_radius=None):
         c=c,
         radial_radius=radial_radius,
         strictness_radius=q0,
-        kind=kind,
-        params=params or {},
+        product_scale=product_scale,
     )
 
 
 def scalar_double_well() -> PotentialSpec:
     """W(u) = (u^2 - 1)^2 / 4 with wells at -1 and +1."""
     poly = Polynomial(1, [0.25, -0.5, 0.25], [[4], [2], [0]])
-    kwells = np.array([[-1.0], [1.0]])
-    return _build(
-        "double_well", poly, kwells, kind="prodwell", params={"kwells": kwells, "scale": 0.25}
-    )
+    return _build("double_well", poly, [[-1.0], [1.0]], product_scale=0.25)
 
 
 def ginzburg_landau(m: int) -> PotentialSpec:
@@ -237,28 +219,8 @@ def ginzburg_landau(m: int) -> PotentialSpec:
     """
     if m < 2:
         raise ValueError("ginzburg_landau needs m >= 2")
-    coeffs = []
-    exps = []
-    for i in range(m):
-        e = [0] * m
-        e[i] = 4
-        coeffs.append(0.25)
-        exps.append(e)
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = [0] * m
-            e[i] = 2
-            e[j] = 2
-            coeffs.append(0.5)
-            exps.append(e)
-    for i in range(m):
-        e = [0] * m
-        e[i] = 2
-        coeffs.append(-0.5)
-        exps.append(e)
-    coeffs.append(0.25)
-    exps.append([0] * m)
-    poly = Polynomial(m, coeffs, exps)
+    shifted = _quadratic_well(m, np.zeros(m)) + Polynomial(m, [-1.0], [[0] * m])  # |u|^2 - 1
+    poly = shifted * shifted * Polynomial(m, [0.25], [[0] * m])
     return _build(f"ginzburg_landau_{m}", poly, np.zeros((0, m)))
 
 
@@ -280,13 +242,7 @@ def triple_well_triangle() -> PotentialSpec:
     """
     factors = [_quadratic_well(2, a) for a in TRIANGLE_WELLS]
     poly = factors[0] * factors[1] * factors[2]
-    return _build(
-        "triple_well",
-        poly,
-        TRIANGLE_WELLS,
-        kind="prodwell",
-        params={"kwells": TRIANGLE_WELLS.copy(), "scale": 1.0},
-    )
+    return _build("triple_well", poly, TRIANGLE_WELLS, product_scale=1.0)
 
 
 TETRA_A1 = np.array([np.sqrt(2.0 / 3.0), 0.0, 1.0 / np.sqrt(3.0)])
@@ -323,7 +279,7 @@ def tetra_quadruple_well() -> PotentialSpec:
         [0, 0, 0],
     ]
     poly = Polynomial(3, coeffs, exps)
-    return _build("tetra_well", poly, TETRA_WELLS, kind="tetra")
+    return _build("tetra_well", poly, TETRA_WELLS)
 
 
 _CATALOG = {
@@ -363,6 +319,10 @@ def potential_from_json(path_or_dict) -> PotentialSpec:
     _known_keys(data, ("name", "monomials", "wells"), "custom potential")
     for mo in monos:
         _known_keys(mo, ("coeff", "exponents"), "monomial")
+        for e in mo["exponents"]:
+            # int64 coercion would read 2.5 as 2, true as 1 and -1 as a wrong power
+            if isinstance(e, bool) or not isinstance(e, (int, float)) or not float(e).is_integer() or e < 0:
+                raise ValueError(f"monomial {mo!r} has exponent {e!r}; exponents are non-negative integers")
     exps = [mo["exponents"] for mo in monos]
     coeffs = [mo["coeff"] for mo in monos]
     m = len(exps[0])

@@ -33,6 +33,7 @@ def test_connect1d_report(tmp_path):
     out = tmp_path / "out"
     assert run(["connect1d", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True
     assert report["action_sigma"] == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-3)
     assert report["equipartition_residual"] <= 1e-4
     assert report["hyperbolicity_gap"] == pytest.approx(1.5, abs=0.02)
@@ -70,17 +71,22 @@ def test_connect1d_identical_wells_numerical_error(tmp_path):
         {"wells": [[-1.0], [1.0]]},
         {"monomials": []},
         "missing_potential.json",
+        # read as an int64, 2.5 would be the power 2: a run of another potential
+        {"monomials": [{"coeff": 1.0, "exponents": [2.5]}, {"coeff": -1.0, "exponents": [0]}]},
+        {"monomials": [{"coeff": 1.0, "exponents": [True]}, {"coeff": -1.0, "exponents": [0]}]},
+        {"monomials": [{"coeff": 1.0, "exponents": [-1]}, {"coeff": -1.0, "exponents": [0]}]},
     ],
-    ids=["no-monomials", "empty-monomials", "missing-file"],
+    ids=["no-monomials", "empty-monomials", "missing-file", "fractional-exponent", "boolean-exponent", "negative-exponent"],
 )
 @pytest.mark.parametrize("command", ["connect1d", "solve"])
 def test_malformed_custom_potential_is_usage_error(tmp_path, capsys, command, potential):
     if isinstance(potential, str):
         potential = str(tmp_path / potential)
-    cfg = write_config(tmp_path / "c.json", {"potential": potential, "group": "dihedral_3"})
+    config = {"potential": potential} if command == "connect1d" else {"potential": potential, "group": "dihedral_3"}
+    cfg = write_config(tmp_path / "c.json", config)
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert err.startswith("usage error: bad value for 'potential'") and "Traceback" not in err
 
 
 def test_solve_and_diagnose_pipeline(tmp_path):
@@ -378,6 +384,14 @@ def test_unknown_schema_key_is_named(tmp_path, capsys, command, config, message)
     err = capsys.readouterr().err
     assert err.startswith("usage error: bad value for ") and message in err
     assert not (tmp_path / "o").exists()
+
+
+def test_custom_potential_connection(tmp_path):
+    # a custom potential runs end to end: (u^2 - 1)^2 has sigma = 4 sqrt(2) / 3
+    cfg = write_config(tmp_path / "c.json", {"potential": QUARTIC_WELL, "intervals": 400})
+    assert run(["connect1d", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["action_sigma"] == pytest.approx(4 * math.sqrt(2) / 3, rel=1e-3)
 
 
 @pytest.mark.parametrize("phases", [0, -1])

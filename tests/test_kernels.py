@@ -146,34 +146,82 @@ def test_trapezoid_weights(shape):
 
 
 def test_potential_kernels_agree():
-    # the prodwell/tetra fused kernels agree with the generic polynomial kernel
-    for name in ("double_well", "triple_well", "tetra_well"):
+    # the product-form fused kernel agrees with the generic polynomial kernel
+    for name in ("double_well", "triple_well"):
         spec = potentials.get_potential(name)
-        assert spec.kind in ("prodwell", "tetra")
+        assert spec.product_scale is not None
         pts = np.ascontiguousarray(np.vstack([rng.normal(size=(200, spec.m)), spec.wells]))
-        ref = kernels.poly_value(pts, spec.poly.coeffs, spec.poly.exps)
+        ref = spec.poly(pts)
         assert np.max(np.abs(spec.value_field(pts) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        derivs = [spec.poly.derivative(j) for j in range(spec.m)]
-        gref = np.stack([kernels.poly_value(pts, d.coeffs, d.exps) for d in derivs], axis=1)
+        gref = np.stack([spec.poly.derivative(j)(pts) for j in range(spec.m)], axis=1)
         assert np.max(np.abs(spec.grad_field(pts) - gref)) <= 1e-12 * np.max(np.abs(gref))
 
 
+def test_tetra_well_matches_closed_form():
+    # the tetrahedral quartic on the generic kernel against its closed form
+    # W = |u|^4 - (4/sqrt 3)(u1^2 - u2^2) u3 - (2/3)|u|^2 + 5/9
+    spec = potentials.get_potential("tetra_well")
+    assert spec.product_scale is None
+    pts = np.ascontiguousarray(np.vstack([rng.normal(size=(200, 3)), spec.wells]))
+    u1, u2, u3 = pts.T
+    r2 = u1**2 + u2**2 + u3**2
+    c = 4.0 / np.sqrt(3.0)
+    value = r2**2 - c * (u1**2 - u2**2) * u3 - (2.0 / 3.0) * r2 + 5.0 / 9.0
+    grad = np.stack(
+        [
+            4 * r2 * u1 - 2 * c * u1 * u3 - (4.0 / 3.0) * u1,
+            4 * r2 * u2 + 2 * c * u2 * u3 - (4.0 / 3.0) * u2,
+            4 * r2 * u3 - c * (u1**2 - u2**2) - (4.0 / 3.0) * u3,
+        ],
+        axis=1,
+    )
+    hess = 8.0 * pts[:, :, None] * pts[:, None, :] + (4 * r2 - 4.0 / 3.0)[:, None, None] * np.eye(3)
+    hess[:, 0, 0] -= 2 * c * u3
+    hess[:, 1, 1] += 2 * c * u3
+    hess[:, 0, 2] -= 2 * c * u1
+    hess[:, 2, 0] -= 2 * c * u1
+    hess[:, 1, 2] += 2 * c * u2
+    hess[:, 2, 1] += 2 * c * u2
+    W, W_u = spec.value_and_grad_field(pts)
+    for got, ref in ((W, value), (W_u, grad), (spec.hess_field(pts), hess)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the wells are zeros and critical points, up to the rounding of their coordinates
+    assert np.max(np.abs(W[-4:])) <= 1e-15 and np.max(np.abs(W_u[-4:])) <= 1e-15
+
+
 def test_poly_kernels_agree():
-    # the generic polynomial kernels agree with direct evaluation
-    pts = np.ascontiguousarray(rng.normal(size=(100, 2)))
-    x, y = pts[:, 0], pts[:, 1]
-    coeffs = np.array([1.0, -0.5, 0.25])
-    exps = np.array([[4, 0], [2, 2], [0, 0]], dtype=np.int64)
-    direct = coeffs[0] * x**4 + coeffs[1] * x**2 * y**2 + coeffs[2]
-    assert np.allclose(kernels.poly_value(pts, coeffs, exps), direct)
-    # gradient of x^4 - x^2 y^2 / 2: one monomial list per component
-    grads = [
-        (np.array([4.0, -1.0]), np.array([[3, 0], [1, 2]], dtype=np.int64)),
-        (np.array([-1.0]), np.array([[2, 1]], dtype=np.int64)),
+    # the generic polynomial kernel agrees with direct evaluation: several
+    # polynomials (a value and its gradient, one monomial list per component)
+    # from one power table, over two blocks of points, the second partial
+    n = kernels.POLY_BLOCK + 37
+    pts = np.ascontiguousarray(rng.normal(size=(n, 3)))
+    x, y, z = pts.T
+    cases = [
+        # x^4 - x^2 y^2 / 2 + 1/4
+        (
+            [([1.0, -0.5, 0.25], [[4, 0], [2, 2], [0, 0]]), ([4.0, -1.0], [[3, 0], [1, 2]]), ([-1.0], [[2, 1]])],
+            [x**4 - 0.5 * x**2 * y**2 + 0.25, 4 * x**3 - x * y**2, -(x**2) * y],
+            2,
+        ),
+        # 2 x y^2 z^3 - x^3 + z / 2 - 3/2
+        (
+            [
+                ([2.0, -1.0, 0.5, -1.5], [[1, 2, 3], [3, 0, 0], [0, 0, 1], [0, 0, 0]]),
+                ([2.0, -3.0], [[0, 2, 3], [2, 0, 0]]),
+                ([4.0], [[1, 1, 3]]),
+                ([6.0, 0.5], [[1, 2, 2], [0, 0, 0]]),
+            ],
+            [2 * x * y**2 * z**3 - x**3 + 0.5 * z - 1.5, 2 * y**2 * z**3 - 3 * x**2, 4 * x * y * z**3, 6 * x * y**2 * z**2 + 0.5],
+            3,
+        ),
+        # the constant 3 (degree 0) and its zero gradient
+        ([([3.0], [[0, 0, 0]]), ([0.0], [[0, 0, 0]])], [np.full(n, 3.0), np.zeros(n)], 3),
     ]
-    value, grad = kernels.poly_value_grad(pts, coeffs, exps, grads)
-    assert np.allclose(value, direct)
-    assert np.allclose(grad, np.stack([4 * x**3 - x * y**2, -(x**2) * y], axis=1))
+    for polys, direct, m in cases:
+        emax = max(max(map(sum, exps)) for _, exps in polys)
+        cols = kernels.poly_columns(pts[:, :m], [kernels.poly_terms(c, e) for c, e in polys], emax)
+        assert cols.shape == (n, len(polys))
+        assert np.allclose(cols, np.stack(direct, axis=1))
 
 
 # W = (u1^2 - 1)^2 + u2^2 (1 + u1^2): a custom potential on the generic
@@ -197,8 +245,8 @@ def _terms(poly, pts):
     """The polynomial at pts and the largest sum of its absolute monomial
     terms there: the relative error is taken against that, since a product
     form cancels differently from the expansion where W or W_u is near 0."""
-    scale = kernels.poly_value(np.abs(pts), np.abs(poly.coeffs), poly.exps)
-    return kernels.poly_value(pts, poly.coeffs, poly.exps), np.max(scale)
+    scale = potentials.Polynomial(poly.nvars, np.abs(poly.coeffs), poly.exps)(np.abs(pts))
+    return poly(pts), np.max(scale)
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -228,7 +276,7 @@ def test_fused_kernels_match_polynomial_and_central_difference(name, data):
 @settings(max_examples=200, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(SPECS)), data=st.data())
 def test_hessian_kernels_match_polynomial_and_central_difference(name, data):
-    # the closed-form prodwell/tetra Hessians (and the poly route) against
+    # the product form's closed-form Hessian (and the generic route) against
     # the second-derivative polynomials and a central difference of W_u
     spec = SPECS[name]
     coord = st.floats(-2.0, 2.0, allow_nan=False)
@@ -237,7 +285,7 @@ def test_hessian_kernels_match_polynomial_and_central_difference(name, data):
     H = spec.hess_field(pts)
     for i in range(spec.m):
         for j in range(spec.m):
-            ref, scale = _terms(spec._hess_polys[i][j], pts)
+            ref, scale = _terms(spec.poly.derivative(i).derivative(j), pts)
             assert np.max(np.abs(H[:, i, j] - ref)) <= 1e-12 * scale
     delta = 1e-5
     for j in range(spec.m):

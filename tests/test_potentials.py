@@ -200,6 +200,17 @@ def test_custom_potential_json(tmp_path):
     assert spec.nondegenerate
 
 
+@pytest.mark.parametrize("exponent", [2.5, True, -1, None], ids=["fractional", "boolean", "negative", "null"])
+def test_custom_potential_rejects_non_integer_exponents(exponent):
+    # an int64 coercion read 2.5 as 2, true as 1 and -1 as a wrong power column
+    data = {"monomials": [{"coeff": 1.0, "exponents": [2, exponent]}, {"coeff": -1.0, "exponents": [0, 0]}]}
+    with pytest.raises(ValueError, match=r"monomial .* has exponent"):
+        potentials.potential_from_json(data)
+    # integer-valued exponents, 2.0 among them, are read as they are
+    data["monomials"][0]["exponents"] = [2, 2.0]
+    assert potentials.potential_from_json(data).value([2.0, 3.0]) == 35.0
+
+
 def test_polynomial_algebra():
     p = potentials.Polynomial(1, [1.0, 1.0], [[1], [0]])  # u + 1
     q = p * p  # u^2 + 2u + 1
