@@ -461,35 +461,27 @@ def _steiner_rows(cfg) -> list:
     return [[*t["A"], *t["B"], *t["C"], t["e12"], t["e13"], t["e23"]]]
 
 
-def _triangle(cells) -> partitions.WeightedTriangle:
-    if len(cells) != 9:
-        raise ValueError(f"expected 9 columns; got {len(cells)}")
-    v = [float(c) for c in cells]
-    return partitions.WeightedTriangle(v[0:2], v[2:4], v[4:6], v[6], v[7], v[8])
-
-
 def cmd_steiner(args) -> int:
     config, cfg = _load_config(args)
     rows = _steiner_rows(cfg)
-    out_rows = []
-    n_err = 0
-    for i, cells in enumerate(rows):
+    cells = np.full((len(rows), 9), np.nan)
+    parse_errors = [""] * len(rows)
+    for i, row in enumerate(rows):
         try:
-            P, info = partitions.steiner_point(_triangle(cells))
-            out_rows.append(
-                [
-                    str(i),
-                    _fmt(P[0]),
-                    _fmt(P[1]),
-                    _fmt(info["residual"]),
-                    "1" if info["captured"] else "0",
-                    "1" if info["converged"] else "0",
-                    "",
-                ]
-            )
-        except ValueError as e:  # malformed row or partitions.PartitionError
-            n_err += 1
-            out_rows.append([str(i), "", "", "", "", "", str(e)])
+            if len(row) != 9:
+                raise ValueError(f"expected 9 columns; got {len(row)}")
+            cells[i] = [float(c) for c in row]
+        except ValueError as e:
+            parse_errors[i] = str(e)
+    vertices, weights = cells[:, :6].reshape(-1, 3, 2), cells[:, 6:]
+    # a parse error stands before the triangle's own: its cells read as nan
+    errors = [p or t for p, t in zip(parse_errors, partitions.triangle_errors(vertices, weights).tolist())]
+    ok = [i for i, e in enumerate(errors) if not e]
+    P, vertex, residual = partitions.steiner_points(vertices[ok], weights[ok])
+    out_rows = [[str(i), "", "", "", "", "", e] for i, e in enumerate(errors)]
+    for i, (px, py), r, v in zip(ok, P.tolist(), residual.tolist(), vertex.tolist()):
+        out_rows[i] = [str(i), px, py, r, "1" if v >= 0 else "0", "1", ""]
+    n_err = len(rows) - len(ok)
     out = _out_dir(args)
     _write_csv(
         os.path.join(out, "steiner.csv"),

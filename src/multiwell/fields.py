@@ -697,6 +697,6 @@ def load_field(csv_path, meta_path) -> VectorField:
         meta = json.load(fh)
     grid = Grid(dim=int(meta["dim"]), half_width=float(meta["half_width"]), points=int(meta["points"]))
     m = int(meta["m"])
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    vals = data[:, grid.dim : grid.dim + m].reshape(grid.shape + (m,))
-    return VectorField(grid, vals.copy())
+    # the node coordinates follow from the grid; only the value columns are parsed
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=range(grid.dim, grid.dim + m))
+    return VectorField(grid, data.reshape(grid.shape + (m,)))

@@ -351,6 +351,26 @@ def merged_competitor(separation: float, window_radius: float) -> PolygonalParti
 # Weighted Steiner point (Young's law at a triple junction)
 
 
+def triangle_errors(vertices, weights) -> np.ndarray:
+    """Why each row of vertices (..., 3, 2) and weights (..., 3) is no
+    weighted triangle, or '' where it is one.  The first that applies of: a
+    non-finite entry, a weight <= 0, two vertices within 1e-12 (the residual
+    divides by the distances between them)."""
+    V = np.asarray(vertices, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf on rows rejected as non-finite
+        edges = V - np.roll(V, 1, axis=-2)
+    return np.select(
+        [
+            ~(np.isfinite(V).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)),
+            w.min(axis=-1) <= 0,
+            np.hypot(edges[..., 0], edges[..., 1]).min(axis=-1) <= 1e-12,
+        ],
+        ["vertices and weights must be finite", "weights must be positive", "vertices must be distinct"],
+        "",
+    )
+
+
 @dataclass(frozen=True)
 class WeightedTriangle:
     """Vertices A, B, C with weights w_A = e12, w_B = e13, w_C = e23."""
@@ -365,11 +385,9 @@ class WeightedTriangle:
     def __post_init__(self):
         for name in ("A", "B", "C"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if min(self.e12, self.e13, self.e23) <= 0:
-            raise PartitionError("weights must be positive")
-        v = self.vertices  # first_order_residual divides by the distances between them
-        if np.min(np.linalg.norm(v - np.roll(v, 1, axis=0), axis=1)) <= 1e-12:
-            raise PartitionError("vertices must be distinct")
+        error = triangle_errors(self.vertices, self.weights).item()
+        if error:
+            raise PartitionError(error)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -386,72 +404,101 @@ def weighted_sum(P, tri: WeightedTriangle) -> float:
     return float(tri.weights @ d)
 
 
-def _pull(P: np.ndarray, tri: WeightedTriangle, skip=None) -> float:
-    """|sum of the weighted unit pulls w_j (V_j - P) / |V_j - P|| over the
-    vertices j other than ``skip``."""
-    keep = [j for j in range(3) if j != skip]
-    dv = tri.vertices[keep] - P
-    pulls = tri.weights[keep, None] * dv / np.hypot(dv[:, 0], dv[:, 1])[:, None]
-    return float(np.hypot(*pulls.sum(axis=0)))
+def _dot(a, b):
+    """Row-wise a . b over the last axis, rounded as ``a @ b`` on one pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def first_order_residual(P, tri: WeightedTriangle) -> float:
-    """|sum of weighted unit pulls| at an interior P; at a vertex, the
-    subgradient excess max(0, |pull from others| - own weight)."""
+def _pull(P, V, w, skip=-1):
+    """Per row, |sum of the weighted unit pulls w_j (V_j - P) / |V_j - P||
+    over the vertices j other than ``skip`` (-1: none)."""
+    dv = V - P[..., None, :]
+    keep = np.arange(3) != np.asarray(skip)[..., None]
+    d = np.where(keep, np.hypot(dv[..., 0], dv[..., 1]), 1.0)
+    pulls = np.where(keep[..., None], w[..., None] * dv / d[..., None], 0.0)
+    total = pulls[..., 0, :] + pulls[..., 1, :] + pulls[..., 2, :]
+    return np.hypot(total[..., 0], total[..., 1])
+
+
+def first_order_residual(P, vertices, weights):
+    """Per row of P (..., 2), vertices (..., 3, 2) and weights (..., 3):
+    |sum of weighted unit pulls| at an interior P; within 1e-12 of a vertex,
+    the subgradient excess max(0, |pull from the others| - own weight)."""
     P = np.asarray(P, dtype=np.float64)
-    dv = tri.vertices - P
-    at = np.flatnonzero(np.hypot(dv[:, 0], dv[:, 1]) <= 1e-12)
-    if at.size:
-        return max(0.0, _pull(P, tri, skip=at[0]) - float(tri.weights[at[0]]))
-    return _pull(P, tri)
+    V = np.asarray(vertices, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    dv = V - P[..., None, :]
+    near = np.hypot(dv[..., 0], dv[..., 1]) <= 1e-12
+    at = np.where(near.any(axis=-1), near.argmax(axis=-1), -1)
+    pull = _pull(P, V, w, skip=at)
+    own = np.take_along_axis(w, np.maximum(at, 0)[..., None], axis=-1)[..., 0]
+    return np.where(at >= 0, np.maximum(0.0, pull - own), pull)
 
 
-def _arc_centre(X, Y, Z, cos_angle: float) -> np.ndarray:
-    """Centre of the circle through X and Y from whose arc on Z's side the
-    chord XY is seen at the angle with this cosine (in (-1, 1))."""
-    n = np.array([Y[1] - X[1], X[0] - Y[0]])  # normal to XY, |n| = |XY|
-    if n @ (Z - X) < 0:
-        n = -n
+def _arc_centre(X, Y, Z, cos_angle):
+    """Per row, the centre of the circle through X and Y from whose arc on
+    Z's side the chord XY is seen at the angle with this cosine (in (-1, 1))."""
+    n = np.stack([Y[..., 1] - X[..., 1], X[..., 0] - Y[..., 0]], axis=-1)  # normal to XY, |n| = |XY|
+    n = np.where((_dot(n, Z - X) < 0)[..., None], -n, n)
     # inscribed angle theorem: the centre sits |XY| cot(angle) / 2 from the midpoint
-    return (X + Y) / 2 + 0.5 * cos_angle / math.sqrt(1.0 - cos_angle**2) * n
+    return (X + Y) / 2 + (0.5 * cos_angle / np.sqrt(1.0 - cos_angle**2))[..., None] * n
+
+
+def steiner_points(vertices, weights):
+    """Minimize the weighted vertex-distance sum of n triangles in closed form,
+    as column arithmetic over the rows of vertices (n, 3, 2) and weights (n, 3).
+
+    Vertex capture is decided first by the subgradient test, at vertices 0,
+    1, 2 in turn: the first whose excess is <= 1e-14 is the minimizer.
+    Otherwise the weighted unit pulls at the minimizer P close a triangle with
+    sides (e12, e13, e23), so the law of cosines fixes the angles APB and APC:
+    P lies on the arc through A and B that sees AB at angle APB, and on the
+    arc through A and C that sees AC at angle APC.  Both circles pass through
+    A, so P is A reflected across the line through their centres.
+
+    Returns (P (n, 2), vertex (n,), residual (n,)): ``vertex`` is the
+    captured vertex or -1, ``residual`` the first-order residual at P.  A row
+    that ``triangle_errors`` rejects raises PartitionError."""
+    V = np.asarray(vertices, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if V.ndim != 3 or V.shape[1:] != (3, 2) or w.shape != V.shape[:2]:
+        raise PartitionError(f"expected vertices (n, 3, 2) and weights (n, 3); got {V.shape} and {w.shape}")
+    errors = triangle_errors(V, w)
+    bad = np.flatnonzero(errors)
+    if bad.size:
+        raise PartitionError(f"row {bad[0]}: {errors[bad[0]]}")
+    rows = np.arange(len(V))
+    excess = np.stack([_pull(V[:, i], V, w, skip=i) - w[:, i] for i in range(3)], axis=1)
+    hit = excess <= 1e-14
+    vertex = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    # captured rows; the free rows (vertex -1) are overwritten below
+    P = V[rows, np.maximum(vertex, 0)]
+    residual = np.maximum(0.0, excess[rows, vertex])
+    free = vertex < 0
+    # not captured, so the weights satisfy the strict triangle inequality
+    (A, B, C), (wa, wb, wc) = V[free].transpose(1, 0, 2), w[free].T
+    o1 = _arc_centre(A, B, C, (wc * wc - wa * wa - wb * wb) / (2 * wa * wb))
+    o2 = _arc_centre(A, C, B, (wb * wb - wa * wa - wc * wc) / (2 * wa * wc))
+    u = o2 - o1
+    P[free] = 2 * (o1 + (_dot(A - o1, u) / _dot(u, u))[:, None] * u) - A
+    residual[free] = first_order_residual(P[free], V[free], w[free])
+    return P, vertex, residual
 
 
 def steiner_point(tri: WeightedTriangle):
-    """Minimize the weighted vertex-distance sum in closed form.
-
-    Vertex capture is decided first by the subgradient test.  Otherwise the
-    weighted unit pulls at the minimizer P close a triangle with sides
-    (e12, e13, e23), so the law of cosines fixes the angles APB and APC:
-    P lies on the arc through A and B that sees AB at angle APB, and on the
-    arc through A and C that sees AC at angle APC.  Both circles pass
-    through A, so P is A reflected across the line through their centres.
+    """The one-row call of ``steiner_points``.
 
     Returns (point, info): info records ``captured``, the captured
     ``vertex`` (or None) and the first-order ``residual``; ``converged`` is
     always True and ``iterations`` always 0."""
-    verts, w = tri.vertices, tri.weights.tolist()
-    for i in range(3):
-        excess = _pull(verts[i], tri, skip=i) - w[i]
-        if excess <= 1e-14:
-            return verts[i].copy(), {
-                "captured": True,
-                "vertex": i,
-                "converged": True,
-                "iterations": 0,
-                "residual": max(0.0, excess),
-            }
-    # not captured, so the weights satisfy the strict triangle inequality
-    (A, B, C), (wa, wb, wc) = verts, w
-    o1 = _arc_centre(A, B, C, (wc * wc - wa * wa - wb * wb) / (2 * wa * wb))
-    o2 = _arc_centre(A, C, B, (wb * wb - wa * wa - wc * wc) / (2 * wa * wc))
-    u = o2 - o1
-    P = 2 * (o1 + ((A - o1) @ u) / (u @ u) * u) - A
-    return P, {
-        "captured": False,
-        "vertex": None,
+    P, vertex, residual = steiner_points(tri.vertices[None], tri.weights[None])
+    v = int(vertex[0])
+    return P[0], {
+        "captured": v >= 0,
+        "vertex": v if v >= 0 else None,
         "converged": True,
         "iterations": 0,
-        "residual": first_order_residual(P, tri),
+        "residual": float(residual[0]),
     }
 
 

@@ -207,7 +207,7 @@ def test_criterion_7_steiner_suite():
     t0 = time.time()
     tri = equilateral()
     P, info = partitions.steiner_point(tri)
-    centroid_ok = partitions.first_order_residual(P, tri) <= 1e-12
+    centroid_ok = partitions.first_order_residual(P, tri.vertices, tri.weights) <= 1e-12
 
     match_ok = True
     for inst in random_steiner_instances():

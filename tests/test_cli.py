@@ -620,6 +620,60 @@ def test_steiner_coincident_vertices_row_is_reported(tmp_path):
     assert rows[1][6] == "" and rows[1][5] == "1"
 
 
+def _steiner_batch(tmp_path, lines):
+    batch = tmp_path / "batch.csv"
+    batch.write_text("Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23\n" + "".join(line + "\n" for line in lines))
+    cfg = write_config(tmp_path / "s.json", {"batch": str(batch)})
+    out = tmp_path / "steiner"
+    assert run(["steiner", "--config", cfg, "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "steiner.csv").read_text().splitlines()[1:]]
+    return json.loads((out / "summary.json").read_text()), rows
+
+
+def test_steiner_non_finite_rows_are_errors(tmp_path):
+    good = "0,1,0.866,-0.5,-0.866,-0.5,1,1,1"
+    summary, rows = _steiner_batch(
+        tmp_path, [good, "0,1,0.866,nan,-0.866,-0.5,1,1,1", "0,1,0.866,-0.5,-0.866,-0.5,inf,1,1", good]
+    )
+    assert summary == dict(summary, instances=4, errors=2)
+    for r in rows[1:3]:
+        assert r[1:] == ["", "", "", "", "", "vertices and weights must be finite"]
+    assert rows[0][6] == rows[3][6] == "" and rows[0][1:] == rows[3][1:]
+
+
+def test_steiner_bad_rows_keep_their_index_and_message(tmp_path):
+    good = ["0,1,0.866,-0.5,-0.866,-0.5,1,1,1", "1,0,-0.866,0.5,0,0,1,1,1", "0.9,0.1,-0.4,0.8,-0.2,-0.7,1.3,0.9,1.1"]
+    lines = [
+        good[0],
+        "0,0,1,0,0,1,1,1",
+        good[1],
+        "0,0,1,0,1,0,1,1,1",
+        "0,0,1,0,0,1,-inf,1,1",
+        "0,0,1,0,0,1,1,1,0",
+        good[2],
+        "0,0,1,0,0,1,1,x,1",
+    ]
+    summary, rows = _steiner_batch(tmp_path, lines)
+    assert summary["instances"] == 8 and summary["errors"] == 5
+    assert [r[0] for r in rows] == [str(i) for i in range(8)]
+    assert [r[6] for r in rows] == [
+        "",
+        "expected 9 columns; got 8",
+        "",
+        "vertices must be distinct",
+        "vertices and weights must be finite",
+        "weights must be positive",
+        "",
+        "could not convert string to float: 'x'",
+    ]
+    # each good row gives the answer it gives alone
+    for k, line in zip((0, 2, 6), good):
+        (tmp_path / str(k)).mkdir()
+        _, alone = _steiner_batch(tmp_path / str(k), [line])
+        assert rows[k][1:] == alone[0][1:]
+    assert rows[2][4] == "1" and rows[0][4] == rows[6][4] == "0"
+
+
 def test_partition_command(tmp_path):
     part = {
         "phases": 3,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -651,6 +653,34 @@ def test_field_csv_roundtrip_bitwise(tmp_path, junction):
     back = fields.load_field(csv, meta)
     assert np.array_equal(back.values, f.values)  # 17 significant digits round-trip
     assert back.grid == f.grid
+
+
+def _saved_field(tmp_path, m=2):
+    g = fields.Grid(dim=2, half_width=1.0, points=5)
+    f = fields.constant_field(g, np.arange(1.0, m + 1.0))
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.json"
+    fields.save_field(f, csv, meta)
+    return f, csv, meta
+
+
+def test_load_field_reads_the_value_columns(tmp_path):
+    f, csv, meta = _saved_field(tmp_path)
+    back = fields.load_field(csv, meta)
+    assert np.array_equal(back.values, f.values) and back.grid == f.grid
+
+
+def test_load_field_with_a_missing_row_raises(tmp_path):
+    _, csv, meta = _saved_field(tmp_path)
+    csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(ValueError):
+        fields.load_field(csv, meta)
+
+
+def test_load_field_with_too_few_columns_raises(tmp_path):
+    _, csv, meta = _saved_field(tmp_path)
+    meta.write_text(json.dumps(dict(json.loads(meta.read_text()), m=3)))
+    with pytest.raises(ValueError):
+        fields.load_field(csv, meta)
 
 
 def test_csv_writers_match_per_value_format(tmp_path, double_well):

@@ -22,7 +22,7 @@ def test_equilateral_equal_weights_centroid():
     P, info = pt.steiner_point(tri)
     assert info["converged"] and not info["captured"]
     assert np.allclose(P, [0.0, 0.0], atol=1e-12)
-    assert pt.first_order_residual(P, tri) <= 1e-12
+    assert pt.first_order_residual(P, tri.vertices, tri.weights) <= 1e-12
     # the three pull directions meet at 120 degrees
     nus = (tri.vertices - P) / np.linalg.norm(tri.vertices - P, axis=1)[:, None]
     for i in range(3):
@@ -40,7 +40,7 @@ def test_obtuse_vertex_capture():
     P, info = pt.steiner_point(tri)
     assert info["captured"] and info["vertex"] == 2
     assert np.allclose(P, C)
-    assert pt.first_order_residual(P, tri) == 0.0
+    assert pt.first_order_residual(P, tri.vertices, tri.weights) == 0.0
 
 
 def test_interior_when_largest_angle_below_120():
@@ -124,7 +124,7 @@ def test_steiner_minimality_against_probes():
 
 def test_first_order_residual_witness():
     tri = equilateral()
-    assert pt.first_order_residual(np.array([0.3, 0.2]), tri) > 0.1
+    assert pt.first_order_residual(np.array([0.3, 0.2]), tri.vertices, tri.weights) > 0.1
 
 
 def test_nonpositive_weight_rejected():
@@ -138,10 +138,25 @@ def test_coincident_vertices_rejected():
         pt.WeightedTriangle(A=[0, 0], B=[1, 0], C=[1, 0], e12=1.0, e13=1.0, e23=1.0)
 
 
+@pytest.mark.parametrize(
+    "vertices, weights",
+    [
+        ([[0, 0], [1, 0], [0, np.nan]], [1.0, 1.0, 1.0]),
+        ([[0, 0], [np.inf, 0], [0, 1]], [1.0, 1.0, 1.0]),
+        ([[0, 0], [1, 0], [0, 1]], [np.inf, 1.0, 1.0]),
+        ([[0, 0], [1, 0], [0, 1]], [1.0, np.nan, -1.0]),
+    ],
+    ids=["nan-vertex", "inf-vertex", "inf-weight", "nan-and-negative-weight"],
+)
+def test_non_finite_triangle_rejected(vertices, weights):
+    with pytest.raises(pt.PartitionError, match="^vertices and weights must be finite$"):
+        pt.WeightedTriangle(*np.asarray(vertices, dtype=float), *weights)
+
+
 def test_first_order_residual_at_a_vertex_is_the_subgradient_excess():
     tri = equilateral()
     # at A the unit pulls of B and C meet at 60 degrees: |pull| = sqrt(3) > e12 = 1
-    assert pt.first_order_residual(tri.A, tri) == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-15)
+    assert pt.first_order_residual(tri.A, tri.vertices, tri.weights) == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-15)
 
 
 def _reference_residual(P, verts, wts):
@@ -243,6 +258,45 @@ def test_steiner_point_just_inside_the_capture_threshold(eps):
     P, info = pt.steiner_point(pt.WeightedTriangle(A=A, B=B, C=C, e12=1.0, e13=1.0, e23=1.0))
     assert not info["captured"] and info["converged"]
     assert np.max(np.abs(P - _fermat_point(A, B, C))) <= 1e-12
+
+
+def _captured_at(k):
+    """Equal weights and a 150-degree angle at vertex k: captured there."""
+    ang = math.radians(150.0)
+    verts = np.roll(np.array([[1.0, 0.0], [math.cos(ang), math.sin(ang)], [0.0, 0.0]]), k + 1, axis=0)
+    return pt.WeightedTriangle(*verts, 1.0, 1.0, 1.0)
+
+
+def test_steiner_points_match_one_row_calls_bitwise():
+    ang = 2.0 * math.pi / 3.0 - 1e-13  # interior, but within 1e-12 of C
+    near_vertex = pt.WeightedTriangle(
+        A=[1.0, 0.0], B=[math.cos(ang), math.sin(ang)], C=[0.0, 0.0], e12=1.0, e13=1.0, e23=1.0
+    )
+    tris = [_captured_at(k) for k in range(3)] + random_steiner_instances(count=6)
+    tris += near_capture_instances() + [near_vertex]
+    tris = [tris[i] for i in np.random.default_rng(5).permutation(len(tris))]
+    P, vertex, residual = pt.steiner_points(
+        np.stack([t.vertices for t in tris]), np.stack([t.weights for t in tris])
+    )
+    assert set(vertex.tolist()) == {-1, 0, 1, 2}
+    for k, tri in enumerate(tris):
+        P1, info = pt.steiner_point(tri)
+        assert np.array_equal(P[k], P1)
+        assert vertex[k] == (-1 if info["vertex"] is None else info["vertex"])
+        assert residual[k] == info["residual"]
+    # the near-vertex row takes the residual's at-vertex branch
+    k = next(k for k, t in enumerate(tris) if t is near_vertex)
+    assert vertex[k] == -1 and np.hypot(*(P[k] - near_vertex.C)) <= 1e-12
+
+
+def test_steiner_points_rejects_a_bad_row():
+    tri = equilateral()
+    V = np.stack([tri.vertices, tri.vertices])
+    w = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    with pytest.raises(pt.PartitionError, match="^row 1: weights must be positive$"):
+        pt.steiner_points(V, w)
+    with pytest.raises(pt.PartitionError, match="expected vertices"):
+        pt.steiner_points(V[:, :2], w)
 
 
 # ---------------------------------------------------------------------------
