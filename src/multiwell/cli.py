@@ -322,6 +322,11 @@ def cmd_solve(args) -> int:
         raise UsageError(f"bad grid: {e}")
     opts = fields.SolveOptions(**cfg["solver"])
     rm = groups.build_region_map(grp, pot.wells[0])
+    if max(abs(pot.value(w)) for w in rm.wells) > connect.WELL_TOL:
+        raise UsageError(
+            f"group {grp.name!r} carries the base well of potential {pot.name!r} "
+            "onto points that are not wells of the potential"
+        )
     resume = cfg["resume"]
     if resume is not None:
         try:

@@ -22,6 +22,7 @@ INVARIANCE_TOL = 1e-8  # sampled |W(r u) - W(u)| below which W counts as r-invar
 GAP_TOL = 1e-12  # eigen-residual, relative to |lambda| + 4 dim / h^2, that stops the gap
 GAP_MAX_ITER = 200  # LOBPCG steps of the hyperbolicity gap
 GAP_RANK_TOL = 1e-8  # singular values below this fraction of the largest leave the basis
+WELL_TOL = 1e-8  # |W(a)| above which an endpoint a is not a zero of W
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,9 @@ class ConnectionProfile:
         return out.reshape(t.shape + (self.m,))
 
     def derivative(self) -> np.ndarray:
-        """Centered first derivative (one-sided second order at the ends)."""
-        U = self.values
-        h = self.h
-        dU = np.empty_like(U)
-        dU[1:-1] = (U[2:] - U[:-2]) / (2 * h)
-        dU[0] = (-3 * U[0] + 4 * U[1] - U[2]) / (2 * h)
-        dU[-1] = (3 * U[-1] - 4 * U[-2] + U[-3]) / (2 * h)
-        return dU
+        """First derivative by ``np.gradient``: the centered difference
+        (U_{j+1} - U_{j-1}) / 2h inside, one-sided second order at the ends."""
+        return np.gradient(self.values, self.h, axis=0, edge_order=2)
 
 
 class ConnectionError(RuntimeError):
@@ -139,7 +135,7 @@ def solve_connection(
     if np.linalg.norm(a_plus - a_minus) <= 1e-8:
         raise ConnectionError("endpoints coincide: no connection to compute")
     for a in (a_minus, a_plus):
-        if abs(potential.value(a)) > 1e-8:
+        if abs(potential.value(a)) > WELL_TOL:
             raise ConnectionError("endpoint is not a zero of the potential")
     h = 2.0 * half_length / K
     eta = -half_length + h * np.arange(K + 1)

@@ -25,38 +25,34 @@ def _interior_slices(dim):
     return tuple(slice(1, -1) for _ in range(dim))
 
 
-def _interior_gradients(field: VectorField) -> list[np.ndarray]:
-    """Centered first derivatives on interior nodes, one array per axis."""
-    u = field.values
+def _gradients(field: VectorField) -> list[np.ndarray]:
+    """First derivatives on every node, one array per axis: ``np.gradient``
+    with second-order one-sided ends, the centered difference inside."""
     h = field.grid.spacing
-    dim = field.grid.dim
-    grads = []
-    for a in range(dim):
-        up = tuple(slice(2, None) if b == a else slice(1, -1) for b in range(dim))
-        dn = tuple(slice(None, -2) if b == a else slice(1, -1) for b in range(dim))
-        grads.append((u[up] - u[dn]) / (2 * h))
-    return grads
+    return [np.gradient(field.values, h, axis=a, edge_order=2) for a in range(field.grid.dim)]
 
 
 def _interior_terms(field: VectorField, potential):
-    """The centered gradients, |grad u|^2 and W(u) on interior nodes."""
-    grads = _interior_gradients(field)
+    """The gradients of ``_gradients`` on interior nodes, where they are the
+    centered difference (u[i+1] - u[i-1]) / 2h, with |grad u|^2 and W(u)."""
+    inner = _interior_slices(field.grid.dim)
+    grads = [d[inner] for d in _gradients(field)]
     sq = sum(np.sum(d * d, axis=-1) for d in grads)
-    inner = field.values[_interior_slices(field.grid.dim)]
-    return grads, sq, potential.value_field(inner.reshape(-1, field.m)).reshape(sq.shape)
+    W = potential.value_field(field.values[inner].reshape(-1, field.m))
+    return grads, sq, W.reshape(sq.shape)
 
 
 @dataclass(frozen=True)
 class StressEnergy:
     """Node-sampled stress-energy tensor on the interior of the grid.
 
-    tensor[..., a, b] = du_a . du_b - delta_ab (|grad u|^2 / 2 + W(u));
-    symmetric at every node by construction."""
+    tensor[..., a, b] = du_a . du_b - delta_ab (|grad u|^2 / 2 + W(u)) from
+    the centered gradients of ``_interior_terms``; symmetric at every node by
+    construction.  Node 0 of each axis sits at -half_width + spacing."""
 
     tensor: np.ndarray  # interior shape + (n, n)
     spacing: float
     half_width: float
-    offset: int = 1
 
     @property
     def dim(self) -> int:
@@ -66,8 +62,7 @@ class StressEnergy:
         """Multilinear interpolation of the tensor components at points."""
         shape = self.tensor.shape
         flat = self.tensor.reshape(shape[: self.dim] + (self.dim * self.dim,))
-        lo = -self.half_width + self.offset * self.spacing
-        vals = kernels.interp(np.ascontiguousarray(flat), pts, lo, self.spacing)
+        vals = kernels.interp(np.ascontiguousarray(flat), pts, self.spacing - self.half_width, self.spacing)
         return vals.reshape(pts.shape[0], self.dim, self.dim)
 
 
@@ -86,17 +81,10 @@ def stress_energy(field: VectorField, potential) -> StressEnergy:
 
 
 def divergence_residual(se: StressEnergy) -> float:
-    """sup over (interior of the) interior nodes of |sum_b d_b T_ab|."""
-    n = se.dim
-    h = se.spacing
-    T = se.tensor
-    inner = _interior_slices(n)
-    div = np.zeros(T[inner].shape[:-2] + (n,))
-    for a in range(n):
-        for b in range(n):
-            up = tuple(slice(2, None) if c == b else slice(1, -1) for c in range(n))
-            dn = tuple(slice(None, -2) if c == b else slice(1, -1) for c in range(n))
-            div[..., a] += (T[up + (a, b)] - T[dn + (a, b)]) / (2 * h)
+    """sup over (interior of the) interior nodes of |sum_b d_b T_ab|, each
+    d_b the centered difference of ``np.gradient`` along axis b."""
+    inner = _interior_slices(se.dim)
+    div = sum(np.gradient(se.tensor[..., b], se.spacing, axis=b)[inner] for b in range(se.dim))
     return float(np.sqrt(np.sum(div * div, axis=-1)).max())
 
 
@@ -141,13 +129,6 @@ def modica_deficit(field: VectorField, potential) -> float:
     return float((0.5 * sq - W).max())
 
 
-def _full_gradients(field: VectorField) -> list[np.ndarray]:
-    h = field.grid.spacing
-    return [
-        np.gradient(field.values, h, axis=a, edge_order=2) for a in range(field.grid.dim)
-    ]
-
-
 def pohozaev_residual(field: VectorField, potential, x0) -> float:
     """|(n-2)/2 int |grad u|^2 + n int W + 1/2 bdry (x - x0).nu |grad u|^2|
     over the solver box, for fields with single-well boundary values."""
@@ -164,8 +145,7 @@ def pohozaev_residual(field: VectorField, potential, x0) -> float:
     if float(dists.min(axis=1).max()) > 1e-6:
         raise DiagnosticsError("boundary is not held at a single well value")
 
-    grads = _full_gradients(field)
-    sq = sum(np.sum(d * d, axis=-1) for d in grads)
+    sq = sum(np.sum(d * d, axis=-1) for d in _gradients(field))
     W = potential.value_field(field.flat()).reshape(g.shape)
     wts = kernels.trapezoid_weights(g.shape)
     hn = h**n
@@ -200,20 +180,16 @@ def hamiltonian_variance(field: VectorField, potential, strip=None, decay_tol: f
     if rows.size < 2:
         raise DiagnosticsError("strip selects fewer than two rows")
     u = field.values
-    du1, du2 = _full_gradients(field)
+    du1, du2 = _gradients(field)
     wells = potential.wells
     flagged = False
     if wells.shape[0]:
         ends = np.concatenate([u[0, rows, :], u[-1, rows, :]])
         d = np.linalg.norm(ends[:, None, :] - wells[None, :, :], axis=2).min(axis=1)
         flagged = bool(d.max() > decay_tol)
-    w = kernels.trapezoid_weights(axis.shape)
-    series = []
     W = potential.value_field(field.flat()).reshape(g.shape)
-    for j in rows:
-        integrand = 0.5 * (np.sum(du1[:, j, :] ** 2, axis=1) - np.sum(du2[:, j, :] ** 2, axis=1)) - W[:, j]
-        series.append(h * float(w @ integrand))
-    series = np.array(series)
+    integrand = 0.5 * (np.sum(du1**2, axis=-1) - np.sum(du2**2, axis=-1)) - W
+    series = h * (kernels.trapezoid_weights(axis.shape) @ integrand[:, rows])
     mean = float(np.mean(series))
     spread = float(np.std(series))
     return {
@@ -264,15 +240,11 @@ def flux_balance(field: VectorField, potential, radius: float, center=None, n_sa
     center = np.asarray(center, dtype=np.float64)
     if radius + np.max(np.abs(center)) > g.half_width - g.spacing:
         raise DiagnosticsError("sphere does not fit inside the interior grid")
-    se = stress_energy(field, potential)
     if n == 2:
         th = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
         nu = np.stack([np.cos(th), np.sin(th)], axis=1)
-        pts = center[None, :] + radius * nu
-        T = se.interp(pts)
-        flux = np.einsum("qab,qb->qa", T, nu)
-        return (2 * np.pi * radius / n_samples) * flux.sum(axis=0)
-    if n == 3:
+        w = np.full(n_samples, 2 * np.pi * radius / n_samples)
+    elif n == 3:
         n_th = max(8, int(np.sqrt(n_samples)))
         n_ph = 2 * n_th
         th = (np.arange(n_th) + 0.5) * np.pi / n_th
@@ -282,11 +254,10 @@ def flux_balance(field: VectorField, potential, radius: float, center=None, n_sa
             [np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1
         ).reshape(-1, 3)
         w = (np.sin(TH) * (np.pi / n_th) * (2 * np.pi / n_ph)).ravel() * radius**2
-        pts = center[None, :] + radius * nu
-        T = se.interp(pts)
-        flux = np.einsum("qab,qb->qa", T, nu)
-        return (flux * w[:, None]).sum(axis=0)
-    raise DiagnosticsError("flux balance implemented for dim 2 and 3")
+    else:
+        raise DiagnosticsError("flux balance implemented for dim 2 and 3")
+    T = stress_energy(field, potential).interp(center[None, :] + radius * nu)
+    return w @ np.einsum("qab,qb->qa", T, nu)
 
 
 def locate_junction(field: VectorField, wells: np.ndarray) -> np.ndarray:

@@ -550,36 +550,37 @@ def partition_to_json(part: PolygonalPartition) -> dict:
     return {"phases": part.phases, "segments": segs, "rays": rays}
 
 
+def _finite_point(value, what: str) -> np.ndarray:
+    """``value`` as a finite [x, y]; PartitionError naming ``what`` otherwise."""
+    try:
+        p = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # not numeric, or ragged
+        p = np.empty(0)
+    if p.shape != (2,) or not np.all(np.isfinite(p)):
+        raise PartitionError(f"{what} must be a finite point [x, y]; got {value!r}")
+    return p
+
+
 def partition_from_json(data) -> PolygonalPartition:
     """The partition that ``partition_to_json`` wrote: {"phases", "segments":
     [{"phase_i", "phase_j", "endpoints"}], "rays": [{"phase_i", "phase_j",
-    "origin", "direction"}]}.  Any other key raises ValueError naming it."""
+    "origin", "direction"}]}.  Any other key raises ValueError naming it;
+    an endpoint, origin or direction that is not a finite [x, y] raises
+    PartitionError naming the element."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     _known_keys(data, ("phases", "segments", "rays"), "partition")
     elements: list = []
-    for s in data.get("segments", []):
+    for k, s in enumerate(data.get("segments", [])):
         _known_keys(s, ("phase_i", "phase_j", "endpoints"), "segment")
-        elements.append(
-            Segment(
-                int(s["phase_i"]),
-                int(s["phase_j"]),
-                np.asarray(s["endpoints"][0], dtype=np.float64),
-                np.asarray(s["endpoints"][1], dtype=np.float64),
-            )
-        )
-    for r in data.get("rays", []):
+        p0, p1 = (_finite_point(s["endpoints"][e], f"segment {k} endpoint {e}") for e in (0, 1))
+        elements.append(Segment(int(s["phase_i"]), int(s["phase_j"]), p0, p1))
+    for k, r in enumerate(data.get("rays", [])):
         _known_keys(r, ("phase_i", "phase_j", "origin", "direction"), "ray")
-        d = np.asarray(r["direction"], dtype=np.float64)
+        origin = _finite_point(r["origin"], f"ray {k} origin")
+        d = _finite_point(r["direction"], f"ray {k} direction")
         norm = np.linalg.norm(d)
         if not (np.isfinite(norm) and norm > 0):
-            raise PartitionError("ray direction must be a finite non-zero vector")
-        elements.append(
-            Ray(
-                int(r["phase_i"]),
-                int(r["phase_j"]),
-                np.asarray(r["origin"], dtype=np.float64),
-                d / norm,
-            )
-        )
+            raise PartitionError(f"ray {k} direction must be a finite non-zero vector")
+        elements.append(Ray(int(r["phase_i"]), int(r["phase_j"]), origin, d / norm))
     return PolygonalPartition(phases=int(data["phases"]), elements=tuple(elements))

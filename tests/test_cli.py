@@ -197,6 +197,12 @@ TRIOD = {
         ("steiner", {"batch": 5}),
         ("connect1d", {"potential": "double_well", "intervals": 2.7}),
         ("solve", dict(JUNCTION, solver={"residual_target": -1})),
+        ("partition", {"partition": dict(TRIOD, rays=[dict(TRIOD["rays"][0], origin=[0, 0, 0])])}),
+        ("partition", {"partition": {"phases": 2, "segments": [{"phase_i": 1, "phase_j": 2, "endpoints": [[0, 0], [1, 1, 1]]}]}}),
+        ("partition", {"partition": dict(TRIOD, rays=[dict(TRIOD["rays"][0], direction=[0, 1, 0])])}),
+        ("partition", {"partition": dict(TRIOD, rays=[dict(TRIOD["rays"][0], origin=[0, math.nan])])}),
+        ("partition", {"partition": {"phases": 2, "segments": [{"phase_i": 1, "phase_j": 2, "endpoints": [[0, 0], [math.inf, 1]]}]}}),
+        ("solve", dict(JUNCTION, group="dihedral_4")),
     ],
     ids=[
         "even-points",
@@ -246,6 +252,12 @@ TRIOD = {
         "numeric-batch",
         "fractional-intervals",
         "negative-residual-target",
+        "3d-ray-origin",
+        "3d-segment-endpoint",
+        "3d-ray-direction",
+        "nan-ray-origin",
+        "inf-segment-endpoint",
+        "group-off-the-wells",
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):

@@ -360,6 +360,29 @@ def test_profile_sample_matches_searchsorted_lerp(name, request):
         np.testing.assert_allclose(out, _searchsorted_lerp(prof, t), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("name", ["dw_profile", "triangle_profile", "random"])
+def test_profile_derivative_matches_the_explicit_stencils(name, request, double_well):
+    # oracle: the centered difference inside and the one-sided second-order
+    # ends (-3 U0 + 4 U1 - U2) / 2h that ``derivative`` once spelled out
+    if name == "random":
+        eta = np.linspace(-3.0, 3.0, 41)
+        U = np.random.default_rng(4).normal(size=(41, 2))
+        prof = connect.ConnectionProfile(eta, U, U[0], U[-1], double_well)
+    else:
+        fixture = request.getfixturevalue(name)
+        prof = fixture["profile"] if name == "dw_profile" else fixture
+    U, h = prof.values, prof.h
+    dU = prof.derivative()
+    assert np.array_equal(dU[1:-1], (U[2:] - U[:-2]) / (2 * h))
+    ends = {
+        0: ((-3 * U[0] + 4 * U[1] - U[2]) / (2 * h), 3 * abs(U[0]) + 4 * abs(U[1]) + abs(U[2])),
+        -1: ((3 * U[-1] - 4 * U[-2] + U[-3]) / (2 * h), 3 * abs(U[-1]) + 4 * abs(U[-2]) + abs(U[-3])),
+    }
+    for j, (old, terms) in ends.items():
+        # relative to the stencil's terms, whose cancellation sets the rounding
+        assert np.all(np.abs(dU[j] - old) <= 1e-14 * terms / (2 * h))
+
+
 def test_save_profile_roundtrip(tmp_path, dw_profile):
     path = tmp_path / "profile.csv"
     connect.save_profile(dw_profile["profile"], path)

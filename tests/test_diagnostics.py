@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiwell import connect, diagnostics, fields, partitions, potentials
+from multiwell import connect, diagnostics, fields, kernels, partitions, potentials
 
 SIGMA_DW = 2.0 * np.sqrt(2.0) / 3.0
 
@@ -54,8 +54,6 @@ def test_divergence_residual_constant(double_well):
 
 def test_divergence_matches_product_identity(double_well):
     # div T = (grad u)^T (Delta u - W_u) at stencil order on a smooth field
-    from multiwell import kernels
-
     def smooth(pts):
         return (np.exp(-np.sum(pts**2, axis=1)) * np.sin(pts[:, 0] + 0.5 * pts[:, 1]))[:, None]
 
@@ -66,7 +64,7 @@ def test_divergence_matches_product_identity(double_well):
         se = diagnostics.stress_energy(f, double_well)
         lap = kernels.laplacian(f.values, g.spacing)
         resid = (lap.reshape(-1, 1) - double_well.grad_field(f.flat())).reshape(g.shape + (1,))
-        grads = diagnostics._interior_gradients(f)
+        grads = diagnostics._interior_terms(f, double_well)[0]
         prod = np.stack(
             [np.sum(grads[a] * resid[1:-1, 1:-1, :], axis=-1) for a in range(2)], axis=-1
         )
@@ -84,6 +82,94 @@ def test_divergence_matches_product_identity(double_well):
         if prev is not None:
             assert prev / diff >= 3.0
         prev = diff
+
+
+def _random_field(request, dim, m, points, seed):
+    g = fields.Grid(dim=dim, half_width=2.0, points=points)
+    f = fields.VectorField(g, np.random.default_rng(seed).normal(size=g.shape + (m,)))
+    pot = request.getfixturevalue({1: "double_well", 2: "triple_well", 3: "tetra_well"}[m])
+    return f, pot
+
+
+RANDOM_FIELDS = pytest.mark.parametrize(
+    "dim, m, points", [(2, 1, 11), (2, 2, 13), (3, 3, 9)], ids=["2d-m1", "2d-m2", "3d-m3"]
+)
+
+
+@RANDOM_FIELDS
+def test_interior_gradients_are_the_centered_difference(request, dim, m, points):
+    # oracle: the per-axis up/dn slices the diagnostics used before np.gradient
+    f, pot = _random_field(request, dim, m, points, 5)
+    u, h = f.values, f.grid.spacing
+    grads, sq, W = diagnostics._interior_terms(f, pot)
+    for a in range(dim):
+        up = tuple(slice(2, None) if b == a else slice(1, -1) for b in range(dim))
+        dn = tuple(slice(None, -2) if b == a else slice(1, -1) for b in range(dim))
+        assert np.array_equal(grads[a], (u[up] - u[dn]) / (2 * h))
+    inner = u[(slice(1, -1),) * dim]
+    assert np.array_equal(W, pot.value_field(inner.reshape(-1, m)).reshape(sq.shape))
+
+
+@RANDOM_FIELDS
+def test_divergence_residual_matches_the_slice_loops(request, dim, m, points):
+    # oracle: the double loop over (a, b) of centered slice differences
+    f, pot = _random_field(request, dim, m, points, 6)
+    se = diagnostics.stress_energy(f, pot)
+    T, h = se.tensor, se.spacing
+    inner = (slice(1, -1),) * dim
+    div = np.zeros(T[inner].shape[:-2] + (dim,))
+    for a in range(dim):
+        for b in range(dim):
+            up = tuple(slice(2, None) if c == b else slice(1, -1) for c in range(dim))
+            dn = tuple(slice(None, -2) if c == b else slice(1, -1) for c in range(dim))
+            div[..., a] += (T[up + (a, b)] - T[dn + (a, b)]) / (2 * h)
+    assert diagnostics.divergence_residual(se) == float(np.sqrt(np.sum(div * div, axis=-1)).max())
+
+
+@RANDOM_FIELDS
+def test_flux_balance_matches_the_per_dimension_sums(request, dim, m, points):
+    # oracle: the 2D sum scaled by the arc step, the 3D weighted sum
+    f, pot = _random_field(request, dim, m, points, 7)
+    radius, n_samples = 0.9, 400
+    se = diagnostics.stress_energy(f, pot)
+    if dim == 2:
+        th = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+        nu = np.stack([np.cos(th), np.sin(th)], axis=1)
+        flux = np.einsum("qab,qb->qa", se.interp(radius * nu), nu)
+        old = (2 * np.pi * radius / n_samples) * flux.sum(axis=0)
+        scale = (2 * np.pi * radius / n_samples) * np.abs(flux).sum(axis=0)
+    else:
+        n_th = max(8, int(np.sqrt(n_samples)))
+        n_ph = 2 * n_th
+        th = (np.arange(n_th) + 0.5) * np.pi / n_th
+        ph = np.linspace(0.0, 2 * np.pi, n_ph, endpoint=False)
+        TH, PH = np.meshgrid(th, ph, indexing="ij")
+        nu = np.stack(
+            [np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1
+        ).reshape(-1, 3)
+        w = (np.sin(TH) * (np.pi / n_th) * (2 * np.pi / n_ph)).ravel() * radius**2
+        flux = np.einsum("qab,qb->qa", se.interp(radius * nu), nu)
+        old = (flux * w[:, None]).sum(axis=0)
+        scale = (np.abs(flux) * w[:, None]).sum(axis=0)
+    new = diagnostics.flux_balance(f, pot, radius, n_samples=n_samples)
+    assert np.all(np.abs(new - old) <= 1e-14 * scale)
+
+
+def test_hamiltonian_rows_match_the_per_row_loop(triple_well):
+    # oracle: one trapezoid dot product per strip row
+    g = fields.Grid(dim=2, half_width=2.0, points=21)
+    f = fields.VectorField(g, np.random.default_rng(8).normal(size=g.shape + (2,)))
+    ham = diagnostics.hamiltonian_variance(f, triple_well, strip=(-1.0, 1.5), decay_tol=100.0)
+    du1, du2 = (np.gradient(f.values, g.spacing, axis=a, edge_order=2) for a in range(2))
+    W = triple_well.value_field(f.flat()).reshape(g.shape)
+    w = kernels.trapezoid_weights(g.axis().shape)
+    rows = np.flatnonzero((g.axis() >= -1.0) & (g.axis() <= 1.5))
+    assert np.array_equal(ham["x2"], g.axis()[rows])
+    for j, value in zip(rows, ham["integrals"], strict=True):
+        integrand = 0.5 * (np.sum(du1[:, j, :] ** 2, axis=1) - np.sum(du2[:, j, :] ** 2, axis=1)) - W[:, j]
+        old = g.spacing * float(w @ integrand)
+        scale = g.spacing * float(w @ np.abs(integrand))
+        assert abs(value - old) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------

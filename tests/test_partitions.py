@@ -587,6 +587,25 @@ def test_partition_json_roundtrip():
     assert pt.interface_mass(back, w) == pytest.approx(pt.interface_mass(dj, w), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda d: d["rays"][0].update(origin=[0, 0, 0]), "ray 0 origin"),
+        (lambda d: d["rays"][1].update(direction=[0, 1, 0]), "ray 1 direction"),
+        (lambda d: d["rays"][2].update(origin=[0, math.nan]), "ray 2 origin"),
+        (lambda d: d["segments"][0].update(endpoints=[[0, 0], [1, 1, 1]]), "segment 0 endpoint 1"),
+        (lambda d: d["segments"][0].update(endpoints=[[math.inf, 0], [1, 1]]), "segment 0 endpoint 0"),
+        (lambda d: d["segments"][0].update(endpoints=[["a", 0], [1, 1]]), "segment 0 endpoint 0"),
+    ],
+    ids=["3d-origin", "3d-direction", "nan-origin", "3d-endpoint", "inf-endpoint", "text-endpoint"],
+)
+def test_partition_json_rejects_points_that_are_not_finite_pairs(edit, where):
+    data = pt.partition_to_json(pt.double_junction(0.5))
+    edit(data)
+    with pytest.raises(pt.PartitionError, match=f"^{where} must be a finite point"):
+        pt.partition_from_json(data)
+
+
 def test_invalid_partition_labels():
     with pytest.raises(pt.PartitionError):
         pt.PolygonalPartition(
