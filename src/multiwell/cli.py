@@ -84,9 +84,9 @@ REQUIRED = object()  # the default of a key that a config must set
 
 
 def _int(value) -> int:
-    """An integer; booleans and non-integral numbers are rejected."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ValueError("must be an integer")
+    """A non-negative integer; booleans and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not float(value).is_integer() or float(value) < 0:
+        raise ValueError("must be a non-negative integer")
     return int(value)
 
 
@@ -97,17 +97,17 @@ def _floats(value) -> np.ndarray:
 
 def _positive(value) -> float:
     x = float(value)
-    if not x > 0:
-        raise ValueError("must be positive")
+    if not 0 < x < np.inf:
+        raise ValueError("must be positive and finite")
     return x
 
 
 def _radii(value, order: int = 0) -> np.ndarray:
-    """A non-empty 1-D list of positive numbers, strictly increasing for
-    ``order`` 1 and strictly decreasing for ``order`` -1."""
+    """A non-empty 1-D list of positive finite numbers, strictly increasing
+    for ``order`` 1 and strictly decreasing for ``order`` -1."""
     r = _floats(value)
-    if r.ndim != 1 or not r.size or not np.all(r > 0):
-        raise ValueError("must be a non-empty list of positive numbers")
+    if r.ndim != 1 or not r.size or not np.all((0 < r) & (r < np.inf)):
+        raise ValueError("must be a non-empty list of positive finite numbers")
     if order and not np.all(order * np.diff(r) > 0):
         raise ValueError("must be strictly " + ("increasing" if order > 0 else "decreasing"))
     return r
@@ -121,6 +121,9 @@ def _strip(value) -> tuple:
 
 
 def _point(value) -> np.ndarray:
+    """A Steiner triangle vertex [x, y].  Only the shape is checked: a vertex
+    that ``partitions.triangle_errors`` rejects, nan included, is an error
+    row, as in a batch."""
     p = _floats(value)
     if p.shape != (2,):
         raise ValueError("must be a point [x, y]")
@@ -202,7 +205,7 @@ TABLES = {
     "partition": {
         "partition": (_partition, REQUIRED),
         "tensions": (partitions.TensionMatrix, None),
-        "center": (_point, np.zeros(2)),
+        "center": (lambda v: partitions._finite_point(v, "center"), np.zeros(2)),
         "radii": (_radii, np.linspace(0.2, 2.0, 10)),
         "blowdown_scales": (lambda v: _radii(v, -1), np.array([1.0, 0.5, 0.25, 0.125])),
         "blowdown_reference": (_x_cone, None),

@@ -118,18 +118,18 @@ def solve_connection(
 
     ``residual`` is the sup over interior nodes of the Euclidean norm of the
     collocation residual, as in fields (for m > 1 stricter than the
-    componentwise sup).  Raises ValueError for a half_length that is not
-    positive and finite, fewer than ``MIN_INTERVALS`` intervals or a tol
-    that is not positive, and ConnectionError for identical endpoints or
-    one that is not a zero of W; non-convergence is reported on the
-    returned profile (converged flag and final residual)."""
+    componentwise sup).  Raises ValueError for a half_length or a tol that
+    is not positive and finite or fewer than ``MIN_INTERVALS`` intervals,
+    and ConnectionError for identical endpoints or one that is not a zero
+    of W; non-convergence is reported on the returned profile (converged
+    flag and final residual)."""
     half_length, K, tol = float(half_length), int(intervals), float(tol)
     if not (np.isfinite(half_length) and half_length > 0):
         raise ValueError(f"half_length must be positive and finite; got {half_length!r}")
     if K < MIN_INTERVALS:
         raise ValueError(f"intervals must be at least {MIN_INTERVALS}; got {K}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive; got {tol!r}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite; got {tol!r}")
     a_minus = np.atleast_1d(np.asarray(a_minus, dtype=np.float64))
     a_plus = np.atleast_1d(np.asarray(a_plus, dtype=np.float64))
     if np.linalg.norm(a_plus - a_minus) <= 1e-8:

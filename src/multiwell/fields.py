@@ -170,13 +170,16 @@ def energy(field: VectorField, potential) -> float:
 def pde_residual(field: VectorField, potential) -> float:
     """Sup norm over interior nodes of Delta_h u - W_u(u)."""
     w_u = potential.grad_field(field.flat()).reshape(field.values.shape)
-    return _residual(field.values, w_u, field.grid)
+    return _residual(field.values, w_u, field.grid.spacing)[1]
 
 
-def _residual(values: np.ndarray, w_u: np.ndarray, grid: Grid) -> float:
-    r = (kernels.link_laplacian(values, grid.spacing) - w_u).reshape(-1, values.shape[-1])
-    mags = np.sqrt(np.sum(r * r, axis=1))
-    return float(mags[grid.interior_mask].max())
+def _residual(values: np.ndarray, w_u: np.ndarray, h: float) -> tuple:
+    """(b, sup |b|): b = Delta_h u - W_u(u) at interior nodes, zero on the
+    boundary layer (whose zero rows never raise the sup)."""
+    b = kernels.link_laplacian(values, h)
+    inner = (slice(1, -1),) * (values.ndim - 1)
+    b[inner] -= w_u[inner]
+    return b, float(np.sqrt(np.sum(b * b, axis=-1)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -529,12 +532,9 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
     history = [E]
     shift_inverse = _dirichlet_inverse(state.shape, h, 2.0 * potential.c**2)
     precond = shift_inverse if project is None else (lambda r: project(shift_inverse(r)))
-    inner = (slice(1, -1),) * (state.ndim - 1)
     it, stop, best, res, idle = 0, "max_iter", np.inf, np.inf, 0
     while True:
-        b = kernels.link_laplacian(state, h)  # zero on the boundary layer
-        b[inner] -= w_u[inner]
-        res, prev = float(np.sqrt(np.sum(b * b, axis=-1)).max()), res
+        (b, res), prev = _residual(state, w_u, h), res
         falling = len(history) > 1 and history[-1] < history[-2] - 1e-14 * abs(E)
         progress = res < best or res < 0.5 * prev or res > 1.25 * prev or falling
         idle = 0 if progress else idle + 1
@@ -613,7 +613,7 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
         state = project(state)
         E, w_u = discrete_energy(state, h, potential)
         history.append(E)
-        res = _residual(state, w_u, g)
+        res = _residual(state, w_u, h)[1]
     converged = res <= opts.residual_target
 
     out = VectorField(g, state)

@@ -2,8 +2,8 @@
 trapezoid rule, link quadrature, multilinear interpolation, and the
 potentials: one generic kernel that evaluates several polynomials (a value
 and its gradient, or the upper triangle of a Hessian) from one power table,
-and the product-of-wells form with its closed-form Hessian; one numpy
-implementation each.
+and the product-of-wells form of a value and its gradient, both exactly
+zero at a well; one numpy implementation each.
 
 The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
 work in any grid dimension by slicing one axis at a time.
@@ -150,18 +150,6 @@ def sine_solve(values: np.ndarray, eig: np.ndarray) -> np.ndarray:
 # Potential evaluations on flat point arrays (N, m).
 
 
-def _well_factors(pts, wells):
-    """Per well, the difference columns u_j - a_j and the factor |u - a|^2."""
-    diffs = [[u - aj for u, aj in zip(pts.T, a)] for a in wells]
-    f = []
-    for dw in diffs:
-        fi = dw[0] * dw[0]
-        for d in dw[1:]:
-            fi += d * d
-        f.append(fi)
-    return diffs, f
-
-
 def prodwell_value_grad(pts, wells, scale, grad=True):
     """W = scale * prod_i f_i with f_i = |u - a_i|^2, and its gradient
     W_u = 2 scale * sum_i (u - a_i) prod_{j != i} f_j (None when ``grad`` is
@@ -170,7 +158,13 @@ def prodwell_value_grad(pts, wells, scale, grad=True):
     Each well's differences and factor are formed once, as contiguous (N,)
     columns.  The excluded-factor products come from prefix and suffix
     products, without division, so the gradient is exactly 0 at a well."""
-    diffs, f = _well_factors(pts, wells)
+    diffs = [[u - aj for u, aj in zip(pts.T, a)] for a in wells]
+    f = []
+    for dw in diffs:
+        fi = dw[0] * dw[0]
+        for d in dw[1:]:
+            fi += d * d
+        f.append(fi)
     if not grad:
         value = f[0]
         for fi in f[1:]:
@@ -187,38 +181,6 @@ def prodwell_value_grad(pts, wells, scale, grad=True):
             g += d * rest
         before = before * fi
     return scale * before, (2.0 * scale) * np.stack(grad, axis=1)
-
-
-def prodwell_hess(pts, wells, scale):
-    """W_uu (N, m, m) of the product well:
-    2 scale [(sum_i P_i) I + 2 sum_{i < j} P_ij (d_i d_j^T + d_j d_i^T)],
-    with d_i = u - a_i, P_i = prod_{k != i} f_k and P_ij = prod_{k != i, j} f_k,
-    assembled entry by entry from (N,) columns."""
-    n, m = pts.shape
-    diffs, f = _well_factors(pts, wells)
-
-    def excluded(*skip):
-        out = np.ones(n)
-        for k, fk in enumerate(f):
-            if k not in skip:
-                out = out * fk
-        return out
-
-    H = np.zeros((n, m, m))
-    for i in range(len(f)):
-        for j in range(i + 1, len(f)):
-            w = 2.0 * excluded(i, j)
-            di, dj = diffs[i], diffs[j]
-            for a in range(m):
-                for b in range(a, m):
-                    H[:, a, b] += w * (di[a] * dj[b] + dj[a] * di[b])
-    trace = sum(excluded(i) for i in range(len(f)))
-    for a in range(m):
-        H[:, a, a] += trace
-        for b in range(a + 1, m):
-            H[:, b, a] = H[:, a, b]
-    H *= 2.0 * scale
-    return H
 
 
 def poly_terms(coeffs, exps):

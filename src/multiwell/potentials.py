@@ -7,10 +7,14 @@ evaluates the value and the gradient polynomials together from one power
 table (or the value alone), and the upper triangle of the Hessian from
 another; the solvers take W and W_u from one call, and
 ``value_field``/``grad_field`` are views of it.  A potential declared as a
-product of squared well distances (``product_scale``) is evaluated in that
-form instead, because the product is exactly zero, with an exactly zero
-gradient, at wells that are not representable, where the expanded
-polynomial rounds.  Custom potentials are loaded from JSON monomial lists.
+product of squared well distances (``product_scale``) takes W and W_u from
+that form instead, because the product is exactly zero, with an exactly
+zero gradient, at wells that are not representable, where the expanded
+polynomial rounds.  The Hessian needs no such form: the solvers rely on
+W_uu only for its nondegeneracy at the wells (smallest eigenvalue 2 c^2,
+itself computed from the polynomial), which rounding at machine precision
+leaves intact, so every potential takes W_uu from the generic kernel.
+Custom potentials are loaded from JSON monomial lists.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ class PotentialSpec:
     sampling, not proved).  ``strictness_radius`` is a radius of guaranteed
     local strictness around each well.  ``product_scale``, when set, says
     that ``poly`` is product_scale * prod_i |u - a_i|^2 over the wells, and
-    the potential is evaluated in that product form.
+    W and W_u are evaluated in that product form; W_uu comes from ``poly``.
     """
 
     name: str
@@ -131,12 +135,10 @@ class PotentialSpec:
         return self._fused(pts, True)[1]
 
     def hess_field(self, pts: np.ndarray) -> np.ndarray:
-        """W_uu (N, m, m) at flat points: the product form's closed-form
-        kernel, else the upper triangle's polynomials from one power table,
-        written out as the full matrix."""
+        """W_uu (N, m, m) at flat points, for every potential the upper
+        triangle's polynomials from one power table, written out as the
+        full matrix."""
         pts = np.ascontiguousarray(pts, dtype=np.float64).reshape(-1, self.m)
-        if self.product_scale is not None:
-            return kernels.prodwell_hess(pts, self.wells, self.product_scale)
         return kernels.poly_columns(pts, self._hess_terms, self.poly.degree).reshape(-1, self.m, self.m)
 
     # -- pointwise API ------------------------------------------------------

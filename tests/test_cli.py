@@ -203,6 +203,13 @@ TRIOD = {
         ("partition", {"partition": dict(TRIOD, rays=[dict(TRIOD["rays"][0], origin=[0, math.nan])])}),
         ("partition", {"partition": {"phases": 2, "segments": [{"phase_i": 1, "phase_j": 2, "endpoints": [[0, 0], [math.inf, 1]]}]}}),
         ("solve", dict(JUNCTION, group="dihedral_4")),
+        ("partition", {"partition": TRIOD, "center": [0, math.nan]}),
+        ("partition", {"partition": TRIOD, "radii": [0.5, math.inf]}),
+        ("partition", {"partition": TRIOD, "blowdown_scales": [math.inf, 1.0]}),
+        ("solve", dict(JUNCTION, solver={"residual_target": math.inf})),
+        ("connect1d", {"potential": "double_well", "tol": math.inf}),
+        ("solve", dict(JUNCTION, connection={"tol": math.inf})),
+        ("solve", dict(JUNCTION, solver={"max_iter": -1})),
     ],
     ids=[
         "even-points",
@@ -258,6 +265,13 @@ TRIOD = {
         "nan-ray-origin",
         "inf-segment-endpoint",
         "group-off-the-wells",
+        "nan-center",
+        "inf-radius",
+        "inf-scale",
+        "inf-residual-target",
+        "inf-tol",
+        "connection-inf-tol",
+        "negative-max-iter",
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):

@@ -1,6 +1,8 @@
 """Grid and potential kernels checked against closed-form values and the
 polynomial reference evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,8 +278,9 @@ def test_fused_kernels_match_polynomial_and_central_difference(name, data):
 @settings(max_examples=200, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(SPECS)), data=st.data())
 def test_hessian_kernels_match_polynomial_and_central_difference(name, data):
-    # the product form's closed-form Hessian (and the generic route) against
-    # the second-derivative polynomials and a central difference of W_u
+    # the generic Hessian against the second-derivative polynomials and a
+    # central difference of W_u; for the product potentials W_u comes from
+    # the product form, so the difference is an independent route
     spec = SPECS[name]
     coord = st.floats(-2.0, 2.0, allow_nan=False)
     drawn = data.draw(st.lists(st.lists(coord, min_size=spec.m, max_size=spec.m), min_size=1, max_size=8))
@@ -293,6 +296,35 @@ def test_hessian_kernels_match_polynomial_and_central_difference(name, data):
         e[j] = delta
         fd = (spec.grad_field(pts + e) - spec.grad_field(pts - e)) / (2 * delta)
         assert np.all(np.abs(H[:, :, j] - fd) <= 1e-6 * (1.0 + np.abs(H[:, :, j])))
+
+
+def _product_hessian(pts, wells, scale):
+    """The closed form of a product well's Hessian,
+    2 s [(sum_i P_i) I + 2 sum_{i < j} P_ij (d_i d_j^T + d_j d_i^T)] with
+    d_i = u - a_i, f_i = |d_i|^2, P_i = prod_{k != i} f_k and
+    P_ij = prod_{k != i, j} f_k, and per point the largest entry of the
+    summed magnitudes of its terms."""
+    d = pts[:, None, :] - wells[None, :, :]
+    f = np.sum(d * d, axis=2)
+    excluded = lambda *skip: np.prod(np.delete(f, skip, axis=1), axis=1)[:, None, None]
+    H = sum(excluded(i) for i in range(len(wells))) * np.eye(pts.shape[1])
+    mags = H.copy()
+    for i, j in itertools.combinations(range(len(wells)), 2):
+        outer = d[:, i, :, None] * d[:, j, None, :]
+        term = 2.0 * excluded(i, j) * (outer + outer.transpose(0, 2, 1))
+        H += term
+        mags += np.abs(term)
+    return 2.0 * scale * H, 2.0 * abs(scale) * mags.max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("name", ["double_well", "triple_well"])
+def test_product_potential_hessian_matches_closed_form(name):
+    # the generic kernel's W_uu of a product potential against the product's
+    # own closed form, at seeded random points and at the wells
+    spec = SPECS[name]
+    pts = np.vstack([np.random.default_rng(5).uniform(-2.0, 2.0, size=(1000, spec.m)), spec.wells])
+    ref, scale = _product_hessian(pts, spec.wells, spec.product_scale)
+    assert np.all(np.max(np.abs(spec.hess_field(pts) - ref), axis=(1, 2)) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
