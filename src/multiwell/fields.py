@@ -31,6 +31,7 @@ equivariance defect after the solve.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
@@ -666,19 +667,23 @@ def positivity_violation(field: VectorField, wall_normals: np.ndarray) -> float:
 # CSV / JSON persistence (17 significant digits for byte-reproducible round trips)
 
 
-def write_csv(path, header, table: np.ndarray):
+def write_csv(path, header, table: np.ndarray, prefixes=None):
     """A header line, then one line of %.17g cells (the strings of
-    ``format(v, ".17g")``) per row of the 2D float table, formatted in one pass."""
+    ``format(v, ".17g")``) per row of the 2D float table, formatted in one
+    pass; each row opens with its string from ``prefixes`` if given."""
     row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    rows = row_fmt * table.shape[0] if prefixes is None else row_fmt.join(prefixes) + row_fmt
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((row_fmt * table.shape[0]) % tuple(table.ravel().tolist()))
+        fh.write(rows % tuple(table.ravel().tolist()))
 
 
 def save_field(field: VectorField, csv_path, meta_path, extra_meta: dict | None = None):
     g = field.grid
     header = [f"x{i + 1}" for i in range(g.dim)] + [f"u{i + 1}" for i in range(field.m)]
-    write_csv(csv_path, header, np.hstack([g.nodes, field.flat()]))
+    # the nodes are the C-order product of the axis: format each coordinate once
+    cells = [format(x, ".17g") + "," for x in g.axis().tolist()]
+    write_csv(csv_path, header, field.flat(), ["".join(p) for p in itertools.product(cells, repeat=g.dim)])
     meta = {
         "dim": g.dim,
         "half_width": g.half_width,

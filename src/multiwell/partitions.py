@@ -1,8 +1,8 @@
 """Sharp-interface partition calculus on exact planar geometry.
 
 Partitions are explicit segment/ray complexes with phase-pair tags, so
-interface masses, densities, and windowed energies are analytic rather than
-pixel counts.  Includes the weighted Steiner point (in closed form, with
+interface masses, densities, windowed energies and Hausdorff distances are
+analytic rather than pixel counts or samples.  Includes the weighted Steiner point (in closed form, with
 vertex capture by the subgradient test), Young's law angles, the
 shortest-path reduction of surface-tension matrices, cones, and blow-downs.
 """
@@ -28,7 +28,7 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True)
 class TensionMatrix:
-    """Symmetric pairwise surface tensions; e_ii = 0, e_ij > 0 off-diagonal."""
+    """Symmetric finite pairwise surface tensions; e_ii = 0, e_ij > 0 off-diagonal."""
 
     e: np.ndarray
 
@@ -37,6 +37,9 @@ class TensionMatrix:
         object.__setattr__(self, "e", e)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise PartitionError("tension matrix must be square")
+        bad = np.argwhere(~np.isfinite(e))
+        if bad.size:
+            raise PartitionError(f"tension entry {tuple(bad[0].tolist())} must be finite; got {e[tuple(bad[0])]}")
         if np.max(np.abs(e - e.T)) > 1e-12:
             raise PartitionError("tension matrix must be symmetric")
         if np.max(np.abs(np.diag(e))) > 0:
@@ -218,58 +221,77 @@ def blow_down(part: PolygonalPartition, x0, scales) -> list[PolygonalPartition]:
     return [part.translated_scaled(x0, mu) for mu in scales]
 
 
-def _sample_skeleton(part: PolygonalPartition, window: Disk, step: float) -> np.ndarray:
-    pts = []
-    for el in part.elements:
-        if isinstance(el, Segment):
-            o, v = el.p0, el.p1 - el.p0
-            L = float(np.linalg.norm(v))
-            if L == 0:
-                continue
-            v = v / L
-            hi = L
-        else:
-            o, v = el.origin, el.direction
-            # clip to a bounding reach of the window
-            hi = float(np.dot(window.center - o, v)) + window.radius + step
-            if hi <= 0:
-                continue
-        ts = np.arange(0.0, hi + step / 2, step)
-        cand = o[None, :] + ts[:, None] * v[None, :]
-        keep = np.linalg.norm(cand - window.center[None, :], axis=1) <= window.radius
-        pts.append(cand[keep])
-    if not pts:
-        return np.zeros((0, 2))
-    return np.vstack(pts)
+def _carriers(part: PolygonalPartition):
+    """o, v, is-segment per element: o + t v over t in [0, 1] or t >= 0 (a ray)."""
+    els = part.elements
+    o = np.array([el.p0 if isinstance(el, Segment) else el.origin for el in els]).reshape(-1, 2)
+    v = np.array([el.p1 - el.p0 if isinstance(el, Segment) else el.direction for el in els]).reshape(-1, 2)
+    return o, v, np.array([isinstance(el, Segment) for el in els], dtype=bool)
 
 
-def _element_distances(pts: np.ndarray, el) -> np.ndarray:
-    """Exact distance from each row of ``pts`` to a segment or ray: the
-    projection parameter is clipped to [0, 1] on a segment, [0, inf) on a ray."""
-    if isinstance(el, Segment):
-        o, v = el.p0, el.p1 - el.p0
-        L2 = v[0] * v[0] + v[1] * v[1]
-        lo, hi = 0.0, 1.0
-    else:
-        o, v = el.origin, el.direction
-        L2, lo, hi = 1.0, 0.0, np.inf
-    d = pts - o
-    t = np.zeros(len(pts)) if L2 == 0 else np.clip((d[:, 0] * v[0] + d[:, 1] * v[1]) / L2, lo, hi)
-    return np.linalg.norm(pts - (o + t[:, None] * v), axis=1)
+def _roots(A, B, C):
+    """Roots q / A and C / q of A t^2 + B t + C, q = -(B + sign(B) sqrt(B^2 - 4AC)) / 2
+    (C / q = -C / B when A = 0); nan or +-inf where a root does not exist."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(B + np.where(B < 0, -1.0, 1.0) * np.sqrt(B * B - 4 * A * C)) / 2
+        return q / A, C / q
 
 
-def hausdorff_distance(a: PolygonalPartition, b: PolygonalPartition, window: Disk, step: float = 1e-3) -> float:
-    """Hausdorff distance between the interface skeletons inside the window,
-    by dense sampling (resolution ``step``) against exact element distances."""
-    pa = _sample_skeleton(a, window, step)
-    pb = _sample_skeleton(b, window, step)
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
+def _clipped_pieces(o, v, seg, w: Disk):
+    """Pieces P0 + t D (t in [0, 1]) of the elements o, v, seg inside the
+    closed window, from |o + t v - c|^2 = R^2; zero-length segments give none."""
+    oc = o - w.center
+    A = np.sum(v * v, axis=1)
+    t1, t2 = _roots(A, 2 * np.sum(oc * v, axis=1), np.sum(oc * oc, axis=1) - w.radius**2)
+    lo = np.maximum(np.fmin(t1, t2), 0.0)  # nan where the carrier misses the disk
+    hi = np.minimum(np.fmax(t1, t2), np.where(seg, 1.0, np.inf))
+    keep = (A > 0) & (lo <= hi)
+    return o[keep] + lo[keep, None] * v[keep], (hi - lo)[keep, None] * v[keep]
+
+
+def _element_distances(pts: np.ndarray, o, v, seg) -> np.ndarray:
+    """Exact distances (N, n) from the rows of ``pts`` to the elements: the projection
+    parameter is clipped to [0, 1] on a segment, [0, inf) on a ray (unit direction)."""
+    d = pts[:, None] - o
+    L2 = np.where(seg, v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1], 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero-length segment: t = 0
+        t = np.nan_to_num(np.clip((d[..., 0] * v[:, 0] + d[..., 1] * v[:, 1]) / L2, 0.0, np.where(seg, 1.0, np.inf)))
+    return np.sqrt(np.sum((d - t[..., None] * v) ** 2, axis=2))
+
+
+def _directed(P0, D, o, v, seg) -> float:
+    """The largest distance from the pieces P0 + t D (t in [0, 1]) to the
+    elements o, v, seg, at the candidates t of ``hausdorff_distance``."""
+    L2 = np.sum(v * v, axis=1)
+    lines = L2 > 0  # a zero-length segment has an end and no carrier line
+    n = np.stack([-v[lines, 1], v[lines, 0]], axis=1) / np.sqrt(L2[lines])[:, None]
+    # squared distance |e + t d|^2 to each end (d = D) and each carrier line (e, d along n)
+    ends = np.concatenate([o, (o + v)[seg]])
+    e = np.concatenate([P0[:, None] - ends, _dot(P0[:, None] - o[lines], n)[..., None] * n], axis=1)
+    d = np.concatenate([np.repeat(D[:, None], len(ends), axis=1), (D @ n.T)[..., None] * n], axis=1)
+    A, B, C = _dot(d, d), 2 * _dot(e, d), _dot(e, e)
+    i, j = np.triu_indices(A.shape[1], 1)
+    T = np.concatenate([np.broadcast_to([0.0, 1.0], (len(P0), 2)),
+                        *_roots(A[:, i] - A[:, j], B[:, i] - B[:, j], C[:, i] - C[:, j])], axis=1)
+    rows, cols = np.nonzero((T >= 0) & (T <= 1))
+    pts = P0[rows] + T[rows, cols, None] * D[rows]
+    return float(_element_distances(pts, o, v, seg).min(axis=1).max())
+
+
+def hausdorff_distance(a: PolygonalPartition, b: PolygonalPartition, window: Disk) -> float:
+    """Exact Hausdorff distance between the skeletons' pieces inside the closed
+    window, each against the other's whole elements; inf if either has none.
+    On a piece P0 + t D the distance to an element is convex in t, and its
+    square is, region by region, that to an end or to the carrier line: a
+    quadratic in t.  Two elements' distances can cross only at a root of a
+    difference of these quadratics, so between consecutive candidates t in
+    {0, 1, those roots} one element is the nearest and its distance peaks at
+    an end."""
+    ca, cb = _carriers(a), _carriers(b)
+    pa, pb = _clipped_pieces(*ca, window), _clipped_pieces(*cb, window)
+    if len(pa[0]) == 0 or len(pb[0]) == 0:
         return float("inf")
-
-    def directed(pts, other):
-        return float(np.min([_element_distances(pts, el) for el in other.elements], axis=0).max())
-
-    return max(directed(pa, b), directed(pb, a))
+    return max(_directed(*pa, *cb), _directed(*pb, *ca))
 
 
 # ---------------------------------------------------------------------------

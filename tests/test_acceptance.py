@@ -263,8 +263,13 @@ def test_criterion_8_partition_calculus():
     scales = [1.0, 0.5, 0.25, 0.125]
     seq = partitions.blow_down(dj, [0.0, 0.0], scales)
     xc = partitions.x_cone()
-    dists = [partitions.hausdorff_distance(q, xc, w, step=1e-3) for q in seq]
-    blow_ok = all(d <= s * mu + 5e-3 for mu, d in zip(scales, dists)) and dists[-1] < dists[0]
+    dists = [partitions.hausdorff_distance(q, xc, w) for q in seq]
+    exact = [s * mu * math.sqrt(3.0) / 4.0 for mu in scales]
+    blow_ok = (
+        all(d <= s * mu + 5e-3 for mu, d in zip(scales, dists))
+        and all(abs(d - x) <= 1e-12 * x for d, x in zip(dists, exact))
+        and dists[-1] < dists[0]
+    )
 
     ok = dens_ok and reduce_ok and gap_ok and blow_ok
     _report(

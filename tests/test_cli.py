@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiwell import cli, fields
+from multiwell import cli, fields, partitions
 
 
 def run(args):
@@ -51,6 +51,24 @@ def test_connect1d_deterministic_rerun(tmp_path):
     assert run(["connect1d", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
     assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_solve_deterministic_rerun(tmp_path):
+    cfg = write_config(tmp_path / "s.json", dict(JUNCTION, grid={"half_width": 4.0, "points": 41}))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(["solve", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
+    assert run(["solve", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
+    assert (out1 / "field.csv").read_bytes() == (out2 / "field.csv").read_bytes()
+
+
+def test_partition_deterministic_rerun(tmp_path):
+    dj = partitions.partition_to_json(partitions.double_junction(0.4))
+    cfg = write_config(tmp_path / "p.json", {"partition": dj, "blowdown_reference": "x_cone"})
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(["partition", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
+    assert run(["partition", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
+    for name in ("blowdown.csv", "density.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_connect1d_bad_potential_name(tmp_path):
@@ -210,6 +228,8 @@ TRIOD = {
         ("connect1d", {"potential": "double_well", "tol": math.inf}),
         ("solve", dict(JUNCTION, connection={"tol": math.inf})),
         ("solve", dict(JUNCTION, solver={"max_iter": -1})),
+        ("partition", {"partition": TRIOD, "tensions": [[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]]}),
+        ("partition", {"partition": TRIOD, "tensions": [[0, math.inf, 1], [math.inf, 0, 1], [1, 1, 0]]}),
     ],
     ids=[
         "even-points",
@@ -272,6 +292,8 @@ TRIOD = {
         "inf-tol",
         "connection-inf-tol",
         "negative-max-iter",
+        "nan-tension",
+        "inf-tension",
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):

@@ -703,6 +703,14 @@ def test_csv_writers_match_per_value_format(tmp_path, double_well):
     fields.save_field(field, tmp_path / "f.csv", tmp_path / "f.json")
     table = np.hstack([g.nodes, field.flat()])
     assert (tmp_path / "f.csv").read_text() == expected(["x1", "x2", "u1", "u2"], table)
+    # the node coordinates are formatted once per axis value, in any dimension
+    for dim, m in ((1, 3), (3, 1)):
+        g = fields.Grid(dim=dim, half_width=1.3, points=7)
+        shape = g.shape + (m,)
+        field = fields.VectorField(g, rng.normal(size=shape) * 10.0 ** rng.uniform(-30, 30, size=shape))
+        fields.save_field(field, tmp_path / "f.csv", tmp_path / "f.json")
+        header = [f"x{i + 1}" for i in range(dim)] + [f"u{i + 1}" for i in range(m)]
+        assert (tmp_path / "f.csv").read_text() == expected(header, np.hstack([g.nodes, field.flat()]))
     connect.save_profile(prof, tmp_path / "p.csv")
     table = np.column_stack([eta, values])
     assert (tmp_path / "p.csv").read_text() == expected(["eta", "U1"], table)

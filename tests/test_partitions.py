@@ -344,6 +344,14 @@ def test_tension_matrix_validation():
         pt.TensionMatrix(np.array([[0.0, 0.0], [0.0, 0.0]]))  # zero off-diagonal
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_tension_matrix_rejects_non_finite_entries(value):
+    # named before the symmetry check, whose inf - inf would warn
+    e = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, value], [1.0, value, 0.0]])
+    with pytest.raises(pt.PartitionError, match=r"tension entry \(1, 2\) must be finite"):
+        pt.TensionMatrix(e)
+
+
 def _tensions(*vals, n=3):
     e = np.zeros((n, n))
     idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -425,7 +433,7 @@ def test_make_cone_properties():
     # dilation about the vertex leaves a cone invariant
     scaled = cone.translated_scaled([0.0, 0.0], 2.0)
     w = pt.disk([0.0, 0.0], 1.0)
-    assert pt.hausdorff_distance(cone, scaled, w, step=2e-3) < 5e-3
+    assert pt.hausdorff_distance(cone, scaled, w) < 1e-15  # 0 up to rounding
     with pytest.raises(pt.PartitionError):
         pt.make_cone([0, 0], [[1, 0]])
     with pytest.raises(pt.PartitionError):
@@ -470,9 +478,11 @@ def test_blow_down_double_junction_to_x_cone():
     seq = pt.blow_down(dj, [0.0, 0.0], scales)
     w = pt.disk([0.0, 0.0], 1.0)
     xc = pt.x_cone()
-    dists = [pt.hausdorff_distance(q, xc, w, step=1e-3) for q in seq]
+    dists = [pt.hausdorff_distance(q, xc, w) for q in seq]
     for mu, dist in zip(scales, dists):
-        assert dist <= s * mu + 5e-3  # O(s mu) with sampling slack
+        # the outer rays are the cone's shifted by s mu / 2 along the axis
+        assert dist == pytest.approx(s * mu * math.sqrt(3.0) / 4.0, rel=1e-12, abs=0)
+        assert dist <= s * mu + 5e-3
     assert dists[-1] < dists[0]
 
 
@@ -481,11 +491,11 @@ def test_blow_down_fixes_cones():
     seq = pt.blow_down(tri, [0.0, 0.0], [1.0, 0.5, 0.25])
     w = pt.disk([0.0, 0.0], 1.0)
     for q in seq:
-        assert pt.hausdorff_distance(tri, q, w, step=2e-3) < 5e-3
+        assert pt.hausdorff_distance(tri, q, w) < 1e-15  # 0 up to rounding
     line = pt.line_partition()
     seq = pt.blow_down(line, [0.0, 0.0], [1.0, 0.25])
     for q in seq:
-        assert pt.hausdorff_distance(line, q, w, step=2e-3) < 5e-3
+        assert pt.hausdorff_distance(line, q, w) < 1e-15
 
 
 def _oracle_distance(p, el) -> float:
@@ -502,17 +512,39 @@ def _oracle_distance(p, el) -> float:
     return math.sqrt(ex * ex + ey * ey)
 
 
+def _oracle_samples(part, window, step):
+    """The points o + k step v (k = 0, 1, ...) inside the window: up to a
+    segment's end plus step/2, or on a ray up to a step past the window."""
+    (cx, cy), R = window.center.tolist(), window.radius
+    pts = []
+    for el in part.elements:
+        if isinstance(el, pt.Segment):
+            (ox, oy), (vx, vy) = el.p0.tolist(), (el.p1 - el.p0).tolist()
+            hi = math.hypot(vx, vy)
+            if hi == 0:
+                continue
+            vx, vy = vx / hi, vy / hi
+        else:
+            (ox, oy), (vx, vy) = el.origin.tolist(), el.direction.tolist()
+            hi = (cx - ox) * vx + (cy - oy) * vy + R + step
+            if hi <= 0:
+                continue
+        for k in range(math.ceil((hi + step / 2) / step)):
+            p = (ox + k * step * vx, oy + k * step * vy)
+            if math.hypot(p[0] - cx, p[1] - cy) <= R:
+                pts.append(p)
+    return pts
+
+
 def _oracle_hausdorff(a, b, window, step) -> float:
-    pa = pt._sample_skeleton(a, window, step)
-    pb = pt._sample_skeleton(b, window, step)
-    if len(pa) == 0 or len(pb) == 0:
+    """The Hausdorff distance of the dense samples against exact element
+    distances, on Python floats."""
+    pa, pb = _oracle_samples(a, window, step), _oracle_samples(b, window, step)
+    if not pa or not pb:
         return math.inf
 
     def directed(pts, other):
-        worst = 0.0
-        for p in pts.tolist():
-            worst = max(worst, min(_oracle_distance(p, el) for el in other.elements))
-        return worst
+        return max(min(_oracle_distance(p, el) for el in other.elements) for p in pts)
 
     return max(directed(pa, b), directed(pb, a))
 
@@ -542,19 +574,28 @@ def _random_partition(rng):
     return pt.PolygonalPartition(phases=3, elements=tuple(elements))
 
 
-def test_hausdorff_matches_pointwise_oracle():
+def test_hausdorff_bracketed_by_dense_oracle():
+    # samples overshoot a segment's end by up to step/2, and every point of a
+    # piece inside the window (these are all longer than a step) is within a
+    # step of a sample inside it
+    step = 1e-3
     rng = np.random.default_rng(2024)
     for _ in range(4):
         a, b = _random_partition(rng), _random_partition(rng)
         w = pt.disk(rng.uniform(-0.2, 0.2, 2), 1.0)
-        got = pt.hausdorff_distance(a, b, w, step=4e-3)
+        got = pt.hausdorff_distance(a, b, w)
         assert 0.0 < got < math.inf
-        assert got == _oracle_hausdorff(a, b, w, 4e-3)
-    # nothing of an all-outside partition is sampled inside the window
+        oracle = _oracle_hausdorff(a, b, w, step)
+        assert oracle <= got + step / 2 and got <= oracle + step
+    # nothing of an all-outside partition lies inside the window
     empty = pt.PolygonalPartition(phases=3, elements=tuple(_outside_elements(rng)))
     w = pt.disk([0.0, 0.0], 1.0)
     assert pt.hausdorff_distance(empty, pt.x_cone(), w) == math.inf
     assert pt.hausdorff_distance(pt.x_cone(), empty, w) == math.inf
+    # the window is closed: a segment that touches it at (0, 1) has that point inside
+    touch = pt.PolygonalPartition(phases=2, elements=(pt.Segment(1, 2, np.array([0.0, 2.0]), np.array([0.0, 1.0])),))
+    stub = pt.PolygonalPartition(phases=2, elements=(pt.Segment(1, 2, np.array([0.0, 0.5]), np.array([0.0, 1.0])),))
+    assert pt.hausdorff_distance(touch, stub, w) == 0.5
 
 
 def test_blow_down_validates_scales():
