@@ -119,10 +119,10 @@ def solve_connection(
     ``residual`` is the sup over interior nodes of the Euclidean norm of the
     collocation residual, as in fields (for m > 1 stricter than the
     componentwise sup).  Raises ValueError for a half_length or a tol that
-    is not positive and finite or fewer than ``MIN_INTERVALS`` intervals,
-    and ConnectionError for identical endpoints or one that is not a zero
-    of W; non-convergence is reported on the returned profile (converged
-    flag and final residual)."""
+    is not positive and finite, fewer than ``MIN_INTERVALS`` intervals or an
+    endpoint that is not finite, and ConnectionError for identical endpoints
+    or one that is not a zero of W; non-convergence is reported on the
+    returned profile (converged flag and final residual)."""
     half_length, K, tol = float(half_length), int(intervals), float(tol)
     if not (np.isfinite(half_length) and half_length > 0):
         raise ValueError(f"half_length must be positive and finite; got {half_length!r}")
@@ -132,10 +132,12 @@ def solve_connection(
         raise ValueError(f"tol must be positive and finite; got {tol!r}")
     a_minus = np.atleast_1d(np.asarray(a_minus, dtype=np.float64))
     a_plus = np.atleast_1d(np.asarray(a_plus, dtype=np.float64))
+    if not (np.all(np.isfinite(a_minus)) and np.all(np.isfinite(a_plus))):
+        raise ValueError("endpoints must be finite")
     if np.linalg.norm(a_plus - a_minus) <= 1e-8:
         raise ConnectionError("endpoints coincide: no connection to compute")
     for a in (a_minus, a_plus):
-        if abs(potential.value(a)) > WELL_TOL:
+        if not abs(potential.value(a)) <= WELL_TOL:
             raise ConnectionError("endpoint is not a zero of the potential")
     h = 2.0 * half_length / K
     eta = -half_length + h * np.arange(K + 1)

@@ -3,8 +3,9 @@
 Groups are generated by closure from their reflection generators; orders
 here never exceed 48, so matrix lists and brute-force orbit/stabilizer
 computations are the whole story.  Also houses the region decomposition
-used for initial data (base-well region and its group translates) and the
-equivariant projection of sampled fields.
+used for initial data (base-well region and its group translates).  Sampled
+fields are projected onto the equivariant class by ``fields.symmetrize_pairs``
+on the action pairs ``fields.as_pairs(group)``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import fields
 
 MATRIX_TOL = 1e-9  # closure dedup: products of exact reflections only accumulate rounding
 POINT_TOL = 1e-8
@@ -238,25 +237,6 @@ def orbit(group: ReflectionGroup, p, tol: float = POINT_TOL) -> np.ndarray:
 
 def orbit_count(group: ReflectionGroup, p) -> int:
     return orbit(group, p).shape[0]
-
-
-def symmetrize(field: fields.VectorField, group: ReflectionGroup) -> fields.VectorField:
-    """Project a sampled field onto the equivariant class u(g x) = g u(x)."""
-    _check_square(field, group)
-    return fields.symmetrize_pairs(field, fields.as_pairs(group))
-
-
-def equivariance_residual(field: fields.VectorField, group: ReflectionGroup) -> float:
-    _check_square(field, group)
-    return fields.equivariance_residual_pairs(field, fields.as_pairs(group))
-
-
-def _check_square(field: fields.VectorField, group: ReflectionGroup):
-    if field.grid.dim != group.dimension or field.m != group.dimension:
-        raise ValueError(
-            f"need field dimensions d = n = m = {group.dimension}, got "
-            f"n={field.grid.dim}, m={field.m}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -138,32 +138,17 @@ class PolygonalPartition:
         return replace(self, elements=tuple(el.transformed(shift, scale) for el in self.elements))
 
 
-def _clip_interval(t_lo, t_hi, origin, direction, w: Disk):
-    """Sub-interval of origin + t*direction (t in [t_lo, t_hi]) inside the disk."""
-    oc = origin - w.center
-    b = float(np.dot(direction, oc))
-    c = float(np.dot(oc, oc)) - w.radius**2
-    disc = b * b - c
-    if disc <= 0:
-        return 0.0
-    s = math.sqrt(disc)
-    lo = max(t_lo, -b - s)
-    hi = min(t_hi, -b + s)
-    return max(0.0, hi - lo)
-
-
-def _element_length_in(el, w: Disk) -> float:
-    if isinstance(el, Segment):
-        v = el.p1 - el.p0
-        L = float(np.linalg.norm(v))
-        if L == 0.0:
-            return 0.0
-        return _clip_interval(0.0, L, el.p0, v / L, w)
-    return _clip_interval(0.0, np.inf, el.origin, el.direction, w)
+def _lengths_in(part: PolygonalPartition, window: Disk) -> np.ndarray:
+    """Length of each element inside the closed window; 0 where it has none."""
+    o, v, seg = _carriers(part)
+    _, D, keep = _clipped_pieces(o, v, seg, window)
+    lengths = np.zeros(len(o))
+    lengths[keep] = np.hypot(D[:, 0], D[:, 1])
+    return lengths
 
 
 def interface_mass(part: PolygonalPartition, window: Disk) -> float:
-    return sum(_element_length_in(el, window) for el in part.elements)
+    return sum(_lengths_in(part, window).tolist())
 
 
 def partition_energy(part: PolygonalPartition, tensions: TensionMatrix, window: Disk) -> float:
@@ -171,8 +156,8 @@ def partition_energy(part: PolygonalPartition, tensions: TensionMatrix, window: 
     if tensions.phases < part.phases:
         raise PartitionError("tension matrix smaller than the phase count")
     total = 0.0
-    for el in part.elements:
-        total += tensions[el.phase_i - 1, el.phase_j - 1] * _element_length_in(el, window)
+    for el, length in zip(part.elements, _lengths_in(part, window).tolist()):
+        total += tensions[el.phase_i - 1, el.phase_j - 1] * length
     return total
 
 
@@ -239,14 +224,15 @@ def _roots(A, B, C):
 
 def _clipped_pieces(o, v, seg, w: Disk):
     """Pieces P0 + t D (t in [0, 1]) of the elements o, v, seg inside the
-    closed window, from |o + t v - c|^2 = R^2; zero-length segments give none."""
+    closed window, from |o + t v - c|^2 = R^2, and the mask of the elements
+    they come from; zero-length segments give none."""
     oc = o - w.center
     A = np.sum(v * v, axis=1)
     t1, t2 = _roots(A, 2 * np.sum(oc * v, axis=1), np.sum(oc * oc, axis=1) - w.radius**2)
     lo = np.maximum(np.fmin(t1, t2), 0.0)  # nan where the carrier misses the disk
     hi = np.minimum(np.fmax(t1, t2), np.where(seg, 1.0, np.inf))
     keep = (A > 0) & (lo <= hi)
-    return o[keep] + lo[keep, None] * v[keep], (hi - lo)[keep, None] * v[keep]
+    return o[keep] + lo[keep, None] * v[keep], (hi - lo)[keep, None] * v[keep], keep
 
 
 def _element_distances(pts: np.ndarray, o, v, seg) -> np.ndarray:
@@ -288,7 +274,7 @@ def hausdorff_distance(a: PolygonalPartition, b: PolygonalPartition, window: Dis
     {0, 1, those roots} one element is the nearest and its distance peaks at
     an end."""
     ca, cb = _carriers(a), _carriers(b)
-    pa, pb = _clipped_pieces(*ca, window), _clipped_pieces(*cb, window)
+    pa, pb = _clipped_pieces(*ca, window)[:2], _clipped_pieces(*cb, window)[:2]
     if len(pa[0]) == 0 or len(pb[0]) == 0:
         return float("inf")
     return max(_directed(*pa, *cb), _directed(*pb, *ca))

@@ -309,7 +309,8 @@ def _known_keys(obj: dict, keys: tuple, where: str):
 def potential_from_json(path_or_dict) -> PotentialSpec:
     """Load a custom polynomial potential:
     {"name", "monomials": [{"coeff", "exponents"}], "wells"}.  Any other
-    key raises ValueError naming it."""
+    key, and a coefficient or well that is not finite, raises ValueError
+    naming it."""
     if isinstance(path_or_dict, (str, bytes)):
         with open(path_or_dict) as fh:
             data = json.load(fh)
@@ -325,11 +326,16 @@ def potential_from_json(path_or_dict) -> PotentialSpec:
             # int64 coercion would read 2.5 as 2, true as 1 and -1 as a wrong power
             if isinstance(e, bool) or not isinstance(e, (int, float)) or not float(e).is_integer() or e < 0:
                 raise ValueError(f"monomial {mo!r} has exponent {e!r}; exponents are non-negative integers")
+        if not np.isfinite(float(mo["coeff"])):
+            raise ValueError(f"monomial {mo!r} has coefficient {mo['coeff']!r}; coefficients are finite numbers")
     exps = [mo["exponents"] for mo in monos]
     coeffs = [mo["coeff"] for mo in monos]
     m = len(exps[0])
     poly = Polynomial(m, coeffs, exps)
     wells = np.asarray(data.get("wells", []), dtype=np.float64).reshape(-1, m)
+    bad = np.flatnonzero(~np.isfinite(wells).all(axis=1))
+    if bad.size:
+        raise ValueError(f"well {bad[0]} {wells[bad[0]].tolist()} must be finite")
     return _build(data.get("name", "custom"), poly, wells)
 
 

@@ -83,6 +83,16 @@ def test_connect1d_identical_wells_numerical_error(tmp_path):
     assert run(["connect1d", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+QUARTIC_WELL = {  # W = (u^2 - 1)^2, written as a custom potential
+    "monomials": [
+        {"coeff": 1.0, "exponents": [4]},
+        {"coeff": -2.0, "exponents": [2]},
+        {"coeff": 1.0, "exponents": [0]},
+    ],
+    "wells": [[-1.0], [1.0]],
+}
+
+
 @pytest.mark.parametrize(
     "potential",
     [
@@ -93,8 +103,22 @@ def test_connect1d_identical_wells_numerical_error(tmp_path):
         {"monomials": [{"coeff": 1.0, "exponents": [2.5]}, {"coeff": -1.0, "exponents": [0]}]},
         {"monomials": [{"coeff": 1.0, "exponents": [True]}, {"coeff": -1.0, "exponents": [0]}]},
         {"monomials": [{"coeff": 1.0, "exponents": [-1]}, {"coeff": -1.0, "exponents": [0]}]},
+        # a nan term was dropped: a run of the potential without it
+        {"monomials": QUARTIC_WELL["monomials"] + [{"coeff": math.nan, "exponents": [6]}], "wells": [[-1.0], [1.0]]},
+        {"monomials": QUARTIC_WELL["monomials"] + [{"coeff": math.inf, "exponents": [6]}], "wells": [[-1.0], [1.0]]},
+        {"monomials": QUARTIC_WELL["monomials"], "wells": [[math.nan], [1.0]]},
     ],
-    ids=["no-monomials", "empty-monomials", "missing-file", "fractional-exponent", "boolean-exponent", "negative-exponent"],
+    ids=[
+        "no-monomials",
+        "empty-monomials",
+        "missing-file",
+        "fractional-exponent",
+        "boolean-exponent",
+        "negative-exponent",
+        "nan-coefficient",
+        "inf-coefficient",
+        "nan-well",
+    ],
 )
 @pytest.mark.parametrize("command", ["connect1d", "solve"])
 def test_malformed_custom_potential_is_usage_error(tmp_path, capsys, command, potential):
@@ -230,6 +254,7 @@ TRIOD = {
         ("solve", dict(JUNCTION, solver={"max_iter": -1})),
         ("partition", {"partition": TRIOD, "tensions": [[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]]}),
         ("partition", {"partition": TRIOD, "tensions": [[0, math.inf, 1], [math.inf, 0, 1], [1, 1, 0]]}),
+        ("connect1d", {"potential": "double_well", "wells": [[math.nan], [1.0]]}),
     ],
     ids=[
         "even-points",
@@ -294,6 +319,7 @@ TRIOD = {
         "negative-max-iter",
         "nan-tension",
         "inf-tension",
+        "nan-endpoint",
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
@@ -400,16 +426,6 @@ def test_unknown_key_is_named(tmp_path, capsys, command, config, message):
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not (tmp_path / "o").exists()
-
-
-QUARTIC_WELL = {  # W = (u^2 - 1)^2, written as a custom potential
-    "monomials": [
-        {"coeff": 1.0, "exponents": [4]},
-        {"coeff": -2.0, "exponents": [2]},
-        {"coeff": 1.0, "exponents": [0]},
-    ],
-    "wells": [[-1.0], [1.0]],
-}
 
 
 @pytest.mark.parametrize(

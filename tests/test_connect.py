@@ -99,6 +99,13 @@ def test_non_well_endpoint_rejected(double_well):
         connect.solve_connection(double_well, [-1.0], [0.5], 10.0, 100)
 
 
+@pytest.mark.parametrize("endpoint", [[np.nan], [np.inf]], ids=["nan", "inf"])
+def test_non_finite_endpoint_rejected(double_well, endpoint):
+    # |W(nan)| > WELL_TOL is False: a nan endpoint passed as a zero of W
+    with pytest.raises(ValueError, match="endpoints must be finite"):
+        connect.solve_connection(double_well, endpoint, [1.0], 10.0, 100)
+
+
 @pytest.mark.parametrize(
     "kwargs, key",
     [

@@ -301,7 +301,7 @@ def test_initial_guess_structure(junction, triple_well, triangle_profile):
 
 def test_initial_guess_symmetrize_fixed_point(junction, dihedral3):
     u0 = junction["initial"]
-    s = groups.symmetrize(u0, dihedral3)
+    s = fields.symmetrize_pairs(u0, fields.as_pairs(dihedral3))
     # projection moves the smooth equivariant guess only at interpolation level
     inner = (np.linalg.norm(u0.grid.nodes, axis=1) <= 0.9 * u0.grid.half_width).reshape(
         u0.grid.shape

@@ -150,7 +150,7 @@ def test_fundamental_region_tiles(cubic, tetrahedral, dihedral3):
 def test_symmetrize_fixes_equivariant_input(dihedral3):
     grid = fields.Grid(dim=2, half_width=2.0, points=41)
     ident = fields.field_from_function(grid, lambda p: p, 2)  # u(x) = x is equivariant
-    out = groups.symmetrize(ident, dihedral3)
+    out = fields.symmetrize_pairs(ident, fields.as_pairs(dihedral3))
     assert np.max(np.abs(out.values - ident.values)) < 1e-12
 
 
@@ -158,12 +158,12 @@ def test_symmetrize_constant_field(dihedral3, cubic):
     # full-orbit average of a constant; the dihedral-3 average is zero
     grid = fields.Grid(dim=2, half_width=2.0, points=41)
     c = np.array([0.7, -0.3])
-    out = groups.symmetrize(fields.constant_field(grid, c), dihedral3)
+    out = fields.symmetrize_pairs(fields.constant_field(grid, c), fields.as_pairs(dihedral3))
     inner = np.linalg.norm(grid.nodes, axis=1) <= 1.8
     assert np.max(np.abs(out.flat()[inner])) < 1e-14
     grid3 = fields.Grid(dim=3, half_width=1.0, points=9)
     c3 = np.array([0.2, 0.5, -0.1])
-    out3 = groups.symmetrize(fields.constant_field(grid3, c3), cubic)
+    out3 = fields.symmetrize_pairs(fields.constant_field(grid3, c3), fields.as_pairs(cubic))
     expect = np.mean([m.T @ c3 for m in cubic.elements], axis=0)
     assert np.max(np.abs(out3.flat() - expect)) < 1e-14
 
@@ -187,23 +187,23 @@ def test_symmetrize_residual_second_order(dihedral3):
     res = []
     for P in (41, 81):
         grid = fields.Grid(dim=2, half_width=2.0, points=P)
-        out = groups.symmetrize(_smooth_random(grid), dihedral3)
-        res.append(groups.equivariance_residual(out, dihedral3))
+        out = fields.symmetrize_pairs(_smooth_random(grid), fields.as_pairs(dihedral3))
+        res.append(fields.equivariance_residual_pairs(out, fields.as_pairs(dihedral3)))
     assert res[0] / res[1] > 2.5  # O(h^2) decay under refinement
 
 
 def test_symmetrize_idempotent(dihedral3, cubic):
     grid = fields.Grid(dim=2, half_width=2.0, points=81)
-    s1 = groups.symmetrize(_smooth_random(grid), dihedral3)
-    s2 = groups.symmetrize(s1, dihedral3)
+    s1 = fields.symmetrize_pairs(_smooth_random(grid), fields.as_pairs(dihedral3))
+    s2 = fields.symmetrize_pairs(s1, fields.as_pairs(dihedral3))
     inner = (np.linalg.norm(grid.nodes, axis=1) <= 0.9 * 2.0).reshape(grid.shape)
     assert np.max(np.abs((s2.values - s1.values)[inner])) < 1e-10 + 0.01
     # box-preserving action: idempotence is exact even for rough data
     grid3 = fields.Grid(dim=3, half_width=1.0, points=11)
     rng = np.random.default_rng(5)
     rf = fields.VectorField(grid3, rng.normal(size=grid3.shape + (3,)))
-    s1 = groups.symmetrize(rf, cubic)
-    s2 = groups.symmetrize(s1, cubic)
+    s1 = fields.symmetrize_pairs(rf, fields.as_pairs(cubic))
+    s2 = fields.symmetrize_pairs(s1, fields.as_pairs(cubic))
     assert np.max(np.abs(s2.values - s1.values)) < 1e-10
 
 
@@ -212,7 +212,7 @@ def test_equivariance_residual_witness(dihedral3):
     ident = fields.field_from_function(grid, lambda p: p, 2)
     broken = ident.copy()
     broken.values[20, 25] += 0.5  # interior node, inside the measurement ball
-    assert groups.equivariance_residual(broken, dihedral3) > 0.01
+    assert fields.equivariance_residual_pairs(broken, fields.as_pairs(dihedral3)) > 0.01
     # odd scalar-style field under the sign-flip pair action
     pairs = fields.reflection_pairs(2, 2, x_axis=0, u_axis=0)
     odd = fields.field_from_function(grid, lambda p: np.stack([p[:, 0] ** 3, 0 * p[:, 0]], axis=1), 2)

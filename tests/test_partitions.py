@@ -598,6 +598,52 @@ def test_hausdorff_bracketed_by_dense_oracle():
     assert pt.hausdorff_distance(touch, stub, w) == 0.5
 
 
+def _oracle_length(el, window) -> float:
+    """Length of the chord of a segment or ray inside the window, on Python floats."""
+    (cx, cy), R = window.center.tolist(), window.radius
+    if isinstance(el, pt.Segment):
+        (ox, oy), (vx, vy) = el.p0.tolist(), (el.p1 - el.p0).tolist()
+        hi = math.hypot(vx, vy)
+        if hi == 0:
+            return 0.0
+        vx, vy = vx / hi, vy / hi
+    else:
+        (ox, oy), (vx, vy), hi = el.origin.tolist(), el.direction.tolist(), math.inf
+    b = (ox - cx) * vx + (oy - cy) * vy
+    disc = b * b - ((ox - cx) ** 2 + (oy - cy) ** 2 - R * R)
+    if disc <= 0:
+        return 0.0
+    return max(0.0, min(hi, -b + math.sqrt(disc)) - max(0.0, -b - math.sqrt(disc)))
+
+
+def test_lengths_inside_the_window_match_the_chord_oracle():
+    e = np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 3.0], [0.5, 3.0, 0.0]])
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        part = _random_partition(rng)
+        for R in (0.3, 1.0, 2.5):
+            for _ in range(3):
+                w = pt.disk(rng.uniform(-0.5, 0.5, 2), R)
+                lengths = [_oracle_length(el, w) for el in part.elements]
+                assert pt.interface_mass(part, w) == pytest.approx(sum(lengths), abs=1e-12)
+                energy = sum(e[el.phase_i - 1, el.phase_j - 1] * L for el, L in zip(part.elements, lengths))
+                assert pt.partition_energy(part, pt.TensionMatrix(e), w) == pytest.approx(energy, abs=1e-12)
+    # a zero-length segment, a ray pointing away from the window and a
+    # segment wholly outside it have no length inside
+    w = pt.disk([0.0, 0.0], 1.0)
+    outside = pt.PolygonalPartition(phases=3, elements=tuple(_outside_elements(rng)))
+    assert pt.interface_mass(outside, w) == 0.0
+    assert pt.partition_energy(outside, pt.TensionMatrix(e), w) == 0.0
+    # segments that only touch the circle, at an end or tangentially, have length 0
+    for p0, p1 in (([0.0, 2.0], [0.0, 1.0]), ([-1.0, 1.0], [1.0, 1.0])):
+        touch = pt.PolygonalPartition(phases=2, elements=(pt.Segment(1, 2, np.array(p0), np.array(p1)),))
+        assert pt.interface_mass(touch, w) == 0.0
+    empty = pt.PolygonalPartition(phases=3)
+    assert pt.interface_mass(empty, w) == 0.0
+    assert pt.partition_energy(empty, pt.TensionMatrix(e), w) == 0.0
+    assert pt.density(empty, [0.0, 0.0], 1.0) == 0.0
+
+
 def test_blow_down_validates_scales():
     with pytest.raises(pt.PartitionError):
         pt.blow_down(pt.triod(), [0, 0], [0.5, 1.0])

@@ -211,6 +211,22 @@ def test_custom_potential_rejects_non_integer_exponents(exponent):
     assert potentials.potential_from_json(data).value([2.0, 3.0]) == 35.0
 
 
+@pytest.mark.parametrize(
+    "monomial, wells, message",
+    [
+        ({"coeff": float("nan"), "exponents": [6]}, [[-1.0], [1.0]], r"monomial .* has coefficient nan"),
+        ({"coeff": float("inf"), "exponents": [6]}, [[-1.0], [1.0]], r"monomial .* has coefficient inf"),
+        ({"coeff": 0.0, "exponents": [6]}, [[float("nan")], [1.0]], r"well 0 \[nan\] must be finite"),
+    ],
+    ids=["nan-coefficient", "inf-coefficient", "nan-well"],
+)
+def test_custom_potential_rejects_non_finite_numbers(monomial, wells, message):
+    # a nan coefficient failed the |c| > 1e-300 test of the canonical form and its term was dropped
+    quartic = [{"coeff": 1.0, "exponents": [4]}, {"coeff": -2.0, "exponents": [2]}, {"coeff": 1.0, "exponents": [0]}]
+    with pytest.raises(ValueError, match=message):
+        potentials.potential_from_json({"monomials": quartic + [monomial], "wells": wells})
+
+
 def test_polynomial_algebra():
     p = potentials.Polynomial(1, [1.0, 1.0], [[1], [0]])  # u + 1
     q = p * p  # u^2 + 2u + 1
