@@ -703,5 +703,8 @@ def load_field(csv_path, meta_path) -> VectorField:
     grid = Grid(dim=int(meta["dim"]), half_width=float(meta["half_width"]), points=int(meta["points"]))
     m = int(meta["m"])
     # the node coordinates follow from the grid; only the value columns are parsed
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=range(grid.dim, grid.dim + m))
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=range(grid.dim, grid.dim + m)).reshape(-1, m)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{csv_path} line {bad[0] + 2}: values {data[bad[0]].tolist()} must be finite")
     return VectorField(grid, data.reshape(grid.shape + (m,)))

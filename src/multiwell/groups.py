@@ -247,7 +247,6 @@ def orbit_count(group: ReflectionGroup, p) -> int:
 @dataclass(frozen=True)
 class RegionMap:
     group: ReflectionGroup
-    base_well: np.ndarray
     stabilizer: ReflectionGroup
     wells: np.ndarray  # (N, d), base well first, remainder lex sorted
     coset_reps: np.ndarray  # (N, d, d), lex-smallest rep mapping base -> wells[i]
@@ -330,7 +329,6 @@ def build_region_map(group: ReflectionGroup, base_well) -> RegionMap:
     reps = [group.elements[np.argmax(_carries(group, [base], [w]))] for w in wells]
     return RegionMap(
         group=group,
-        base_well=base,
         stabilizer=stab,
         wells=wells,
         coset_reps=np.array(reps),

@@ -14,6 +14,10 @@ polynomial rounds.  The Hessian needs no such form: the solvers rely on
 W_uu only for its nondegeneracy at the wells (smallest eigenvalue 2 c^2,
 itself computed from the polynomial), which rounding at machine precision
 leaves intact, so every potential takes W_uu from the generic kernel.
+A ``PotentialSpec`` is a name, a polynomial, its declared wells and an
+optional product scale; m, c, the nondegenerate flag and the radial
+monotonicity radius are derived from the polynomial and the wells.  A
+coefficient or well that is not finite raises ValueError on construction.
 Custom potentials are loaded from JSON monomial lists.
 """
 
@@ -44,6 +48,8 @@ class Polynomial:
         acc: dict[tuple, float] = {}
         for c, e in zip(coeffs, exps):
             key = tuple(int(x) for x in e)
+            if not np.isfinite(c):  # a nan fails the |v| > 1e-300 test below, which drops the term
+                raise ValueError(f"monomial {list(key)} has coefficient {float(c)}; coefficients are finite numbers")
             acc[key] = acc.get(key, 0.0) + float(c)
         keys = sorted(k for k, v in acc.items() if abs(v) > 1e-300)
         if not keys:
@@ -87,31 +93,42 @@ def _quadratic_well(nvars: int, a: np.ndarray) -> Polynomial:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Evaluatable potential with declared wells and verification constants.
+    """Evaluatable potential: ``name``, ``poly``, ``wells`` and ``product_scale``.
 
-    ``c`` is the nondegeneracy constant: the smallest Hessian eigenvalue over
-    the wells equals ``2 c^2``.  ``radial_radius`` is the radius at which
+    ``wells`` is stored as a finite float64 (N, m) array, N = 0 for a
+    degenerate zero set; the rest is derived on construction.  ``m`` is
+    ``poly.nvars``.  ``c`` is the nondegeneracy constant: the smallest
+    Hessian eigenvalue over the wells, lambda, equals ``2 c^2`` (c = 0 when
+    lambda <= 0), and ``nondegenerate`` is lambda > 0 (False without wells).
+    ``radial_radius``, 2 max |a| + 1 (2 without wells), is the radius at which
     radial monotonicity W(s u) >= W(u), s >= 1 is spot-checked (recorded by
-    sampling, not proved).  ``strictness_radius`` is a radius of guaranteed
-    local strictness around each well.  ``product_scale``, when set, says
-    that ``poly`` is product_scale * prod_i |u - a_i|^2 over the wells, and
-    W and W_u are evaluated in that product form; W_uu comes from ``poly``.
+    sampling, not proved).  ``product_scale``, when set, says that ``poly`` is
+    product_scale * prod_i |u - a_i|^2 over the wells, and W and W_u are
+    evaluated in that product form; W_uu comes from ``poly``.
     """
 
     name: str
-    m: int
     poly: Polynomial
-    wells: np.ndarray  # (nw, m); empty for degenerate zero sets
-    nondegenerate: bool
-    c: float
-    radial_radius: float
-    strictness_radius: float
+    wells: np.ndarray
     product_scale: float | None = None
 
     def __post_init__(self):
-        grads = [self.poly.derivative(j).terms for j in range(self.m)]
-        object.__setattr__(self, "_fused_terms", [self.poly.terms] + grads)
-        object.__setattr__(self, "_hess_terms", _hess_terms(self.poly))
+        m = self.poly.nvars
+        wells = np.asarray(self.wells, dtype=np.float64).reshape(-1, m)
+        bad = np.flatnonzero(~np.isfinite(wells).all(axis=1))
+        if bad.size:
+            raise ValueError(f"well {bad[0]} {wells[bad[0]].tolist()} must be finite")
+        grads = [self.poly.derivative(j) for j in range(m)]
+        hess_terms = _hess_terms(grads)
+        lam = 0.0
+        if len(wells):
+            H = kernels.poly_columns(wells, hess_terms, self.poly.degree).reshape(-1, m, m)
+            lam = float(np.linalg.eigvalsh(H)[:, 0].min())
+        self.__dict__.update(  # the frozen dataclass's own setattr refuses
+            m=m, wells=wells, c=float(np.sqrt(max(lam, 0.0) / 2.0)), nondegenerate=lam > 0,
+            radial_radius=2.0 * float(np.max(np.abs(wells))) + 1.0 if len(wells) else 2.0,
+            _fused_terms=[self.poly.terms] + [g.terms for g in grads], _hess_terms=hess_terms,
+        )
 
     # -- vectorized field paths -------------------------------------------
 
@@ -167,50 +184,19 @@ class PotentialSpec:
         return self.hess_field(pts)[0]
 
 
-def _hess_terms(poly: Polynomial) -> list:
-    """The terms of the W_uu entries row by row; (j, i) lists the same tuple
-    as (i, j), which ``poly_columns`` then forms once."""
-    m = poly.nvars
-    grads = [poly.derivative(j) for j in range(m)]
-    upper = {(i, j): grads[i].derivative(j).terms for i, j in itertools.combinations_with_replacement(range(m), 2)}
-    return [upper[min(i, j), max(i, j)] for i in range(m) for j in range(m)]
-
-
-def _well_constants(poly: Polynomial, wells: np.ndarray) -> float:
-    """Smallest Hessian eigenvalue over the declared wells."""
-    H = kernels.poly_columns(wells, _hess_terms(poly), poly.degree).reshape(-1, poly.nvars, poly.nvars)
-    return float(np.linalg.eigvalsh(H)[:, 0].min())
-
-
-def _build(name, poly, wells, product_scale=None):
-    wells = np.asarray(wells, dtype=np.float64).reshape(-1, poly.nvars)
-    nondeg = wells.shape[0] > 0
-    lam = _well_constants(poly, wells) if nondeg else 0.0
-    c = float(np.sqrt(max(lam, 0.0) / 2.0))
-    if wells.shape[0] >= 2:
-        d = wells[:, None, :] - wells[None, :, :]
-        dist = np.sqrt(np.sum(d * d, axis=2))
-        q0 = 0.5 * float(dist[dist > 0].min())
-    else:
-        q0 = 1.0
-    radial_radius = 2.0 * float(np.max(np.abs(wells))) + 1.0 if nondeg else 2.0
-    return PotentialSpec(
-        name=name,
-        m=poly.nvars,
-        poly=poly,
-        wells=wells,
-        nondegenerate=nondeg and lam > 0,
-        c=c,
-        radial_radius=radial_radius,
-        strictness_radius=q0,
-        product_scale=product_scale,
-    )
+def _hess_terms(grads: list) -> list:
+    """The terms of the W_uu entries row by row, from the gradient
+    polynomials; (j, i) lists the same tuple as (i, j), which
+    ``poly_columns`` then forms once."""
+    pairs = itertools.combinations_with_replacement(range(len(grads)), 2)
+    upper = {(i, j): grads[i].derivative(j).terms for i, j in pairs}
+    return [upper[min(i, j), max(i, j)] for i in range(len(grads)) for j in range(len(grads))]
 
 
 def scalar_double_well() -> PotentialSpec:
     """W(u) = (u^2 - 1)^2 / 4 with wells at -1 and +1."""
     poly = Polynomial(1, [0.25, -0.5, 0.25], [[4], [2], [0]])
-    return _build("double_well", poly, [[-1.0], [1.0]], product_scale=0.25)
+    return PotentialSpec("double_well", poly, [[-1.0], [1.0]], product_scale=0.25)
 
 
 def ginzburg_landau(m: int) -> PotentialSpec:
@@ -223,7 +209,7 @@ def ginzburg_landau(m: int) -> PotentialSpec:
         raise ValueError("ginzburg_landau needs m >= 2")
     shifted = _quadratic_well(m, np.zeros(m)) + Polynomial(m, [-1.0], [[0] * m])  # |u|^2 - 1
     poly = shifted * shifted * Polynomial(m, [0.25], [[0] * m])
-    return _build(f"ginzburg_landau_{m}", poly, np.zeros((0, m)))
+    return PotentialSpec(f"ginzburg_landau_{m}", poly, np.zeros((0, m)))
 
 
 TRIANGLE_WELLS = np.array(
@@ -244,7 +230,7 @@ def triple_well_triangle() -> PotentialSpec:
     """
     factors = [_quadratic_well(2, a) for a in TRIANGLE_WELLS]
     poly = factors[0] * factors[1] * factors[2]
-    return _build("triple_well", poly, TRIANGLE_WELLS, product_scale=1.0)
+    return PotentialSpec("triple_well", poly, TRIANGLE_WELLS, product_scale=1.0)
 
 
 TETRA_A1 = np.array([np.sqrt(2.0 / 3.0), 0.0, 1.0 / np.sqrt(3.0)])
@@ -281,7 +267,7 @@ def tetra_quadruple_well() -> PotentialSpec:
         [0, 0, 0],
     ]
     poly = Polynomial(3, coeffs, exps)
-    return _build("tetra_well", poly, TETRA_WELLS)
+    return PotentialSpec("tetra_well", poly, TETRA_WELLS)
 
 
 _CATALOG = {
@@ -309,8 +295,9 @@ def _known_keys(obj: dict, keys: tuple, where: str):
 def potential_from_json(path_or_dict) -> PotentialSpec:
     """Load a custom polynomial potential:
     {"name", "monomials": [{"coeff", "exponents"}], "wells"}.  Any other
-    key, and a coefficient or well that is not finite, raises ValueError
-    naming it."""
+    key, and an exponent that is not a non-negative integer, raises
+    ValueError naming it; so do ``Polynomial`` for a coefficient and
+    ``PotentialSpec`` for a well that is not finite."""
     if isinstance(path_or_dict, (str, bytes)):
         with open(path_or_dict) as fh:
             data = json.load(fh)
@@ -326,17 +313,9 @@ def potential_from_json(path_or_dict) -> PotentialSpec:
             # int64 coercion would read 2.5 as 2, true as 1 and -1 as a wrong power
             if isinstance(e, bool) or not isinstance(e, (int, float)) or not float(e).is_integer() or e < 0:
                 raise ValueError(f"monomial {mo!r} has exponent {e!r}; exponents are non-negative integers")
-        if not np.isfinite(float(mo["coeff"])):
-            raise ValueError(f"monomial {mo!r} has coefficient {mo['coeff']!r}; coefficients are finite numbers")
     exps = [mo["exponents"] for mo in monos]
-    coeffs = [mo["coeff"] for mo in monos]
-    m = len(exps[0])
-    poly = Polynomial(m, coeffs, exps)
-    wells = np.asarray(data.get("wells", []), dtype=np.float64).reshape(-1, m)
-    bad = np.flatnonzero(~np.isfinite(wells).all(axis=1))
-    if bad.size:
-        raise ValueError(f"well {bad[0]} {wells[bad[0]].tolist()} must be finite")
-    return _build(data.get("name", "custom"), poly, wells)
+    poly = Polynomial(len(exps[0]), [mo["coeff"] for mo in monos], exps)
+    return PotentialSpec(data.get("name", "custom"), poly, data.get("wells", []))
 
 
 def invariance_residual(spec: PotentialSpec, maps, rng, sample_count: int = 100) -> float:

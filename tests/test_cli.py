@@ -792,6 +792,63 @@ def test_resume_continues_from_saved_field(tmp_path):
     assert r2["energy"] <= r1["energy"] + 1e-9
 
 
+@pytest.mark.parametrize("command", ["diagnose", "solve"])
+def test_non_finite_field_value_is_usage_error(tmp_path, capsys, command):
+    # diagnose used to exit 0 with bare NaN tokens in diagnostics.json, and a
+    # resume to exit 2 with "energy became NaN during descent"
+    grid = {"half_width": 4.0, "points": 41}
+    assert run(["solve", "--config", write_config(tmp_path / "s.json", dict(JUNCTION, grid=grid)),
+                "--out", str(tmp_path / "s")]) == 0
+    csv = tmp_path / "s" / "field.csv"
+    lines = csv.read_text().splitlines(keepends=True)
+    lines[5] = ",".join(lines[5].split(",")[:-1] + ["nan\n"])
+    csv.write_text("".join(lines))
+    meta = str(tmp_path / "s" / "field_meta.json")
+    if command == "diagnose":
+        config = {"potential": "triple_well", "field": {"csv": str(csv), "meta": meta}}
+    else:
+        config = dict(JUNCTION, grid=grid, resume={"field": str(csv), "meta": meta})
+    capsys.readouterr()
+    assert run([command, "--config", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot load") and "line 6: values [" in err and "must be finite" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def test_every_subcommand_is_byte_deterministic_across_processes(tmp_path):
+    # identical config and --seed reproduce every output file byte for byte, reports included,
+    # in two fresh interpreters with different string-hash seeds
+    configs = {
+        "connect1d": {"potential": "triple_well", "intervals": 400},
+        "solve": dict(JUNCTION, grid={"half_width": 4.0, "points": 41}),
+        "diagnose": {"potential": "triple_well", "field": {"csv": "solve/field.csv", "meta": "solve/field_meta.json"}},
+        "steiner": {"batch": "rows.csv"},
+        "partition": {"partition": partitions.partition_to_json(partitions.double_junction(0.4)),
+                      "blowdown_reference": "x_cone"},
+    }
+    rows = "Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23\n0,1,0.866,-0.5,-0.866,-0.5,1,1,1\n0,0,4,0,1,3,1,2,1.5\nnan,1,0,0,1,0,1,1,1\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    trees = []
+    for hash_seed in ("1", "2"):
+        tree = tmp_path / f"hash{hash_seed}"
+        tree.mkdir()
+        (tree / "rows.csv").write_text(rows)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for command, config in configs.items():
+            write_config(tree / f"{command}.json", config)
+            done = subprocess.run(
+                [sys.executable, "-m", "multiwell", command, "--config", f"{command}.json", "--out", command, "--seed", "7"],
+                cwd=tree, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, (command, done.stderr)
+        trees.append({p.relative_to(tree).as_posix(): p.read_bytes() for p in sorted(tree.rglob("*")) if p.is_file()})
+    assert {name.split("/")[0] for name in trees[0]} >= set(configs)
+    assert sorted(trees[0]) == sorted(trees[1])
+    for name, data in trees[0].items():
+        assert data == trees[1][name], name
+
+
 def test_python_m_multiwell_runs_from_a_source_checkout():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

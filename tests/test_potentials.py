@@ -227,6 +227,44 @@ def test_custom_potential_rejects_non_finite_numbers(monomial, wells, message):
         potentials.potential_from_json({"monomials": quartic + [monomial], "wells": wells})
 
 
+def test_non_finite_numbers_are_rejected_on_construction():
+    # the nan term used to be dropped: the polynomial below evaluated to u^2
+    with pytest.raises(ValueError, match=r"monomial \[4\] has coefficient nan; coefficients are finite numbers"):
+        potentials.Polynomial(1, [1.0, float("nan")], [[2], [4]])
+    poly = potentials.Polynomial(1, [1.0, -2.0, 1.0], [[4], [2], [0]])
+    with pytest.raises(ValueError, match=r"well 0 \[nan\] must be finite"):
+        potentials.PotentialSpec("quartic", poly, [[float("nan")], [1.0]])
+
+
+def test_potential_constants_are_derived_from_polynomial_and_wells():
+    # W = (u1^2 - 1)^2 (2 + u1) + 5 (u2 + u1^2 - 1)^2, zero at (1, 0) and (-1, 0), where
+    # W_uu = 8 (2 + u1) e1 e1^T + 10 (2 u1, 1)(2 u1, 1)^T: two different Hessians
+    q1 = potentials.Polynomial(2, [1.0, -1.0], [[2, 0], [0, 0]])
+    q = potentials.Polynomial(2, [1.0, 1.0, -1.0], [[0, 1], [2, 0], [0, 0]])
+    g = potentials.Polynomial(2, [2.0, 1.0], [[0, 0], [1, 0]])
+    poly = q1 * q1 * g + potentials.Polynomial(2, [5.0], [[0, 0]]) * q * q
+    spec = potentials.PotentialSpec("custom", poly, [[1, 0], [-1, 0]])
+    hessians = [np.array([[24.0 + 40.0, 20.0], [20.0, 10.0]]), np.array([[8.0 + 40.0, -20.0], [-20.0, 10.0]])]
+    lam = min(np.linalg.eigvalsh(H)[0] for H in hessians)
+    assert spec.c == pytest.approx(np.sqrt(lam / 2.0), rel=1e-12)
+    assert spec.nondegenerate and spec.m == 2 and spec.radial_radius == 3.0
+    assert spec.wells.dtype == np.float64 and spec.wells.shape == (2, 2)
+    assert np.allclose(spec.value_field(spec.wells), 0.0)
+    # without wells the potential is degenerate, with c = 0
+    bare = potentials.PotentialSpec("bare", poly, [])
+    assert (bare.c, bare.nondegenerate, bare.radial_radius, bare.wells.shape) == (0.0, False, 2.0, (0, 2))
+
+
+def test_building_a_potential_forms_the_hessian_terms_once(monkeypatch):
+    calls = []
+    real = potentials._hess_terms
+    monkeypatch.setattr(potentials, "_hess_terms", lambda grads: calls.append(len(grads)) or real(grads))
+    for name in sorted(potentials._CATALOG):
+        calls.clear()
+        spec = potentials.get_potential(name)
+        assert calls == [spec.m], name
+
+
 def test_polynomial_algebra():
     p = potentials.Polynomial(1, [1.0, 1.0], [[1], [0]])  # u + 1
     q = p * p  # u^2 + 2u + 1
