@@ -513,16 +513,7 @@ def cmd_partition(args) -> int:
     if tensions.phases < part.phases:
         raise UsageError(f"tension matrix is {tensions.phases}x{tensions.phases} for {part.phases} phases")
     center, radii, scales = cfg["center"], cfg["radii"], cfg["blowdown_scales"]
-    rows = []
-    for r in radii:
-        w = partitions.disk(center, float(r))
-        rows.append(
-            [
-                float(r),
-                partitions.density(part, center, float(r)),
-                partitions.partition_energy(part, tensions, w),
-            ]
-        )
+    rows = [[float(r), *partitions.density_and_energy(part, tensions, center, float(r))] for r in radii]
     out = _out_dir(args)
     _write_csv(os.path.join(out, "density.csv"), ["radius", "density", "energy"], rows)
     seq = partitions.blow_down(part, center, scales)

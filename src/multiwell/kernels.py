@@ -74,76 +74,88 @@ def link_laplacian(values: np.ndarray, h: float) -> np.ndarray:
 # the Dirichlet stencil along every axis.
 
 # Axes with more interior nodes than this use the FFT of the odd extension
-# instead of the matrix, FFT_COLUMNS columns at a time (larger batches leave
-# the cache: 499^2 in one batch took 5.7 ms a step, in batches of 64 2.3 ms).
-# One step, numpy on one core, minimum of interleaved runs, matrix / FFT:
-# 199 nodes x 3 columns 0.017 / 0.029 ms, 255 x 3 0.026 / 0.031 ms, 299 x 3
-# 0.030 / 0.021 ms, 499 x 3 0.118 / 0.043 ms; 255 x 257 0.62 / 0.53 ms,
-# 399 x 401 2.27 / 1.63 ms, 599 x 601 6.9 / 3.7 ms.
+# instead of the matrix, FFT_LINES lines at a time (at 399^2, blocks of 16 or
+# 128 lines took 6% and 16% longer).  One axis in place, numpy on one core,
+# fastest of 7 runs, matrix / FFT: 199 nodes x 3 lines 0.013 / 0.017 ms,
+# 255 x 3 0.021 / 0.018 ms, 299 x 3 0.029 / 0.020 ms, 499 x 3 0.092 / 0.026 ms;
+# 255 x 255 0.52 / 0.47 ms, 399 x 399 1.92 / 1.24 ms, 599 x 599 6.1 / 2.6 ms
+# along the last axis, 0.52 / 0.57, 1.93 / 1.46 and 6.0 / 3.2 ms along the first.
 SINE_MATRIX_MAX = 256
-FFT_COLUMNS = 64
+FFT_LINES = 32
 
 
 @functools.lru_cache(maxsize=8)
-def _sine_matrix(points: int) -> np.ndarray:
-    """Q[j, k] = sqrt(2/(n+1)) sin(pi j k / (n+1)) for the n = points - 2
-    interior nodes j and modes k, with zero rows for the two boundary nodes.
-    The interior block is symmetric and its own inverse."""
-    n = points - 2
+def _sine_matrix(n: int) -> np.ndarray:
+    """Q[j, k] = sqrt(2/(n+1)) sin(pi j k / (n+1)) for the n interior nodes j
+    and modes k: symmetric, orthonormal and its own inverse."""
     k = np.arange(1, n + 1)
-    q = np.zeros((points, n))
     # reduce j k mod 2(n+1) so the sine's argument stays below 2 pi
-    q[1:-1] = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * (n + 1))))
+    q = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * (n + 1))))
     q.flags.writeable = False  # one cached copy serves every caller
     return q
 
 
-def _sine_rotate(x: np.ndarray, points: int, to_nodes: bool) -> np.ndarray:
-    """Sine transform of the leading axis of x, moved to the end.  That axis
-    holds the ``points`` nodes of a grid axis (boundary values ignored) and
-    becomes its interior modes, or with ``to_nodes`` holds the modes and
-    becomes the nodes, zero at both ends."""
-    cols = x.reshape(x.shape[0], -1).T
-    n = points - 2
+def _sine_axis(z: np.ndarray, axis: int, spare: np.ndarray) -> np.ndarray:
+    """Sine transform of the C-contiguous array z along ``axis``; returns
+    the array that holds it: ``spare`` (same shape, not z) after one matrix
+    product on a short axis, z itself after the FFT of the odd extension,
+    block by block of lines, in place on a long one."""
+    n = z.shape[axis]
+    pre, post = math.prod(z.shape[:axis]), math.prod(z.shape[axis + 1 :])
+    src = z.reshape(pre, n, post)
     if n <= SINE_MATRIX_MAX:
-        q = _sine_matrix(points)
-        y = cols @ (q.T if to_nodes else q)
-    else:
-        src = cols if to_nodes else cols[:, 1:-1]
-        y = np.zeros((src.shape[0], points)) if to_nodes else np.empty((src.shape[0], n))
-        modes = y[:, 1:-1] if to_nodes else y
-        # -Im rfft of the odd extension (0, v, 0, -v reversed) is 2 sum_j v_j sin(pi j k / (n+1))
-        ext = np.zeros((min(FFT_COLUMNS, src.shape[0]), 2 * (n + 1)))
-        scale = -np.sqrt(0.5 / (n + 1))
-        for lo in range(0, src.shape[0], FFT_COLUMNS):
-            part = src[lo : lo + FFT_COLUMNS]
-            e = ext[: part.shape[0]]
+        dst = spare.reshape(pre, n, post)
+        if post == 1:
+            np.matmul(src[..., 0], _sine_matrix(n), out=dst[..., 0])
+        else:
+            np.matmul(_sine_matrix(n), src, out=dst)
+        return spare
+    # a block holds FFT_LINES lines: rows of the last axis, columns elsewhere
+    rows, cols = (min(FFT_LINES, pre), 1) if post == 1 else (1, min(FFT_LINES, post))
+    ext = np.zeros((rows, 2 * (n + 1), cols))
+    # -Im rfft of the odd extension (0, v, 0, -v reversed) is 2 sum_j v_j sin(pi j k / (n+1))
+    scale = -np.sqrt(0.5 / (n + 1))
+    for i in range(0, pre, rows):
+        for j in range(0, post, cols):
+            part = src[i : i + rows, :, j : j + cols]
+            e = ext[: part.shape[0], :, : part.shape[2]]
             e[:, 1 : n + 1] = part
             np.negative(part[:, ::-1], out=e[:, n + 2 :])
-            np.multiply(np.fft.rfft(e, axis=1).imag[:, 1 : n + 1], scale, out=modes[lo : lo + FFT_COLUMNS])
-    return y.reshape(x.shape[1:] + (y.shape[1],))
+            np.multiply(np.fft.rfft(e, axis=1).imag[:, 1 : n + 1], scale, out=part)
+    return z
 
 
 def sine_solve(values: np.ndarray, eig: np.ndarray) -> np.ndarray:
     """Q (Q v / eig), per component, for a node-sampled (..., m) array:
     Q is the orthonormal type-I sine transform over the interior nodes of
     every axis and ``eig`` (the interior shape) the spectrum that Q
-    diagonalizes.  The boundary layer of ``values`` is ignored, and is zero
-    in the result.
+    diagonalizes.  Only interior nodes of ``values`` are read; the boundary
+    layer of the result is zero.
 
-    Each step transforms the leading axis by one matrix product (or FFT) and
-    rotates it to the end, so after the spatial axes the component axis
-    leads; a transpose puts it last again, before the inverse rotations and
-    after them."""
+    A component's interior is copied out once, transformed in place axis by
+    axis, divided, transformed back and copied into the result, one
+    component at a time so that it stays in cache; an array with a long axis
+    transforms its components together, so that each rfft call covers the
+    lines of all of them."""
     shape = values.shape
-    y = values
-    for points in shape[:-1]:
-        y = _sine_rotate(y, points, to_nodes=False)
-    y /= eig
-    y = np.ascontiguousarray(np.moveaxis(y, 0, -1))
-    for points in shape[:-1]:
-        y = _sine_rotate(y, points, to_nodes=True)
-    return np.ascontiguousarray(np.moveaxis(y, 0, -1))
+    dim, m = len(shape) - 1, shape[-1]
+    inner = (slice(1, -1),) * dim
+    group = 1 if max(shape[:-1]) - 2 <= SINE_MATRIX_MAX else m
+    y = np.empty((group,) + tuple(P - 2 for P in shape[:-1]))
+    spare = np.empty_like(y)
+    out = np.zeros(shape)
+    for lo in range(0, m, group):
+        for c in range(group):
+            y[c] = values[inner + (lo + c,)]
+        for sweep in range(2):
+            for axis in range(1, dim + 1):
+                if _sine_axis(y, axis, spare) is spare:
+                    y, spare = spare, y
+            if sweep == 0:
+                y /= eig
+        for c in range(group):
+            out[inner + (lo + c,)] = y[c]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -151,14 +151,18 @@ def interface_mass(part: PolygonalPartition, window: Disk) -> float:
     return sum(_lengths_in(part, window).tolist())
 
 
-def partition_energy(part: PolygonalPartition, tensions: TensionMatrix, window: Disk) -> float:
-    """E(A; W) = sum over interface pairs of e_ij x length inside the window."""
+def _energy(part: PolygonalPartition, tensions: TensionMatrix, lengths: np.ndarray) -> float:
     if tensions.phases < part.phases:
         raise PartitionError("tension matrix smaller than the phase count")
     total = 0.0
-    for el, length in zip(part.elements, _lengths_in(part, window).tolist()):
+    for el, length in zip(part.elements, lengths.tolist()):
         total += tensions[el.phase_i - 1, el.phase_j - 1] * length
     return total
+
+
+def partition_energy(part: PolygonalPartition, tensions: TensionMatrix, window: Disk) -> float:
+    """E(A; W) = sum over interface pairs of e_ij x length inside the window."""
+    return _energy(part, tensions, _lengths_in(part, window))
 
 
 def density(part: PolygonalPartition, x, r: float) -> float:
@@ -167,6 +171,15 @@ def density(part: PolygonalPartition, x, r: float) -> float:
     if r <= 0:
         raise PartitionError("density radius must be positive")
     return interface_mass(part, disk(x, r)) / (2.0 * r)
+
+
+def density_and_energy(part: PolygonalPartition, tensions: TensionMatrix, x, r: float) -> tuple[float, float]:
+    """``density`` and ``partition_energy`` on the disk B_r(x), from one clip
+    of the partition."""
+    if r <= 0:
+        raise PartitionError("density radius must be positive")
+    lengths = _lengths_in(part, disk(x, r))
+    return sum(lengths.tolist()) / (2.0 * r), _energy(part, tensions, lengths)
 
 
 def make_cone(x0, ray_directions, pairs=None) -> PolygonalPartition:

@@ -71,6 +71,18 @@ def test_partition_deterministic_rerun(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_partition_clips_each_window_once(tmp_path, monkeypatch):
+    # one clip per density radius (for its density and energy) and one per
+    # blow-down scale (for its density); the Hausdorff distance clips apart
+    clips = []
+    lengths_in = partitions._lengths_in
+    monkeypatch.setattr(partitions, "_lengths_in", lambda part, w: clips.append(w) or lengths_in(part, w))
+    dj = partitions.partition_to_json(partitions.double_junction(0.4))
+    cfg = write_config(tmp_path / "p.json", {"partition": dj, "radii": [0.5, 1.0, 2.0], "blowdown_scales": [1.0, 0.5]})
+    assert run(["partition", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert [w.radius for w in clips] == [0.5, 1.0, 2.0, 1.0, 1.0]
+
+
 def test_connect1d_bad_potential_name(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"potential": "no_such_potential"})
     assert run(["connect1d", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

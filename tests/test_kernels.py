@@ -2,6 +2,7 @@
 polynomial reference evaluation."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -59,21 +60,28 @@ SINE_POINTS = [3, 34, kernels.SINE_MATRIX_MAX + 2, kernels.SINE_MATRIX_MAX + 3, 
 
 @pytest.mark.parametrize("points", SINE_POINTS)
 def test_sine_transform_matches_scipy_dst(points):
-    # scipy's orthonormal DST-I is an independent reference for both paths
+    # scipy's orthonormal DST-I is an independent reference for both paths,
+    # along the first, a middle and the last axis; the transform is its own
+    # inverse, the matrix path writes to the spare array and the FFT path
+    # over its input
     n = points - 2
-    nodes = rng.normal(size=(points, 2))
-    modes = kernels._sine_rotate(nodes, points, to_nodes=False)
-    ref = scipy.fft.dst(nodes[1:-1], type=1, norm="ortho", axis=0).T
-    assert modes.shape == (2, n)
-    assert np.max(np.abs(modes - ref)) <= 1e-13 * np.max(np.abs(ref))
-    coeffs = rng.normal(size=(n, 2))
-    back = kernels._sine_rotate(coeffs, points, to_nodes=True)
-    ref = scipy.fft.dst(coeffs, type=1, norm="ortho", axis=0).T
-    assert back.shape == (2, points) and np.all(back[:, [0, -1]] == 0.0)
-    assert np.max(np.abs(back[:, 1:-1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for shape, axis in (((n, 2), 0), ((2, n, 3), 1), ((2, n), 1)):
+        nodes = rng.normal(size=shape)
+        ref = scipy.fft.dst(nodes, type=1, norm="ortho", axis=axis)
+        work, spare = nodes.copy(), np.empty(shape)
+        modes = kernels._sine_axis(work, axis, spare)
+        assert modes is (work if n > kernels.SINE_MATRIX_MAX else spare)
+        assert np.max(np.abs(modes - ref)) <= 1e-13 * np.max(np.abs(ref))
+        back = kernels._sine_axis(modes.copy(), axis, np.empty(shape))
+        assert np.max(np.abs(back - nodes)) <= 1e-13 * np.max(np.abs(nodes))
 
 
-@pytest.mark.parametrize("shape", [(602, 3), (263, 9, 2), (9, 263, 1), (7, 6, 5, 3)])
+# the FFT path, the mixed paths and the matrix path in 1D, 2D and 3D, with
+# the shapes of the benchmark grids (81^2 x 2, 101^2 x 1, 33^3 x 3)
+SINE_SHAPES = [(602, 3), (263, 9, 2), (9, 263, 1), (7, 6, 5, 3), (81, 81, 2), (101, 101, 1), (33, 33, 33, 3), (41, 2)]
+
+
+@pytest.mark.parametrize("shape", SINE_SHAPES)
 def test_sine_solve_matches_scipy_dstn(shape):
     # transform, divide, transform back, with the axes on either side of the switch
     vals = rng.normal(size=shape)
@@ -87,6 +95,24 @@ def test_sine_solve_matches_scipy_dstn(shape):
     edge = np.ones(shape[:-1], dtype=bool)
     edge[inner] = False
     assert np.all(out[edge] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(9, 9, 2), (602, 2), (263, 9, 2), (9, 263, 1), (7, 6, 5, 3)])
+def test_sine_solve_reads_interior_nodes_only(shape):
+    # NaN or inf anywhere on the boundary layer leaves the result bit for bit
+    # what it is with zeros there, without a floating-point warning
+    vals = rng.normal(size=shape)
+    eig = rng.uniform(1.0, 2.0, size=tuple(P - 2 for P in shape[:-1]))
+    edge = np.ones(shape[:-1], dtype=bool)
+    edge[(slice(1, -1),) * (len(shape) - 1)] = False
+    vals[edge] = 0.0
+    ref = kernels.sine_solve(vals, eig)
+    for bad in (np.nan, np.inf, -np.inf):
+        dirty = vals.copy()
+        dirty[edge] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(kernels.sine_solve(dirty, eig), ref)
 
 
 def test_interp_lanes_agree_and_hit_nodes():

@@ -644,6 +644,22 @@ def test_lengths_inside_the_window_match_the_chord_oracle():
     assert pt.density(empty, [0.0, 0.0], 1.0) == 0.0
 
 
+def test_density_and_energy_from_one_clip_equal_the_pair():
+    # bit for bit the separate density and energy, from one clip of the partition
+    e = np.array([[0.0, 2.0, 0.5], [2.0, 0.0, 3.0], [0.5, 3.0, 0.0]])
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        part = _random_partition(rng)
+        for r in (0.3, 1.0, 2.5):
+            x = rng.uniform(-0.5, 0.5, 2)
+            pair = (pt.density(part, x, r), pt.partition_energy(part, pt.TensionMatrix(e), pt.disk(x, r)))
+            assert pt.density_and_energy(part, pt.TensionMatrix(e), x, r) == pair
+    with pytest.raises(pt.PartitionError):
+        pt.density_and_energy(pt.triod(), unit_tensions(3), [0, 0], 0.0)
+    with pytest.raises(pt.PartitionError):
+        pt.density_and_energy(pt.triod(), unit_tensions(2), [0, 0], 1.0)
+
+
 def test_blow_down_validates_scales():
     with pytest.raises(pt.PartitionError):
         pt.blow_down(pt.triod(), [0, 0], [0.5, 1.0])
