@@ -1,9 +1,8 @@
 """Hot numeric kernels: grid stencils, the Dirichlet sine transform, the
 trapezoid rule, link quadrature, multilinear interpolation, and the
 potentials: one generic kernel that evaluates several polynomials (a value
-and its gradient, or the upper triangle of a Hessian) from one power table,
-and the product-of-wells form of a value and its gradient, both exactly
-zero at a well; one numpy implementation each.
+and its gradient, or the upper triangle of a Hessian) from one power table;
+one numpy implementation each.
 
 The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
 work in any grid dimension by slicing one axis at a time.
@@ -160,39 +159,6 @@ def sine_solve(values: np.ndarray, eig: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Potential evaluations on flat point arrays (N, m).
-
-
-def prodwell_value_grad(pts, wells, scale, grad=True):
-    """W = scale * prod_i f_i with f_i = |u - a_i|^2, and its gradient
-    W_u = 2 scale * sum_i (u - a_i) prod_{j != i} f_j (None when ``grad`` is
-    false).
-
-    Each well's differences and factor are formed once, as contiguous (N,)
-    columns.  The excluded-factor products come from prefix and suffix
-    products, without division, so the gradient is exactly 0 at a well."""
-    diffs = [[u - aj for u, aj in zip(pts.T, a)] for a in wells]
-    f = []
-    for dw in diffs:
-        fi = dw[0] * dw[0]
-        for d in dw[1:]:
-            fi += d * d
-        f.append(fi)
-    if not grad:
-        value = f[0]
-        for fi in f[1:]:
-            value = value * fi
-        return scale * value, None
-    after = [np.ones(pts.shape[0])]  # after[i] = prod_{j > i} f_j
-    for fi in f[:0:-1]:
-        after.insert(0, after[0] * fi)
-    grad = [np.zeros(pts.shape[0]) for _ in range(pts.shape[1])]
-    before = np.ones(pts.shape[0])  # prod_{j < i} f_j; the value at the end
-    for dw, fi, rest_after in zip(diffs, f, after):
-        rest = before * rest_after
-        for g, d in zip(grad, dw):
-            g += d * rest
-        before = before * fi
-    return scale * before, (2.0 * scale) * np.stack(grad, axis=1)
 
 
 def poly_terms(coeffs, exps):

@@ -6,18 +6,13 @@ automatic differentiation.  One generic kernel, ``kernels.poly_columns``,
 evaluates the value and the gradient polynomials together from one power
 table (or the value alone), and the upper triangle of the Hessian from
 another; the solvers take W and W_u from one call, and
-``value_field``/``grad_field`` are views of it.  A potential declared as a
-product of squared well distances (``product_scale``) takes W and W_u from
-that form instead, because the product is exactly zero, with an exactly
-zero gradient, at wells that are not representable, where the expanded
-polynomial rounds.  The Hessian needs no such form: the solvers rely on
-W_uu only for its nondegeneracy at the wells (smallest eigenvalue 2 c^2,
-itself computed from the polynomial), which rounding at machine precision
-leaves intact, so every potential takes W_uu from the generic kernel.
-A ``PotentialSpec`` is a name, a polynomial, its declared wells and an
-optional product scale; m, c, the nondegenerate flag and the radial
-monotonicity radius are derived from the polynomial and the wells.  A
-coefficient or well that is not finite raises ValueError on construction.
+``value_field``/``grad_field`` are views of it.  Catalog polynomials are
+literal monomial lists, not products expanded in floating point.
+A ``PotentialSpec`` is a name, a polynomial and its declared wells; m, c,
+the nondegenerate flag and the radial monotonicity radius are derived from
+the polynomial and the wells.  A coefficient or well that is not finite,
+and wells that are not one row of m coordinates per well, raise ValueError
+on construction.
 Custom potentials are loaded from JSON monomial lists.
 """
 
@@ -93,28 +88,29 @@ def _quadratic_well(nvars: int, a: np.ndarray) -> Polynomial:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Evaluatable potential: ``name``, ``poly``, ``wells`` and ``product_scale``.
+    """Evaluatable potential: ``name``, ``poly`` and ``wells``.
 
-    ``wells`` is stored as a finite float64 (N, m) array, N = 0 for a
-    degenerate zero set; the rest is derived on construction.  ``m`` is
-    ``poly.nvars``.  ``c`` is the nondegeneracy constant: the smallest
+    ``wells`` is an (N, m) array, N = 0 (or an empty list) for a degenerate
+    zero set, stored as finite float64; the rest is derived on construction.
+    ``m`` is ``poly.nvars``.  ``c`` is the nondegeneracy constant: the smallest
     Hessian eigenvalue over the wells, lambda, equals ``2 c^2`` (c = 0 when
     lambda <= 0), and ``nondegenerate`` is lambda > 0 (False without wells).
     ``radial_radius``, 2 max |a| + 1 (2 without wells), is the radius at which
     radial monotonicity W(s u) >= W(u), s >= 1 is spot-checked (recorded by
-    sampling, not proved).  ``product_scale``, when set, says that ``poly`` is
-    product_scale * prod_i |u - a_i|^2 over the wells, and W and W_u are
-    evaluated in that product form; W_uu comes from ``poly``.
+    sampling, not proved).
     """
 
     name: str
     poly: Polynomial
     wells: np.ndarray
-    product_scale: float | None = None
 
     def __post_init__(self):
         m = self.poly.nvars
-        wells = np.asarray(self.wells, dtype=np.float64).reshape(-1, m)
+        wells = np.asarray(self.wells, dtype=np.float64)
+        if wells.shape == (0,):
+            wells = wells.reshape(0, m)
+        if wells.ndim != 2 or wells.shape[1] != m:  # not reshaped: three 2-vectors would read as two 3-vectors
+            raise ValueError(f"wells of shape {wells.shape} must be an (N, {m}) array, one row per well")
         bad = np.flatnonzero(~np.isfinite(wells).all(axis=1))
         if bad.size:
             raise ValueError(f"well {bad[0]} {wells[bad[0]].tolist()} must be finite")
@@ -136,8 +132,6 @@ class PotentialSpec:
         """(W, W_u) from one kernel call; W_u is None, and not computed,
         when ``grad`` is false."""
         pts = np.ascontiguousarray(pts, dtype=np.float64)
-        if self.product_scale is not None:
-            return kernels.prodwell_value_grad(pts, self.wells, self.product_scale, grad)
         cols = kernels.poly_columns(pts, self._fused_terms if grad else self._fused_terms[:1], self.poly.degree)
         return cols[:, 0], (cols[:, 1:] if grad else None)
 
@@ -196,7 +190,7 @@ def _hess_terms(grads: list) -> list:
 def scalar_double_well() -> PotentialSpec:
     """W(u) = (u^2 - 1)^2 / 4 with wells at -1 and +1."""
     poly = Polynomial(1, [0.25, -0.5, 0.25], [[4], [2], [0]])
-    return PotentialSpec("double_well", poly, [[-1.0], [1.0]], product_scale=0.25)
+    return PotentialSpec("double_well", poly, [[-1.0], [1.0]])
 
 
 def ginzburg_landau(m: int) -> PotentialSpec:
@@ -222,15 +216,17 @@ TRIANGLE_WELLS = np.array(
 
 
 def triple_well_triangle() -> PotentialSpec:
-    """Product-form triple well: W(u) = prod_i |u - a_i|^2, a_i cube roots of unity.
+    """Triple well W(u) = prod_i |u - a_i|^2 = |u^3 - 1|^2, a_i the cube roots
+    of unity and u = u1 + i u2 read as a complex number.
 
-    Invariant under the dihedral-3 group permuting the wells; each well is
-    nondegenerate with Hessian 18 I (twice the product of the squared
-    distances to the other two wells).
+    Expanded exactly, W = (u1^2 + u2^2)^3 - 2 u1^3 + 6 u1 u2^2 + 1: seven
+    monomials with integer coefficients.  Invariant under the dihedral-3
+    group permuting the wells; each well is nondegenerate with Hessian 18 I
+    (twice the product of the squared distances to the other two wells).
     """
-    factors = [_quadratic_well(2, a) for a in TRIANGLE_WELLS]
-    poly = factors[0] * factors[1] * factors[2]
-    return PotentialSpec("triple_well", poly, TRIANGLE_WELLS, product_scale=1.0)
+    coeffs = [1.0, 3.0, 3.0, 1.0, -2.0, 6.0, 1.0]
+    exps = [[6, 0], [4, 2], [2, 4], [0, 6], [3, 0], [1, 2], [0, 0]]
+    return PotentialSpec("triple_well", Polynomial(2, coeffs, exps), TRIANGLE_WELLS)
 
 
 TETRA_A1 = np.array([np.sqrt(2.0 / 3.0), 0.0, 1.0 / np.sqrt(3.0)])

@@ -103,6 +103,15 @@ QUARTIC_WELL = {  # W = (u^2 - 1)^2, written as a custom potential
     ],
     "wells": [[-1.0], [1.0]],
 }
+MISSHAPED_WELLS = {  # W = (u1^2 - 1)^2 + u2^2 + u3^2, nondegenerate at (+-1, 0, 0)
+    "monomials": [
+        {"coeff": 1.0, "exponents": [4, 0, 0]},
+        {"coeff": -2.0, "exponents": [2, 0, 0]},
+        {"coeff": 1.0, "exponents": [0, 0, 0]},
+        {"coeff": 1.0, "exponents": [0, 2, 0]},
+        {"coeff": 1.0, "exponents": [0, 0, 2]},
+    ],
+}
 
 
 @pytest.mark.parametrize(
@@ -119,6 +128,8 @@ QUARTIC_WELL = {  # W = (u^2 - 1)^2, written as a custom potential
         {"monomials": QUARTIC_WELL["monomials"] + [{"coeff": math.nan, "exponents": [6]}], "wells": [[-1.0], [1.0]]},
         {"monomials": QUARTIC_WELL["monomials"] + [{"coeff": math.inf, "exponents": [6]}], "wells": [[-1.0], [1.0]]},
         {"monomials": QUARTIC_WELL["monomials"], "wells": [[math.nan], [1.0]]},
+        # three 2-vectors were reshaped into the two 3-vectors (1, 0, 0) and (-1, 0, 0)
+        {"monomials": MISSHAPED_WELLS["monomials"], "wells": [[1, 0], [0, -1], [0, 0]]},
     ],
     ids=[
         "no-monomials",
@@ -130,6 +141,7 @@ QUARTIC_WELL = {  # W = (u^2 - 1)^2, written as a custom potential
         "nan-coefficient",
         "inf-coefficient",
         "nan-well",
+        "misshaped-wells",
     ],
 )
 @pytest.mark.parametrize("command", ["connect1d", "solve"])

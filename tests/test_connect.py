@@ -220,6 +220,19 @@ def test_triple_well_connection(triangle_profile, triple_well):
     assert connect.equipartition_residual(triangle_profile) <= 1e-3
 
 
+@pytest.mark.parametrize("intervals", [600, 1200])
+def test_triple_well_action_converges_to_the_bogomolny_tension(triple_well, intervals):
+    # W = |f(u)|^2 with f = u^3 - 1 holomorphic in u = u1 + i u2, so the
+    # Bogomolny bound gives sigma = sqrt(2) |F(a_2) - F(a_1)| with F' = f,
+    # F = u^4/4 - u: 3 sqrt(6)/4; the discrete action approaches it at O(h^2)
+    # with the constant -0.77224, the same at 600, 1200 and 2400 intervals
+    sigma = 3.0 * np.sqrt(6.0) / 4.0
+    prof = connect.solve_connection(triple_well, triple_well.wells[1], triple_well.wells[0], 6.0, intervals, tol=1e-9)
+    h = 12.0 / intervals
+    assert prof.converged
+    assert (connect.action(prof) - sigma) / h**2 == pytest.approx(-0.7722, rel=0.02)
+
+
 def test_endpoint_decay(dw_profile, double_well):
     K, k = connect.tail_decay_rate(dw_profile["profile"])
     expected = np.sqrt(2.0) * double_well.c  # sqrt of the well Hessian eigenvalue

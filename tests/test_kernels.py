@@ -173,23 +173,44 @@ def test_trapezoid_weights(shape):
     assert w.sum() == np.prod([P - 1 for P in shape])
 
 
+def _product_value_grad(pts, wells, scale):
+    """The closed form of a product well, W = s prod_i f_i and
+    W_u = 2 s sum_i d_i prod_{k != i} f_k, with d_i = u - a_i and f_i = |d_i|^2."""
+    d = pts[:, None, :] - wells[None, :, :]
+    f = np.sum(d * d, axis=2)
+    excluded = np.stack([np.prod(np.delete(f, i, axis=1), axis=1) for i in range(len(wells))], axis=1)
+    return scale * np.prod(f, axis=1), 2.0 * scale * np.einsum("nij,ni->nj", d, excluded)
+
+
+# the catalog potentials that expand s * prod_i |u - a_i|^2 over their wells, with their s
+PRODUCT_FACTORS = {"double_well": 0.25, "triple_well": 1.0}
+
+
 def test_potential_kernels_agree():
-    # the product-form fused kernel agrees with the generic polynomial kernel
-    for name in ("double_well", "triple_well"):
+    # the catalog's expanded polynomial agrees with the product of squared
+    # well distances it expands, and its gradient with the product's
+    for name, factor in PRODUCT_FACTORS.items():
         spec = potentials.get_potential(name)
-        assert spec.product_scale is not None
         pts = np.ascontiguousarray(np.vstack([rng.normal(size=(200, spec.m)), spec.wells]))
-        ref = spec.poly(pts)
-        assert np.max(np.abs(spec.value_field(pts) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        gref = np.stack([spec.poly.derivative(j)(pts) for j in range(spec.m)], axis=1)
-        assert np.max(np.abs(spec.grad_field(pts) - gref)) <= 1e-12 * np.max(np.abs(gref))
+        ref, gref = _product_value_grad(pts, spec.wells, factor)
+        W, W_u = spec.value_and_grad_field(pts)
+        assert np.max(np.abs(W - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(W_u - gref)) <= 1e-12 * np.max(np.abs(gref))
+
+
+def test_triple_well_is_the_exact_expansion():
+    # |u^3 - 1|^2 = (u1^2 + u2^2)^3 - 2 u1^3 + 6 u1 u2^2 + 1: seven monomials
+    # with integer coefficients, and 14 terms over the four Hessian entries
+    spec = potentials.get_potential("triple_well")
+    terms = dict(zip(map(tuple, spec.poly.exps.tolist()), spec.poly.coeffs.tolist()))
+    assert terms == {(6, 0): 1.0, (4, 2): 3.0, (2, 4): 3.0, (0, 6): 1.0, (3, 0): -2.0, (1, 2): 6.0, (0, 0): 1.0}
+    assert sum(len(t) for t in spec._hess_terms) == 14
 
 
 def test_tetra_well_matches_closed_form():
     # the tetrahedral quartic on the generic kernel against its closed form
     # W = |u|^4 - (4/sqrt 3)(u1^2 - u2^2) u3 - (2/3)|u|^2 + 5/9
     spec = potentials.get_potential("tetra_well")
-    assert spec.product_scale is None
     pts = np.ascontiguousarray(np.vstack([rng.normal(size=(200, 3)), spec.wells]))
     u1, u2, u3 = pts.T
     r2 = u1**2 + u2**2 + u3**2
@@ -271,8 +292,9 @@ SPECS["custom"] = potentials.potential_from_json(CUSTOM)
 
 def _terms(poly, pts):
     """The polynomial at pts and the largest sum of its absolute monomial
-    terms there: the relative error is taken against that, since a product
-    form cancels differently from the expansion where W or W_u is near 0."""
+    terms there: the relative error is taken against that, since the kernel
+    sums the terms in its own order, which cancels differently where W or
+    W_u is near 0."""
     scale = potentials.Polynomial(poly.nvars, np.abs(poly.coeffs), poly.exps)(np.abs(pts))
     return poly(pts), np.max(scale)
 
@@ -305,8 +327,7 @@ def test_fused_kernels_match_polynomial_and_central_difference(name, data):
 @given(name=st.sampled_from(sorted(SPECS)), data=st.data())
 def test_hessian_kernels_match_polynomial_and_central_difference(name, data):
     # the generic Hessian against the second-derivative polynomials and a
-    # central difference of W_u; for the product potentials W_u comes from
-    # the product form, so the difference is an independent route
+    # central difference of W_u
     spec = SPECS[name]
     coord = st.floats(-2.0, 2.0, allow_nan=False)
     drawn = data.draw(st.lists(st.lists(coord, min_size=spec.m, max_size=spec.m), min_size=1, max_size=8))
@@ -343,13 +364,13 @@ def _product_hessian(pts, wells, scale):
     return 2.0 * scale * H, 2.0 * abs(scale) * mags.max(axis=(1, 2))
 
 
-@pytest.mark.parametrize("name", ["double_well", "triple_well"])
+@pytest.mark.parametrize("name", sorted(PRODUCT_FACTORS))
 def test_product_potential_hessian_matches_closed_form(name):
     # the generic kernel's W_uu of a product potential against the product's
     # own closed form, at seeded random points and at the wells
     spec = SPECS[name]
     pts = np.vstack([np.random.default_rng(5).uniform(-2.0, 2.0, size=(1000, spec.m)), spec.wells])
-    ref, scale = _product_hessian(pts, spec.wells, spec.product_scale)
+    ref, scale = _product_hessian(pts, spec.wells, PRODUCT_FACTORS[name])
     assert np.all(np.max(np.abs(spec.hess_field(pts) - ref), axis=(1, 2)) <= 1e-13 * scale)
 
 
@@ -361,5 +382,14 @@ def test_fused_gradient_vanishes_at_declared_wells(name):
         # irrational wells: the stored doubles are off the zero set by an ulp,
         # where the exact gradient is itself of order 1e-16
         assert np.max(np.abs(grad)) <= 1e-15
+    elif name == "triple_well":
+        # the wells (-1/2, +-sqrt(3)/2) are stored about |a| eps off the zero,
+        # so W_u there is bounded by its conditioning, ||W_uu(a)|| |a| eps =
+        # 18 * 2.2e-16; W is quadratic in that offset, and what is left is the
+        # rounding of its terms, eps times the sum of their magnitudes
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(grad)) <= 18.0 * eps
+        assert np.max(np.abs(value)) <= eps * _terms(spec.poly, spec.wells)[1]
     else:
+        # wells with exact coordinates are exact zeros and critical points
         assert np.all(grad == 0.0) and np.all(value == 0.0)

@@ -236,6 +236,22 @@ def test_non_finite_numbers_are_rejected_on_construction():
         potentials.PotentialSpec("quartic", poly, [[float("nan")], [1.0]])
 
 
+@pytest.mark.parametrize(
+    "wells",
+    [[[1, 0], [0, -1], [0, 0]], [[1.0], [-1.0]], [1.0, 0.0, 0.0], 1.0, [[[1.0, 0.0, 0.0]]]],
+    ids=["three-2-vectors", "two-1-vectors", "flat", "scalar", "nested"],
+)
+def test_misshaped_wells_are_rejected(wells):
+    # wells were reshaped to (-1, m): three 2-vectors on a 3-component
+    # polynomial read as the two wells (1, 0, 0) and (-1, 0, 0), nondegenerate
+    poly = potentials.Polynomial(3, [1.0, -2.0, 1.0, 1.0, 1.0], [[4, 0, 0], [2, 0, 0], [0, 0, 0], [0, 2, 0], [0, 0, 2]])
+    with pytest.raises(ValueError, match=r"wells of shape .* must be an \(N, 3\) array"):
+        potentials.PotentialSpec("misshaped", poly, wells)
+    # an empty list and an (N, 3) array are wells
+    assert potentials.PotentialSpec("bare", poly, []).wells.shape == (0, 3)
+    assert potentials.PotentialSpec("quartic", poly, [[1, 0, 0], [-1, 0, 0]]).nondegenerate
+
+
 def test_potential_constants_are_derived_from_polynomial_and_wells():
     # W = (u1^2 - 1)^2 (2 + u1) + 5 (u2 + u1^2 - 1)^2, zero at (1, 0) and (-1, 0), where
     # W_uu = 8 (2 + u1) e1 e1^T + 10 (2 u1, 1)(2 u1, 1)^T: two different Hessians
