@@ -344,9 +344,9 @@ def cmd_solve(args) -> int:
     else:
         try:
             prof = connect.solve_connection(pot, rm.wells[1], rm.wells[0], **cfg["connection"])
-        except ValueError as e:
+            u0 = fields.initial_guess(grp, rm, prof, grid)
+        except ValueError as e:  # also wells that no group reflection swaps
             raise UsageError(f"bad connection: {e}")
-        u0 = fields.initial_guess(grp, rm, prof, grid)
     try:
         result = fields.minimize(u0, pot, symmetry=grp, opts=opts)
     except fields.SolveError as e:

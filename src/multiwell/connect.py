@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fields, kernels, potentials
+from . import fields, groups, kernels, potentials
 
 MAX_STEPS = 60  # Newton steps of one connection solve
 MIN_INTERVALS = 4  # the fewest intervals accepted
@@ -75,26 +75,22 @@ class ConnectionError(RuntimeError):
     pass
 
 
-def _pair_reflection(a_minus, a_plus) -> np.ndarray:
-    """The reflection across the plane normal to a_plus - a_minus through 0."""
-    n = a_plus - a_minus
-    norm = np.linalg.norm(n)
-    if norm < 1e-12:  # degenerate (constant) profile: no wall to reflect across
-        return np.eye(n.shape[0])
-    n = n / norm
-    return np.eye(n.shape[0]) - 2.0 * np.outer(n, n)
-
-
 def _symmetric_projection(potential, a_minus, a_plus):
-    """The projection V -> (V + r V reversed) / 2 onto U(-eta) = r U(eta),
-    r = ``_pair_reflection`` of the wells, if r swaps them and leaves W
-    invariant on a fixed sample (as ``verify_hypotheses`` checks); else None."""
-    r = _pair_reflection(a_minus, a_plus)
+    """The projection onto U(-eta) = r U(eta), ``fields.node_projection`` of
+    the pairs (1, I) and (-1, r) on the profile's nodes, r the reflection
+    ``groups.reflection_matrix`` across the plane normal to a_plus - a_minus,
+    if r swaps the wells and leaves W invariant on a fixed sample (as
+    ``verify_hypotheses`` checks); else None, as for coincident wells."""
+    n = a_plus - a_minus
+    if not np.any(n):
+        return None
+    r = groups.reflection_matrix(n)
     if np.linalg.norm(r @ a_plus - a_minus) > 1e-9:
         return None
     if potentials.invariance_residual(potential, [r], np.random.default_rng(0)) > INVARIANCE_TOL:
         return None
-    return lambda V: 0.5 * (V + V[::-1] @ r.T)
+    one = np.eye(1)
+    return fields.node_projection([(one, np.eye(r.shape[0])), (-one, r)])
 
 
 def solve_connection(

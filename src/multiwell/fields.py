@@ -16,17 +16,19 @@ gradient of the link energy, whose rounding floor is lower.
 
 Symmetry actions enter only through their projection.  Per element, a
 box-preserving g_x maps nodes to nodes, so u(g_x x) is read as a node image
-(a flipped, transposed view of the stored values).  The elements that
-rotate the grid fall into cosets r b of the box-preserving ones, and
-u(r_x b_x x) is the node image under b_x of the one image u(r_x .), so one
-interpolation serves each coset: two for dihedral-3, dihedral-6 and the
-tetrahedral group.  An action that permutes grid nodes
-leaves the discrete energy exactly invariant, so the iterates keep the
-equivariance of their start to rounding: the start is projected once before
-the first step and once after the last.  An action that rotates the grid is
-never projected.  The discrete critical point is equivariant only up to the
-O(h^2) error of the square-grid stencil, which ``minimize`` reports as the
-equivariance defect after the solve.
+(a flipped, transposed view of the stored values), and ``node_projection``
+averages g_u^{-1} u(g_x x) over the action from node images alone: for the
+fields, the connection class U(-eta) = r U(eta) and the initial guess's
+profile alike.  An action that permutes grid nodes leaves the discrete
+energy exactly invariant, so the iterates keep the equivariance of their
+start to rounding: the start is projected once before the first step and
+once after the last.  An action that rotates the grid has no node images
+and is never projected; only its equivariance is measured, with one
+interpolation per coset r b of the box-preserving elements (u(r_x b_x x) is
+the node image under b_x of the one image u(r_x .)): two for dihedral-3,
+dihedral-6 and the tetrahedral group.  The discrete critical point is
+equivariant only up to the O(h^2) error of the square-grid stencil, which
+``minimize`` reports as the equivariance defect after the solve.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernels
+from . import groups, kernels
 
 BOX_EDGE_TOL = 1e-9
-SYM_RAMP_FRAC = 0.05  # blend shell width (fraction of the half-width)
 SYM_MEASURE_FRAC = 0.9  # residuals are measured on this fraction of the ball
 
 
@@ -214,17 +215,23 @@ def _is_identity(gx: np.ndarray, gu: np.ndarray) -> bool:
     return np.array_equal(gx, np.eye(gx.shape[0])) and np.array_equal(gu, np.eye(gu.shape[0]))
 
 
-def _node_image(values: np.ndarray, gx: np.ndarray) -> np.ndarray:
-    """u(g_x x) at every node for a box-preserving g_x, as a view of the
-    (grid.shape + (m,)) array ``values``.  A signed permutation,
-    (g_x x)_a = s_a x_src[a], maps the nodes of an origin-centred grid with
-    the same odd point count on every axis onto themselves: flip the axes
-    with s_a < 0, then read axis src[a] as axis a."""
+def _node_axes(gx: np.ndarray) -> tuple:
+    """The node image under a box-preserving g_x as (index that flips axes,
+    axis order).  A signed permutation, (g_x x)_a = s_a x_src[a], maps the
+    nodes of an origin-centred grid onto themselves when every axis that it
+    exchanges has the same point count: flip the axes with s_a < 0, then
+    read axis src[a] as axis a."""
     P = np.rint(gx)
     src = np.abs(P).argmax(axis=1)
     sign = P[np.arange(src.size), src]
-    flipped = np.flip(values, axis=tuple(np.flatnonzero(sign < 0)))
-    return np.transpose(flipped, tuple(np.argsort(src)) + (values.ndim - 1,))
+    return tuple(slice(None, None, -1 if s < 0 else 1) for s in sign), tuple(np.argsort(src)) + (src.size,)
+
+
+def _node_image(values: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """u(g_x x) at every node for a box-preserving g_x, as a view of the
+    (grid.shape + (m,)) array ``values``."""
+    index, order = _node_axes(gx)
+    return values[index].transpose(order)
 
 
 def _pair_images(values: np.ndarray, grid: Grid, pairs, sel):
@@ -275,43 +282,42 @@ def _pair_images(values: np.ndarray, grid: Grid, pairs, sel):
         yield image
 
 
-def symmetrize_pairs(field: VectorField, pairs) -> VectorField:
-    """Project a sampled field onto the equivariant class of the action pairs:
-    the average of g_u^{-1} u(g_x x) over all pairs.
+def node_projection(pairs):
+    """The projection of node arrays onto the equivariant class of the action
+    pairs: values -> the average over the pairs of g_u^{-1} u(g_x x), each
+    u(g_x x) a node image, for (..., m) arrays on nodes symmetric about the
+    origin (a ``Grid``, or a connection profile of any node count).  The
+    pairs are checked once, here: a g_x that rotates the grid has no node
+    image and raises ValueError.  The identity pair adds the values
+    themselves, and the projection is a new array."""
+    plan = []
+    for gx, gu in pairs:
+        if not _box_preserving(gx):
+            raise ValueError("the action rotates the grid: only actions that permute the nodes are projected")
+        plan.append(None if _is_identity(gx, gu) else _node_axes(gx) + (gu,))
 
-    The images u(g_x x) come from ``_pair_images``: node images for the
-    box-preserving elements, and one interpolation on the whole grid per
-    further coset of them (2 for dihedral-3, dihedral-6 and the tetrahedral
-    group).  Orthogonal maps preserve the 2-norm, so on the inscribed ball
-    every sample g_x x stays inside the box and the average is the exact
-    projection (up to interpolation error).  Signed-permutation actions
-    preserve the whole box and are averaged everywhere, from node images
-    alone; otherwise the projection is blended back into the input over a
-    thin shell at the ball edge and the corner region keeps the input
-    values."""
-    g = field.grid
-    pts = g.nodes
-    R = g.half_width
-    acc = np.zeros((pts.shape[0], field.m))
-    identity = [_is_identity(gx, gu) for gx, gu in pairs]
-    images = _pair_images(field.values, g, [p for p, i in zip(pairs, identity) if not i], slice(None))
-    for (_, gu), is_identity in zip(pairs, identity):
-        acc += field.flat() if is_identity else next(images) @ gu
-    acc /= len(pairs)
-    if not all(_box_preserving(gx) for gx, _ in pairs):
-        r = np.linalg.norm(pts, axis=1)
-        chi = np.clip((R - r) / (SYM_RAMP_FRAC * R), 0.0, 1.0)[:, None]
-        acc = chi * acc + (1.0 - chi) * field.flat()
-    return VectorField(g, acc.reshape(field.values.shape))
+    def project(values: np.ndarray) -> np.ndarray:
+        acc = np.zeros(values.shape)
+        for p in plan:
+            acc += values if p is None else values[p[0]].transpose(p[1]) @ p[2]
+        acc /= len(plan)
+        return acc
+
+    return project
+
+
+def symmetrize_pairs(field: VectorField, pairs) -> VectorField:
+    """``node_projection`` of a sampled field: exact for an action that
+    permutes the grid nodes, ValueError for one that rotates the grid."""
+    return VectorField(field.grid, node_projection(pairs)(field.values))
 
 
 def equivariance_residual_pairs(field: VectorField, pairs) -> float:
     """max over pairs and measurement-ball nodes of |u(g x) - g u(x)|.
 
     For box-preserving actions the measurement covers the whole box;
-    otherwise it is restricted to the inner ball ``Grid.measure_ball`` where
-    the projection is exact (every compared sample stays inside the sampled
-    domain)."""
+    otherwise it is restricted to the inner ball ``Grid.measure_ball``, where
+    every compared sample g x stays inside the sampled domain."""
     g = field.grid
     sel = slice(None) if all(_box_preserving(gx) for gx, _ in pairs) else g.measure_ball
     return _equivariance_defect(field.values, g, pairs, sel)
@@ -355,7 +361,11 @@ def initial_guess(group, region_map, profile, grid: Grid) -> VectorField:
     across the medial set (up to the measure-zero junction core for orbits
     of four or more wells).  The well dot products, deficits and blend
     exponents are laid out nodes-last, (wells or pairs, nodes), and reduced
-    over the short leading axis; the profile is sampled once per well pair."""
+    over the short leading axis; the profile is sampled once per well pair.
+    The profile is first projected onto the class of its well pair
+    (``node_projection`` of the pairs (1, s) and (-1, r s), s in the pair
+    stabilizer, r the reflection swapping the wells); wells that no group
+    reflection swaps raise ValueError."""
     if group is not region_map.group:
         if group.order != region_map.group.order:
             raise ValueError("group does not match region map")
@@ -370,8 +380,12 @@ def initial_guess(group, region_map, profile, grid: Grid) -> VectorField:
         else:
             raise ValueError("profile endpoints do not include the base well")
     adj = region_map.well_index(profile.a_minus)
-
-    sym_profile = replace(profile, values=region_map.symmetrized_profile_values(profile, adj))
+    r = groups.reflection_matrix(base - wells[adj])
+    if not region_map.group.contains(r):
+        raise ValueError("base and adjacent wells are not related by a group reflection")
+    one, spair = np.eye(1), region_map.pair_stabilizer_elements(adj)
+    project = node_projection([(one, s) for s in spair] + [(-one, r @ s) for s in spair])
+    sym_profile = replace(profile, values=project(profile.values))
     pts = grid.nodes
     N = wells.shape[0]
     m = wells.shape[1]
@@ -582,9 +596,8 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     nodes to boundary nodes, so boundary values that are not equivariant
     raise ValueError: the projection would reset them and the solve could
     not converge.  An action that rotates the grid is only measured, before
-    and after: its projection interpolates the rotating elements, and the
-    discrete critical point is equivariant only up to the O(h^2) error of
-    the square-grid stencil.
+    and after: it has no node images, and the discrete critical point is
+    equivariant only up to the O(h^2) error of the square-grid stencil.
     """
     opts = opts or SolveOptions()
     g = field.grid

@@ -4,8 +4,9 @@ Groups are generated by closure from their reflection generators; orders
 here never exceed 48, so matrix lists and brute-force orbit/stabilizer
 computations are the whole story.  Also houses the region decomposition
 used for initial data (base-well region and its group translates).  Sampled
-fields are projected onto the equivariant class by ``fields.symmetrize_pairs``
-on the action pairs ``fields.as_pairs(group)``.
+fields are projected onto the equivariant class by ``fields.node_projection``
+on the action pairs ``fields.as_pairs(group)`` when the group permutes the
+grid nodes.
 """
 
 from __future__ import annotations
@@ -298,22 +299,6 @@ class RegionMap:
     def pair_stabilizer_elements(self, adj: int) -> np.ndarray:
         pair = self.wells[[0, adj]]
         return self.group.elements[_carries(self.group, pair, pair)]
-
-    def symmetrized_profile_values(self, profile, adj: int) -> np.ndarray:
-        """Profile values projected onto the symmetry class of the well pair:
-        invariant under the pair stabilizer, and satisfying U(-t) = r U(t)
-        for the wall reflection r swapping the two wells."""
-        vals = np.asarray(profile.values, dtype=np.float64)
-        spair = self.pair_stabilizer_elements(adj)
-        acc = np.zeros_like(vals)
-        for s in spair:
-            acc += vals @ s.T
-        vals = acc / len(spair)
-        n = self.wells[0] - self.wells[adj]
-        r = reflection_matrix(n)
-        if not self.group.contains(r):
-            raise ValueError("base and adjacent wells are not related by a group reflection")
-        return 0.5 * (vals + vals[::-1] @ r.T)
 
 
 def build_region_map(group: ReflectionGroup, base_well) -> RegionMap:

@@ -79,13 +79,6 @@ class Polynomial:
         )
 
 
-def _quadratic_well(nvars: int, a: np.ndarray) -> Polynomial:
-    """|u - a|^2 as a Polynomial: the terms u_j^2, -2 a_j u_j and |a|^2."""
-    eye = np.eye(nvars, dtype=np.int64)
-    coeffs = np.concatenate([np.ones(nvars), -2.0 * np.asarray(a), [float(np.dot(a, a))]])
-    return Polynomial(nvars, coeffs, np.vstack([2 * eye, eye, np.zeros((1, nvars), dtype=np.int64)]))
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Evaluatable potential: ``name``, ``poly`` and ``wells``.
@@ -201,7 +194,8 @@ def ginzburg_landau(m: int) -> PotentialSpec:
     """
     if m < 2:
         raise ValueError("ginzburg_landau needs m >= 2")
-    shifted = _quadratic_well(m, np.zeros(m)) + Polynomial(m, [-1.0], [[0] * m])  # |u|^2 - 1
+    exps = np.vstack([2 * np.eye(m, dtype=np.int64), np.zeros((1, m), dtype=np.int64)])
+    shifted = Polynomial(m, [1.0] * m + [-1.0], exps)  # |u|^2 - 1
     poly = shifted * shifted * Polynomial(m, [0.25], [[0] * m])
     return PotentialSpec(f"ginzburg_landau_{m}", poly, np.zeros((0, m)))
 

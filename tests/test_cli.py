@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -212,6 +213,16 @@ TRIOD = {
     ],
 }
 
+# W = sum_i (u_i^2 - 1/3)^2 with the 8 cube corners as wells: the cubic group
+# carries the base well (1, 1, 1)/sqrt 3 onto each, but the lex-first other
+# well is its antipode, which no reflection of the group swaps with it
+CUBE_CORNERS = {
+    "monomials": [{"coeff": 1.0, "exponents": (4 * e).tolist()} for e in np.eye(3, dtype=int)]
+    + [{"coeff": -2.0 / 3.0, "exponents": (2 * e).tolist()} for e in np.eye(3, dtype=int)]
+    + [{"coeff": 1.0 / 3.0, "exponents": [0, 0, 0]}],
+    "wells": [[a / math.sqrt(3.0) for a in w] for w in itertools.product([1.0, -1.0], repeat=3)],
+}
+
 
 @pytest.mark.parametrize(
     "command, config",
@@ -279,6 +290,7 @@ TRIOD = {
         ("partition", {"partition": TRIOD, "tensions": [[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]]}),
         ("partition", {"partition": TRIOD, "tensions": [[0, math.inf, 1], [math.inf, 0, 1], [1, 1, 0]]}),
         ("connect1d", {"potential": "double_well", "wells": [[math.nan], [1.0]]}),
+        ("solve", {"potential": CUBE_CORNERS, "group": "cubic", "grid": {"points": 11}}),
     ],
     ids=[
         "even-points",
@@ -344,6 +356,7 @@ TRIOD = {
         "nan-tension",
         "inf-tension",
         "nan-endpoint",
+        "antipodal-adjacent-well",
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):

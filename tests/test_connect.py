@@ -125,7 +125,7 @@ def test_bad_discretization_rejected(double_well, kwargs, key):
 
 def _class_defect(prof) -> float:
     """max over nodes of |U(-eta) - r U(eta)|, r the reflection swapping the wells."""
-    r = connect._pair_reflection(prof.a_minus, prof.a_plus)
+    r = groups.reflection_matrix(prof.a_plus - prof.a_minus)
     return float(np.max(np.abs(prof.values[::-1] - prof.values @ r.T)))
 
 
@@ -151,7 +151,7 @@ def test_catalog_connections_lie_in_the_symmetric_class(name, half_length, inter
         prof = connect.solve_connection(pot, pot.wells[i], pot.wells[j], half_length, intervals, tol=tol)
         assert prof.converged and prof.residual <= tol
         assert _class_defect(prof) <= 1e-12
-        r = connect._pair_reflection(prof.a_minus, prof.a_plus)
+        r = groups.reflection_matrix(prof.a_plus - prof.a_minus)
         if np.array_equal(np.abs(r), np.eye(pot.m)):
             # a coordinate sign flip is exact in floating point, so the
             # projected start and directions keep the class exactly
@@ -167,6 +167,19 @@ ASYMMETRIC_WELLS = {
     ],
     "wells": [[-1.0], [1.0]],
 }
+
+
+@pytest.mark.parametrize("name, intervals", [("triple_well", 1200), ("tetra_well", 501)], ids=["odd", "even"])
+def test_connection_projection_matches_the_reversal_formula(name, intervals):
+    # the node projection of the pairs (1, I) and (-1, r) is the reversal
+    # formula (V + V reversed r^T) / 2 bit for bit, on 1201 nodes and on
+    # 502, where no node sits at eta = 0
+    pot = potentials.get_potential(name)
+    a_minus, a_plus = pot.wells[1], pot.wells[0]
+    project = connect._symmetric_projection(pot, a_minus, a_plus)
+    r = groups.reflection_matrix(a_plus - a_minus)
+    V = np.random.default_rng(intervals).normal(size=(intervals + 1, pot.m))
+    assert np.array_equal(project(V), 0.5 * (V + V[::-1] @ r.T))
 
 
 def test_connection_without_swap_symmetry_is_not_projected():
@@ -261,7 +274,8 @@ def linearized_spectrum(profile, k: int = 6):
     vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", v0=np.ones(A.shape[0]))
     order = np.argsort(np.abs(vals))
     vals, vecs = vals[order], vecs[:, order]
-    T = connect._pair_reflection(profile.a_minus, profile.a_plus)
+    n = profile.a_plus - profile.a_minus
+    T = groups.reflection_matrix(n) if np.any(n) else np.eye(n.size)  # coincident endpoints: r = I
     parities = []
     for v in vecs.T:
         sv = (v.reshape(U.shape[0] - 2, -1)[::-1] @ T.T).ravel()

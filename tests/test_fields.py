@@ -299,17 +299,6 @@ def test_initial_guess_structure(junction, triple_well, triangle_profile):
     _ = rm
 
 
-def test_initial_guess_symmetrize_fixed_point(junction, dihedral3):
-    u0 = junction["initial"]
-    s = fields.symmetrize_pairs(u0, fields.as_pairs(dihedral3))
-    # projection moves the smooth equivariant guess only at interpolation level
-    inner = (np.linalg.norm(u0.grid.nodes, axis=1) <= 0.9 * u0.grid.half_width).reshape(
-        u0.grid.shape
-    )
-    h = u0.grid.spacing
-    assert np.max(np.abs((s.values - u0.values)[inner])) <= 2 * h**2 * 18.0
-
-
 def test_symmetrize_identity_action_is_exact():
     # on this grid (x + R) / h is not integral at every node, so interpolating
     # the identity pair would round the values it should return unchanged

@@ -147,20 +147,31 @@ def test_fundamental_region_tiles(cubic, tetrahedral, dihedral3):
                     assert not region.contains(m @ y, tol=1e-9)
 
 
-def test_symmetrize_fixes_equivariant_input(dihedral3):
+def test_symmetrize_fixes_equivariant_input():
     grid = fields.Grid(dim=2, half_width=2.0, points=41)
     ident = fields.field_from_function(grid, lambda p: p, 2)  # u(x) = x is equivariant
-    out = fields.symmetrize_pairs(ident, fields.as_pairs(dihedral3))
+    out = fields.symmetrize_pairs(ident, fields.as_pairs(groups.build_dihedral(4)))
     assert np.max(np.abs(out.values - ident.values)) < 1e-12
 
 
-def test_symmetrize_constant_field(dihedral3, cubic):
-    # full-orbit average of a constant; the dihedral-3 average is zero
+@pytest.mark.parametrize("action", ["dihedral_3", "dihedral_6", "tetrahedral", "rotation_cycle"])
+def test_symmetrize_rejects_an_action_that_rotates_the_grid(action):
+    # a rotation does not map the grid nodes onto nodes: there is no node image to average
+    pairs = _rotation_cycle_pairs() if action == "rotation_cycle" else fields.as_pairs(groups.get_group(action))
+    grid = fields.Grid(dim=pairs[0][0].shape[0], half_width=2.0, points=9)
+    field = fields.constant_field(grid, np.ones(pairs[0][1].shape[0]))
+    with pytest.raises(ValueError, match="rotates the grid"):
+        fields.symmetrize_pairs(field, pairs)
+    with pytest.raises(ValueError, match="rotates the grid"):
+        fields.node_projection(pairs)
+
+
+def test_symmetrize_constant_field(cubic):
+    # full-orbit average of a constant; the dihedral-4 average is zero
     grid = fields.Grid(dim=2, half_width=2.0, points=41)
     c = np.array([0.7, -0.3])
-    out = fields.symmetrize_pairs(fields.constant_field(grid, c), fields.as_pairs(dihedral3))
-    inner = np.linalg.norm(grid.nodes, axis=1) <= 1.8
-    assert np.max(np.abs(out.flat()[inner])) < 1e-14
+    out = fields.symmetrize_pairs(fields.constant_field(grid, c), fields.as_pairs(groups.build_dihedral(4)))
+    assert np.max(np.abs(out.flat())) < 1e-14
     grid3 = fields.Grid(dim=3, half_width=1.0, points=9)
     c3 = np.array([0.2, 0.5, -0.1])
     out3 = fields.symmetrize_pairs(fields.constant_field(grid3, c3), fields.as_pairs(cubic))
@@ -168,43 +179,18 @@ def test_symmetrize_constant_field(dihedral3, cubic):
     assert np.max(np.abs(out3.flat() - expect)) < 1e-14
 
 
-def _smooth_random(grid, seed=7):
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(-1.5, 1.5, (5, 2))
-    amps = rng.normal(size=(5, 2))
-    widths = rng.uniform(0.5, 1.2, 5)
-
-    def fn(pts):
-        out = np.zeros((pts.shape[0], 2))
-        for c, a, w in zip(centers, amps, widths):
-            out += np.exp(-np.sum((pts - c) ** 2, axis=1) / w**2)[:, None] * a
-        return out
-
-    return fields.field_from_function(grid, fn, 2)
-
-
-def test_symmetrize_residual_second_order(dihedral3):
-    res = []
-    for P in (41, 81):
-        grid = fields.Grid(dim=2, half_width=2.0, points=P)
-        out = fields.symmetrize_pairs(_smooth_random(grid), fields.as_pairs(dihedral3))
-        res.append(fields.equivariance_residual_pairs(out, fields.as_pairs(dihedral3)))
-    assert res[0] / res[1] > 2.5  # O(h^2) decay under refinement
-
-
-def test_symmetrize_idempotent(dihedral3, cubic):
-    grid = fields.Grid(dim=2, half_width=2.0, points=81)
-    s1 = fields.symmetrize_pairs(_smooth_random(grid), fields.as_pairs(dihedral3))
-    s2 = fields.symmetrize_pairs(s1, fields.as_pairs(dihedral3))
-    inner = (np.linalg.norm(grid.nodes, axis=1) <= 0.9 * 2.0).reshape(grid.shape)
-    assert np.max(np.abs((s2.values - s1.values)[inner])) < 1e-10 + 0.01
-    # box-preserving action: idempotence is exact even for rough data
-    grid3 = fields.Grid(dim=3, half_width=1.0, points=11)
-    rng = np.random.default_rng(5)
-    rf = fields.VectorField(grid3, rng.normal(size=grid3.shape + (3,)))
-    s1 = fields.symmetrize_pairs(rf, fields.as_pairs(cubic))
-    s2 = fields.symmetrize_pairs(s1, fields.as_pairs(cubic))
-    assert np.max(np.abs(s2.values - s1.values)) < 1e-10
+def test_symmetrize_idempotent(cubic):
+    # node images are the stored values: idempotence is exact to summation
+    # rounding even for rough data
+    for grid, pairs in [
+        (fields.Grid(dim=2, half_width=2.0, points=81), fields.as_pairs(groups.build_dihedral(4))),
+        (fields.Grid(dim=3, half_width=1.0, points=11), fields.as_pairs(cubic)),
+    ]:
+        rng = np.random.default_rng(5)
+        rf = fields.VectorField(grid, rng.normal(size=grid.shape + (grid.dim,)))
+        s1 = fields.symmetrize_pairs(rf, pairs)
+        s2 = fields.symmetrize_pairs(s1, pairs)
+        assert np.max(np.abs(s2.values - s1.values)) < 1e-10
 
 
 def test_equivariance_residual_witness(dihedral3):
@@ -242,9 +228,16 @@ def _full_box_equivariance(field, pairs, sel=None) -> float:
     return worst
 
 
+def _equivariant_sin(grid, pairs, M) -> fields.VectorField:
+    """A smooth equivariant field: the average over the action of
+    g_u^{-1} sin((g_x x) M), evaluated at the exact coordinates g_x x."""
+    vals = sum(np.sin(grid.nodes @ gx.T @ M) @ gu for gx, gu in pairs) / len(pairs)
+    return fields.VectorField(grid, vals.reshape(grid.shape + (M.shape[1],)))
+
+
 def _test_fields(action):
     """The action's pairs and three fields on a small grid: rough, smooth,
-    and the smooth one projected."""
+    and smooth equivariant."""
     if action == "reflection_pairs":
         dim, pairs = 2, fields.reflection_pairs(2, 1)
     else:
@@ -254,8 +247,9 @@ def _test_fields(action):
     m = pairs[0][1].shape[0]
     rng = np.random.default_rng(3)
     rough = fields.VectorField(grid, rng.normal(size=grid.shape + (m,)))
-    smooth = fields.VectorField(grid, np.sin(grid.nodes @ rng.normal(size=(dim, m))).reshape(grid.shape + (m,)))
-    return pairs, (rough, smooth, fields.symmetrize_pairs(smooth, pairs))
+    M = rng.normal(size=(dim, m))
+    smooth = fields.VectorField(grid, np.sin(grid.nodes @ M).reshape(grid.shape + (m,)))
+    return pairs, (rough, smooth, _equivariant_sin(grid, pairs, M))
 
 
 ACTIONS = sorted(groups.GROUP_BUILDERS) + ["reflection_pairs"]
@@ -340,9 +334,10 @@ def test_equivariance_defect_of_a_rotation_cycling_components():
     grid = fields.Grid(dim=2, half_width=4.0, points=33)
     rng = np.random.default_rng(11)
     rough = fields.VectorField(grid, rng.normal(size=grid.shape + (3,)))
-    smooth = fields.VectorField(grid, np.sin(grid.nodes @ rng.normal(size=(2, 3))).reshape(grid.shape + (3,)))
+    M = rng.normal(size=(2, 3))
+    smooth = fields.VectorField(grid, np.sin(grid.nodes @ M).reshape(grid.shape + (3,)))
     sel = rng.random(grid.nodes.shape[0]) < 0.5
-    for field in (rough, smooth, fields.symmetrize_pairs(smooth, pairs)):
+    for field in (rough, smooth, _equivariant_sin(grid, pairs, M)):
         assert fields.equivariance_residual_pairs(field, pairs) == _full_box_equivariance(field, pairs)
         expected = _full_box_equivariance(field, pairs, sel)
         assert fields._equivariance_defect(field.values, grid, pairs, sel) == expected

@@ -26,6 +26,19 @@ def test_ginzburg_landau_degenerate_control():
     assert np.max(np.abs(gl.value_field(ring))) < 1e-15
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_ginzburg_landau_is_the_exact_expansion(m):
+    # (|u|^2 - 1)^2 / 4 = sum u_i^4 / 4 + sum_{i<j} u_i^2 u_j^2 / 2 - |u|^2 / 2 + 1/4
+    expected = {(0,) * m: 0.25}
+    for i in range(m):
+        e = np.eye(m, dtype=int)[i]
+        expected[tuple(4 * e)], expected[tuple(2 * e)] = 0.25, -0.5
+        for j in range(i + 1, m):
+            expected[tuple(2 * e + 2 * np.eye(m, dtype=int)[j])] = 0.5
+    poly = potentials.ginzburg_landau(m).poly
+    assert {tuple(e): c for e, c in zip(poly.exps.tolist(), poly.coeffs.tolist())} == expected
+
+
 def test_triple_well_values(triple_well):
     for a in triple_well.wells:
         assert abs(triple_well.value(a)) < 1e-12
