@@ -80,14 +80,18 @@ def _symmetric_projection(potential, a_minus, a_plus):
     the pairs (1, I) and (-1, r) on the profile's nodes, r the reflection
     ``groups.reflection_matrix`` across the plane normal to a_plus - a_minus,
     if r swaps the wells and leaves W invariant on a fixed sample (as
-    ``verify_hypotheses`` checks); else None, as for coincident wells."""
+    ``verify_hypotheses`` checks, once per potential and r: the verdict is
+    kept on the potential); else None, as for coincident wells."""
     n = a_plus - a_minus
     if not np.any(n):
         return None
     r = groups.reflection_matrix(n)
     if np.linalg.norm(r @ a_plus - a_minus) > 1e-9:
         return None
-    if potentials.invariance_residual(potential, [r], np.random.default_rng(0)) > INVARIANCE_TOL:
+    key, broken = r.tobytes(), vars(potential).setdefault("_broken_reflections", {})
+    if key not in broken:
+        broken[key] = potentials.invariance_residual(potential, [r], np.random.default_rng(0)) > INVARIANCE_TOL
+    if broken[key]:
         return None
     one = np.eye(1)
     return fields.node_projection([(one, np.eye(r.shape[0])), (-one, r)])

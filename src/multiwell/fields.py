@@ -28,7 +28,9 @@ interpolation per coset r b of the box-preserving elements (u(r_x b_x x) is
 the node image under b_x of the one image u(r_x .)): two for dihedral-3,
 dihedral-6 and the tetrahedral group.  The discrete critical point is
 equivariant only up to the O(h^2) error of the square-grid stencil, which
-``minimize`` reports as the equivariance defect after the solve.
+``minimize`` reports as the equivariance defect after the solve.  Node
+values stay interleaved; the equivariance measurement's gathers and
+differences and the residual's sums of squares run on component columns.
 """
 
 from __future__ import annotations
@@ -177,11 +179,15 @@ def pde_residual(field: VectorField, potential) -> float:
 
 def _residual(values: np.ndarray, w_u: np.ndarray, h: float) -> tuple:
     """(b, sup |b|): b = Delta_h u - W_u(u) at interior nodes, zero on the
-    boundary layer (whose zero rows never raise the sup)."""
+    boundary layer (whose zero rows never raise the sup).  The sup is the
+    root of the largest in-order sum of squared columns, the row sum's bits."""
     b = kernels.link_laplacian(values, h)
     inner = (slice(1, -1),) * (values.ndim - 1)
     b[inner] -= w_u[inner]
-    return b, float(np.sqrt(np.sum(b * b, axis=-1)).max())
+    sq = b[..., 0] ** 2
+    for a in range(1, b.shape[-1]):
+        sq += b[..., a] ** 2
+    return b, float(np.sqrt(sq.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +242,19 @@ def _node_image(values: np.ndarray, gx: np.ndarray) -> np.ndarray:
 
 def _pair_images(values: np.ndarray, grid: Grid, pairs, sel):
     """Yield u(g_x x) at the nodes ``sel`` picks (a slice, mask or index
-    array of the flat nodes), one (K, m) array per pair in order, with one
-    interpolation per coset of the box-preserving elements.
+    array of the flat nodes), one (m, K) array of columns per pair in order,
+    with one interpolation per coset of the box-preserving elements.
 
     The identity is the first representative, with image u itself.  A pair
     whose g_x no earlier representative r_x absorbs (b_x = r_x^T g_x
     box-preserving) becomes one: its image is interpolated at the picked
-    nodes.  Every other pair reads u(g_x x) = u(r_x (b_x x)) as the row of
-    its representative's image at the node b_x x, and is interpolated
-    directly when that node is not picked.  The node map x -> b_x x (the
-    node image of the node numbers) is formed once per distinct b_x and,
-    when there are several cosets, shared by the cosets that read it."""
+    nodes.  Every other pair reads u(g_x x) = u(r_x (b_x x)) from its
+    representative's image at the node b_x x, and is interpolated directly
+    when that node is not picked.  The node map x -> b_x x (the node image
+    of the node numbers) is formed once per distinct b_x and, when there
+    are several cosets, shared by the cosets that read it."""
     m = values.shape[-1]
-    flat = values.reshape(-1, m)
+    cols = values.reshape(-1, m).T.copy()
     reps, plan = [np.eye(grid.dim)], []  # the r_x; per pair (its coset, b_x or None for a new one)
     for gx, _ in pairs:
         k = next((k for k, rx in enumerate(reps) if _box_preserving(rx.T @ gx)), None)
@@ -257,8 +263,8 @@ def _pair_images(values: np.ndarray, grid: Grid, pairs, sel):
             reps.append(gx)
         else:
             plan.append((k, np.rint(reps[k].T @ gx).astype(np.int64)))
-    number = np.arange(flat.shape[0]).reshape(grid.shape + (1,))  # node numbers, the rows of u
-    images, maps = [flat], {}  # the image of each r_x; the picked node maps by b_x
+    number = np.arange(cols.shape[1]).reshape(grid.shape + (1,))  # node numbers, the columns of u
+    images, maps = [cols], {}  # the image of each r_x; the picked node maps by b_x
     pts = row = None
     for (gx, _), (k, bx) in zip(pairs, plan):
         if bx is not None:
@@ -270,13 +276,13 @@ def _pair_images(values: np.ndarray, grid: Grid, pairs, sel):
             if k:  # an image of the picked nodes: -1 marks a node not picked
                 src = row[src]
             if not k or np.all(src >= 0):
-                yield np.take(images[k], src, axis=0)
+                yield np.take(images[k], src, axis=1)
                 continue
         if pts is None:
             pts = grid.nodes[sel]
-            row = np.full(flat.shape[0], -1)
+            row = np.full(cols.shape[1], -1)
             row[sel] = np.arange(pts.shape[0])
-        image = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing)
+        image = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing).T.copy()
         if bx is None:
             images.append(image)
         yield image
@@ -332,19 +338,20 @@ def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
     tetrahedral group, dihedral-3 and dihedral-6 interpolate twice where
     they have 16, 4 and 8 grid-rotating elements, and form 7, 1 and 3 node
     maps, one per box-preserving b_x.  An element whose node b_x x falls
-    outside the picked nodes is interpolated directly.  The squared
-    components of each difference are summed column by column (the bits of
-    a row sum) and the one square root is taken of the largest sum."""
+    outside the picked nodes is interpolated directly.  The values, images
+    and differences are (m, K) columns; the squared columns of a difference
+    are summed in order (the bits of a row sum), and the one square root is
+    taken of the largest sum."""
     m = values.shape[-1]
-    flat = values.reshape(-1, m)[sel]
+    picked = np.ascontiguousarray(values.reshape(-1, m)[sel].T)
     pairs = [(gx, gu) for gx, gu in pairs if not _is_identity(gx, gu)]
     worst = 0.0
     for (gx, gu), lhs in zip(pairs, _pair_images(values, grid, pairs, sel)):
-        diff = lhs - flat @ gu.T
-        sq = diff[:, 0] ** 2
+        diff = lhs - gu @ picked
+        diff *= diff
         for a in range(1, m):
-            sq += diff[:, a] ** 2
-        worst = max(worst, float(sq.max()))
+            diff[0] += diff[a]
+        worst = max(worst, float(diff[0].max()))
     return float(np.sqrt(worst))
 
 

@@ -5,13 +5,13 @@ and its gradient, or the upper triangle of a Hessian) from one power table;
 one numpy implementation each.
 
 The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
-work in any grid dimension by slicing one axis at a time.
+work in any grid dimension by slicing one axis at a time; ``interp`` gathers
+and ``poly_columns`` forms powers on contiguous component columns instead.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -229,28 +229,31 @@ def poly_columns(pts, polys, emax):
 
 
 def interp(values: np.ndarray, pts: np.ndarray, lo: float, h: float) -> np.ndarray:
-    """Clamped multilinear interpolation of a node-sampled field."""
+    """Clamped multilinear interpolation of a node-sampled field, as a
+    C-contiguous (N, m) array: the corners, in order, are gathered, weighted
+    and summed column by column from one (m, nodes) copy of the values.  A
+    NaN point has NaN weights, so its row is NaN."""
     shape = values.shape[:-1]
-    dim = len(shape)
     pts = np.ascontiguousarray(pts, dtype=np.float64)
-    flat = values.reshape(-1, values.shape[-1])
-    strides = [math.prod(shape[k + 1 :]) for k in range(dim)]  # C-order node strides
-    base = 0
-    weights = []  # per axis: (weight of the lower node, weight of the upper node)
-    for k in range(dim):
-        p = shape[k] - 1
-        t = np.clip((pts[:, k] - lo) / h, 0.0, p)
-        i = np.minimum(t.astype(np.int64), p - 1)
-        base = base + i * strides[k]
-        f = (t - i)[:, None]
-        weights.append((1 - f, f))
-    out = np.zeros((pts.shape[0], flat.shape[1]))
-    for corner in itertools.product((0, 1), repeat=dim):
-        off = sum(c * s for c, s in zip(corner, strides))
-        corner_values = np.take(flat, base + off, axis=0)
-        corner_values *= math.prod(weights[k][c] for k, c in enumerate(corner))
-        out += corner_values
-    return out
+    cols = values.reshape(-1, values.shape[-1]).T.copy()
+    base, corners = 0, [(0, None)]  # per corner: (node offset, weight)
+    for k, P in enumerate(shape):
+        stride = math.prod(shape[k + 1 :])  # C-order node stride
+        t = np.clip((pts[:, k] - lo) / h, 0.0, P - 1)
+        i = np.minimum(t.astype(np.int64), P - 2)
+        base = base + i * stride
+        f = t - i
+        axis = ((0, 1 - f), (stride, f))  # the lower node and the upper node
+        corners = [(off + d, wk if w is None else w * wk) for off, w in corners for d, wk in axis]
+    out = np.zeros((cols.shape[0], pts.shape[0]))
+    gathered = np.empty(pts.shape[0])
+    for off, w in corners:
+        idx = base + off
+        for col, acc in zip(cols, out):
+            np.take(col, idx, out=gathered, mode="clip")  # "raise" would copy through a buffer
+            gathered *= w
+            acc += gathered
+    return np.ascontiguousarray(out.T)
 
 
 # ---------------------------------------------------------------------------

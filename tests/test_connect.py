@@ -202,6 +202,25 @@ def test_connection_without_swap_symmetry_has_no_gap(tmp_path):
     assert json.loads((out / "report.json").read_text())["hyperbolicity_gap"] is None
 
 
+def test_reflection_invariance_is_sampled_once_per_potential_and_reflection(monkeypatch):
+    # the solve and its gap build the same class projection; only the first
+    # build samples W.  A hand-built profile on a fresh potential is sampled
+    # afresh, so its gap still finds W not invariant
+    calls, residual = [], potentials.invariance_residual
+    monkeypatch.setattr(potentials, "invariance_residual", lambda *args: calls.append(args) or residual(*args))
+    pot = potentials.scalar_double_well()
+    prof = connect.solve_connection(pot, [-1.0], [1.0], half_length=5.0, intervals=200)
+    assert connect.hyperbolicity_gap(prof) > 0.0
+    assert connect._symmetric_projection(pot, np.array([1.0]), np.array([-1.0])) is not None
+    assert len(calls) == 1  # the reversed pair has the same reflection
+    asym = potentials.potential_from_json(ASYMMETRIC_WELLS)
+    eta = np.linspace(-5.0, 5.0, 201)
+    hand = connect.ConnectionProfile(eta, np.tanh(eta)[:, None], np.array([-1.0]), np.array([1.0]), asym)
+    assert connect.hyperbolicity_gap(hand) is None
+    assert connect.hyperbolicity_gap(hand) is None  # reads the kept verdict
+    assert len(calls) == 2
+
+
 def test_symmetric_class_solve_never_exhausts_cg(monkeypatch):
     # the Newton right-hand side is projected onto the class before CG: its
     # part outside the class is rounding that no class direction can reduce,

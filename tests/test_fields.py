@@ -94,6 +94,21 @@ def test_pde_residual_witness(double_well):
     assert fields.pde_residual(f, double_well) > 1.0
 
 
+@pytest.mark.parametrize("dim, m", [(1, 1), (2, 2), (3, 3), (2, 3)])
+def test_residual_norm_is_bit_equal_to_the_row_sum(dim, m):
+    # the squared component columns, summed in order, are numpy's row sum
+    # bit for bit, and the root of the largest sum is the largest root: on
+    # grids of one interior node, where the sup is that node's own sum, and
+    # on a larger grid
+    rng = np.random.default_rng(dim * 10 + m)
+    for points in [3] * 300 + [15]:
+        shape = (points,) * dim + (m,)
+        scale = 10.0 ** rng.uniform(-9, 6)
+        values, w_u = scale * rng.normal(size=shape), scale * rng.normal(size=shape)
+        b, norm = fields._residual(values, w_u, 0.1)
+        assert norm == np.sqrt(np.sum(b * b, axis=-1)).max()
+
+
 @pytest.mark.parametrize("dim, name", [(1, "double_well"), (2, "triple_well"), (3, "tetra_well")])
 def test_energy_gradient_is_the_descent_direction(dim, name):
     # descent is the exact gradient flow of the reported energy: at an

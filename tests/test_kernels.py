@@ -150,6 +150,49 @@ def test_interp_linear_exactness():
         assert np.allclose(out, affine(np.clip(far, -1.0, 1.0)), atol=1e-12)
 
 
+def _interp_rows(values, pts, lo, h):
+    """Reference: the row gather, each corner's (N, m) rows taken at once,
+    weighted by the product of its axis weights and summed in corner order."""
+    shape = values.shape[:-1]
+    flat = values.reshape(-1, values.shape[-1])
+    strides = [int(np.prod(shape[k + 1 :])) for k in range(len(shape))]
+    base, weights = 0, []
+    for k, P in enumerate(shape):
+        t = np.clip((pts[:, k] - lo) / h, 0.0, P - 1)
+        i = np.minimum(t.astype(np.int64), P - 2)
+        base = base + i * strides[k]
+        f = (t - i)[:, None]
+        weights.append((1 - f, f))
+    out = np.zeros((pts.shape[0], flat.shape[1]))
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        rows = np.take(flat, base + sum(c * s for c, s in zip(corner, strides)), axis=0)
+        w = weights[0][corner[0]]
+        for k in range(1, len(shape)):
+            w = w * weights[k][corner[k]]
+        out += rows * w
+    return out
+
+
+@pytest.mark.parametrize("dim, P", [(1, 41), (2, 17), (3, 9)])
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_interp_is_bit_equal_to_the_row_gather(dim, P, m):
+    # the column gathers weight and sum the corners in the row gather's order,
+    # so every bit agrees, at nodes, inside the box and at clamped points
+    # outside it; the result is C-contiguous (N, m)
+    x, h = box_nodes(dim, P)
+    vals = rng.normal(size=(P,) * dim + (m,))
+    q = np.concatenate([rng.uniform(-1, 1, size=(300, dim)), rng.uniform(-3, 3, size=(100, dim)),
+                        x.reshape(-1, dim)[::7]])
+    out = kernels.interp(vals, q, -1.0, h)
+    assert out.shape == (q.shape[0], m) and out.flags.c_contiguous
+    assert np.array_equal(out, _interp_rows(vals, q, -1.0, h))
+    # a NaN point has NaN weights: its row is NaN and the others are kept
+    q[1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        out_nan = kernels.interp(vals, q, -1.0, h)
+    assert np.isnan(out_nan[1]).all() and np.array_equal(np.delete(out_nan, 1, axis=0), np.delete(out, 1, axis=0))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_link_energy_quadrature_value(dim):
     # affine u: gradient energy density |grad u|^2 / 2, summed exactly over [-1,1]^dim
