@@ -85,7 +85,7 @@ REQUIRED = object()  # the default of a key that a config must set
 
 def _int(value) -> int:
     """A non-negative integer; booleans and non-integral numbers are rejected."""
-    if isinstance(value, bool) or not float(value).is_integer() or float(value) < 0:
+    if not potentials._integral(value) or value < 0:
         raise ValueError("must be a non-negative integer")
     return int(value)
 

@@ -23,14 +23,15 @@ profile alike.  An action that permutes grid nodes leaves the discrete
 energy exactly invariant, so the iterates keep the equivariance of their
 start to rounding: the start is projected once before the first step and
 once after the last.  An action that rotates the grid has no node images
-and is never projected; only its equivariance is measured, with one
-interpolation per coset r b of the box-preserving elements (u(r_x b_x x) is
-the node image under b_x of the one image u(r_x .)): two for dihedral-3,
-dihedral-6 and the tetrahedral group.  The discrete critical point is
-equivariant only up to the O(h^2) error of the square-grid stencil, which
-``minimize`` reports as the equivariance defect after the solve.  Node
-values stay interleaved; the equivariance measurement's gathers and
-differences and the residual's sums of squares run on component columns.
+and is never projected; only its equivariance is measured, over a node set
+that every box-preserving b maps onto itself: with g_x = r_x b_x, the
+defect at x is that of u(r_x y) against g_u u(b_x^T y) at y = b_x x, so one
+interpolation per coset r b (two for dihedral-3, dihedral-6 and the
+tetrahedral group) and one gather per b serve every element.  The discrete
+critical point is equivariant only up to the O(h^2) error of the square-grid
+stencil, which ``minimize`` reports as the equivariance defect after the
+solve.  Node values stay interleaved; the equivariance measurement's gathers
+and differences and the residual's sums of squares run on component columns.
 """
 
 from __future__ import annotations
@@ -93,9 +94,13 @@ class Grid:
     def measure_ball(self) -> np.ndarray:
         """Flat indices of the nodes within ``SYM_MEASURE_FRAC`` of the
         half-width of the origin, where the equivariance of an action that
-        rotates the grid is measured."""
-        r = np.linalg.norm(self.nodes, axis=1)
-        return np.flatnonzero(r <= SYM_MEASURE_FRAC * self.half_width + BOX_EDGE_TOL)
+        rotates the grid is measured.  A node is picked by its integer
+        offsets k from the centre node, |k| <= ``SYM_MEASURE_FRAC`` c with
+        c = (points - 1) / 2, so every signed permutation maps the ball onto
+        itself."""
+        k = np.rint(self.nodes / self.spacing)
+        c = SYM_MEASURE_FRAC * (self.points // 2)
+        return np.flatnonzero((k * k).sum(axis=1) <= c * c + BOX_EDGE_TOL)
 
     @cached_property
     def interior_mask(self) -> np.ndarray:
@@ -240,54 +245,6 @@ def _node_image(values: np.ndarray, gx: np.ndarray) -> np.ndarray:
     return values[index].transpose(order)
 
 
-def _pair_images(values: np.ndarray, grid: Grid, pairs, sel):
-    """Yield u(g_x x) at the nodes ``sel`` picks (a slice, mask or index
-    array of the flat nodes), one (m, K) array of columns per pair in order,
-    with one interpolation per coset of the box-preserving elements.
-
-    The identity is the first representative, with image u itself.  A pair
-    whose g_x no earlier representative r_x absorbs (b_x = r_x^T g_x
-    box-preserving) becomes one: its image is interpolated at the picked
-    nodes.  Every other pair reads u(g_x x) = u(r_x (b_x x)) from its
-    representative's image at the node b_x x, and is interpolated directly
-    when that node is not picked.  The node map x -> b_x x (the node image
-    of the node numbers) is formed once per distinct b_x and, when there
-    are several cosets, shared by the cosets that read it."""
-    m = values.shape[-1]
-    cols = values.reshape(-1, m).T.copy()
-    reps, plan = [np.eye(grid.dim)], []  # the r_x; per pair (its coset, b_x or None for a new one)
-    for gx, _ in pairs:
-        k = next((k for k, rx in enumerate(reps) if _box_preserving(rx.T @ gx)), None)
-        if k is None:
-            plan.append((len(reps), None))
-            reps.append(gx)
-        else:
-            plan.append((k, np.rint(reps[k].T @ gx).astype(np.int64)))
-    number = np.arange(cols.shape[1]).reshape(grid.shape + (1,))  # node numbers, the columns of u
-    images, maps = [cols], {}  # the image of each r_x; the picked node maps by b_x
-    pts = row = None
-    for (gx, _), (k, bx) in zip(pairs, plan):
-        if bx is not None:
-            src = maps.get(bx.tobytes())
-            if src is None:
-                src = _node_image(number, bx).reshape(-1)[sel]
-                if len(reps) > 1:  # with one coset no map is read twice, so none is kept
-                    maps[bx.tobytes()] = src
-            if k:  # an image of the picked nodes: -1 marks a node not picked
-                src = row[src]
-            if not k or np.all(src >= 0):
-                yield np.take(images[k], src, axis=1)
-                continue
-        if pts is None:
-            pts = grid.nodes[sel]
-            row = np.full(cols.shape[1], -1)
-            row[sel] = np.arange(pts.shape[0])
-        image = kernels.interp(values, pts @ gx.T, -grid.half_width, grid.spacing).T.copy()
-        if bx is None:
-            images.append(image)
-        yield image
-
-
 def node_projection(pairs):
     """The projection of node arrays onto the equivariant class of the action
     pairs: values -> the average over the pairs of g_u^{-1} u(g_x x), each
@@ -323,35 +280,48 @@ def equivariance_residual_pairs(field: VectorField, pairs) -> float:
 
     For box-preserving actions the measurement covers the whole box;
     otherwise it is restricted to the inner ball ``Grid.measure_ball``, where
-    every compared sample g x stays inside the sampled domain."""
+    every compared sample g x stays inside the sampled domain and which every
+    box-preserving element maps onto itself."""
     g = field.grid
     sel = slice(None) if all(_box_preserving(gx) for gx, _ in pairs) else g.measure_ball
     return _equivariance_defect(field.values, g, pairs, sel)
 
 
 def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
-    """max over the pairs and the nodes ``sel`` (a slice, mask or index array
-    of the flat nodes) picks of |u(g x) - g u(x)|, skipping the identity
-    pair, which compares u(x) with itself.  The images u(g x) come from
-    ``_pair_images`` at the picked nodes only: node images for box-preserving
-    elements, and one interpolation per further coset of them, so the
-    tetrahedral group, dihedral-3 and dihedral-6 interpolate twice where
-    they have 16, 4 and 8 grid-rotating elements, and form 7, 1 and 3 node
-    maps, one per box-preserving b_x.  An element whose node b_x x falls
-    outside the picked nodes is interpolated directly.  The values, images
-    and differences are (m, K) columns; the squared columns of a difference
-    are summed in order (the bits of a row sum), and the one square root is
-    taken of the largest sum."""
+    """max over the pairs and the nodes S that ``sel`` (a slice, mask or index
+    array of the flat nodes) picks of |u(g x) - g u(x)|, the identity pair
+    skipped.  Every box-preserving b must map S onto itself, as it maps the
+    box, its boundary layer and ``Grid.measure_ball``: then with g_x = r_x
+    b_x, r_x the first representative of its coset, the max over x in S is
+    that over y = b_x x in S of |u(r_x y) - g_u u(b_x^T y)|.  u(r_x .) at S is
+    u for the identity coset and one interpolation per further one (two for
+    the tetrahedral group, dihedral-3 and dihedral-6); u(b_x^T .) is one node
+    map and gather per distinct b_x (8, 2 and 4, the identity included).
+    Images and differences are (m, K) columns, whose squares are summed in
+    order (the bits of a row sum) before the one root of the largest sum."""
     m = values.shape[-1]
-    picked = np.ascontiguousarray(values.reshape(-1, m)[sel].T)
-    pairs = [(gx, gu) for gx, gu in pairs if not _is_identity(gx, gu)]
+    cols = values.reshape(-1, m).T.copy()
+    reps, images, by_bx = [np.eye(grid.dim)], [cols[:, sel]], {}
+    for gx, gu in pairs:
+        if _is_identity(gx, gu):
+            continue
+        k = next((k for k, rx in enumerate(reps) if _box_preserving(rx.T @ gx)), None)
+        if k is None:
+            k = len(reps)
+            reps.append(gx)
+            images.append(kernels.interp(values, grid.nodes[sel] @ gx.T, -grid.half_width, grid.spacing).T.copy())
+        bx = np.rint(reps[k].T @ gx).astype(np.int64)  # an integer key: a float one tells -0.0 from 0.0
+        by_bx.setdefault(bx.tobytes(), (bx, []))[1].append((images[k], gu))
+    number = np.arange(cols.shape[1]).reshape(grid.shape + (1,))  # node numbers, the columns of u
     worst = 0.0
-    for (gx, gu), lhs in zip(pairs, _pair_images(values, grid, pairs, sel)):
-        diff = lhs - gu @ picked
-        diff *= diff
-        for a in range(1, m):
-            diff[0] += diff[a]
-        worst = max(worst, float(diff[0].max()))
+    for bx, members in by_bx.values():
+        gathered = np.take(cols, _node_image(number, bx.T).reshape(-1)[sel], axis=1)
+        for image, gu in members:
+            diff = image - gu @ gathered
+            diff *= diff
+            for a in range(1, m):
+                diff[0] += diff[a]
+            worst = max(worst, float(diff[0].max()))
     return float(np.sqrt(worst))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .potentials import _known_keys
+from .potentials import _integral, _known_keys
 
 
 class PartitionError(ValueError):
@@ -582,12 +582,20 @@ def _finite_point(value, what: str) -> np.ndarray:
     return p
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; PartitionError naming ``what`` if not whole."""
+    if not _integral(value):
+        raise PartitionError(f"{what} must be an integer; got {value!r}")
+    return int(value)
+
+
 def partition_from_json(data) -> PolygonalPartition:
     """The partition that ``partition_to_json`` wrote: {"phases", "segments":
     [{"phase_i", "phase_j", "endpoints"}], "rays": [{"phase_i", "phase_j",
     "origin", "direction"}]}.  Any other key raises ValueError naming it;
-    an endpoint, origin or direction that is not a finite [x, y] raises
-    PartitionError naming the element."""
+    a phase count or tag that is not a whole number, and an endpoint, origin
+    or direction that is not a finite [x, y], raise PartitionError naming
+    the element."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     _known_keys(data, ("phases", "segments", "rays"), "partition")
@@ -595,7 +603,7 @@ def partition_from_json(data) -> PolygonalPartition:
     for k, s in enumerate(data.get("segments", [])):
         _known_keys(s, ("phase_i", "phase_j", "endpoints"), "segment")
         p0, p1 = (_finite_point(s["endpoints"][e], f"segment {k} endpoint {e}") for e in (0, 1))
-        elements.append(Segment(int(s["phase_i"]), int(s["phase_j"]), p0, p1))
+        elements.append(Segment(*(_whole(s[t], f"segment {k} {t}") for t in ("phase_i", "phase_j")), p0, p1))
     for k, r in enumerate(data.get("rays", [])):
         _known_keys(r, ("phase_i", "phase_j", "origin", "direction"), "ray")
         origin = _finite_point(r["origin"], f"ray {k} origin")
@@ -603,5 +611,5 @@ def partition_from_json(data) -> PolygonalPartition:
         norm = np.linalg.norm(d)
         if not (np.isfinite(norm) and norm > 0):
             raise PartitionError(f"ray {k} direction must be a finite non-zero vector")
-        elements.append(Ray(int(r["phase_i"]), int(r["phase_j"]), origin, d / norm))
-    return PolygonalPartition(phases=int(data["phases"]), elements=tuple(elements))
+        elements.append(Ray(*(_whole(r[t], f"ray {k} {t}") for t in ("phase_i", "phase_j")), origin, d / norm))
+    return PolygonalPartition(phases=_whole(data["phases"], "phases"), elements=tuple(elements))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,9 +149,13 @@ class PotentialSpec:
     # -- pointwise API ------------------------------------------------------
 
     def _as_points(self, u) -> tuple[np.ndarray, tuple]:
+        """(N, m) points and their shape; a last axis other than m raises
+        ValueError (a scalar is one point when m = 1)."""
         u = np.asarray(u, dtype=np.float64)
         if u.ndim == 0:
             u = u[None]
+        if u.shape[-1] != self.m:
+            raise ValueError(f"point length {u.shape[-1]} does not match potential {self.name!r} (m = {self.m})")
         shape = u.shape[:-1]
         return u.reshape(-1, self.m), shape
 
@@ -282,6 +287,13 @@ def _known_keys(obj: dict, keys: tuple, where: str):
             raise ValueError(f"{where} key {key!r} is unknown; the keys are {', '.join(keys)}")
 
 
+def _integral(value) -> bool:
+    """Whether a JSON value is a whole number.  An int coercion would read
+    2.5 as 2 and true as 1, so a bool, a fraction, a non-finite value and a
+    non-number are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer()
+
+
 def potential_from_json(path_or_dict) -> PotentialSpec:
     """Load a custom polynomial potential:
     {"name", "monomials": [{"coeff", "exponents"}], "wells"}.  Any other
@@ -300,8 +312,7 @@ def potential_from_json(path_or_dict) -> PotentialSpec:
     for mo in monos:
         _known_keys(mo, ("coeff", "exponents"), "monomial")
         for e in mo["exponents"]:
-            # int64 coercion would read 2.5 as 2, true as 1 and -1 as a wrong power
-            if isinstance(e, bool) or not isinstance(e, (int, float)) or not float(e).is_integer() or e < 0:
+            if not _integral(e) or e < 0:  # -1 would read as a wrong power
                 raise ValueError(f"monomial {mo!r} has exponent {e!r}; exponents are non-negative integers")
     exps = [mo["exponents"] for mo in monos]
     poly = Polynomial(len(exps[0]), [mo["coeff"] for mo in monos], exps)

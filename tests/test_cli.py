@@ -495,6 +495,28 @@ def test_custom_potential_connection(tmp_path):
     assert report["action_sigma"] == pytest.approx(4 * math.sqrt(2) / 3, rel=1e-3)
 
 
+def test_connection_endpoint_of_another_length_is_usage_error(tmp_path, capsys):
+    # the endpoint [1.0, 2.0] of the double well read as W(1.0) = 0, passed the well check and
+    # failed later as "field value dimension does not match potential"
+    cfg = write_config(tmp_path / "c.json", {"potential": "double_well", "wells": [[-1.0], [1.0, 2.0]]})
+    assert run(["connect1d", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: point length 2 does not match potential 'double_well' (m = 1)\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("tag", [1.5, True, "1"])
+def test_partition_tag_that_is_not_a_whole_number_is_usage_error(tmp_path, capsys, tag):
+    partition = json.loads(json.dumps(TRIOD))
+    partition["rays"][0]["phase_i"] = tag
+    cfg = write_config(tmp_path / "c.json", {"partition": partition})
+    assert run(["partition", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bad value for 'partition'")
+    assert f"ray 0 phase_i must be an integer; got {tag!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("phases", [0, -1])
 def test_partition_without_phases_is_usage_error(tmp_path, capsys, phases):
     cfg = write_config(tmp_path / "c.json", {"partition": {"phases": phases}})
@@ -884,6 +906,31 @@ def test_every_subcommand_is_byte_deterministic_across_processes(tmp_path):
     assert sorted(trees[0]) == sorted(trees[1])
     for name, data in trees[0].items():
         assert data == trees[1][name], name
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
+
+
+def test_solve_outputs_do_not_depend_on_the_blas_thread_environment(tmp_path):
+    # OpenBLAS splits the CG reductions and the sine preconditioner's products on 159 interior
+    # nodes per axis across its threads, whose count defaults to the core count: the package
+    # pins one thread unless the environment names a count, so a solve on 161^2 writes the
+    # same bytes with no BLAS variable set as with every one pinned to 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    config = write_config(tmp_path / "solve.json", dict(JUNCTION, grid={"half_width": 8.0, "points": 161}))
+    outputs = []
+    for name, env in (("unset", base), ("pinned", dict(base, **dict.fromkeys(BLAS_THREAD_VARS, "1")))):
+        done = subprocess.run(
+            [sys.executable, "-m", "multiwell", "solve", "--config", config, "--out", name],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append([(tmp_path / name / f).read_bytes() for f in ("field.csv", "report.json")])
+    assert outputs[0][0] == outputs[1][0], "field.csv"
+    assert outputs[0][1] == outputs[1][1], "report.json"
 
 
 def test_python_m_multiwell_runs_from_a_source_checkout():

@@ -262,15 +262,21 @@ def test_equivariance_residual_matches_full_box_reference(action):
     # reading node images change no bit of the result; an action that
     # rotates the grid reads u(g_x x) as u(r_x (b_x x)) from one image per
     # coset, and r_x (b_x x) differs from g_x x by the rounding of the
-    # matrix product
+    # matrix product.  Both on the measured nodes (the ball, or the box) and
+    # on ``minimize``'s boundary mask, which every box-preserving b_x also
+    # maps onto itself
     pairs, tested = _test_fields(action)
+    bmask = ~tested[0].grid.interior_mask
     for field in tested:
         measured = fields.equivariance_residual_pairs(field, pairs)
+        edge = fields._equivariance_defect(field.values, field.grid, pairs, bmask)
         if action in ROTATING:
             tol = 1e-14 * np.abs(field.values).max()
             assert measured == pytest.approx(_full_box_equivariance(field, pairs), rel=0, abs=tol)
+            assert edge == pytest.approx(_full_box_equivariance(field, pairs, bmask), rel=0, abs=tol)
         else:
             assert measured == _full_box_equivariance(field, pairs)
+            assert edge == _full_box_equivariance(field, pairs, bmask)
 
 
 @pytest.mark.parametrize("action", ACTIONS)
@@ -284,36 +290,51 @@ def test_equivariance_residual_interpolates_once_per_coset(action, interp_calls)
     assert len(interp_calls) == (2 if action in ROTATING else 0)
 
 
-@pytest.mark.parametrize("action", ROTATING)
-def test_equivariance_defect_off_a_closed_node_set_interpolates_directly(action, interp_calls):
-    # a random node set is not closed under the box-preserving b_x, so the
-    # node b_x x of some picked x is not picked: every grid-rotating element
-    # past the representatives is interpolated at the picked nodes directly
-    pairs, tested = _test_fields(action)
-    grid = tested[0].grid
-    sel = np.random.default_rng(7).random(grid.nodes.shape[0]) < 0.5
-    rotating = sum(not fields._box_preserving(gx) for gx, _ in pairs)
-    for field in tested:
-        expected = _full_box_equivariance(field, pairs, sel)
-        interp_calls.clear()
-        assert fields._equivariance_defect(field.values, grid, pairs, sel) == expected
-        assert len(interp_calls) == rotating
-
-
 @pytest.mark.parametrize("action", ACTIONS)
 def test_equivariance_residual_forms_one_node_map_per_box_preserving_element(action, node_image_calls):
-    # every coset of the box-preserving elements reads the node maps of the
-    # same b_x, so each map is formed once: 7 for the tetrahedral group,
-    # whose 21 elements past the identity and the two representatives
-    # each read one
+    # every pair reads the node map of its b_x = r_x^T g_x, formed once and
+    # shared by the cosets: for an action that rotates the grid, one per
+    # box-preserving element, the identity included (2, 4 and 8 for
+    # dihedral-3, dihedral-6 and the tetrahedral group); for one that
+    # permutes the nodes, one per pair past the identity
     pairs, (field, _, _) = _test_fields(action)
     node_image_calls.clear()
     fields.equivariance_residual_pairs(field, pairs)
-    box = [gx for gx, gu in pairs if fields._box_preserving(gx) and not fields._is_identity(gx, gu)]
+    box = [gx for gx, gu in pairs
+           if fields._box_preserving(gx) and (action in ROTATING or not fields._is_identity(gx, gu))]
     assert len(node_image_calls) == len(box)
     assert len({np.rint(gx).astype(int).tobytes() for gx in node_image_calls}) == len(box)
-    if action == "tetrahedral":
-        assert len(box) == 7
+    if action in ROTATING:
+        assert len(box) == {"dihedral_3": 2, "dihedral_6": 4, "tetrahedral": 8}[action]
+
+
+# the benchmark's grids (dihedral-3 81^2, the slab's 101^2, tetrahedral 33^3)
+# and the tier-1 tests' common sizes
+@pytest.mark.parametrize("dim, points, half_width", [
+    (2, 17, 2.0), (2, 33, 4.0), (2, 41, 4.0), (2, 81, 6.0), (2, 101, 5.0), (2, 161, 8.0),
+    (3, 9, 1.5), (3, 17, 4.0), (3, 33, 5.0), (3, 41, 5.0),
+])
+def test_box_preserving_elements_map_the_measured_node_sets_onto_themselves(dim, points, half_width):
+    # the equivariance measurement reads u(b_x^T y) over the picked nodes y,
+    # which needs every box-preserving element of every catalog group to map
+    # the measurement ball, the boundary layer and the box onto themselves
+    grid = fields.Grid(dim=dim, half_width=half_width, points=points)
+    number = np.arange(grid.nodes.shape[0]).reshape(grid.shape + (1,))
+    node_sets = {"ball": grid.measure_ball, "boundary": np.flatnonzero(~grid.interior_mask),
+                 "box": np.arange(grid.nodes.shape[0])}
+    checked = 0
+    for name in sorted(groups.GROUP_BUILDERS):
+        grp = groups.get_group(name)
+        if grp.dimension != dim:
+            continue
+        for g in grp.elements:
+            if not fields._box_preserving(g):
+                continue
+            image = fields._node_image(number, g).reshape(-1)
+            for which, nodes in node_sets.items():
+                assert np.array_equal(np.sort(image[nodes]), nodes), (name, which)
+            checked += 1
+    assert checked >= (8 if dim == 2 else 48)
 
 
 def _rotation_cycle_pairs():

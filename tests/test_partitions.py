@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -707,6 +708,38 @@ def test_partition_json_rejects_points_that_are_not_finite_pairs(edit, where):
     edit(data)
     with pytest.raises(pt.PartitionError, match=f"^{where} must be a finite point"):
         pt.partition_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "edit, where, value",
+    [
+        (lambda d: d.update(phases=2.9), "phases", "2.9"),
+        (lambda d: d.update(phases="3"), "phases", "'3'"),
+        (lambda d: d["rays"][0].update(phase_i=True), "ray 0 phase_i", "True"),
+        (lambda d: d["rays"][1].update(phase_j=1.5), "ray 1 phase_j", "1.5"),
+        (lambda d: d["segments"][0].update(phase_j=2.99), "segment 0 phase_j", "2.99"),
+        (lambda d: d["segments"][0].update(phase_i=None), "segment 0 phase_i", "None"),
+        (lambda d: d["segments"][0].update(phase_i=math.inf), "segment 0 phase_i", "inf"),
+    ],
+    ids=["fractional-count", "text-count", "bool-tag", "fractional-ray-tag", "fractional-segment-tag",
+         "null-tag", "inf-tag"],
+)
+def test_partition_json_rejects_counts_and_tags_that_are_not_whole_numbers(edit, where, value):
+    # int() read 2.9 phases as 2 and the tags true and 2.99 as 1 and 2
+    data = pt.partition_to_json(pt.double_junction(0.5))
+    edit(data)
+    with pytest.raises(pt.PartitionError, match=f"^{re.escape(where)} must be an integer; got {re.escape(value)}$"):
+        pt.partition_from_json(data)
+    # an integral float is a whole number, read as an int
+    dj = pt.double_junction(0.5)
+    data = pt.partition_to_json(dj)
+    data["phases"] = float(data["phases"])
+    data["rays"][0]["phase_i"] = float(data["rays"][0]["phase_i"])
+    back = pt.partition_from_json(data)
+    assert type(back.phases) is int and back.phases == dj.phases
+    tags = [(el.phase_i, el.phase_j) for el in back.elements]
+    assert tags == [(el.phase_i, el.phase_j) for el in dj.elements]
+    assert all(type(t) is int for pair in tags for t in pair)
 
 
 def test_invalid_partition_labels():

@@ -265,6 +265,15 @@ def test_misshaped_wells_are_rejected(wells):
     assert potentials.PotentialSpec("quartic", poly, [[1, 0, 0], [-1, 0, 0]]).nondegenerate
 
 
+@pytest.mark.parametrize("u", [[1.0, 2.0], [[1.0, 2.0]], np.zeros((3, 2))], ids=["point", "row", "rows"])
+def test_points_of_another_length_are_rejected(double_well, u):
+    # the flat reshape read [1.0, 2.0] as the two points 1 and 2 and returned W(1) = 0
+    for method in (double_well.value, double_well.grad, double_well.hess):
+        with pytest.raises(ValueError, match=r"^point length 2 does not match potential 'double_well' \(m = 1\)$"):
+            method(u)
+    assert double_well.value(1.0) == 0.0 and double_well.value([[1.0], [0.0]]).tolist() == [0.0, 0.25]
+
+
 def test_potential_constants_are_derived_from_polynomial_and_wells():
     # W = (u1^2 - 1)^2 (2 + u1) + 5 (u2 + u1^2 - 1)^2, zero at (1, 0) and (-1, 0), where
     # W_uu = 8 (2 + u1) e1 e1^T + 10 (2 u1, 1)(2 u1, 1)^T: two different Hessians
