@@ -40,25 +40,8 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _config_hash(config: dict) -> str:
-    canon = json.dumps(_jsonify(config), sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _write_report(path, config, seed, payload: dict):
@@ -68,9 +51,7 @@ def _write_report(path, config, seed, payload: dict):
         "seed": seed,
     }
     report.update(payload)
-    with open(path, "w") as fh:
-        json.dump(_jsonify(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    fields.write_json(path, report)
 
 
 def _write_csv(path, header, rows):

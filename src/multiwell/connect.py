@@ -221,14 +221,14 @@ def hyperbolicity_gap(profile: ConnectionProfile) -> float | None:
     raise ConnectionError(f"hyperbolicity gap not converged in {GAP_MAX_ITER} steps")
 
 
-def tail_decay_rate(profile: ConnectionProfile, lo: float = 1e-10, hi: float = 1e-1):
+def tail_decay_rate(profile: ConnectionProfile):
     """Least-squares fit of log|U - a_plus| on the right tail.
 
     Returns (K, k) with |U - a_plus| ~ K exp(-k eta); the window keeps
-    samples with deviation in [lo, hi]."""
+    samples with deviation in [1e-10, 1e-1]."""
     dev = np.linalg.norm(profile.values - profile.a_plus[None, :], axis=1)
     half = len(dev) // 2
-    sel = (dev[half:] >= lo) & (dev[half:] <= hi)
+    sel = (dev[half:] >= 1e-10) & (dev[half:] <= 1e-1)
     if np.count_nonzero(sel) < 4:
         raise ConnectionError("tail window too small for a decay fit")
     x = profile.eta[half:][sel]

@@ -88,11 +88,6 @@ def divergence_residual(se: StressEnergy) -> float:
     return float(np.sqrt(np.sum(div * div, axis=-1)).max())
 
 
-def energy_density_interior(field: VectorField, potential) -> np.ndarray:
-    _, sq, W = _interior_terms(field, potential)
-    return 0.5 * sq + W
-
-
 def monotonicity_profile(field: VectorField, potential, x0, radii, strong: bool = False) -> dict:
     """Ball energies E(R) = J(u; B_R(x0)) scaled by R^(n-2) (or R^(n-1) with
     ``strong=True``, meaningful for scalar fields only).
@@ -104,7 +99,8 @@ def monotonicity_profile(field: VectorField, potential, x0, radii, strong: bool 
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii > g.half_width + 1e-12):
         raise DiagnosticsError("radius exceeds the box")
-    e = energy_density_interior(field, potential).ravel()
+    _, sq, W = _interior_terms(field, potential)
+    e = (0.5 * sq + W).ravel()
     inner_nodes = g.nodes.reshape(g.shape + (g.dim,))[_interior_slices(g.dim)].reshape(-1, g.dim)
     dist = np.linalg.norm(inner_nodes - x0[None, :], axis=1)
     hn = g.spacing**g.dim
@@ -202,15 +198,16 @@ def hamiltonian_variance(field: VectorField, potential, strip=None, decay_tol: f
     }
 
 
-def decay_fit(field: VectorField, well_point, ray, window=(1e-10, 1e-1), region_map=None, samples: int = 200) -> dict:
-    """Fit |u - a| ~ K exp(-k dist(x, region boundary)) along a ray in the
-    base-well region; distance falls back to arclength without a region map."""
+def decay_fit(field: VectorField, well_point, ray, window=(1e-10, 1e-1), region_map=None) -> dict:
+    """Fit |u - a| ~ K exp(-k dist(x, region boundary)) at 200 points along a
+    ray in the base-well region; distance falls back to arclength without a
+    region map."""
     g = field.grid
     well = np.asarray(well_point, dtype=np.float64)
     d = np.asarray(ray, dtype=np.float64)
     d = d / np.linalg.norm(d)
     tmax = 0.98 * g.half_width / np.max(np.abs(d))
-    ts = np.linspace(g.spacing, tmax, samples)
+    ts = np.linspace(g.spacing, tmax, 200)
     pts = ts[:, None] * d[None, :]
     vals = field.interp(pts)
     dev = np.linalg.norm(vals - well[None, :], axis=1)
@@ -230,15 +227,13 @@ def decay_fit(field: VectorField, well_point, ray, window=(1e-10, 1e-1), region_
     }
 
 
-def flux_balance(field: VectorField, potential, radius: float, center=None, n_samples: int = 720) -> np.ndarray:
-    """Flux of the stress-energy tensor through the sphere of given radius:
-    integral of T . nu, trapezoid rule with interpolated tensor values."""
+def flux_balance(field: VectorField, potential, radius: float, n_samples: int = 720) -> np.ndarray:
+    """Flux of the stress-energy tensor through the sphere of given radius
+    about the origin: integral of T . nu, trapezoid rule with interpolated
+    tensor values."""
     g = field.grid
     n = g.dim
-    if center is None:
-        center = np.zeros(n)
-    center = np.asarray(center, dtype=np.float64)
-    if radius + np.max(np.abs(center)) > g.half_width - g.spacing:
+    if radius > g.half_width - g.spacing:
         raise DiagnosticsError("sphere does not fit inside the interior grid")
     if n == 2:
         th = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
@@ -256,7 +251,7 @@ def flux_balance(field: VectorField, potential, radius: float, center=None, n_sa
         w = (np.sin(TH) * (np.pi / n_th) * (2 * np.pi / n_ph)).ravel() * radius**2
     else:
         raise DiagnosticsError("flux balance implemented for dim 2 and 3")
-    T = stress_energy(field, potential).interp(center[None, :] + radius * nu)
+    T = stress_energy(field, potential).interp(radius * nu)
     return w @ np.einsum("qab,qb->qa", T, nu)
 
 
@@ -273,9 +268,9 @@ def locate_junction(field: VectorField, wells: np.ndarray) -> np.ndarray:
     return nodes[int(np.argmin(score))]
 
 
-def junction_angles(field: VectorField, wells: np.ndarray, r0: float, center=None, n_theta: int = 3600) -> dict:
-    """Nearest-well angular occupation on the circle of radius r0 about the
-    junction; angles sum to 2 pi exactly by construction."""
+def junction_angles(field: VectorField, wells: np.ndarray, r0: float, center=None) -> dict:
+    """Nearest-well angular occupation at 3600 points on the circle of
+    radius r0 about the junction; angles sum to 2 pi exactly by construction."""
     g = field.grid
     if g.dim != 2:
         raise DiagnosticsError("junction angles need a planar field")
@@ -285,13 +280,13 @@ def junction_angles(field: VectorField, wells: np.ndarray, r0: float, center=Non
     center = np.asarray(center, dtype=np.float64)
     if r0 + np.max(np.abs(center)) > g.half_width:
         raise DiagnosticsError("circle leaves the box")
-    th = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+    th = np.linspace(0.0, 2 * np.pi, 3600, endpoint=False)
     pts = center[None, :] + r0 * np.stack([np.cos(th), np.sin(th)], axis=1)
     vals = field.interp(pts)
     d = np.linalg.norm(vals[:, None, :] - wells[None, :, :], axis=2)
     labels = np.argmin(d, axis=1)
     counts = np.bincount(labels, minlength=wells.shape[0])
-    angles = 2 * np.pi * counts / n_theta
+    angles = 2 * np.pi * counts / 3600
     transitions = int(np.sum(labels != np.roll(labels, 1)))
     distinct = int(np.unique(labels).size)
     return {

@@ -382,7 +382,7 @@ def initial_guess(group, region_map, profile, grid: Grid) -> VectorField:
     if not pairs:
         raise ValueError("no well pair is related to the profile endpoints by the group")
 
-    width = 1.0 / (np.sqrt(2.0) * max(getattr(profile.potential, "c", 1.0), 0.3))
+    width = 1.0 / (np.sqrt(2.0) * max(profile.potential.c, 0.3))
     exponents = np.empty((len(pairs), pts.shape[0]))
     pvals = np.empty((len(pairs), pts.shape[0], m))
     for q, (i, j, rep) in enumerate(pairs):
@@ -668,6 +668,14 @@ def write_csv(path, header, table: np.ndarray, prefixes=None):
         fh.write(rows % tuple(table.ravel().tolist()))
 
 
+def write_json(path, obj):
+    """``obj`` as JSON with sorted keys, indent 2 and a final newline; numpy
+    scalars and arrays are written as their ``tolist()``."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda o: o.tolist())
+        fh.write("\n")
+
+
 def save_field(field: VectorField, csv_path, meta_path, extra_meta: dict | None = None):
     g = field.grid
     header = [f"x{i + 1}" for i in range(g.dim)] + [f"u{i + 1}" for i in range(field.m)]
@@ -682,9 +690,7 @@ def save_field(field: VectorField, csv_path, meta_path, extra_meta: dict | None 
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path, meta)
 
 
 def load_field(csv_path, meta_path) -> VectorField:

@@ -23,7 +23,7 @@ def _key(mat: np.ndarray) -> tuple:
     return tuple(np.round(mat, 9).ravel())
 
 
-def _close(generators: list[np.ndarray], cap: int = 400) -> np.ndarray:
+def _close(generators: list[np.ndarray]) -> np.ndarray:
     d = generators[0].shape[0]
     mats = [np.eye(d)]
     seen = {_key(mats[0])}
@@ -42,17 +42,17 @@ def _close(generators: list[np.ndarray], cap: int = 400) -> np.ndarray:
                     new.append(c)
         mats.extend(new)
         frontier = new
-        if len(mats) > cap:
-            raise ValueError(f"group closure exceeded {cap} elements")
+        if len(mats) > 400:
+            raise ValueError("group closure exceeded 400 elements")
     mats.sort(key=_key)
     return np.array(mats)
 
 
-def _is_reflection(g: np.ndarray, tol: float = 1e-9) -> bool:
+def _is_reflection(g: np.ndarray) -> bool:
     d = g.shape[0]
     return (
         abs(np.linalg.det(g) + 1.0) < 1e-9
-        and np.max(np.abs(g - g.T)) < tol
+        and np.max(np.abs(g - g.T)) < 1e-9
         and abs(np.trace(g) - (d - 2)) < 1e-9
     )
 
@@ -64,17 +64,10 @@ def _reflection_normal(g: np.ndarray) -> np.ndarray:
     return col / np.linalg.norm(col)
 
 
-_CHAMBER_CANDIDATES = [
-    np.array([0.1, 0.22, 0.35]),
-    np.array([0.313, 0.117, 0.529]),
-    np.array([0.271, 0.718, 0.141]),
-]
-
-
-def _chamber_normals(elements: np.ndarray, interior_point: np.ndarray | None = None) -> np.ndarray:
-    """Oriented mirror normals of all reflections; the open chamber is
-    {x : <x, n> > 0 for every normal}."""
-    d = elements.shape[1]
+def _chamber_normals(elements: np.ndarray, interior_point: np.ndarray) -> np.ndarray:
+    """Mirror normals of all reflections, each oriented toward
+    ``interior_point``, a point on no mirror; the open chamber is
+    {x : <x, n> > 0 for every normal}, the one that holds the point."""
     normals = []
     seen = set()
     for g in elements:
@@ -87,16 +80,8 @@ def _chamber_normals(elements: np.ndarray, interior_point: np.ndarray | None = N
             if k not in seen:
                 seen.add(k)
                 normals.append(n)
-    if not normals:
-        return np.zeros((0, d))
-    normals = np.array(normals)
-    candidates = [interior_point] if interior_point is not None else []
-    candidates += [c[:d] for c in _CHAMBER_CANDIDATES]
-    for c in candidates:
-        dots = normals @ c
-        if np.min(np.abs(dots)) > 1e-6:
-            return normals * np.sign(dots)[:, None]
-    raise ValueError("no generic chamber point found; pass interior_point")
+    normals = np.array(normals)  # not empty: the generators are reflections
+    return normals * np.sign(normals @ interior_point)[:, None]
 
 
 @dataclass(frozen=True)
@@ -111,8 +96,8 @@ class FundamentalRegion:
     def contains(self, x, tol: float = 0.0) -> bool:
         return bool(np.all(self.wall_normals @ np.asarray(x, float) > tol))
 
-    def contains_closure(self, x, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.wall_normals @ np.asarray(x, float) >= -tol))
+    def contains_closure(self, x) -> bool:
+        return bool(np.all(self.wall_normals @ np.asarray(x, float) >= -1e-9))
 
     def min_wall_dot(self, x) -> float:
         return float(np.min(self.wall_normals @ np.asarray(x, float)))
@@ -134,15 +119,12 @@ class ReflectionGroup:
     def fundamental_region(self) -> FundamentalRegion:
         return FundamentalRegion(self.wall_normals)
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def contains(self, mat: np.ndarray) -> bool:
         k = _key(np.asarray(mat, float))
         return any(_key(g) == k for g in self.elements)
 
 
-def _build_group(name: str, generators: list[np.ndarray], interior_point=None) -> ReflectionGroup:
+def _build_group(name: str, generators: list[np.ndarray], interior_point: np.ndarray) -> ReflectionGroup:
     gens = [np.asarray(g, dtype=np.float64) for g in generators]
     d = gens[0].shape[0]
     for r in gens:
@@ -176,7 +158,7 @@ def build_dihedral(k: int) -> ReflectionGroup:
     th = np.pi / k + np.pi / 2.0
     r1 = reflection_matrix([np.cos(th), np.sin(th)])  # mirror at angle pi/k
     mid = np.pi / (2.0 * k)
-    return _build_group(f"dihedral_{k}", [r0, r1], interior_point=np.array([np.cos(mid), np.sin(mid)]))
+    return _build_group(f"dihedral_{k}", [r0, r1], np.array([np.cos(mid), np.sin(mid)]))
 
 
 def build_tetrahedral() -> ReflectionGroup:
@@ -190,7 +172,7 @@ def build_tetrahedral() -> ReflectionGroup:
         reflection_matrix(verts[2] - verts[3]),
         reflection_matrix(verts[0] - verts[2]),
     ]
-    return _build_group("tetrahedral", gens)
+    return _build_group("tetrahedral", gens, np.array([0.1, 0.22, 0.35]))
 
 
 def build_cubic() -> ReflectionGroup:
@@ -201,19 +183,19 @@ def build_cubic() -> ReflectionGroup:
         reflection_matrix([0.0, 1.0, -1.0]),
     ]
     # orient the chamber to the simplex 0 < x1 < x2 < x3
-    return _build_group("cubic", gens, interior_point=np.array([0.1, 0.22, 0.35]))
+    return _build_group("cubic", gens, np.array([0.1, 0.22, 0.35]))
 
 
-def _carries(group: ReflectionGroup, src, dst, tol: float = POINT_TOL) -> np.ndarray:
-    """Mask of the group elements g with |g a - b| <= tol for every point
-    pair (a, b) of ``src`` and ``dst``."""
-    return np.all([np.linalg.norm(group.elements @ a - b, axis=1) <= tol for a, b in zip(src, dst)], axis=0)
+def _carries(group: ReflectionGroup, src, dst) -> np.ndarray:
+    """Mask of the group elements g with |g a - b| <= POINT_TOL for every
+    point pair (a, b) of ``src`` and ``dst``."""
+    return np.all([np.linalg.norm(group.elements @ a - b, axis=1) <= POINT_TOL for a, b in zip(src, dst)], axis=0)
 
 
-def stabilizer(group: ReflectionGroup, p, tol: float = POINT_TOL) -> ReflectionGroup:
+def stabilizer(group: ReflectionGroup, p) -> ReflectionGroup:
     """Subgroup of elements fixing the point p."""
     d = group.dimension
-    keep = group.elements[_carries(group, [p], [p], tol)]
+    keep = group.elements[_carries(group, [p], [p])]
     refl = [g for g in keep if _is_reflection(g)]
     gens = np.array(refl) if refl else np.zeros((0, d, d))
     normals = np.array([_reflection_normal(g) for g in refl]) if refl else np.zeros((0, d))
@@ -226,12 +208,12 @@ def stabilizer(group: ReflectionGroup, p, tol: float = POINT_TOL) -> ReflectionG
     )
 
 
-def orbit(group: ReflectionGroup, p, tol: float = POINT_TOL) -> np.ndarray:
+def orbit(group: ReflectionGroup, p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     pts: list[np.ndarray] = []
     for g in group.elements:
         q = g @ p
-        if not any(np.linalg.norm(q - r) <= tol for r in pts):
+        if not any(np.linalg.norm(q - r) <= POINT_TOL for r in pts):
             pts.append(q)
     return np.array(pts)
 
@@ -256,22 +238,22 @@ class RegionMap:
     def orbit_size(self) -> int:
         return self.wells.shape[0]
 
-    def well_index(self, p, tol: float = POINT_TOL) -> int:
+    def well_index(self, p) -> int:
         p = np.asarray(p, dtype=np.float64)
         d = np.linalg.norm(self.wells - p[None, :], axis=1)
         i = int(np.argmin(d))
-        if d[i] > tol:
+        if d[i] > POINT_TOL:
             raise ValueError("point is not a well of this region map")
         return i
 
-    def region_of(self, x, tol: float = 1e-9):
+    def region_of(self, x):
         """Label of the region copy containing x: (well index, coset rep).
 
         Wall ties resolve to the smallest well index (base well first)."""
         x = np.asarray(x, dtype=np.float64)
         dots = self.wells @ x
         top = float(dots.max())
-        idx = int(np.flatnonzero(dots >= top - tol)[0])
+        idx = int(np.flatnonzero(dots >= top - 1e-9)[0])
         return idx, self.coset_reps[idx]
 
     def wall_distance(self, x) -> float:

@@ -182,9 +182,10 @@ def density_and_energy(part: PolygonalPartition, tensions: TensionMatrix, x, r: 
     return sum(lengths.tolist()) / (2.0 * r), _energy(part, tensions, lengths)
 
 
-def make_cone(x0, ray_directions, pairs=None) -> PolygonalPartition:
+def make_cone(x0, ray_directions) -> PolygonalPartition:
     """Cone over the given directions with vertex x0: one ray per direction,
-    sectors labeled 1..k counterclockwise unless explicit pairs are given."""
+    sectors labeled 1..k counterclockwise.  The i-th ray by angle separates
+    phase i from phase i mod k + 1, on its counterclockwise side."""
     x0 = np.asarray(x0, dtype=np.float64)
     dirs = [np.asarray(d, dtype=np.float64) for d in ray_directions]
     if len(dirs) < 2:
@@ -197,15 +198,8 @@ def make_cone(x0, ray_directions, pairs=None) -> PolygonalPartition:
         if np.linalg.norm(a - b) < 1e-12:
             raise PartitionError("duplicate ray directions")
     k = len(dirs)
-    if pairs is None:
-        pairs = [((i - 1) % k + 1, i % k + 1) for i in range(1, k + 1)]
-        nphases = k
-    else:
-        nphases = max(max(p) for p in pairs)
-    elements = [
-        Ray(pairs[i][0], pairs[i][1], x0.copy(), dirs[i]) for i in range(k)
-    ]
-    return PolygonalPartition(phases=nphases, elements=tuple(elements))
+    elements = [Ray(i + 1, (i + 1) % k + 1, x0.copy(), d) for i, d in enumerate(dirs)]
+    return PolygonalPartition(phases=k, elements=tuple(elements))
 
 
 def blow_down(part: PolygonalPartition, x0, scales) -> list[PolygonalPartition]:
@@ -297,8 +291,9 @@ def hausdorff_distance(a: PolygonalPartition, b: PolygonalPartition, window: Dis
 # Reference configurations
 
 
-def line_partition(angle: float = 0.0) -> PolygonalPartition:
-    d = np.array([math.cos(angle), math.sin(angle)])
+def line_partition() -> PolygonalPartition:
+    """The x1 axis: two rays from the origin between phases 1 and 2."""
+    d = np.array([1.0, 0.0])
     return PolygonalPartition(
         phases=2,
         elements=(
@@ -308,9 +303,9 @@ def line_partition(angle: float = 0.0) -> PolygonalPartition:
     )
 
 
-def triod(rotate: float = 0.0) -> PolygonalPartition:
-    """Three rays at 120 degrees from the origin; phases 1, 2, 3 in sectors."""
-    dirs = [rotate + np.pi / 2 + k * 2 * np.pi / 3 for k in range(3)]
+def triod() -> PolygonalPartition:
+    """Three rays at 120 degrees from the origin, one along x2; phases 1, 2, 3 in sectors."""
+    dirs = [np.pi / 2 + k * 2 * np.pi / 3 for k in range(3)]
     return make_cone(np.zeros(2), [[math.cos(t), math.sin(t)] for t in dirs])
 
 

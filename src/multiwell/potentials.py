@@ -328,20 +328,20 @@ def invariance_residual(spec: PotentialSpec, maps, rng, sample_count: int = 100)
     return max(float(np.max(np.abs(spec.value_field(samples @ g.T) - W))) for g in maps)
 
 
-def verify_hypotheses(spec: PotentialSpec, group, sample_count: int = 100, tol: float = 1e-10, seed: int = 0) -> dict:
-    """Check the standing structural assumptions on a catalog entry.
+def verify_hypotheses(spec: PotentialSpec, group, sample_count: int = 100) -> dict:
+    """Check the standing structural assumptions on a catalog entry, on
+    samples drawn with seed 0.
 
     Returns a report dict; nothing is raised.  For entries flagged
     degenerate (connected zero set) the isolated-well checks are skipped.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     inv = invariance_residual(spec, group.elements, rng, sample_count)
     report = {
         "potential": spec.name,
         "group": group.name,
         "invariance_residual": inv,
         "sample_count": sample_count,
-        "tolerance": tol,
     }
     if spec.nondegenerate:
         lam = min(float(np.linalg.eigvalsh(spec.hess(a))[0]) for a in spec.wells)
@@ -360,7 +360,7 @@ def verify_hypotheses(spec: PotentialSpec, group, sample_count: int = 100, tol: 
         worst = max(worst, float(np.max(spec.value_field(base) - spec.value_field(s * base))))
     report["radial_monotonicity_radius"] = spec.radial_radius
     report["radial_monotonicity_violation"] = worst
-    if spec.nondegenerate and hasattr(group, "wall_normals") and spec.m == group.dimension:
+    if spec.nondegenerate and spec.m == group.dimension:
         count = 0
         for a in spec.wells:
             if np.all(group.wall_normals @ a >= -1e-9):
@@ -369,8 +369,9 @@ def verify_hypotheses(spec: PotentialSpec, group, sample_count: int = 100, tol: 
     return report
 
 
-def find_wells(spec: PotentialSpec, seeds, tol: float = 1e-10, max_iter: int = 100):
-    """Refine well locations by damped Newton on the gradient.
+def find_wells(spec: PotentialSpec, seeds):
+    """Refine well locations by damped Newton on the gradient, at most 100
+    steps per seed to a gradient of sup norm 1e-10.
 
     Returns (wells, failures): converged points with positive-definite
     Hessian, merged within 1e-8, and a list of per-seed failure notes.
@@ -380,9 +381,9 @@ def find_wells(spec: PotentialSpec, seeds, tol: float = 1e-10, max_iter: int = 1
     for seed in np.asarray(seeds, dtype=np.float64).reshape(-1, spec.m):
         u = seed.copy()
         ok = False
-        for _ in range(max_iter):
+        for _ in range(100):
             g = spec.grad(u)
-            if np.linalg.norm(g, np.inf) <= tol:
+            if np.linalg.norm(g, np.inf) <= 1e-10:
                 ok = True
                 break
             H = spec.hess(u)
@@ -403,7 +404,7 @@ def find_wells(spec: PotentialSpec, seeds, tol: float = 1e-10, max_iter: int = 1
             failures.append(
                 {
                     "seed": seed.tolist(),
-                    "reason": f"no convergence in {max_iter} iterations",
+                    "reason": "no convergence in 100 iterations",
                     "grad_norm": float(np.linalg.norm(spec.grad(u), np.inf)),
                 }
             )
