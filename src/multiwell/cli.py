@@ -434,15 +434,24 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+STEINER_HEADER = "Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23"
+
+
 def _steiner_rows(cfg) -> list:
-    """Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23 rows: CSV cells of the batch, or the single triangle."""
+    """STEINER_HEADER rows: CSV cells of the batch, or the single triangle.
+    A batch whose first line is not STEINER_HEADER is a usage error: it
+    would be dropped as the header, taking a row with it."""
     if cfg["batch"] is not None:
         try:
             with open(cfg["batch"]) as fh:
-                lines = fh.read().splitlines()[1:]
+                lines = fh.read().splitlines()
         except OSError as e:
             raise UsageError(f"cannot read batch: {e}")
-        stripped = (line.split("#")[0].strip() for line in lines)
+        if not lines:
+            raise UsageError(f"batch {cfg['batch']} is empty; line 1 must be the header {STEINER_HEADER}")
+        if lines[0].strip() != STEINER_HEADER:
+            raise UsageError(f"batch {cfg['batch']} line 1 is {lines[0]!r}; it must be the header {STEINER_HEADER}")
+        stripped = (line.split("#")[0].strip() for line in lines[1:])
         return [line.split(",") for line in stripped if line]
     t = cfg["triangle"]
     if t is None:

@@ -27,10 +27,11 @@ and is never projected; only its equivariance is measured, over a node set
 that every box-preserving b maps onto itself: with g_x = r_x b_x, the
 defect at x is that of u(r_x y) against g_u u(b_x^T y) at y = b_x x, so one
 interpolation per coset r b (two for dihedral-3, dihedral-6 and the
-tetrahedral group) and one gather per b serve every element.  The discrete
-critical point is equivariant only up to the O(h^2) error of the square-grid
-stencil, which ``minimize`` reports as the equivariance defect after the
-solve.  Node values stay interleaved; the equivariance measurement's gathers
+tetrahedral group) and one gather per b serve every element.  ``minimize``
+reports the equivariance defect after the solve: for dihedral-3 the O(h^2)
+error of the square-grid stencil; for the tetrahedral junction also a box
+term that does not fall with h (16 of its 24 elements do not map the cube
+onto itself: 3.0e-2 at 33^3 and 3.1e-2 at 65^3, half-width 5).  Node values stay interleaved; the equivariance measurement's gathers
 and differences and the residual's sums of squares run on component columns.
 """
 
@@ -574,7 +575,10 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     raise ValueError: the projection would reset them and the solve could
     not converge.  An action that rotates the grid is only measured, before
     and after: it has no node images, and the discrete critical point is
-    equivariant only up to the O(h^2) error of the square-grid stencil.
+    equivariant only up to the O(h^2) error of the square-grid stencil and,
+    when some elements do not map the box onto itself (16 of the
+    tetrahedral group's 24), the box's own asymmetry, which h does not
+    reduce.
     """
     opts = opts or SolveOptions()
     g = field.grid

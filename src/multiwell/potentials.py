@@ -287,19 +287,25 @@ def _known_keys(obj: dict, keys: tuple, where: str):
             raise ValueError(f"{where} key {key!r} is unknown; the keys are {', '.join(keys)}")
 
 
+def _number(value) -> bool:
+    """Whether a JSON value is a number.  A float coercion would read true
+    as 1.0 and "-2" as -2.0, so a bool and a string are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _integral(value) -> bool:
-    """Whether a JSON value is a whole number.  An int coercion would read
-    2.5 as 2 and true as 1, so a bool, a fraction, a non-finite value and a
-    non-number are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer()
+    """Whether a JSON value is a whole number: a ``_number`` that is not a
+    fraction and not non-finite (an int coercion would read 2.5 as 2)."""
+    return _number(value) and float(value).is_integer()
 
 
 def potential_from_json(path_or_dict) -> PotentialSpec:
     """Load a custom polynomial potential:
     {"name", "monomials": [{"coeff", "exponents"}], "wells"}.  Any other
-    key, and an exponent that is not a non-negative integer, raises
-    ValueError naming it; so do ``Polynomial`` for a coefficient and
-    ``PotentialSpec`` for a well that is not finite."""
+    key, a name that is not a string, a coefficient that is not a number
+    and an exponent that is not a non-negative integer raise ValueError
+    naming it; so do ``Polynomial`` for a coefficient and ``PotentialSpec``
+    for a well that is not finite."""
     if isinstance(path_or_dict, (str, bytes)):
         with open(path_or_dict) as fh:
             data = json.load(fh)
@@ -309,14 +315,19 @@ def potential_from_json(path_or_dict) -> PotentialSpec:
     if not monos:
         raise ValueError("custom potential needs a non-empty 'monomials' list")
     _known_keys(data, ("name", "monomials", "wells"), "custom potential")
+    name = data.get("name", "custom")
+    if not isinstance(name, str):  # it is echoed into the reports
+        raise ValueError(f"custom potential name {name!r} is not a string")
     for mo in monos:
         _known_keys(mo, ("coeff", "exponents"), "monomial")
+        if not _number(mo["coeff"]):
+            raise ValueError(f"monomial {mo!r} has coefficient {mo['coeff']!r}; coefficients are numbers")
         for e in mo["exponents"]:
             if not _integral(e) or e < 0:  # -1 would read as a wrong power
                 raise ValueError(f"monomial {mo!r} has exponent {e!r}; exponents are non-negative integers")
     exps = [mo["exponents"] for mo in monos]
     poly = Polynomial(len(exps[0]), [mo["coeff"] for mo in monos], exps)
-    return PotentialSpec(data.get("name", "custom"), poly, data.get("wells", []))
+    return PotentialSpec(name, poly, data.get("wells", []))
 
 
 def invariance_residual(spec: PotentialSpec, maps, rng, sample_count: int = 100) -> float:

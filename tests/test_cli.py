@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -129,6 +130,11 @@ MISSHAPED_WELLS = {  # W = (u1^2 - 1)^2 + u2^2 + u3^2, nondegenerate at (+-1, 0,
         {"monomials": QUARTIC_WELL["monomials"] + [{"coeff": math.nan, "exponents": [6]}], "wells": [[-1.0], [1.0]]},
         {"monomials": QUARTIC_WELL["monomials"] + [{"coeff": math.inf, "exponents": [6]}], "wells": [[-1.0], [1.0]]},
         {"monomials": QUARTIC_WELL["monomials"], "wells": [[math.nan], [1.0]]},
+        # a float coercion read true as 1.0 and "-2" as -2.0: a run of another potential
+        dict(QUARTIC_WELL, monomials=[{"coeff": True, "exponents": [4]}] + QUARTIC_WELL["monomials"][1:]),
+        dict(QUARTIC_WELL, monomials=[{"coeff": "-2", "exponents": [4]}] + QUARTIC_WELL["monomials"][1:]),
+        # a name that is not a string was echoed into report.json
+        dict(QUARTIC_WELL, name=["quartic"]),
         # three 2-vectors were reshaped into the two 3-vectors (1, 0, 0) and (-1, 0, 0)
         {"monomials": MISSHAPED_WELLS["monomials"], "wells": [[1, 0], [0, -1], [0, 0]]},
     ],
@@ -142,6 +148,9 @@ MISSHAPED_WELLS = {  # W = (u1^2 - 1)^2 + u2^2 + u3^2, nondegenerate at (+-1, 0,
         "nan-coefficient",
         "inf-coefficient",
         "nan-well",
+        "boolean-coefficient",
+        "string-coefficient",
+        "listed-name",
         "misshaped-wells",
     ],
 )
@@ -743,6 +752,27 @@ def test_steiner_coincident_vertices_row_is_reported(tmp_path):
     assert rows[1][6] == "" and rows[1][5] == "1"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the first row was dropped as the header: two rows in, "instances": 1 out
+        ("0,1,0.866,-0.5,-0.866,-0.5,1,1,1\n0,0,4,0,1,3,1,2,1.5\n", "line 1 is '0,1,0.866,-0.5,-0.866,-0.5,1,1,1'"),
+        ("Ax;Ay;Bx;By;Cx;Cy;e12;e13;e23\n0,0,4,0,1,3,1,2,1.5\n", "line 1 is 'Ax;Ay;Bx;By;Cx;Cy;e12;e13;e23'"),
+        ("", "is empty"),
+    ],
+    ids=["no-header", "other-header", "empty"],
+)
+def test_steiner_batch_without_its_header_is_a_usage_error(tmp_path, capsys, text, message):
+    batch = tmp_path / "batch.csv"
+    batch.write_text(text)
+    cfg = write_config(tmp_path / "s.json", {"batch": str(batch)})
+    assert run(["steiner", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: batch {batch} ") and message in err
+    assert "must be the header Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23" in err
+    assert not (tmp_path / "o").exists()
+
+
 def _steiner_batch(tmp_path, lines):
     batch = tmp_path / "batch.csv"
     batch.write_text("Ax,Ay,Bx,By,Cx,Cy,e12,e13,e23\n" + "".join(line + "\n" for line in lines))
@@ -941,3 +971,52 @@ def test_python_m_multiwell_runs_from_a_source_checkout():
     )
     assert done.returncode == 0, done.stderr
     assert "partition" in done.stdout
+
+
+def _jsonify(obj):
+    """Reference: the report writer's former normalization, applied before
+    ``json.dump(..., indent=2, sort_keys=True)`` and a final newline."""
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonify(obj.tolist())
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+def test_write_json_writes_the_bytes_of_the_former_report_writer(tmp_path):
+    report = {
+        "zeta": np.float64(0.1),
+        "count": np.int64(-7),
+        "flag": np.bool_(True),
+        "single": np.float32(0.1),
+        "scalar": np.array(2.5),
+        "row": np.array([1.0, math.nan, -math.inf]),
+        "matrix": np.arange(6.0).reshape(2, 3) / 3,
+        "ints": np.arange(3),
+        "masks": np.array([True, False]),
+        "pair": (np.float64(math.inf), np.int64(3), "text"),
+        "nested": {"b": [np.float64(math.nan), (1, 2.5)], "a": None, "flags": (np.bool_(False), True)},
+        "plain": [1, 2.0, "x", False],
+    }
+    path = tmp_path / "new.json"
+    fields.write_json(path, report)
+    old = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == old.encode()
+
+
+def test_config_hash_is_that_of_the_normalized_config():
+    config = json.loads(
+        '{"potential": {"monomials": [{"coeff": 1.0, "exponents": [4]}, {"coeff": -2, "exponents": [2]}],'
+        ' "wells": [[-1.0], [1.0]], "name": "q"}, "tol": 1e-9, "grid": {"points": 161, "half_width": NaN},'
+        ' "flags": [true, null, Infinity], "label": "\u00e9"}'
+    )
+    old = hashlib.sha256(json.dumps(_jsonify(config), sort_keys=True).encode()).hexdigest()[:16]
+    assert cli._config_hash(config) == old

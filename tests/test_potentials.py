@@ -240,6 +240,31 @@ def test_custom_potential_rejects_non_finite_numbers(monomial, wells, message):
         potentials.potential_from_json({"monomials": quartic + [monomial], "wells": wells})
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"monomials": [{"coeff": True, "exponents": [4]}]}, r"monomial .* has coefficient True; coefficients are numbers"),
+        ({"monomials": [{"coeff": "-2", "exponents": [4]}]}, r"monomial .* has coefficient '-2'; coefficients are numbers"),
+        ({"monomials": [{"coeff": None, "exponents": [4]}]}, r"monomial .* has coefficient None; coefficients are numbers"),
+        ({"name": ["quartic"]}, r"custom potential name \['quartic'\] is not a string"),
+        ({"name": 7}, r"custom potential name 7 is not a string"),
+    ],
+    ids=["boolean-coefficient", "string-coefficient", "null-coefficient", "listed-name", "numeric-name"],
+)
+def test_custom_potential_rejects_coefficients_and_names_of_other_types(change, message):
+    # a float coercion read true as 1.0 and "-2" as -2.0, and the name was echoed as given
+    quartic = [{"coeff": 1.0, "exponents": [4]}, {"coeff": -2.0, "exponents": [2]}, {"coeff": 1.0, "exponents": [0]}]
+    data = {"name": "quartic", "monomials": quartic, "wells": [[-1.0], [1.0]]}
+    data.update(change)
+    if "monomials" in change:
+        data["monomials"] = change["monomials"] + quartic[1:]
+    with pytest.raises(ValueError, match=message):
+        potentials.potential_from_json(data)
+    # integer coefficients are numbers, read as they are
+    data = {"name": "quartic", "monomials": [dict(m, coeff=int(m["coeff"])) for m in quartic]}
+    assert potentials.potential_from_json(data).value(2.0) == 9.0
+
+
 def test_non_finite_numbers_are_rejected_on_construction():
     # the nan term used to be dropped: the polynomial below evaluated to u^2
     with pytest.raises(ValueError, match=r"monomial \[4\] has coefficient nan; coefficients are finite numbers"):
