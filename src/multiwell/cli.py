@@ -260,9 +260,6 @@ def cmd_connect1d(args) -> int:
         prof = connect.solve_connection(pot, a_minus, a_plus, cfg["half_length"], cfg["intervals"], cfg["tol"])
     except ValueError as e:
         raise UsageError(str(e))
-    except connect.ConnectionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
     out = _out_dir(args)
     connect.save_profile(prof, os.path.join(out, "profile.csv"))
     sigma = connect.action(prof)
@@ -330,9 +327,6 @@ def cmd_solve(args) -> int:
             raise UsageError(f"bad connection: {e}")
     try:
         result = fields.minimize(u0, pot, symmetry=grp, opts=opts)
-    except fields.SolveError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ValueError as e:  # a resume field whose boundary the action would reset
         raise UsageError(f"bad start field: {e}")
     out = _out_dir(args)

@@ -5,7 +5,8 @@ descends the discrete action, which is ``fields.discrete_energy`` of the
 (K+1, m) profile, by the Newton-Krylov loop that also solves the 2D and 3D
 fields (``fields.newton_krylov``) until the collocation residual
 U_{j+1} - 2 U_j + U_{j-1} - h^2 W_u(U_j) is at tolerance.  The action of the
-solved profile is the interface energy sigma fed to the sharp-interface side.
+solved profile, the discrete energy that loop minimized, is the interface
+energy sigma fed to the sharp-interface side.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ class ConnectionProfile:
 
     @property
     def h(self) -> float:
-        return float(self.eta[1] - self.eta[0])
+        """(eta_K - eta_0) / K: eta_1 - eta_0 carries the rounding of eta_0,
+        which a node index (t - eta_0) / h would multiply by up to K."""
+        return float((self.eta[-1] - self.eta[0]) / (len(self.eta) - 1))
 
     @property
     def m(self) -> int:
@@ -56,13 +59,9 @@ class ConnectionProfile:
     def sample(self, t) -> np.ndarray:
         """The profile at the points t, shape t.shape + (m,): linear
         interpolation between the nodes, clamped to [eta_0, eta_K]
-        (``kernels.interp`` on the 1D profile).  The spacing is the span over
-        the intervals: eta_1 - eta_0 carries the rounding of eta_0, up to
-        eps L / h relative, which the node index (t - eta_0) / h would
-        multiply by up to K."""
+        (``kernels.interp`` on the 1D profile)."""
         t = np.asarray(t, dtype=np.float64)
-        h = (self.eta[-1] - self.eta[0]) / (len(self.eta) - 1)
-        out = kernels.interp(self.values, t.reshape(-1, 1), self.eta[0], h)
+        out = kernels.interp(self.values, t.reshape(-1, 1), self.eta[0], self.h)
         return out.reshape(t.shape + (self.m,))
 
     def derivative(self) -> np.ndarray:
@@ -151,7 +150,7 @@ def solve_connection(
         U = project(U)
     U[0], U[-1] = a_minus, a_plus
 
-    U, _, res, _, _, _ = fields.newton_krylov(U, potential, h, tol, MAX_STEPS, project)
+    U, res, _, _, _ = fields.newton_krylov(U, potential, h, tol, MAX_STEPS, project)
     return ConnectionProfile(
         eta=eta,
         values=U,
@@ -172,11 +171,11 @@ def equipartition_residual(profile: ConnectionProfile) -> float:
 
 
 def action(profile: ConnectionProfile) -> float:
-    """Trapezoidal action of the profile; for a solved connection this is the
-    interface energy sigma."""
-    dU = profile.derivative()
-    integrand = 0.5 * np.sum(dU * dU, axis=1) + profile.potential.value_field(profile.values)
-    return float(profile.h * (kernels.trapezoid_weights(integrand.shape) @ integrand))
+    """``fields.discrete_energy`` of the profile, the action that
+    ``solve_connection`` minimized; for a solved connection this is the
+    interface energy sigma, with an O(h^2) error (-0.193 h^2 for the triple
+    well)."""
+    return float(fields.discrete_energy(profile.values, profile.h, profile.potential, grad=False)[0])
 
 
 def hyperbolicity_gap(profile: ConnectionProfile) -> float | None:

@@ -21,10 +21,10 @@ averages g_u^{-1} u(g_x x) over the action from node images alone: for the
 fields, the connection class U(-eta) = r U(eta) and the initial guess's
 profile alike.  An action that permutes grid nodes leaves the discrete
 energy exactly invariant, so the iterates keep the equivariance of their
-start to rounding: the start is projected once before the first step and
-once after the last.  An action that rotates the grid has no node images
-and is never projected; only its equivariance is measured, over a node set
-that every box-preserving b maps onto itself: with g_x = r_x b_x, the
+start to rounding: the start is projected once, before the first step.  An
+action that rotates the grid has no node images and is never projected;
+only its equivariance is measured, over a node set that every
+box-preserving b maps onto itself: with g_x = r_x b_x, the
 defect at x is that of u(r_x y) against g_u u(b_x^T y) at y = b_x x, so one
 interpolation per coset r b (two for dihedral-3, dihedral-6 and the
 tetrahedral group) and one gather per b serve every element.  ``minimize``
@@ -518,8 +518,9 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
     rounding floor.  A residual that grows by a quarter or more is a descent
     leaving a saddle, whose energy may fall by less than 1e-14 |E| per step.
 
-    Returns (values, W_u, residual, steps, energy history, stop reason); the
-    reason, "max_iter", "line_search" or "stalled", matters only above target."""
+    Returns (values, residual, steps, energy history, stop reason); the last
+    energy is that of the returned values, and the reason, "max_iter",
+    "line_search" or "stalled", matters only above target."""
     # (E, w_u) always belong to the current state: an accepted trial brings its own
     E, w_u = discrete_energy(state, h, potential)
     history = [E]
@@ -557,7 +558,7 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
         state, E, w_u = trial, E_trial, w_trial
         it += 1
         history.append(E)
-    return state, w_u, res, it, history, stop
+    return state, res, it, history, stop
 
 
 def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | None = None) -> SolveResult:
@@ -568,12 +569,11 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     the energy from rising the solve stops with
     ``stop_reason="line_search"``; a NaN energy raises SolveError.
 
-    An action that permutes grid nodes is projected out once before the
-    steps start, since they keep equivariance but do not restore it, and
-    once after they end, to clear rounding.  Its projection maps boundary
-    nodes to boundary nodes, so boundary values that are not equivariant
-    raise ValueError: the projection would reset them and the solve could
-    not converge.  An action that rotates the grid is only measured, before
+    An action that permutes grid nodes is projected out once, before the
+    steps start: they keep equivariance to rounding but do not restore it.
+    Its projection maps boundary nodes to boundary nodes, so boundary
+    values that are not equivariant raise ValueError: the projection would
+    reset them and the solve could not converge.  An action that rotates the grid is only measured, before
     and after: it has no node images, and the discrete critical point is
     equivariant only up to the O(h^2) error of the square-grid stencil and,
     when some elements do not map the box onto itself (16 of the
@@ -588,27 +588,14 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     state = field.values.copy()
 
     eq_before = equivariance_residual_pairs(VectorField(g, state), pairs) if pairs else None
-
-    def project(vals):
-        out = symmetrize_pairs(VectorField(g, vals), pairs).values
-        _apply_boundary(out, field.values, bmask)
-        return out
-
-    node_permuting = bool(pairs) and all(_box_preserving(gx) for gx, _ in pairs)
-    if node_permuting:
+    if pairs and all(_box_preserving(gx) for gx, _ in pairs):
         edge_res = _equivariance_defect(state, g, pairs, bmask)
         if edge_res > BOUNDARY_EQUIVARIANCE_TOL:
             raise ValueError(f"boundary values are not equivariant (boundary residual {edge_res:.3e})")
-        state = project(state)
+        state = symmetrize_pairs(VectorField(g, state), pairs).values
+        _apply_boundary(state, field.values, bmask)
 
-    state, w_u, res, it, history, stop = newton_krylov(state, potential, h, opts.residual_target, opts.max_iter)
-
-    if node_permuting and it:
-        # the invariant energy kept the iterates equivariant to rounding
-        state = project(state)
-        E, w_u = discrete_energy(state, h, potential)
-        history.append(E)
-        res = _residual(state, w_u, h)[1]
+    state, res, it, history, stop = newton_krylov(state, potential, h, opts.residual_target, opts.max_iter)
     converged = res <= opts.residual_target
 
     out = VectorField(g, state)

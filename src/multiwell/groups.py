@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MATRIX_TOL = 1e-9  # closure dedup: products of exact reflections only accumulate rounding
 POINT_TOL = 1e-8
 
 

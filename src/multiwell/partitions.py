@@ -9,7 +9,6 @@ shortest-path reduction of surface-tension matrices, cones, and blow-downs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -118,7 +117,9 @@ def disk(center, radius) -> Disk:
 
 @dataclass(frozen=True)
 class PolygonalPartition:
-    """Interface complex of tagged segments and rays for N phases."""
+    """Interface complex of tagged segments and rays for N phases.  Every
+    element has phase_j on its counterclockwise side: left of a ray's
+    direction, left of a segment's p1 - p0."""
 
     phases: int
     elements: tuple = field(default_factory=tuple)
@@ -292,13 +293,13 @@ def hausdorff_distance(a: PolygonalPartition, b: PolygonalPartition, window: Dis
 
 
 def line_partition() -> PolygonalPartition:
-    """The x1 axis: two rays from the origin between phases 1 and 2."""
+    """The x1 axis: two rays from the origin, phase 2 above, phase 1 below."""
     d = np.array([1.0, 0.0])
     return PolygonalPartition(
         phases=2,
         elements=(
             Ray(1, 2, np.zeros(2), d),
-            Ray(1, 2, np.zeros(2), -d),
+            Ray(2, 1, np.zeros(2), -d),
         ),
     )
 
@@ -321,10 +322,10 @@ def double_junction(separation: float) -> PolygonalPartition:
     return PolygonalPartition(
         phases=3,
         elements=(
-            Segment(2, 3, left, right),
+            Segment(3, 2, left, right),
             Ray(1, 2, right.copy(), np.array([c60, s60])),
-            Ray(1, 3, right.copy(), np.array([c60, -s60])),
-            Ray(1, 2, left.copy(), np.array([-c60, s60])),
+            Ray(3, 1, right.copy(), np.array([c60, -s60])),
+            Ray(2, 1, left.copy(), np.array([-c60, s60])),
             Ray(1, 3, left.copy(), np.array([-c60, -s60])),
         ),
     )
@@ -347,8 +348,9 @@ def x_cone() -> PolygonalPartition:
 
 def merged_competitor(separation: float, window_radius: float) -> PolygonalPartition:
     """Connectedness competitor for the double junction in a given window:
-    phase 1 is joined through the middle, phases 2 and 3 retreat to chord
-    lenses.  Matches the double junction's trace on the window circle."""
+    phase 1 is joined through the middle, phases 2 and 3 retreat to the chord
+    lenses above and below.  Matches the double junction's trace on the
+    window circle."""
     d = separation / 2.0
     R = window_radius
     ell = (-d + math.sqrt(4 * R * R - 3 * d * d)) / 2.0
@@ -358,7 +360,7 @@ def merged_competitor(separation: float, window_radius: float) -> PolygonalParti
         phases=3,
         elements=(
             Segment(1, 2, np.array([-x, y]), np.array([x, y])),
-            Segment(1, 3, np.array([-x, -y]), np.array([x, -y])),
+            Segment(3, 1, np.array([-x, -y]), np.array([x, -y])),
         ),
     )
 
@@ -591,8 +593,6 @@ def partition_from_json(data) -> PolygonalPartition:
     a phase count or tag that is not a whole number, and an endpoint, origin
     or direction that is not a finite [x, y], raise PartitionError naming
     the element."""
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
     _known_keys(data, ("phases", "segments", "rays"), "partition")
     elements: list = []
     for k, s in enumerate(data.get("segments", [])):

@@ -90,11 +90,37 @@ def test_connect1d_bad_potential_name(tmp_path):
     assert run(["connect1d", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
-def test_connect1d_identical_wells_numerical_error(tmp_path):
+def test_connect1d_identical_wells_numerical_error(tmp_path, capsys):
+    # the ConnectionError leaves through main, before any output is written
     cfg = write_config(
         tmp_path / "c.json", {"potential": "double_well", "wells": [[1.0], [1.0]]}
     )
     assert run(["connect1d", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "numerical failure: endpoints coincide: no connection to compute\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_connect1d_below_the_rounding_floor_reports_and_exits_2(tmp_path, capsys):
+    # tol 1e-15 lies below the double well's rounding floor at 400 intervals:
+    # the profile and report are written, then the run exits 2
+    cfg = write_config(tmp_path / "c.json", {"potential": "double_well", "intervals": 400, "tol": 1e-15})
+    out = tmp_path / "o"
+    assert run(["connect1d", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("solver did not reach tolerance: residual ")
+    assert json.loads((out / "report.json").read_text())["converged"] is False
+    assert (out / "profile.csv").exists()
+
+
+def test_solve_out_of_steps_reports_and_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "s.json", dict(JUNCTION, grid={"half_width": 4.0, "points": 41}, solver={"max_iter": 1})
+    )
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("solver did not converge: residual ")
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 1 and report["stop_reason"] == "max_iter"
+    assert (out / "field.csv").exists() and (out / "field_meta.json").exists()
 
 
 QUARTIC_WELL = {  # W = (u^2 - 1)^2, written as a custom potential

@@ -256,13 +256,25 @@ def test_triple_well_connection(triangle_profile, triple_well):
 def test_triple_well_action_converges_to_the_bogomolny_tension(triple_well, intervals):
     # W = |f(u)|^2 with f = u^3 - 1 holomorphic in u = u1 + i u2, so the
     # Bogomolny bound gives sigma = sqrt(2) |F(a_2) - F(a_1)| with F' = f,
-    # F = u^4/4 - u: 3 sqrt(6)/4; the discrete action approaches it at O(h^2)
-    # with the constant -0.77224, the same at 600, 1200 and 2400 intervals
+    # F = u^4/4 - u: 3 sqrt(6)/4; the minimized discrete action approaches it
+    # at O(h^2) with the constant -0.1931 (-0.19309 at 600 intervals, -0.19307
+    # at 1200)
     sigma = 3.0 * np.sqrt(6.0) / 4.0
     prof = connect.solve_connection(triple_well, triple_well.wells[1], triple_well.wells[0], 6.0, intervals, tol=1e-9)
     h = 12.0 / intervals
     assert prof.converged
-    assert (connect.action(prof) - sigma) / h**2 == pytest.approx(-0.7722, rel=0.02)
+    assert (connect.action(prof) - sigma) / h**2 == pytest.approx(-0.1931, rel=0.02)
+
+
+def test_action_is_the_energy_newton_minimized(triple_well, monkeypatch):
+    # sigma is the last energy of the connection's Newton loop, not a second
+    # quadrature of the solved profile
+    runs, newton_krylov = [], fields.newton_krylov
+    monkeypatch.setattr(fields, "newton_krylov", lambda *args: runs.append(newton_krylov(*args)) or runs[-1])
+    prof = connect.solve_connection(triple_well, triple_well.wells[1], triple_well.wells[0], 6.0, 600, tol=1e-9)
+    values, _, _, history, _ = runs[0]
+    assert prof.converged and np.array_equal(prof.values, values)
+    assert connect.action(prof) == pytest.approx(history[-1], rel=1e-14, abs=0.0)
 
 
 def test_endpoint_decay(dw_profile, double_well):
@@ -451,7 +463,7 @@ def test_newton_stops_when_the_residual_stalls(double_well, monkeypatch):
     runs, newton_krylov = [], fields.newton_krylov
     monkeypatch.setattr(fields, "newton_krylov", lambda *args: runs.append(newton_krylov(*args)) or runs[-1])
     prof = connect.solve_connection(double_well, [-1.0], [1.0], 10.0, 10_000, tol=1e-11)
-    _, _, res, steps, _, stop = runs[0]
+    _, res, steps, _, stop = runs[0]
     assert not prof.converged and prof.residual == res < 1e-10
     assert stop == "stalled" and steps <= 4 + fields.STALL_STEPS
 

@@ -463,6 +463,46 @@ def test_double_junction_energies():
     assert e_x > e_dj
 
 
+def _triod_phase(x, y):
+    # sectors 1, 2, 3 counterclockwise from the ray along x2
+    t = math.degrees(math.atan2(y, x)) % 360.0
+    return 1 if 90.0 < t < 210.0 else 2 if 210.0 < t < 330.0 else 3
+
+
+def _x_phase(x, y, d=0.0):
+    # phase 1 in the outer sectors of the junctions at (+-d, 0), 2 on top, 3 below
+    return 1 if abs(x) - d > abs(y) / math.sqrt(3.0) else 2 if y > 0 else 3
+
+
+def _merged_phase(x, y, s=0.4, R=1.0):
+    # phase 1 through the middle, 2 above the upper chord, 3 below the lower
+    d = s / 2.0
+    top = (-d + math.sqrt(4 * R * R - 3 * d * d)) / 2.0 * math.sqrt(3.0) / 2.0
+    return 2 if y > top else 3 if y < -top else 1
+
+
+@pytest.mark.parametrize(
+    "part, phase",
+    [
+        (pt.triod(), _triod_phase),
+        (pt.line_partition(), lambda x, y: 2 if y > 0 else 1),
+        (pt.double_junction(0.4), lambda x, y: _x_phase(x, y, 0.2)),
+        (pt.x_cone(), _x_phase),
+        (pt.merged_competitor(0.4, 1.0), _merged_phase),
+    ],
+    ids=["triod", "line", "double-junction", "x-cone", "merged"],
+)
+def test_phase_j_lies_counterclockwise_of_every_element(part, phase):
+    for el in part.elements:
+        if isinstance(el, pt.Segment):
+            mid, d = 0.5 * (el.p0 + el.p1), el.p1 - el.p0
+        else:  # a ray's point at unit distance from its origin
+            mid, d = el.origin + el.direction, el.direction
+        ccw = 1e-3 * np.array([-d[1], d[0]]) / np.linalg.norm(d)
+        assert phase(*(mid + ccw)) == el.phase_j, el
+        assert phase(*(mid - ccw)) == el.phase_i, el
+
+
 def test_double_junction_density_monotone():
     dj = pt.double_junction(0.5)
     radii = np.linspace(0.05, 2.0, 15)
