@@ -21,7 +21,10 @@ averages g_u^{-1} u(g_x x) over the action from node images alone: for the
 fields, the connection class U(-eta) = r U(eta) and the initial guess's
 profile alike.  An action that permutes grid nodes leaves the discrete
 energy exactly invariant, so the iterates keep the equivariance of their
-start to rounding: the start is projected once, before the first step.  An
+start to rounding: the start is projected once, before the first step.  The
+action's odd axis mirrors (g_x flipping one axis a, g_u = -I) cut the box:
+the steps run on x_a >= 0 with the face x_a = 0 held at zero, on 2^-k of
+the nodes for k such axes, and the field unfolds by oddness.  An
 action that rotates the grid has no node images and is never projected;
 only its equivariance is measured, over a node set that every
 box-preserving b maps onto itself: with g_x = r_x b_x, the
@@ -82,7 +85,11 @@ class Grid:
         return (self.points,) * self.dim
 
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.points)
+        """The node coordinates of one axis, symmetric bit for bit: x[P-1-i]
+        is -x[i], and -half_width, 0 and half_width are exact (``linspace``
+        alone puts most coordinates off minus their mirror in the last bit)."""
+        ax = np.linspace(-self.half_width, self.half_width, self.points)
+        return 0.5 * (ax - ax[::-1])
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -244,6 +251,30 @@ def _node_image(values: np.ndarray, gx: np.ndarray) -> np.ndarray:
     (grid.shape + (m,)) array ``values``."""
     index, order = _node_axes(gx)
     return values[index].transpose(order)
+
+
+def _odd_mirror_axes(pairs) -> list:
+    """The axes a of the action's odd axis mirrors, the pairs whose g_x flips
+    axis a alone and whose g_u is -I, in increasing order.  A field of the
+    class is odd in x_a, so it is zero on the face x_a = 0 and fixed by its
+    values on x_a >= 0."""
+    axes = set()
+    for gx, gu in pairs:
+        signed = np.rint(gx)
+        d = np.diag(signed)
+        odd = np.allclose(gu, -np.eye(len(gu)), rtol=0.0, atol=1e-12)
+        if odd and np.array_equal(signed, np.diag(d)) and np.sum(d < 0) == 1:
+            axes.add(int(np.argmin(d)))
+    return sorted(axes)
+
+
+def _unfold(values: np.ndarray, axes) -> np.ndarray:
+    """The full-box array of a field odd in each of ``axes`` from its values
+    on the half box x_a >= 0 of each: u(..., -x_a, ...) = -u(..., x_a, ...)."""
+    for a in axes:
+        n = values.shape[a]
+        values = np.concatenate([-np.take(values, np.arange(n - 1, 0, -1), axis=a), values], axis=a)
+    return values
 
 
 def node_projection(pairs):
@@ -425,6 +456,11 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
+    """What ``minimize`` returns.  ``energy_history`` holds the energy of the
+    start and after each step, ``iterations`` + 1 values; on a box cut by k
+    odd axis mirrors, 2^k times the cut box's energy, which is the whole
+    box's for the unfolded field, and the energy of the returned field last."""
+
     field: VectorField
     iterations: int
     energy: float
@@ -573,12 +609,29 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     steps start: they keep equivariance to rounding but do not restore it.
     Its projection maps boundary nodes to boundary nodes, so boundary
     values that are not equivariant raise ValueError: the projection would
-    reset them and the solve could not converge.  An action that rotates the grid is only measured, before
-    and after: it has no node images, and the discrete critical point is
-    equivariant only up to the O(h^2) error of the square-grid stencil and,
-    when some elements do not map the box onto itself (16 of the
-    tetrahedral group's 24), the box's own asymmetry, which h does not
-    reduce.
+    reset them and the solve could not converge.
+
+    When that action has odd axis mirrors (a pair whose g_x flips axis a
+    alone and whose g_u is -I), the steps run on the box they cut out,
+    x_a >= 0 for each such a.  The projected start is set to zero on the
+    face x_a = 0 (the class's one value there, which the projection leaves
+    only to rounding), the cut box holds the face fixed with its boundary
+    layer, and its sine preconditioner is exact there, since the odd sine
+    modes of an axis are the sine modes of its half.  The cut field unfolds
+    by u(.., -x_a, ..) = -u(.., x_a, ..), its boundary layer is reset to
+    that of ``field``, and the energy and residual are those of the whole
+    field; while the residual is above target (a boundary off the class
+    within ``BOUNDARY_EQUIVARIANCE_TOL`` leaves it there), Newton goes on
+    on the whole box within the same ``max_iter``.  Mixed-parity mirrors,
+    whose g_u keeps some component even (dihedral groups, the cubic and
+    tetrahedral groups, ``reflection_pairs`` with m > 1), keep the whole
+    box.
+
+    An action that rotates the grid is only measured, before and after: it
+    has no node images, and the discrete critical point is equivariant only
+    up to the O(h^2) error of the square-grid stencil and, when some
+    elements do not map the box onto itself (16 of the tetrahedral group's
+    24), the box's own asymmetry, which h does not reduce.
     """
     opts = opts or SolveOptions()
     g = field.grid
@@ -588,14 +641,33 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     state = field.values.copy()
 
     eq_before = equivariance_residual_pairs(VectorField(g, state), pairs) if pairs else None
+    cut_axes = []
     if pairs and all(_box_preserving(gx) for gx, _ in pairs):
         edge_res = _equivariance_defect(state, g, pairs, bmask)
         if edge_res > BOUNDARY_EQUIVARIANCE_TOL:
             raise ValueError(f"boundary values are not equivariant (boundary residual {edge_res:.3e})")
         state = symmetrize_pairs(VectorField(g, state), pairs).values
+        cut_axes = _odd_mirror_axes(pairs)
+        for a in cut_axes:
+            state[(slice(None),) * a + (g.points // 2,)] = 0.0
         _apply_boundary(state, field.values, bmask)
 
-    state, res, it, history, stop = newton_krylov(state, potential, h, opts.residual_target, opts.max_iter)
+    it, history = 0, []
+    if cut_axes:
+        cut = tuple(slice(g.points // 2, None) if a in cut_axes else slice(None) for a in range(g.dim))
+        half, _, it, cut_history, _ = newton_krylov(
+            np.ascontiguousarray(state[cut]), potential, h, opts.residual_target, opts.max_iter
+        )
+        history = [2.0 ** len(cut_axes) * E for E in cut_history[:-1]]
+        state = _unfold(half, cut_axes)
+        _apply_boundary(state, field.values, bmask)
+    # after a cut: the energy and residual of the unfolded field, and steps on the whole
+    # box only while it is above target (as a boundary off the class within tolerance leaves it)
+    state, res, steps, full_history, stop = newton_krylov(
+        state, potential, h, opts.residual_target, opts.max_iter - it
+    )
+    it += steps
+    history += full_history
     converged = res <= opts.residual_target
 
     out = VectorField(g, state)

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -26,6 +27,17 @@ def test_grid_validation():
     g = fields.Grid(dim=2, half_width=2.0, points=41)
     assert g.spacing == pytest.approx(0.1)
     assert np.allclose(g.nodes[len(g.nodes) // 2], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("half_width", [0.7, 1.0, 2.5, 5.0, 6.0, 8.0, 10.3])
+def test_grid_axis_is_symmetric_bit_for_bit(half_width):
+    # reflections map nodes to nodes, so a node's mirror coordinate is minus
+    # its own exactly; linspace alone is off by up to 1.8e-15 at 101 points
+    for P in range(3, 402, 2):
+        ax = fields.Grid(dim=1, half_width=half_width, points=P).axis()
+        assert np.array_equal(ax, -ax[::-1])
+        assert (ax[0], ax[P // 2], ax[-1]) == (-half_width, 0.0, half_width)
+        assert np.allclose(ax, np.linspace(-half_width, half_width, P), rtol=0.0, atol=4e-16 * half_width)
 
 
 def test_energy_constant_at_well(double_well):
@@ -619,6 +631,113 @@ def test_minimize_rejects_non_equivariant_boundary(double_well):
     opts = fields.SolveOptions(max_iter=200)
     with pytest.raises(ValueError, match="boundary residual"):
         fields.minimize(f0, double_well, symmetry=fields.reflection_pairs(2, 1), opts=opts)
+
+
+# ---------------------------------------------------------------------------
+# Odd axis mirrors: Newton on the box they cut out
+
+
+def _sign_pairs(dim: int) -> list:
+    """The scalar action of every axis sign flip s: u(s x) = (prod s) u(x),
+    whose one-flip pairs are the odd axis mirrors of all axes."""
+    return [(np.diag(s), np.array([[np.prod(s)]])) for s in itertools.product([1.0, -1.0], repeat=dim)]
+
+
+@pytest.fixture
+def newton_shapes(monkeypatch):
+    """The shapes of the arrays that ``minimize`` passes to newton_krylov,
+    and the unwrapped solver."""
+    shapes, solve = [], fields.newton_krylov
+
+    def recording(state, *args):
+        shapes.append(state.shape)
+        return solve(state, *args)
+
+    monkeypatch.setattr(fields, "newton_krylov", recording)
+    return shapes, solve
+
+
+MIRROR_CASES = {
+    "slab": (2, 101, lambda x: np.tanh(x[:, 0]), fields.reflection_pairs(2, 1), (51, 101, 1)),
+    "saddle2d": (2, 101, lambda x: np.tanh(x[:, 0]) * np.tanh(x[:, 1]), _sign_pairs(2), (51, 51, 1)),
+    "saddle3d": (3, 33, lambda x: np.prod(np.tanh(x), axis=1), _sign_pairs(3), (17, 17, 17, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+def test_odd_mirrors_cut_the_box_and_match_the_full_box(double_well, newton_shapes, case):
+    # Newton on the half box of each odd mirror takes the steps of Newton on
+    # the whole box from the same projected start and unfolds to its field
+    dim, P, fn, pairs, cut_shape = MIRROR_CASES[case]
+    shapes, solve = newton_shapes
+    g = fields.Grid(dim=dim, half_width=5.0, points=P)
+    f0 = fields.field_from_function(g, lambda x: fn(x)[:, None], 1)
+    res = fields.minimize(f0, double_well, symmetry=pairs, opts=fields.SolveOptions(residual_target=1e-4))
+    assert shapes == [cut_shape, g.shape + (1,)] and res.converged
+    edge = ~g.interior_mask.reshape(g.shape)
+    start = fields.symmetrize_pairs(f0, pairs).values
+    start[edge] = f0.values[edge]
+    full, _, steps, _, _ = solve(start, double_well, g.spacing, 1e-4, 200)
+    assert res.iterations == steps > 0
+    assert np.max(np.abs(res.field.values - full)) <= 1e-12
+    # exactly odd in each cut axis: zero on the face, the halves mirrored
+    for a in (a for a in range(dim) if cut_shape[a] < P):
+        u = np.moveaxis(res.field.values, a, 0)
+        assert np.all(u[P // 2] == 0.0) and np.array_equal(u[::-1], -u)
+
+
+def test_cut_field_is_odd_from_any_start(double_well):
+    # the projection of a start that is not odd leaves rounding on the face
+    # x_a = 0 in some orders of the pairs, ((a - b) - a) + b; the face is
+    # zeroed, so the returned field is odd bit for bit
+    g = fields.Grid(dim=2, half_width=4.0, points=41)
+    rng = np.random.default_rng(3)
+    f0 = fields.field_from_function(g, lambda x: (np.tanh(x[:, 0]) * np.tanh(x[:, 1]))[:, None], 1)
+    f0.values[1:-1, 1:-1] += rng.normal(scale=0.1, size=(39, 39, 1))
+    res = fields.minimize(f0, double_well, symmetry=_sign_pairs(2), opts=fields.SolveOptions(residual_target=1e-6))
+    assert res.converged
+    u = res.field.values
+    assert np.all(u[20] == 0.0) and np.all(u[:, 20] == 0.0)
+    assert np.array_equal(u[::-1], -u) and np.array_equal(u[:, ::-1], -u)
+
+
+@pytest.mark.parametrize("action", ["reflection_pairs", "dihedral_4"])
+def test_mixed_parity_mirrors_keep_the_full_box(triple_well, newton_shapes, action):
+    # the x1 mirror of these actions keeps u2 even: no odd axis mirror, no cut
+    shapes, _ = newton_shapes
+    g = fields.Grid(dim=2, half_width=3.0, points=21)
+    symmetry = fields.reflection_pairs(2, 2) if action == "reflection_pairs" else groups.get_group(action)
+    f0 = fields.field_from_function(g, np.tanh, 2)
+    res = fields.minimize(f0, triple_well, symmetry=symmetry, opts=fields.SolveOptions(max_iter=1))
+    assert shapes == [g.shape + (2,)] and res.iterations == 1
+
+
+def test_cut_path_restores_the_boundary_and_reports_the_full_field(double_well, newton_shapes):
+    # boundary data within the equivariance tolerance but not odd: the cut
+    # solve's unfolded boundary is off the data by 1e-7 until it is restored,
+    # and the restored field is off target until Newton goes on on the whole box
+    shapes, _ = newton_shapes
+    g = fields.Grid(dim=2, half_width=5.0, points=101)
+
+    def data(x):
+        return (np.tanh(x[:, 0]) + 1e-7 * np.cos(x[:, 1]) * (x[:, 0] > 0))[:, None]
+
+    f0 = fields.field_from_function(g, data, 1)
+    res = fields.solve_dirichlet(f0, double_well, data, opts=fields.SolveOptions(residual_target=1e-6))
+    assert shapes == [(51, 101, 1), (101, 101, 1)]
+    assert res.converged and res.stop_reason == "converged"
+    edge = ~g.interior_mask.reshape(g.shape)
+    assert np.array_equal(res.field.values[edge], f0.values[edge])
+    assert res.residual == fields.pde_residual(res.field, double_well) <= 1e-6
+    assert abs(res.energy - fields.energy(res.field, double_well)) <= 1e-13 * res.energy
+    hist = res.energy_history
+    assert len(hist) == res.iterations + 1 and hist[-1] == res.energy
+    assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+    # a boundary off the class by more than the tolerance never reaches the cut
+    f0.values[0, 3] += 1e-3
+    with pytest.raises(ValueError, match="boundary residual"):
+        fields.minimize(f0, double_well, symmetry=fields.reflection_pairs(2, 1))
+    assert len(shapes) == 2
 
 
 # ---------------------------------------------------------------------------
