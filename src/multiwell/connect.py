@@ -76,7 +76,7 @@ class ConnectionError(RuntimeError):
 
 def _symmetric_projection(potential, a_minus, a_plus):
     """The projection onto U(-eta) = r U(eta), ``fields.node_projection`` of
-    the pairs (1, I) and (-1, r) on the profile's nodes, r the reflection
+    the pairs (1, I) and (-1, r) on the profile's (m, nodes) columns, r the reflection
     ``groups.reflection_matrix`` across the plane normal to a_plus - a_minus,
     if r swaps the wells and leaves W invariant on a fixed sample (as
     ``verify_hypotheses`` checks, once per potential and r: the verdict is
@@ -147,7 +147,7 @@ def solve_connection(
     U = a_minus[None, :] + (a_plus - a_minus)[None, :] * ramp
     project = _symmetric_projection(potential, a_minus, a_plus)
     if project is not None:
-        U = project(U)
+        U = fields.from_columns(project(fields.to_columns(U)))
     U[0], U[-1] = a_minus, a_plus
 
     U, res, _, _, _ = fields.newton_krylov(U, potential, h, tol, MAX_STEPS, project)
@@ -175,7 +175,8 @@ def action(profile: ConnectionProfile) -> float:
     ``solve_connection`` minimized; for a solved connection this is the
     interface energy sigma, with an O(h^2) error (-0.193 h^2 for the triple
     well)."""
-    return float(fields.discrete_energy(profile.values, profile.h, profile.potential, grad=False)[0])
+    cols = fields.to_columns(profile.values)
+    return float(fields.discrete_energy(cols, profile.h, profile.potential, grad=False)[0])
 
 
 def hyperbolicity_gap(profile: ConnectionProfile) -> float | None:
@@ -187,18 +188,19 @@ def hyperbolicity_gap(profile: ConnectionProfile) -> float | None:
     iterate x, the projected preconditioned residual and the last step,
     until |A x - lambda x| <= GAP_TOL (|lambda| + 4 dim / h^2): |A| bounds
     the stencil's rounding floor, so fine grids and a gap near 0 converge
-    (ConnectionError after GAP_MAX_ITER steps).  Ritz vectors combine these
+    (ConnectionError after GAP_MAX_ITER steps).  The vectors are (m, nodes)
+    component columns, as in the Newton loop.  Ritz vectors combine these
     class vectors S, with coefficients from an SVD of S: an orthonormal
     basis computed outright (QR, or the SVD's own) carries rounding out of
     the class, and its Ritz values sink below the class's."""
     project = _symmetric_projection(profile.potential, profile.a_minus, profile.a_plus)
     if project is None:
         return None
-    U, h, pot = profile.values, profile.h, profile.potential
+    U, h, pot = fields.to_columns(profile.values), profile.h, profile.potential
     hess = fields._hessian_product(U, pot, h)
     precond = fields._dirichlet_inverse(U.shape, h, 2.0 * pot.c**2)
-    x = project(np.random.default_rng(0).standard_normal(U.shape))
-    x[0] = x[-1] = 0.0
+    x = project(np.random.default_rng(0).standard_normal(profile.values.shape).T)  # the draws of the (nodes, m) layout
+    x[:, 0] = x[:, -1] = 0.0
     Ax, step = hess(x), []  # no step before the first
     for _ in range(GAP_MAX_ITER):
         norm = np.linalg.norm(x)

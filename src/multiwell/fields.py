@@ -34,8 +34,14 @@ tetrahedral group) and one gather per b serve every element.  ``minimize``
 reports the equivariance defect after the solve: for dihedral-3 the O(h^2)
 error of the square-grid stencil; for the tetrahedral junction also a box
 term that does not fall with h (16 of its 24 elements do not map the cube
-onto itself: 3.0e-2 at 33^3 and 3.1e-2 at 65^3, half-width 5).  Node values stay interleaved; the equivariance measurement's gathers
-and differences and the residual's sums of squares run on component columns.
+onto itself: 3.0e-2 at 33^3 and 3.1e-2 at 65^3, half-width 5).
+
+``VectorField`` and the files store node values interleaved, grid.shape +
+(m,).  ``newton_krylov`` converts its input once to component-major
+(m, *grid) arrays (``to_columns``) and back once on exit (``from_columns``):
+inside the loop every kernel, the projection and the Hessian product run on
+contiguous component blocks.  The equivariance measurement's gathers and
+differences run on component columns too.
 """
 
 from __future__ import annotations
@@ -157,49 +163,65 @@ def field_from_function(grid: Grid, fn, m: int) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# Energy and residual
+# Layouts, energy and residual
 
 
-def discrete_energy(values: np.ndarray, h: float, potential, grad: bool = True):
-    """Free energy of a node-sampled (..., m) array with spacing h: links for
-    |grad u|^2 / 2, trapezoid weights for W(u).  Returns (energy, W_u) with
-    W_u(u) shaped like ``values`` from the same fused potential call, or None
-    when ``grad`` is false."""
-    m = values.shape[-1]
+def to_columns(values: np.ndarray) -> np.ndarray:
+    """Interleaved (..., m) node values as a C-contiguous component-major
+    (m, ...) array: a copy, or a view of the input when that is already
+    contiguous, as for m = 1."""
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
+
+
+def from_columns(cols: np.ndarray) -> np.ndarray:
+    """The inverse of ``to_columns``: a C-contiguous (..., m) array."""
+    return np.ascontiguousarray(np.moveaxis(cols, 0, -1))
+
+
+def discrete_energy(cols: np.ndarray, h: float, potential, grad: bool = True):
+    """Free energy of a node-sampled component-major (m, ...) array with
+    spacing h: links for |grad u|^2 / 2, trapezoid weights for W(u).
+    Returns (energy, W_u) with W_u(u) shaped like ``cols`` from the same
+    fused potential call, or None when ``grad`` is false (then W comes from
+    ``value_field`` of the transposed columns, a view, so that a traced
+    ``energy`` shows its potential span)."""
+    m = cols.shape[0]
     if m != potential.m:
         raise ValueError("field value dimension does not match potential")
-    grad_part = kernels.link_energy(values, h)
-    flat = values.reshape(-1, m)
+    grad_part = kernels.link_energy(cols, h)
+    flat = cols.reshape(m, -1)
     if grad:
-        W, W_u = potential.value_and_grad_field(flat)
-        W_u = W_u.reshape(values.shape)
+        W, W_u = potential.value_and_grad_columns(flat)
+        W_u = W_u.reshape(cols.shape)
     else:
-        W, W_u = potential.value_field(flat), None
-    w = kernels.trapezoid_weights(values.shape[:-1]).ravel()
-    return grad_part + float(w @ W) * h ** (values.ndim - 1), W_u
+        W, W_u = potential.value_field(flat.T), None
+    w = kernels.trapezoid_weights(cols.shape[1:]).ravel()
+    return grad_part + float(w @ W) * h ** (cols.ndim - 1), W_u
 
 
 def energy(field: VectorField, potential) -> float:
     """Free energy of a field: integral of |grad u|^2 / 2 + W(u) over the box."""
-    return discrete_energy(field.values, field.grid.spacing, potential, grad=False)[0]
+    return discrete_energy(to_columns(field.values), field.grid.spacing, potential, grad=False)[0]
 
 
 def pde_residual(field: VectorField, potential) -> float:
     """Sup norm over interior nodes of Delta_h u - W_u(u)."""
-    w_u = potential.grad_field(field.flat()).reshape(field.values.shape)
-    return _residual(field.values, w_u, field.grid.spacing)[1]
+    cols = to_columns(field.values)
+    w_u = potential.grad_field(cols.reshape(field.m, -1).T).T.reshape(cols.shape)
+    return _residual(cols, w_u, field.grid.spacing)[1]
 
 
-def _residual(values: np.ndarray, w_u: np.ndarray, h: float) -> tuple:
-    """(b, sup |b|): b = Delta_h u - W_u(u) at interior nodes, zero on the
-    boundary layer (whose zero rows never raise the sup).  The sup is the
-    root of the largest in-order sum of squared columns, the row sum's bits."""
-    b = kernels.link_laplacian(values, h)
-    inner = (slice(1, -1),) * (values.ndim - 1)
+def _residual(cols: np.ndarray, w_u: np.ndarray, h: float) -> tuple:
+    """(b, sup |b|) for component-major arrays: b = Delta_h u - W_u(u) at
+    interior nodes, zero on the boundary layer (whose zero rows never raise
+    the sup).  The sup is the root of the largest in-order sum of squared
+    components, the bits of the row sum of the interleaved squares."""
+    b = kernels.link_laplacian(cols, h)
+    inner = (slice(None),) + (slice(1, -1),) * (cols.ndim - 1)
     b[inner] -= w_u[inner]
-    sq = b[..., 0] ** 2
-    for a in range(1, b.shape[-1]):
-        sq += b[..., a] ** 2
+    sq = b[0] ** 2
+    for a in range(1, len(b)):
+        sq += b[a] ** 2
     return b, float(np.sqrt(sq.max()))
 
 
@@ -235,22 +257,24 @@ def _is_identity(gx: np.ndarray, gu: np.ndarray) -> bool:
 
 
 def _node_axes(gx: np.ndarray) -> tuple:
-    """The node image under a box-preserving g_x as (index that flips axes,
-    axis order).  A signed permutation, (g_x x)_a = s_a x_src[a], maps the
-    nodes of an origin-centred grid onto themselves when every axis that it
-    exchanges has the same point count: flip the axes with s_a < 0, then
-    read axis src[a] as axis a."""
+    """The node image under a box-preserving g_x, for component-major
+    (m, *grid) arrays, as (index that flips axes, axis order).  A signed
+    permutation, (g_x x)_a = s_a x_src[a], maps the nodes of an
+    origin-centred grid onto themselves when every axis that it exchanges
+    has the same point count: flip the axes with s_a < 0, then read axis
+    src[a] as axis a."""
     P = np.rint(gx)
     src = np.abs(P).argmax(axis=1)
     sign = P[np.arange(src.size), src]
-    return tuple(slice(None, None, -1 if s < 0 else 1) for s in sign), tuple(np.argsort(src)) + (src.size,)
+    flips = tuple(slice(None, None, -1 if s < 0 else 1) for s in sign)
+    return (slice(None),) + flips, (0,) + tuple(np.argsort(src) + 1)
 
 
-def _node_image(values: np.ndarray, gx: np.ndarray) -> np.ndarray:
+def _node_image(cols: np.ndarray, gx: np.ndarray) -> np.ndarray:
     """u(g_x x) at every node for a box-preserving g_x, as a view of the
-    (grid.shape + (m,)) array ``values``."""
+    component-major ((m,) + grid.shape) array ``cols``."""
     index, order = _node_axes(gx)
-    return values[index].transpose(order)
+    return cols[index].transpose(order)
 
 
 def _odd_mirror_axes(pairs) -> list:
@@ -279,22 +303,23 @@ def _unfold(values: np.ndarray, axes) -> np.ndarray:
 
 def node_projection(pairs):
     """The projection of node arrays onto the equivariant class of the action
-    pairs: values -> the average over the pairs of g_u^{-1} u(g_x x), each
-    u(g_x x) a node image, for (..., m) arrays on nodes symmetric about the
-    origin (a ``Grid``, or a connection profile of any node count).  The
-    pairs are checked once, here: a g_x that rotates the grid has no node
-    image and raises ValueError.  The identity pair adds the values
-    themselves, and the projection is a new array."""
+    pairs: cols -> the average over the pairs of g_u^{-1} u(g_x x), each
+    u(g_x x) a node image, for component-major (m, ...) arrays on nodes
+    symmetric about the origin (a ``Grid``, or a connection profile of any
+    node count).  The pairs are checked once, here: a g_x that rotates the
+    grid has no node image and raises ValueError.  The identity pair adds
+    the values themselves, and the projection is a new array."""
     plan = []
     for gx, gu in pairs:
         if not _box_preserving(gx):
             raise ValueError("the action rotates the grid: only actions that permute the nodes are projected")
         plan.append(None if _is_identity(gx, gu) else _node_axes(gx) + (gu,))
 
-    def project(values: np.ndarray) -> np.ndarray:
-        acc = np.zeros(values.shape)
+    def project(cols: np.ndarray) -> np.ndarray:
+        acc = np.zeros(cols.shape)
         for p in plan:
-            acc += values if p is None else values[p[0]].transpose(p[1]) @ p[2]
+            # g_u^{-1} = g_u^T: component i of the image sums g_u[j, i] u_j
+            acc += cols if p is None else np.tensordot(p[2], cols[p[0]].transpose(p[1]), axes=(0, 0))
         acc /= len(plan)
         return acc
 
@@ -304,7 +329,7 @@ def node_projection(pairs):
 def symmetrize_pairs(field: VectorField, pairs) -> VectorField:
     """``node_projection`` of a sampled field: exact for an action that
     permutes the grid nodes, ValueError for one that rotates the grid."""
-    return VectorField(field.grid, node_projection(pairs)(field.values))
+    return VectorField(field.grid, from_columns(node_projection(pairs)(to_columns(field.values))))
 
 
 def equivariance_residual_pairs(field: VectorField, pairs) -> float:
@@ -344,7 +369,7 @@ def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
             images.append(kernels.interp(values, grid.nodes[sel] @ gx.T, -grid.half_width, grid.spacing).T.copy())
         bx = np.rint(reps[k].T @ gx).astype(np.int64)  # an integer key: a float one tells -0.0 from 0.0
         by_bx.setdefault(bx.tobytes(), (bx, []))[1].append((images[k], gu))
-    number = np.arange(cols.shape[1]).reshape(grid.shape + (1,))  # node numbers, the columns of u
+    number = np.arange(cols.shape[1]).reshape((1,) + grid.shape)  # node numbers, the columns of u
     worst = 0.0
     for bx, members in by_bx.values():
         gathered = np.take(cols, _node_image(number, bx.T).reshape(-1)[sel], axis=1)
@@ -394,7 +419,7 @@ def initial_guess(group, region_map, profile, grid: Grid) -> VectorField:
         raise ValueError("base and adjacent wells are not related by a group reflection")
     one, spair = np.eye(1), region_map.pair_stabilizer_elements(adj)
     project = node_projection([(one, s) for s in spair] + [(-one, r @ s) for s in spair])
-    sym_profile = replace(profile, values=project(profile.values))
+    sym_profile = replace(profile, values=from_columns(project(to_columns(profile.values))))
     pts = grid.nodes
     N = wells.shape[0]
     m = wells.shape[1]
@@ -487,26 +512,38 @@ LINE_SEARCH_HALVINGS = 40
 
 def _dirichlet_inverse(shape: tuple, h: float, shift: float):
     """Exact inverse of -Delta_h + shift on the interior nodes with zero
-    boundary values, per component: the type-I sine transform diagonalizes
-    the Dirichlet stencil along every axis."""
-    dim = len(shape) - 1
+    boundary values, per component of a component-major array of this
+    (m, *grid) shape: the type-I sine transform diagonalizes the Dirichlet
+    stencil along every axis."""
+    grid = shape[1:]
+    dim = len(grid)
     eig = np.full((1,) * dim, float(shift))
     for a in range(dim):
-        k = np.arange(1, shape[a] - 1)
-        lam = (2.0 / h * np.sin(0.5 * np.pi * k / (shape[a] - 1))) ** 2
+        k = np.arange(1, grid[a] - 1)
+        lam = (2.0 / h * np.sin(0.5 * np.pi * k / (grid[a] - 1))) ** 2
         eig = eig + lam.reshape([-1 if b == a else 1 for b in range(dim)])
     return lambda r: kernels.sine_solve(r, eig)
 
 
-def _hessian_product(state: np.ndarray, potential, h: float):
-    """v -> (-Delta_h + W_uu(u)) v for v vanishing on the boundary layer: the
-    Hessian of the discrete energy over interior nodes, divided by h^dim."""
-    m = state.shape[-1]
-    H = potential.hess_field(state)
+def _hessian_product(cols: np.ndarray, potential, h: float):
+    """v -> (-Delta_h + W_uu(u)) v for component-major u and v, v vanishing
+    on the boundary layer: the Hessian of the discrete energy over interior
+    nodes, divided by h^dim.  W_uu is held as its upper-triangle rows.
+    Component i of W_uu v is formed in a scratch column by in-place
+    multiply-adds over the contiguous rows and components, j in order, and
+    the stencil's component i is subtracted from it into the result."""
+    m = cols.shape[0]
+    H = potential.hess_columns(cols.reshape(m, -1))
+    row = [[H[k] for k in ks] for ks in potential.hess_index]
+    acc, term = np.empty(H.shape[1]), np.empty(H.shape[1])
 
     def apply(v):
-        out = np.einsum("nij,nj->ni", H, v.reshape(-1, m)).reshape(v.shape)
-        out -= kernels.laplacian(v, h)
+        out, vs = kernels.laplacian(v, h), v.reshape(m, -1)
+        for Hi, lap in zip(row, out.reshape(m, -1)):
+            np.multiply(Hi[0], vs[0], out=acc)
+            for Hij, vj in zip(Hi[1:], vs[1:]):
+                np.add(acc, np.multiply(Hij, vj, out=term), out=acc)
+            np.subtract(acc, lap, out=lap)
         return out
 
     return apply
@@ -545,18 +582,22 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
     (..., m) array, boundary layer frozen, by the Newton steps of the module
     docstring until the residual (sup over interior nodes of |Delta_h u -
     W_u|) is at most ``target``, for at most ``max_iter`` steps.  A linear
-    ``project`` that the Hessian commutes with is applied to each right-hand
-    side (after its residual is measured) and follows the preconditioner,
-    so every direction stays in its class.  A NaN energy raises SolveError.
-    A step that brings the residual neither below its lowest value, below
-    half the one before nor above 1.25 times it, and the energy down by at
-    most 1e-14 |E|, is idle: ``STALL_STEPS`` idle steps in a row are at the
-    rounding floor.  A residual that grows by a quarter or more is a descent
-    leaving a saddle, whose energy may fall by less than 1e-14 |E| per step.
+    ``project`` that the Hessian commutes with, on component-major arrays,
+    is applied to each right-hand side (after its residual is measured) and
+    follows the preconditioner, so every direction stays in its class.  A
+    NaN energy raises SolveError.  A step that brings the residual neither
+    below its lowest value, below half the one before nor above 1.25 times
+    it, and the energy down by at most 1e-14 |E|, is idle: ``STALL_STEPS``
+    idle steps in a row are at the rounding floor.  A residual that grows by
+    a quarter or more is a descent leaving a saddle, whose energy may fall
+    by less than 1e-14 |E| per step.
 
-    Returns (values, residual, steps, energy history, stop reason); the last
-    energy is that of the returned values, and the reason, "max_iter",
-    "line_search" or "stalled", matters only above target."""
+    The loop runs on the ``to_columns`` copy of ``state``.  Returns
+    (values, residual, steps, energy history, stop reason), the values in
+    the (..., m) layout of ``state``; the last energy is that of the
+    returned values, and the reason, "max_iter", "line_search" or "stalled",
+    matters only above target."""
+    state = to_columns(state)
     # (E, w_u) always belong to the current state: an accepted trial brings its own
     E, w_u = discrete_energy(state, h, potential)
     history = [E]
@@ -594,7 +635,7 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
         state, E, w_u = trial, E_trial, w_trial
         it += 1
         history.append(E)
-    return state, res, it, history, stop
+    return from_columns(state), res, it, history, stop
 
 
 def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | None = None) -> SolveResult:
@@ -655,9 +696,7 @@ def minimize(field: VectorField, potential, symmetry=None, opts: SolveOptions | 
     it, history = 0, []
     if cut_axes:
         cut = tuple(slice(g.points // 2, None) if a in cut_axes else slice(None) for a in range(g.dim))
-        half, _, it, cut_history, _ = newton_krylov(
-            np.ascontiguousarray(state[cut]), potential, h, opts.residual_target, opts.max_iter
-        )
+        half, _, it, cut_history, _ = newton_krylov(state[cut], potential, h, opts.residual_target, opts.max_iter)
         history = [2.0 ** len(cut_axes) * E for E in cut_history[:-1]]
         state = _unfold(half, cut_axes)
         _apply_boundary(state, field.values, bmask)

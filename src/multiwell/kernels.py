@@ -4,9 +4,11 @@ potentials: one generic kernel that evaluates several polynomials (a value
 and its gradient, or the upper triangle of a Hessian) from one power table;
 one numpy implementation each.
 
-The grid kernels take node-sampled fields of shape ``grid.shape + (m,)`` and
-work in any grid dimension by slicing one axis at a time; ``interp`` gathers
-and ``poly_columns`` forms powers on contiguous component columns instead.
+The stencils, the sine solve and the link energy take component-major
+fields, shape ``(m,) + grid.shape``, each component one contiguous block, and
+work in any grid dimension by slicing one grid axis at a time; ``poly_columns``
+reads (m, N) component columns and writes (k, N) rows.  ``interp`` alone takes
+interleaved ``grid.shape + (m,)`` values and gathers from a column copy.
 """
 
 from __future__ import annotations
@@ -25,17 +27,18 @@ USE_NUMBA = False
 
 
 def laplacian(values: np.ndarray, h: float) -> np.ndarray:
-    """Standard second-order Laplacian stencil; zeros on the boundary layer."""
+    """Standard second-order Laplacian stencil of each component of an
+    (m, *grid) array; zeros on the boundary layer."""
     dim = values.ndim - 1
     views = [
-        values[tuple(s if b == a else slice(1, -1) for b in range(dim))]
+        values[(slice(None),) + tuple(s if b == a else slice(1, -1) for b in range(dim))]
         for a in range(dim)
         for s in (slice(2, None), slice(None, -2))
     ]
     acc = views[0] + views[1]
     for v in views[2:]:
         acc += v
-    inner = (slice(1, -1),) * dim
+    inner = (slice(None),) + (slice(1, -1),) * dim
     acc -= (2.0 * dim) * values[inner]
     acc /= h * h
     out = np.zeros_like(values)
@@ -50,13 +53,14 @@ def link_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     are close, as near a well, the differences are exact and the sum rounds
     once, so a residual formed from it has a lower rounding floor than one
     from ``laplacian``; it costs more per call, so Hessian products keep
-    ``laplacian``.  Zeros on the boundary layer."""
+    ``laplacian``.  (m, *grid) arrays; zeros on the boundary layer."""
     dim = values.ndim - 1
     acc = None
     for a in range(dim):
-        links = np.diff(values[tuple(slice(None) if b == a else slice(1, -1) for b in range(dim))], axis=a)
-        lo = tuple(slice(None, -1) if b == a else slice(None) for b in range(dim))
-        hi = tuple(slice(1, None) if b == a else slice(None) for b in range(dim))
+        cut = (slice(None),) + tuple(slice(None) if b == a else slice(1, -1) for b in range(dim))
+        links = np.diff(values[cut], axis=a + 1)
+        lo = (slice(None),) * (a + 1) + (slice(None, -1),)
+        hi = (slice(None),) * (a + 1) + (slice(1, None),)
         if acc is None:
             acc = links[hi] - links[lo]
         else:
@@ -64,7 +68,7 @@ def link_laplacian(values: np.ndarray, h: float) -> np.ndarray:
             acc -= links[lo]
     acc /= h * h
     out = np.zeros_like(values)
-    out[(slice(1, -1),) * dim] = acc
+    out[(slice(None),) + (slice(1, -1),) * dim] = acc
     return out
 
 
@@ -125,40 +129,39 @@ def _sine_axis(z: np.ndarray, axis: int, spare: np.ndarray) -> np.ndarray:
 
 
 def sine_solve(values: np.ndarray, eig: np.ndarray) -> np.ndarray:
-    """Q (Q v / eig), per component, for a node-sampled (..., m) array:
-    Q is the orthonormal type-I sine transform over the interior nodes of
-    every axis and ``eig`` (the interior shape) the spectrum that Q
-    diagonalizes.  Only interior nodes of ``values`` are read; the boundary
-    layer of the result is zero.
+    """Q (Q v / eig), per component, for an (m, *grid) array: Q is the
+    orthonormal type-I sine transform over the interior nodes of every grid
+    axis and ``eig`` (the interior shape) the spectrum that Q diagonalizes.
+    Only interior nodes of ``values`` are read; the boundary layer of the
+    result is zero.
 
-    A component's interior is copied out once, transformed in place axis by
-    axis, divided, transformed back and copied into the result, one
-    component at a time so that it stays in cache; an array with a long axis
-    transforms its components together, so that each rfft call covers the
-    lines of all of them."""
+    A component's interior, a slice of its contiguous block, is copied out
+    once, transformed in place axis by axis, divided, transformed back and
+    copied into the result, one component at a time so that it stays in
+    cache; an array with a long axis transforms its components together, so
+    that each rfft call covers the lines of all of them."""
     shape = values.shape
-    dim, m = len(shape) - 1, shape[-1]
+    m, dim = shape[0], len(shape) - 1
     inner = (slice(1, -1),) * dim
-    group = 1 if max(shape[:-1]) - 2 <= SINE_MATRIX_MAX else m
-    y = np.empty((group,) + tuple(P - 2 for P in shape[:-1]))
+    group = 1 if max(shape[1:]) - 2 <= SINE_MATRIX_MAX else m
+    y = np.empty((group,) + tuple(P - 2 for P in shape[1:]))
     spare = np.empty_like(y)
     out = np.zeros(shape)
     for lo in range(0, m, group):
-        for c in range(group):
-            y[c] = values[inner + (lo + c,)]
+        part = (slice(lo, lo + group),) + inner
+        y[...] = values[part]
         for sweep in range(2):
             for axis in range(1, dim + 1):
                 if _sine_axis(y, axis, spare) is spare:
                     y, spare = spare, y
             if sweep == 0:
                 y /= eig
-        for c in range(group):
-            out[inner + (lo + c,)] = y[c]
+        out[part] = y
     return out
 
 
 # ---------------------------------------------------------------------------
-# Potential evaluations on flat point arrays (N, m).
+# Potential evaluations on component columns (m, N).
 
 
 def poly_terms(coeffs, exps):
@@ -172,54 +175,48 @@ def poly_terms(coeffs, exps):
 
 # Points per block of ``poly_columns``, so that a block's power columns, rows
 # and scratch column stay in a 2 MB L2 cache.  At 33^3 the tetrahedral Hessian
-# (9 columns, 6 of them formed from 19 terms) took 3.5 ms in one block, 1.38,
-# 1.35 and 3.0 ms in blocks of 4096, 8192 and 16384 points; its value and
-# gradient 2.7, 1.7, 1.5 and 1.4 ms.  Fastest of 180 calls on one core of a
-# Xeon with 2 MB of L2 per core, numpy 2.4.6.
+# (6 upper-triangle rows from 19 terms) took 2.2 ms in one block, 0.93, 0.78
+# and 0.74 ms in blocks of 4096, 8192 and 16384 points; its value and
+# gradient (4 rows from 28 terms) 2.3, 1.40, 1.12 and 1.03 ms.  Fastest of
+# 9 x 20 calls on (3, N) columns on one core of a Xeon with 2 MB of L2 per
+# core, numpy 2.4.6.
 POLY_BLOCK = 8192
 
 
-def poly_columns(pts, polys, emax):
-    """Several polynomials, each a ``poly_terms`` tuple, at the points
-    (N, m), as the columns of an (N, len(polys)) array.
+def poly_columns(cols, polys, emax):
+    """Several polynomials, each a ``poly_terms`` tuple of at least one term
+    (as every ``Polynomial`` has), at the points whose coordinates are the
+    rows of ``cols`` (m, N), as the rows of a (len(polys), N) array.
 
-    Block by block of points, the powers pts[:, j] ** e for 1 <= e <= emax
+    Block by block of points, the powers cols[j] ** e for 1 <= e <= emax
     (at least every exponent in use) are contiguous columns, formed once by
-    repeated products and shared by all the polynomials; each term is formed
-    in one scratch column by in-place multiplies and added to its row of the
-    block, and a polynomial listed again is copied, not formed again.  The
-    rows are written out transposed, so the output is the only array of N
-    rows: a Hessian's m^2 columns reshape to (N, m, m) in place."""
-    out = np.empty((pts.shape[0], len(polys)))
-    rows = np.empty((len(polys), min(POLY_BLOCK, pts.shape[0])))
-    for lo in range(0, pts.shape[0], POLY_BLOCK):
-        block = pts[lo : lo + POLY_BLOCK]
-        n = block.shape[0]
+    repeated products and shared by all the polynomials; a polynomial's first
+    term is formed in its output row by in-place multiplies, and each further
+    term likewise in one scratch column, then added to the row."""
+    n_pts = cols.shape[1]
+    out = np.empty((len(polys), n_pts))
+    scratch = np.empty(min(POLY_BLOCK, n_pts))
+    for lo in range(0, n_pts, POLY_BLOCK):
+        block = cols[:, lo : lo + POLY_BLOCK]
+        n = block.shape[1]
         powers = []
-        for col in block.T:
+        for col in block:
             table = [None, np.ascontiguousarray(col)]
             for _ in range(emax - 1):
                 table.append(table[-1] * table[1])
             powers.append(table)
-        scratch = np.empty(n)
-        formed = {}  # terms -> the row that holds them
-        for k, terms in enumerate(polys):
-            row = rows[k, :n]
-            if terms in formed:
-                row[...] = rows[formed[terms], :n]
-                continue
-            formed[terms] = k
-            row[...] = 0.0
-            for c, factors in terms:
-                if not factors:
-                    row += c
-                    continue
-                (j, e), *rest = factors
-                np.multiply(powers[j][e], c, out=scratch)
-                for j, e in rest:
-                    scratch *= powers[j][e]
-                row += scratch
-        out[lo : lo + n] = rows[:, :n].T
+        for row, terms in zip(out[:, lo : lo + n], polys):
+            for k, (c, factors) in enumerate(terms):
+                term = scratch[:n] if k else row  # the first term is formed in its row
+                if factors:
+                    (j, e), *rest = factors
+                    np.multiply(powers[j][e], c, out=term)
+                    for j, e in rest:
+                        term *= powers[j][e]
+                else:
+                    term[...] = c
+                if k:
+                    row += term
     return out
 
 
@@ -275,15 +272,18 @@ def trapezoid_weights(shape) -> np.ndarray:
 
 
 def link_energy(values: np.ndarray, h: float) -> float:
+    """The gradient part of the energy of an (m, *grid) array: half the
+    squared forward-difference links over h^2, weighted h^n with trapezoid
+    weights on the transverse axes."""
     dim = values.ndim - 1
     idx = "ijk"[:dim]
-    weights = [trapezoid_weights((P,)) for P in values.shape[:-1]]
+    weights = [trapezoid_weights((P,)) for P in values.shape[1:]]
     s = 0.0
     for a in range(dim):
-        d = np.diff(values, axis=a)
+        d = np.diff(values, axis=a + 1)
         d *= d
         others = [b for b in range(dim) if b != a]
-        subs = ",".join([idx + "m"] + [idx[b] for b in others]) + "->"
+        subs = ",".join(["m" + idx] + [idx[b] for b in others]) + "->"
         s += np.einsum(subs, d, *(weights[b] for b in others))
     # the h^n cell measure over the h^2 difference scaling leaves h^(n-2)
     return 0.5 * s * h ** (dim - 2)

@@ -5,8 +5,11 @@ so gradients and Hessians come from exponent manipulation rather than
 automatic differentiation.  One generic kernel, ``kernels.poly_columns``,
 evaluates the value and the gradient polynomials together from one power
 table (or the value alone), and the upper triangle of the Hessian from
-another; the solvers take W and W_u from one call, and
-``value_field``/``grad_field`` are views of it.  Catalog polynomials are
+another, on component columns (m, N); the solvers take W and W_u, and the
+Hessian's m(m+1)/2 upper-triangle rows, from one call each on their
+columns.  The (N, m) point API (``value_field``, ``grad_field``,
+``value_and_grad_field``, ``hess_field``) reads and returns transposes of
+the same calls.  Catalog polynomials are
 literal monomial lists, not products expanded in floating point.
 A ``PotentialSpec`` is a name, a polynomial and its declared wells; m, c,
 the nondegenerate flag and the radial monotonicity radius are derived from
@@ -57,8 +60,8 @@ class Polynomial:
         )
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.ascontiguousarray(pts, dtype=np.float64).reshape(-1, self.nvars)
-        return kernels.poly_columns(pts, [self.terms], self.degree)[:, 0]
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, self.nvars)
+        return kernels.poly_columns(pts.T, [self.terms], self.degree)[0]
 
     def derivative(self, j: int) -> "Polynomial":
         mask = self.exps[:, j] > 0
@@ -91,7 +94,12 @@ class PotentialSpec:
     lambda <= 0), and ``nondegenerate`` is lambda > 0 (False without wells).
     ``radial_radius``, 2 max |a| + 1 (2 without wells), is the radius at which
     radial monotonicity W(s u) >= W(u), s >= 1 is spot-checked (recorded by
-    sampling, not proved).
+    sampling, not proved).  ``hess_index`` (m, m) holds the row of W_uu's
+    entry (i, j) among the upper-triangle rows of ``hess_columns``.
+
+    The ``*_columns`` methods evaluate at component columns (m, N) and
+    return rows; the ``*_field`` methods take and return (N, m) points as
+    transposed views of them.
     """
 
     name: str
@@ -109,42 +117,54 @@ class PotentialSpec:
         if bad.size:
             raise ValueError(f"well {bad[0]} {wells[bad[0]].tolist()} must be finite")
         grads = [self.poly.derivative(j) for j in range(m)]
-        hess_terms = _hess_terms(grads)
-        lam = 0.0
-        if len(wells):
-            H = kernels.poly_columns(wells, hess_terms, self.poly.degree).reshape(-1, m, m)
-            lam = float(np.linalg.eigvalsh(H)[:, 0].min())
+        index = np.empty((m, m), dtype=np.int64)
+        for k, (i, j) in enumerate(itertools.combinations_with_replacement(range(m), 2)):
+            index[i, j] = index[j, i] = k
         self.__dict__.update(  # the frozen dataclass's own setattr refuses
-            m=m, wells=wells, c=float(np.sqrt(max(lam, 0.0) / 2.0)), nondegenerate=lam > 0,
+            m=m, wells=wells, hess_index=index, _hess_terms=_hess_terms(grads),
+            _fused_terms=[self.poly.terms] + [g.terms for g in grads],
+        )
+        lam = float(np.linalg.eigvalsh(self.hess_field(wells))[:, 0].min()) if len(wells) else 0.0
+        self.__dict__.update(
+            c=float(np.sqrt(max(lam, 0.0) / 2.0)), nondegenerate=lam > 0,
             radial_radius=2.0 * float(np.max(np.abs(wells))) + 1.0 if len(wells) else 2.0,
-            _fused_terms=[self.poly.terms] + [g.terms for g in grads], _hess_terms=hess_terms,
         )
 
-    # -- vectorized field paths -------------------------------------------
+    # -- component columns (m, N) -------------------------------------------
 
-    def _fused(self, pts: np.ndarray, grad: bool) -> tuple:
-        """(W, W_u) from one kernel call; W_u is None, and not computed,
-        when ``grad`` is false."""
-        pts = np.ascontiguousarray(pts, dtype=np.float64)
-        cols = kernels.poly_columns(pts, self._fused_terms if grad else self._fused_terms[:1], self.poly.degree)
-        return cols[:, 0], (cols[:, 1:] if grad else None)
+    def _fused(self, cols: np.ndarray, grad: bool) -> tuple:
+        """(W (N,), W_u (m, N)) from one kernel call; W_u is None, and not
+        computed, when ``grad`` is false."""
+        rows = kernels.poly_columns(cols, self._fused_terms if grad else self._fused_terms[:1], self.poly.degree)
+        return rows[0], (rows[1:] if grad else None)
+
+    def value_and_grad_columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """W (N,) and W_u (m, N) at the points whose coordinates are the rows
+        of ``cols`` (m, N), from one kernel call."""
+        return self._fused(cols, True)
+
+    def hess_columns(self, cols: np.ndarray) -> np.ndarray:
+        """The upper triangle of W_uu, rows (0, 0), (0, 1), ..., (m-1, m-1),
+        as an (m(m+1)/2, N) array, from one power table."""
+        return kernels.poly_columns(cols, self._hess_terms, self.poly.degree)
+
+    # -- flat points (N, m) -------------------------------------------------
 
     def value_and_grad_field(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """W (N,) and W_u (N, m) at flat points (N, m), from one kernel call."""
-        return self._fused(pts, True)
+        W, W_u = self._fused(_columns(pts), True)
+        return W, W_u.T
 
     def value_field(self, pts: np.ndarray) -> np.ndarray:
-        return self._fused(pts, False)[0]
+        return self._fused(_columns(pts), False)[0]
 
     def grad_field(self, pts: np.ndarray) -> np.ndarray:
-        return self._fused(pts, True)[1]
+        return self._fused(_columns(pts), True)[1].T
 
     def hess_field(self, pts: np.ndarray) -> np.ndarray:
-        """W_uu (N, m, m) at flat points, for every potential the upper
-        triangle's polynomials from one power table, written out as the
-        full matrix."""
-        pts = np.ascontiguousarray(pts, dtype=np.float64).reshape(-1, self.m)
-        return kernels.poly_columns(pts, self._hess_terms, self.poly.degree).reshape(-1, self.m, self.m)
+        """W_uu (N, m, m) at flat points, the upper-triangle rows of
+        ``hess_columns`` written out as the full matrix."""
+        return self.hess_columns(_columns(np.reshape(pts, (-1, self.m)))).T[:, self.hess_index]
 
     # -- pointwise API ------------------------------------------------------
 
@@ -176,13 +196,17 @@ class PotentialSpec:
         return self.hess_field(pts)[0]
 
 
+def _columns(pts) -> np.ndarray:
+    """Flat points (N, m) as component columns (m, N): a transposed view."""
+    return np.asarray(pts, dtype=np.float64).T
+
+
 def _hess_terms(grads: list) -> list:
-    """The terms of the W_uu entries row by row, from the gradient
-    polynomials; (j, i) lists the same tuple as (i, j), which
-    ``poly_columns`` then forms once."""
+    """The terms of the upper-triangle W_uu entries (i, j), i <= j, in the
+    order of ``itertools.combinations_with_replacement``, from the gradient
+    polynomials."""
     pairs = itertools.combinations_with_replacement(range(len(grads)), 2)
-    upper = {(i, j): grads[i].derivative(j).terms for i, j in pairs}
-    return [upper[min(i, j), max(i, j)] for i in range(len(grads)) for j in range(len(grads))]
+    return [grads[i].derivative(j).terms for i, j in pairs]
 
 
 def scalar_double_well() -> PotentialSpec:

@@ -171,15 +171,15 @@ ASYMMETRIC_WELLS = {
 
 @pytest.mark.parametrize("name, intervals", [("triple_well", 1200), ("tetra_well", 501)], ids=["odd", "even"])
 def test_connection_projection_matches_the_reversal_formula(name, intervals):
-    # the node projection of the pairs (1, I) and (-1, r) is the reversal
-    # formula (V + V reversed r^T) / 2 bit for bit, on 1201 nodes and on
-    # 502, where no node sits at eta = 0
+    # the node projection of the pairs (1, I) and (-1, r) on (m, nodes)
+    # columns is the reversal formula (V + V reversed r^T) / 2 on (nodes, m)
+    # rows bit for bit, on 1201 nodes and on 502, where no node sits at eta = 0
     pot = potentials.get_potential(name)
     a_minus, a_plus = pot.wells[1], pot.wells[0]
     project = connect._symmetric_projection(pot, a_minus, a_plus)
     r = groups.reflection_matrix(a_plus - a_minus)
     V = np.random.default_rng(intervals).normal(size=(intervals + 1, pot.m))
-    assert np.array_equal(project(V), 0.5 * (V + V[::-1] @ r.T))
+    assert np.array_equal(project(V.T).T, 0.5 * (V + V[::-1] @ r.T))
 
 
 def test_connection_without_swap_symmetry_is_not_projected():

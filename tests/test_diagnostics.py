@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ def test_divergence_matches_product_identity(double_well):
         g = fields.Grid(dim=2, half_width=3.0, points=P)
         f = fields.field_from_function(g, smooth, 1)
         se = diagnostics.stress_energy(f, double_well)
-        lap = kernels.laplacian(f.values, g.spacing)
+        lap = kernels.laplacian(fields.to_columns(f.values), g.spacing)
         resid = (lap.reshape(-1, 1) - double_well.grad_field(f.flat())).reshape(g.shape + (1,))
         grads = diagnostics._interior_terms(f, double_well)[0]
         prod = np.stack(
@@ -196,6 +198,29 @@ def test_monotonicity_strong_scalar(slab_field, double_well):
         slab_field, double_well, [0.0, 0.0], np.linspace(0.8, 3.5, 8), strong=True
     )
     assert mono["max_relative_violation"] <= 1e-6
+
+
+def test_monotonicity_ball_holds_the_whole_node_shell(triple_well):
+    # on junction_cli's grid (81^2, half-width 6) the axis node 4h sits at
+    # 0.6000000000000001: a radius on that shell, or one ulp either side of
+    # it, holds all 49 nodes with k1^2 + k2^2 <= 16, the four axis nodes at
+    # distance 4h included
+    g = fields.Grid(dim=2, half_width=6.0, points=81)
+    f = fields.field_from_function(g, lambda x: np.stack([np.cos(x[:, 0] - 0.3 * x[:, 1]), np.sin(x[:, 1])], axis=1), 2)
+    R = g.axis()[g.points // 2 + 4]  # the node coordinate 4h
+    radii = [np.nextafter(R, 0.0), R, np.nextafter(R, 1.0)]
+    assert R == 0.6000000000000001 and radii[0] == 0.6 == 4 * g.spacing
+    energies = diagnostics.monotonicity_profile(f, triple_well, [0.0, 0.0], radii)["energies"]
+    u, h, c = f.values, g.spacing, g.points // 2
+    expected = 0.0
+    for k1, k2 in itertools.product(range(-4, 5), repeat=2):
+        if k1 * k1 + k2 * k2 <= 16:
+            i, j = c + k1, c + k2
+            d1 = (u[i + 1, j] - u[i - 1, j]) / (2 * h)
+            d2 = (u[i, j + 1] - u[i, j - 1]) / (2 * h)
+            expected += h * h * (0.5 * (d1 @ d1 + d2 @ d2) + triple_well.value(u[i, j]))
+    assert energies[0] == energies[1] == energies[2]
+    assert energies[1] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_monotonicity_rejects_outside_radii(slab_field, double_well):

@@ -114,11 +114,12 @@ def test_residual_norm_is_bit_equal_to_the_row_sum(dim, m):
     # on a larger grid
     rng = np.random.default_rng(dim * 10 + m)
     for points in [3] * 300 + [15]:
-        shape = (points,) * dim + (m,)
+        shape = (m,) + (points,) * dim  # component-major
         scale = 10.0 ** rng.uniform(-9, 6)
         values, w_u = scale * rng.normal(size=shape), scale * rng.normal(size=shape)
         b, norm = fields._residual(values, w_u, 0.1)
-        assert norm == np.sqrt(np.sum(b * b, axis=-1)).max()
+        rows = fields.from_columns(b)
+        assert norm == np.sqrt(np.sum(rows * rows, axis=-1)).max()
 
 
 @pytest.mark.parametrize("dim, name", [(1, "double_well"), (2, "triple_well"), (3, "tetra_well")])
@@ -129,7 +130,7 @@ def test_energy_gradient_is_the_descent_direction(dim, name):
     g = fields.Grid(dim=dim, half_width=1.0, points=7)
     rng = np.random.default_rng(dim)
     f = fields.VectorField(g, rng.normal(scale=0.5, size=g.shape + (pot.m,)))
-    lap = kernels.laplacian(f.values, g.spacing)
+    lap = fields.from_columns(kernels.laplacian(fields.to_columns(f.values), g.spacing))
     eps = 1e-5
     for node in [(1,) * dim, (3,) * dim, (5, 2, 4)[:dim]]:
         expect = g.spacing**dim * (pot.grad(f.values[node]) - lap[node])
@@ -162,11 +163,12 @@ def test_newton_hessian_product_matches_gradient_difference(dim, name):
 
     def gradient(vals):
         w_u = pot.grad_field(vals.reshape(-1, pot.m)).reshape(vals.shape)
-        return g.spacing**dim * (w_u - kernels.laplacian(vals, g.spacing))
+        return g.spacing**dim * (w_u - fields.from_columns(kernels.laplacian(fields.to_columns(vals), g.spacing)))
 
     eps = 1e-6
     fd = (gradient(u + eps * v) - gradient(u - eps * v)) / (2 * eps)
-    hv = g.spacing**dim * fields._hessian_product(u, pot, g.spacing)(v)
+    product = fields._hessian_product(fields.to_columns(u), pot, g.spacing)
+    hv = g.spacing**dim * fields.from_columns(product(fields.to_columns(v)))
     assert np.linalg.norm((hv - fd)[interior]) <= 1e-6 * np.linalg.norm(fd[interior])
 
 
@@ -182,10 +184,45 @@ def test_newton_preconditioner_inverts_shifted_laplacian(dim, name, points):
     pot = potentials.get_potential(name)
     g = fields.Grid(dim=dim, half_width=2.0, points=points)
     shift = 2.0 * pot.c**2
-    v = _interior_random(g, pot.m, np.random.default_rng(20 + dim))
+    v = fields.to_columns(_interior_random(g, pot.m, np.random.default_rng(20 + dim)))
     av = shift * v - kernels.laplacian(v, g.spacing)
     back = fields._dirichlet_inverse(v.shape, g.spacing, shift)(av)
     assert np.max(np.abs(back - v)) <= 1e-12
+
+
+CATALOG_BY_M = {1: "double_well", 2: "triple_well", 3: "tetra_well"}
+
+
+@pytest.mark.parametrize("dim, m", list(itertools.product([1, 2, 3], [1, 2, 3])))
+def test_hessian_product_matches_the_einsum_oracle(dim, m):
+    # the component-major product, multiply-adds over the upper-triangle rows,
+    # is the interleaved einsum over the full W_uu minus the stencil
+    pot = potentials.get_potential(CATALOG_BY_M[m])
+    g = fields.Grid(dim=dim, half_width=1.5, points={1: 41, 2: 15, 3: 9}[dim])
+    rng = np.random.default_rng(30 + 3 * dim + m)
+    u = rng.normal(scale=0.5, size=g.shape + (m,))
+    v = _interior_random(g, m, rng)
+    lap = fields.from_columns(kernels.laplacian(fields.to_columns(v), g.spacing))
+    ref = np.einsum("nij,nj->ni", pot.hess_field(u.reshape(-1, m)), v.reshape(-1, m)).reshape(v.shape) - lap
+    got = fields._hessian_product(fields.to_columns(u), pot, g.spacing)(fields.to_columns(v))
+    assert got.shape == (m,) + g.shape
+    assert np.max(np.abs(fields.from_columns(got) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim, m", [(1, 2), (2, 3), (2, 1), (3, 3)])
+def test_newton_krylov_returns_the_callers_layout(dim, m):
+    # the loop runs on component-major copies; the caller gets (..., m)
+    # values back, C-contiguous, with its boundary layer bit for bit and its
+    # start untouched, and the last energy is fields.energy of those values
+    pot = potentials.get_potential(CATALOG_BY_M[m])
+    g = fields.Grid(dim=dim, half_width=2.0, points={1: 41, 2: 21, 3: 9}[dim])
+    start = np.random.default_rng(40 + dim + m).normal(scale=0.3, size=g.shape + (m,))
+    kept = start.copy()
+    values, _, steps, history, _ = fields.newton_krylov(start, pot, g.spacing, 1e-12, 3)
+    edge = ~g.interior_mask.reshape(g.shape)
+    assert steps >= 1 and values.shape == start.shape and values.flags.c_contiguous
+    assert np.array_equal(start, kept) and values[edge].tobytes() == start[edge].tobytes()
+    assert history[-1] == fields.energy(fields.VectorField(g, values), pot)
 
 
 def test_newton_slab_matches_explicit_descent(double_well, monkeypatch):
@@ -366,7 +403,8 @@ def test_node_image_matches_rounding_gather(action, dim):
         for gx in elements:
             idx = np.rint((g.nodes @ gx.T + g.half_width) / g.spacing).astype(int)
             gathered = flat[np.ravel_multi_index(tuple(idx.T), g.shape)]
-            assert np.array_equal(fields._node_image(u, gx).reshape(-1, 2), gathered)
+            image = fields._node_image(fields.to_columns(u), gx)  # component-major (2, *grid)
+            assert np.array_equal(fields.from_columns(image).reshape(-1, 2), gathered)
 
 
 @pytest.mark.parametrize(
@@ -485,7 +523,8 @@ def _fixed_step_descent(f0, pot, target, pairs=None, k_sym=10, dt=None, max_step
         if pairs and n % k_sym == 0:
             u = fields.symmetrize_pairs(fields.VectorField(g, u), pairs).values
             u[~interior] = f0.values[~interior]
-        step = kernels.laplacian(u, g.spacing) - pot.grad_field(u.reshape(-1, pot.m)).reshape(u.shape)
+        lap = fields.from_columns(kernels.laplacian(fields.to_columns(u), g.spacing))
+        step = lap - pot.grad_field(u.reshape(-1, pot.m)).reshape(u.shape)
         step[~interior] = 0.0
         res = float(np.sqrt(np.sum(step * step, axis=-1)).max())
         if not res > target or n == max_steps:
@@ -506,11 +545,12 @@ def test_newton_reuses_no_stale_gradient(double_well, triple_well, dihedral3, tr
         return hessian_product(state, potential, h)
 
     def checked_cg(b, *args):
-        state, pot, h = states[-1]
-        fresh = kernels.laplacian(state, h) - pot.grad_field(state.reshape(-1, pot.m)).reshape(state.shape)
-        interior = np.zeros(state.shape[:-1], dtype=bool)
+        state, pot, h = states[-1]  # component-major (m, *grid), as are b and the products
+        w_u = pot.grad_field(state.reshape(pot.m, -1).T).T.reshape(state.shape)
+        fresh = kernels.laplacian(state, h) - w_u
+        interior = np.zeros(state.shape[1:], dtype=bool)
         interior[(slice(1, -1),) * interior.ndim] = True
-        fresh[~interior] = 0.0
+        fresh[:, ~interior] = 0.0
         errors.append(float(np.max(np.abs(b - fresh))))
         return truncated_cg(b, *args)
 

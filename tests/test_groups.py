@@ -319,7 +319,7 @@ def test_box_preserving_elements_map_the_measured_node_sets_onto_themselves(dim,
     # which needs every box-preserving element of every catalog group to map
     # the measurement ball, the boundary layer and the box onto themselves
     grid = fields.Grid(dim=dim, half_width=half_width, points=points)
-    number = np.arange(grid.nodes.shape[0]).reshape(grid.shape + (1,))
+    number = np.arange(grid.nodes.shape[0]).reshape((1,) + grid.shape)  # one component-major column
     node_sets = {"ball": grid.measure_ball, "boundary": np.flatnonzero(~grid.interior_mask),
                  "box": np.arange(grid.nodes.shape[0])}
     checked = 0

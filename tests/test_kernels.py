@@ -27,14 +27,14 @@ def test_laplacian_of_quadratic(dim):
     # the stencil is exact on quadratics: Delta_h |x|^2 = 2 dim at interior nodes
     x, h = box_nodes(dim, 11)
     r2 = np.sum(x * x, axis=-1)
-    vals = np.stack([r2, 3.0 - 0.5 * r2], axis=-1)
+    vals = np.stack([r2, 3.0 - 0.5 * r2])  # component-major (m, *grid)
     lap = kernels.laplacian(vals, h)
     inner = (slice(1, -1),) * dim
-    assert np.allclose(lap[inner][..., 0], 2.0 * dim, rtol=0, atol=1e-12)
-    assert np.allclose(lap[inner][..., 1], -dim, rtol=0, atol=1e-12)
-    edge = np.ones(lap.shape[:-1], dtype=bool)
+    assert np.allclose(lap[0][inner], 2.0 * dim, rtol=0, atol=1e-12)
+    assert np.allclose(lap[1][inner], -dim, rtol=0, atol=1e-12)
+    edge = np.ones(lap.shape[1:], dtype=bool)
     edge[inner] = False
-    assert np.all(lap[edge] == 0.0)
+    assert np.all(lap[:, edge] == 0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -42,16 +42,16 @@ def test_link_laplacian_is_the_stencil_in_difference_form(dim):
     # the same stencil up to rounding, exact on quadratics, zero on the boundary layer
     x, h = box_nodes(dim, 11)
     r2 = np.sum(x * x, axis=-1)
-    lap = kernels.link_laplacian(np.stack([r2, 3.0 - 0.5 * r2], axis=-1), h)
+    lap = kernels.link_laplacian(np.stack([r2, 3.0 - 0.5 * r2]), h)
     inner = (slice(1, -1),) * dim
-    assert np.allclose(lap[inner], [2.0 * dim, -dim], rtol=0, atol=1e-12)
-    vals = rng.normal(size=(9,) * dim + (3,))
+    assert np.allclose(np.moveaxis(lap, 0, -1)[inner], [2.0 * dim, -dim], rtol=0, atol=1e-12)
+    vals = rng.normal(size=(3,) + (9,) * dim)
     summed = kernels.laplacian(vals, 0.1)
     diffs = kernels.link_laplacian(vals, 0.1)
     assert np.max(np.abs(diffs - summed)) <= 1e-12 * np.max(np.abs(summed))
-    edge = np.ones(vals.shape[:-1], dtype=bool)
+    edge = np.ones(vals.shape[1:], dtype=bool)
     edge[inner] = False
-    assert np.all(diffs[edge] == 0.0)
+    assert np.all(diffs[:, edge] == 0.0)
 
 
 # one interior node, then both sides of the switch from the matrix to the FFT
@@ -77,39 +77,40 @@ def test_sine_transform_matches_scipy_dst(points):
 
 
 # the FFT path, the mixed paths and the matrix path in 1D, 2D and 3D, with
-# the shapes of the benchmark grids (81^2 x 2, 101^2 x 1, 33^3 x 3)
-SINE_SHAPES = [(602, 3), (263, 9, 2), (9, 263, 1), (7, 6, 5, 3), (81, 81, 2), (101, 101, 1), (33, 33, 33, 3), (41, 2)]
+# the shapes of the benchmark grids (2 x 81^2, 1 x 101^2, 3 x 33^3), each
+# component-major (m, *grid)
+SINE_SHAPES = [(3, 602), (2, 263, 9), (1, 9, 263), (3, 7, 6, 5), (2, 81, 81), (1, 101, 101), (3, 33, 33, 33), (2, 41)]
 
 
 @pytest.mark.parametrize("shape", SINE_SHAPES)
 def test_sine_solve_matches_scipy_dstn(shape):
     # transform, divide, transform back, with the axes on either side of the switch
     vals = rng.normal(size=shape)
-    eig = rng.uniform(1.0, 2.0, size=tuple(P - 2 for P in shape[:-1]))
+    eig = rng.uniform(1.0, 2.0, size=tuple(P - 2 for P in shape[1:]))
     out = kernels.sine_solve(vals, eig)
-    inner = (slice(1, -1),) * (len(shape) - 1)
-    axes = tuple(range(len(shape) - 1))
-    ref = scipy.fft.idstn(scipy.fft.dstn(vals[inner], type=1, axes=axes) / eig[..., None], type=1, axes=axes)
+    inner = (slice(None),) + (slice(1, -1),) * (len(shape) - 1)
+    axes = tuple(range(1, len(shape)))
+    ref = scipy.fft.idstn(scipy.fft.dstn(vals[inner], type=1, axes=axes) / eig, type=1, axes=axes)
     assert out.shape == shape and out.flags.c_contiguous
     assert np.max(np.abs(out[inner] - ref)) <= 1e-13 * np.max(np.abs(ref))
-    edge = np.ones(shape[:-1], dtype=bool)
-    edge[inner] = False
-    assert np.all(out[edge] == 0.0)
+    edge = np.ones(shape[1:], dtype=bool)
+    edge[inner[1:]] = False
+    assert np.all(out[:, edge] == 0.0)
 
 
-@pytest.mark.parametrize("shape", [(9, 9, 2), (602, 2), (263, 9, 2), (9, 263, 1), (7, 6, 5, 3)])
+@pytest.mark.parametrize("shape", [(2, 9, 9), (2, 602), (2, 263, 9), (1, 9, 263), (3, 7, 6, 5)])
 def test_sine_solve_reads_interior_nodes_only(shape):
     # NaN or inf anywhere on the boundary layer leaves the result bit for bit
     # what it is with zeros there, without a floating-point warning
     vals = rng.normal(size=shape)
-    eig = rng.uniform(1.0, 2.0, size=tuple(P - 2 for P in shape[:-1]))
-    edge = np.ones(shape[:-1], dtype=bool)
+    eig = rng.uniform(1.0, 2.0, size=tuple(P - 2 for P in shape[1:]))
+    edge = np.ones(shape[1:], dtype=bool)
     edge[(slice(1, -1),) * (len(shape) - 1)] = False
-    vals[edge] = 0.0
+    vals[:, edge] = 0.0
     ref = kernels.sine_solve(vals, eig)
     for bad in (np.nan, np.inf, -np.inf):
         dirty = vals.copy()
-        dirty[edge] = bad
+        dirty[:, edge] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(kernels.sine_solve(dirty, eig), ref)
@@ -198,7 +199,7 @@ def test_link_energy_quadrature_value(dim):
     # affine u: gradient energy density |grad u|^2 / 2, summed exactly over [-1,1]^dim
     x, h = box_nodes(dim, 21)
     a = np.array([1.0, -2.0, 0.5])[:dim]
-    vals = np.ascontiguousarray(np.stack([x @ a, x[..., 0]], axis=-1))
+    vals = np.stack([x @ a, x[..., 0]])  # component-major (m, *grid)
     expected = 0.5 * (a @ a + 1.0) * 2.0**dim
     assert np.isclose(kernels.link_energy(vals, h), expected, rtol=1e-12)
 
@@ -243,11 +244,26 @@ def test_potential_kernels_agree():
 
 def test_triple_well_is_the_exact_expansion():
     # |u^3 - 1|^2 = (u1^2 + u2^2)^3 - 2 u1^3 + 6 u1 u2^2 + 1: seven monomials
-    # with integer coefficients, and 14 terms over the four Hessian entries
+    # with integer coefficients, and 11 terms over the three upper-triangle
+    # Hessian entries (4, 3 and 4)
     spec = potentials.get_potential("triple_well")
     terms = dict(zip(map(tuple, spec.poly.exps.tolist()), spec.poly.coeffs.tolist()))
     assert terms == {(6, 0): 1.0, (4, 2): 3.0, (2, 4): 3.0, (0, 6): 1.0, (3, 0): -2.0, (1, 2): 6.0, (0, 0): 1.0}
-    assert sum(len(t) for t in spec._hess_terms) == 14
+    assert [len(t) for t in spec._hess_terms] == [4, 3, 4]
+
+
+@pytest.mark.parametrize("name", sorted(potentials._CATALOG))
+def test_hessian_rows_are_the_hess_field_entries(name):
+    # the m(m+1)/2 upper-triangle rows on component columns are the entries
+    # (i, j) and (j, i) of hess_field bit for bit, over two blocks of points
+    spec = potentials.get_potential(name)
+    pts = rng.normal(size=(kernels.POLY_BLOCK + 37, spec.m))
+    rows = spec.hess_columns(np.ascontiguousarray(pts.T))
+    H = spec.hess_field(pts)
+    assert rows.shape == (spec.m * (spec.m + 1) // 2, len(pts))
+    for i, j in itertools.product(range(spec.m), repeat=2):
+        assert np.array_equal(rows[spec.hess_index[i, j]], H[:, i, j])
+        assert spec.hess_index[i, j] == spec.hess_index[j, i]
 
 
 def test_tetra_well_matches_closed_form():
@@ -311,9 +327,9 @@ def test_poly_kernels_agree():
     ]
     for polys, direct, m in cases:
         emax = max(max(map(sum, exps)) for _, exps in polys)
-        cols = kernels.poly_columns(pts[:, :m], [kernels.poly_terms(c, e) for c, e in polys], emax)
-        assert cols.shape == (n, len(polys))
-        assert np.allclose(cols, np.stack(direct, axis=1))
+        rows = kernels.poly_columns(pts[:, :m].T, [kernels.poly_terms(c, e) for c, e in polys], emax)
+        assert rows.shape == (len(polys), n)
+        assert np.allclose(rows, np.stack(direct))
 
 
 # W = (u1^2 - 1)^2 + u2^2 (1 + u1^2): a custom potential on the generic
