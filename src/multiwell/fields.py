@@ -10,9 +10,9 @@ truncated conjugate gradients, preconditioned by the exact inverse of
 -Delta_h + 2c^2; an energy backtracking line search keeps every accepted
 step descending.  That inverse is the type-I sine transform of
 ``kernels.sine_solve``, in numpy: a matrix product along short axes, an FFT
-of the odd extension along long ones.  The residual is formed with the
-stencil in difference form (``kernels.link_laplacian``), the literal
-gradient of the link energy, whose rounding floor is lower.
+of the odd extension along long ones.  The residual is the gradient that
+``discrete_energy`` returns with the energy, from one pass over the links:
+the stencil in difference form, whose rounding floor is lower.
 
 Symmetry actions enter only through their projection.  Per element, a
 box-preserving g_x maps nodes to nodes, so u(g_x x) is read as a node image
@@ -54,6 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from . import groups, kernels
+from .potentials import _integral, _number
 
 BOX_EDGE_TOL = 1e-9
 SYM_MEASURE_FRAC = 0.9  # residuals are measured on this fraction of the ball
@@ -181,22 +182,25 @@ def from_columns(cols: np.ndarray) -> np.ndarray:
 def discrete_energy(cols: np.ndarray, h: float, potential, grad: bool = True):
     """Free energy of a node-sampled component-major (m, ...) array with
     spacing h: links for |grad u|^2 / 2, trapezoid weights for W(u).
-    Returns (energy, W_u) with W_u(u) shaped like ``cols`` from the same
-    fused potential call, or None when ``grad`` is false (then W comes from
-    ``value_field`` of the transposed columns, a view, so that a traced
-    ``energy`` shows its potential span)."""
+    Returns (energy, b), b = Delta_h u - W_u(u) shaped like ``cols`` at
+    interior nodes and zero on the boundary layer: the energy's gradient
+    times -1/h^dim.  The stencil comes from the links that the energy sums,
+    and W and W_u from one potential call.  b is None when ``grad`` is false
+    (then W comes from ``value_field`` of the transposed columns, a view, so
+    that a traced ``energy`` shows its potential span)."""
     m = cols.shape[0]
     if m != potential.m:
         raise ValueError("field value dimension does not match potential")
-    grad_part = kernels.link_energy(cols, h)
+    grad_part, b = kernels.link_energy(cols, h)
     flat = cols.reshape(m, -1)
     if grad:
         W, W_u = potential.value_and_grad_columns(flat)
-        W_u = W_u.reshape(cols.shape)
+        inner = (slice(None),) + (slice(1, -1),) * (cols.ndim - 1)
+        b[inner] -= W_u.reshape(cols.shape)[inner]
     else:
-        W, W_u = potential.value_field(flat.T), None
+        W, b = potential.value_field(flat.T), None
     w = kernels.trapezoid_weights(cols.shape[1:]).ravel()
-    return grad_part + float(w @ W) * h ** (cols.ndim - 1), W_u
+    return grad_part + float(w @ W) * h ** (cols.ndim - 1), b
 
 
 def energy(field: VectorField, potential) -> float:
@@ -206,23 +210,17 @@ def energy(field: VectorField, potential) -> float:
 
 def pde_residual(field: VectorField, potential) -> float:
     """Sup norm over interior nodes of Delta_h u - W_u(u)."""
-    cols = to_columns(field.values)
-    w_u = potential.grad_field(cols.reshape(field.m, -1).T).T.reshape(cols.shape)
-    return _residual(cols, w_u, field.grid.spacing)[1]
+    return _sup_norm(discrete_energy(to_columns(field.values), field.grid.spacing, potential)[1])
 
 
-def _residual(cols: np.ndarray, w_u: np.ndarray, h: float) -> tuple:
-    """(b, sup |b|) for component-major arrays: b = Delta_h u - W_u(u) at
-    interior nodes, zero on the boundary layer (whose zero rows never raise
-    the sup).  The sup is the root of the largest in-order sum of squared
-    components, the bits of the row sum of the interleaved squares."""
-    b = kernels.link_laplacian(cols, h)
-    inner = (slice(None),) + (slice(1, -1),) * (cols.ndim - 1)
-    b[inner] -= w_u[inner]
-    sq = b[0] ** 2
-    for a in range(1, len(b)):
-        sq += b[a] ** 2
-    return b, float(np.sqrt(sq.max()))
+def _sup_norm(cols: np.ndarray) -> float:
+    """max over the nodes of |u| for a component-major (m, ...) array: the
+    root of the largest in-order sum of squared components, the bits of the
+    row sum of the interleaved squares."""
+    sq = cols[0] ** 2
+    for a in range(1, len(cols)):
+        sq += cols[a] ** 2
+    return float(np.sqrt(sq.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +352,7 @@ def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
     u for the identity coset and one interpolation per further one (two for
     the tetrahedral group, dihedral-3 and dihedral-6); u(b_x^T .) is one node
     map and gather per distinct b_x (8, 2 and 4, the identity included).
-    Images and differences are (m, K) columns, whose squares are summed in
-    order (the bits of a row sum) before the one root of the largest sum."""
+    Images and differences are (m, K) columns, measured by ``_sup_norm``."""
     m = values.shape[-1]
     cols = values.reshape(-1, m).T.copy()
     reps, images, by_bx = [np.eye(grid.dim)], [cols[:, sel]], {}
@@ -374,12 +371,8 @@ def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
     for bx, members in by_bx.values():
         gathered = np.take(cols, _node_image(number, bx.T).reshape(-1)[sel], axis=1)
         for image, gu in members:
-            diff = image - gu @ gathered
-            diff *= diff
-            for a in range(1, m):
-                diff[0] += diff[a]
-            worst = max(worst, float(diff[0].max()))
-    return float(np.sqrt(worst))
+            worst = max(worst, _sup_norm(image - gu @ gathered))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +591,14 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
     returned values, and the reason, "max_iter", "line_search" or "stalled",
     matters only above target."""
     state = to_columns(state)
-    # (E, w_u) always belong to the current state: an accepted trial brings its own
-    E, w_u = discrete_energy(state, h, potential)
+    # (E, b) always belong to the current state: an accepted trial brings its own
+    E, b = discrete_energy(state, h, potential)
     history = [E]
     shift_inverse = _dirichlet_inverse(state.shape, h, 2.0 * potential.c**2)
     precond = shift_inverse if project is None else (lambda r: project(shift_inverse(r)))
     it, stop, best, res, idle = 0, "max_iter", np.inf, np.inf, 0
     while True:
-        (b, res), prev = _residual(state, w_u, h), res
+        res, prev = _sup_norm(b), res
         falling = len(history) > 1 and history[-1] < history[-2] - 1e-14 * abs(E)
         progress = res < best or res < 0.5 * prev or res > 1.25 * prev or falling
         idle = 0 if progress else idle + 1
@@ -615,15 +608,15 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
         if idle >= STALL_STEPS:
             stop = "stalled"
             break
-        if project is not None:  # CG cannot reduce the part of b outside the class
-            b = project(b)
+        # CG cannot reduce the part of b outside the class
+        rhs = b if project is None else project(b)
         # inexact Newton: solve to a relative tolerance that tightens with the residual
-        tol = min(0.1, np.sqrt(res)) * np.linalg.norm(b)
-        p = _truncated_cg(b, _hessian_product(state, potential, h), precond, tol)
+        tol = min(0.1, np.sqrt(res)) * np.linalg.norm(rhs)
+        p = _truncated_cg(rhs, _hessian_product(state, potential, h), precond, tol)
         t = 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
             trial = state + t * p
-            E_trial, w_trial = discrete_energy(trial, h, potential)
+            E_trial, b_trial = discrete_energy(trial, h, potential)
             if np.isnan(E_trial):
                 raise SolveError("energy became NaN during descent")
             if E_trial <= E + 1e-12:
@@ -632,7 +625,7 @@ def newton_krylov(state, potential, h: float, target: float, max_iter: int, proj
         else:
             stop = "line_search"
             break
-        state, E, w_u = trial, E_trial, w_trial
+        state, E, b = trial, E_trial, b_trial
         it += 1
         history.append(E)
     return from_columns(state), res, it, history, stop
@@ -796,8 +789,16 @@ def save_field(field: VectorField, csv_path, meta_path, extra_meta: dict | None 
 
 
 def load_field(csv_path, meta_path) -> VectorField:
+    """The field that ``save_field`` wrote.  A ``dim``, ``points`` or ``m``
+    that is not a whole number and a ``half_width`` that is not a number
+    (an int or float coercion would read 2.5 as 2 and "4" as 4.0) raise
+    ValueError naming the key; so does a value that is not finite."""
     with open(meta_path) as fh:
         meta = json.load(fh)
+    for key, ok, kind in (("dim", _integral, "an integer"), ("half_width", _number, "a number"),
+                          ("points", _integral, "an integer"), ("m", _integral, "an integer")):
+        if not ok(meta[key]):
+            raise ValueError(f"{meta_path}: {key!r} is {meta[key]!r}; it must be {kind}")
     grid = Grid(dim=int(meta["dim"]), half_width=float(meta["half_width"]), points=int(meta["points"]))
     m = int(meta["m"])
     # the node coordinates follow from the grid; only the value columns are parsed

@@ -1,5 +1,6 @@
 """Hot numeric kernels: grid stencils, the Dirichlet sine transform, the
-trapezoid rule, link quadrature, multilinear interpolation, and the
+trapezoid rule, link quadrature (the gradient energy and, from the same
+links, its gradient), multilinear interpolation, and the
 potentials: one generic kernel that evaluates several polynomials (a value
 and its gradient, or the upper triangle of a Hessian) from one power table;
 one numpy implementation each.
@@ -43,32 +44,6 @@ def laplacian(values: np.ndarray, h: float) -> np.ndarray:
     acc /= h * h
     out = np.zeros_like(values)
     out[inner] = acc
-    return out
-
-
-def link_laplacian(values: np.ndarray, h: float) -> np.ndarray:
-    """The same stencil in difference form, the sum over axes of
-    (u[j+1] - u[j]) - (u[j] - u[j-1]) over h^2: the literal gradient of
-    ``link_energy`` (times -1/h^dim) at interior nodes.  Where neighbours
-    are close, as near a well, the differences are exact and the sum rounds
-    once, so a residual formed from it has a lower rounding floor than one
-    from ``laplacian``; it costs more per call, so Hessian products keep
-    ``laplacian``.  (m, *grid) arrays; zeros on the boundary layer."""
-    dim = values.ndim - 1
-    acc = None
-    for a in range(dim):
-        cut = (slice(None),) + tuple(slice(None) if b == a else slice(1, -1) for b in range(dim))
-        links = np.diff(values[cut], axis=a + 1)
-        lo = (slice(None),) * (a + 1) + (slice(None, -1),)
-        hi = (slice(None),) * (a + 1) + (slice(1, None),)
-        if acc is None:
-            acc = links[hi] - links[lo]
-        else:
-            acc += links[hi]
-            acc -= links[lo]
-    acc /= h * h
-    out = np.zeros_like(values)
-    out[(slice(None),) + (slice(1, -1),) * dim] = acc
     return out
 
 
@@ -256,8 +231,8 @@ def interp(values: np.ndarray, pts: np.ndarray, lo: float, h: float) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Quadrature: the trapezoid rule on node grids, and the gradient part of the
 # energy as forward-difference links weighted h^n with trapezoid weights on
-# the transverse axes (so descent is the exact gradient flow of the reported
-# energy at interior nodes).
+# the transverse axes, returned with its exact gradient (so descent is the
+# gradient flow of the reported energy at interior nodes).
 
 
 def trapezoid_weights(shape) -> np.ndarray:
@@ -271,19 +246,36 @@ def trapezoid_weights(shape) -> np.ndarray:
     return out
 
 
-def link_energy(values: np.ndarray, h: float) -> float:
-    """The gradient part of the energy of an (m, *grid) array: half the
+def link_energy(values: np.ndarray, h: float) -> tuple:
+    """The gradient part of the energy of an (m, *grid) array, half the
     squared forward-difference links over h^2, weighted h^n with trapezoid
-    weights on the transverse axes."""
+    weights on the transverse axes, and its gradient times -1/h^n from the
+    same links: the stencil in difference form, the sum over axes of
+    (u[j+1] - u[j]) - (u[j] - u[j-1]) over h^2 at interior nodes, zero on
+    the boundary layer.  Where neighbours are close, as near a well, the
+    differences are exact and the sum rounds once, so a residual formed from
+    it has a lower rounding floor than one from ``laplacian``, which the
+    Hessian products keep.  Returns (energy, stencil)."""
     dim = values.ndim - 1
     idx = "ijk"[:dim]
     weights = [trapezoid_weights((P,)) for P in values.shape[1:]]
+    lap = np.zeros_like(values)
+    acc = lap[(slice(None),) + (slice(1, -1),) * dim]
     s = 0.0
     for a in range(dim):
         d = np.diff(values, axis=a + 1)
+        # the links of axis a into (lo) and out of (hi) each interior node
+        lo = (slice(None),) + tuple(slice(None, -1) if b == a else slice(1, -1) for b in range(dim))
+        hi = (slice(None),) + tuple(slice(1, None) if b == a else slice(1, -1) for b in range(dim))
+        if a == 0:
+            np.subtract(d[hi], d[lo], out=acc)
+        else:
+            acc += d[hi]
+            acc -= d[lo]
         d *= d
         others = [b for b in range(dim) if b != a]
         subs = ",".join(["m" + idx] + [idx[b] for b in others]) + "->"
         s += np.einsum(subs, d, *(weights[b] for b in others))
+    acc /= h * h
     # the h^n cell measure over the h^2 difference scaling leaves h^(n-2)
-    return 0.5 * s * h ** (dim - 2)
+    return 0.5 * s * h ** (dim - 2), lap

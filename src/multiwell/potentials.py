@@ -8,9 +8,9 @@ table (or the value alone), and the upper triangle of the Hessian from
 another, on component columns (m, N); the solvers take W and W_u, and the
 Hessian's m(m+1)/2 upper-triangle rows, from one call each on their
 columns.  The (N, m) point API (``value_field``, ``grad_field``,
-``value_and_grad_field``, ``hess_field``) reads and returns transposes of
-the same calls.  Catalog polynomials are
-literal monomial lists, not products expanded in floating point.
+``hess_field``) reads and returns transposes of the same calls.  Catalog
+polynomials are literal monomial lists, not products expanded in floating
+point.
 A ``PotentialSpec`` is a name, a polynomial and its declared wells; m, c,
 the nondegenerate flag and the radial monotonicity radius are derived from
 the polynomial and the wells.  A coefficient or well that is not finite,
@@ -132,16 +132,11 @@ class PotentialSpec:
 
     # -- component columns (m, N) -------------------------------------------
 
-    def _fused(self, cols: np.ndarray, grad: bool) -> tuple:
-        """(W (N,), W_u (m, N)) from one kernel call; W_u is None, and not
-        computed, when ``grad`` is false."""
-        rows = kernels.poly_columns(cols, self._fused_terms if grad else self._fused_terms[:1], self.poly.degree)
-        return rows[0], (rows[1:] if grad else None)
-
     def value_and_grad_columns(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """W (N,) and W_u (m, N) at the points whose coordinates are the rows
         of ``cols`` (m, N), from one kernel call."""
-        return self._fused(cols, True)
+        rows = kernels.poly_columns(cols, self._fused_terms, self.poly.degree)
+        return rows[0], rows[1:]
 
     def hess_columns(self, cols: np.ndarray) -> np.ndarray:
         """The upper triangle of W_uu, rows (0, 0), (0, 1), ..., (m-1, m-1),
@@ -150,16 +145,11 @@ class PotentialSpec:
 
     # -- flat points (N, m) -------------------------------------------------
 
-    def value_and_grad_field(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """W (N,) and W_u (N, m) at flat points (N, m), from one kernel call."""
-        W, W_u = self._fused(_columns(pts), True)
-        return W, W_u.T
-
     def value_field(self, pts: np.ndarray) -> np.ndarray:
-        return self._fused(_columns(pts), False)[0]
+        return kernels.poly_columns(_columns(pts), self._fused_terms[:1], self.poly.degree)[0]
 
     def grad_field(self, pts: np.ndarray) -> np.ndarray:
-        return self._fused(_columns(pts), True)[1].T
+        return self.value_and_grad_columns(_columns(pts))[1].T
 
     def hess_field(self, pts: np.ndarray) -> np.ndarray:
         """W_uu (N, m, m) at flat points, the upper-triangle rows of

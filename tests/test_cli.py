@@ -930,6 +930,24 @@ def test_non_finite_field_value_is_usage_error(tmp_path, capsys, command):
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["diagnose", "solve"])
+@pytest.mark.parametrize("key, value", [("points", 11.5), ("dim", 2.5), ("m", 2.9), ("half_width", "2")])
+def test_coerced_field_metadata_is_usage_error(tmp_path, capsys, command, key, value):
+    # int() truncated and float() parsed these, so diagnose exited 0 on them
+    g = fields.Grid(dim=2, half_width=2.0, points=11)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.json"
+    fields.save_field(fields.constant_field(g, [1.0, 0.0]), csv, meta)
+    meta.write_text(json.dumps(dict(json.loads(meta.read_text()), **{key: value})))
+    if command == "diagnose":
+        config = {"potential": "triple_well", "field": {"csv": str(csv), "meta": str(meta)}}
+    else:
+        config = dict(JUNCTION, resume={"field": str(csv), "meta": str(meta)})
+    assert run([command, "--config", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot load") and repr(key) in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def test_every_subcommand_is_byte_deterministic_across_processes(tmp_path):
     # identical config and --seed reproduce every output file byte for byte, reports included,
     # in two fresh interpreters with different string-hash seeds

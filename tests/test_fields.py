@@ -110,36 +110,41 @@ def test_pde_residual_witness(double_well):
 def test_residual_norm_is_bit_equal_to_the_row_sum(dim, m):
     # the squared component columns, summed in order, are numpy's row sum
     # bit for bit, and the root of the largest sum is the largest root: on
-    # grids of one interior node, where the sup is that node's own sum, and
-    # on a larger grid
+    # grids of one node, where the sup is that node's own sum, and on a
+    # larger grid
     rng = np.random.default_rng(dim * 10 + m)
-    for points in [3] * 300 + [15]:
+    for points in [1] * 300 + [15]:
         shape = (m,) + (points,) * dim  # component-major
-        scale = 10.0 ** rng.uniform(-9, 6)
-        values, w_u = scale * rng.normal(size=shape), scale * rng.normal(size=shape)
-        b, norm = fields._residual(values, w_u, 0.1)
+        b = 10.0 ** rng.uniform(-9, 6) * rng.normal(size=shape)
         rows = fields.from_columns(b)
-        assert norm == np.sqrt(np.sum(rows * rows, axis=-1)).max()
+        assert fields._sup_norm(b) == np.sqrt(np.sum(rows * rows, axis=-1)).max()
 
 
-@pytest.mark.parametrize("dim, name", [(1, "double_well"), (2, "triple_well"), (3, "tetra_well")])
+@pytest.mark.parametrize(
+    "dim, name", [(1, "double_well"), (2, "triple_well"), (3, "tetra_well"), (2, "tetra_well")]
+)
 def test_energy_gradient_is_the_descent_direction(dim, name):
-    # descent is the exact gradient flow of the reported energy: at an
-    # interior node dE/du = h^dim (W_u(u) - Delta_h u)
+    # descent is the exact gradient flow of the reported energy: the b that
+    # discrete_energy returns with E is -dE/du / h^dim at interior nodes, a
+    # central difference of that E, and zero on the boundary layer; its sup
+    # is pde_residual's bit for bit
     pot = potentials.get_potential(name)
     g = fields.Grid(dim=dim, half_width=1.0, points=7)
-    rng = np.random.default_rng(dim)
-    f = fields.VectorField(g, rng.normal(scale=0.5, size=g.shape + (pot.m,)))
-    lap = fields.from_columns(kernels.laplacian(fields.to_columns(f.values), g.spacing))
+    rng = np.random.default_rng(10 * dim + pot.m)
+    cols = rng.normal(scale=0.5, size=(pot.m,) + g.shape)
+    energy = lambda c: fields.discrete_energy(c, g.spacing, pot)[0]
+    _, b = fields.discrete_energy(cols, g.spacing, pot)
+    assert np.all(b.reshape(pot.m, -1)[:, ~g.interior_mask] == 0.0)
+    assert fields.pde_residual(fields.VectorField(g, fields.from_columns(cols)), pot) == fields._sup_norm(b)
     eps = 1e-5
     for node in [(1,) * dim, (3,) * dim, (5, 2, 4)[:dim]]:
-        expect = g.spacing**dim * (pot.grad(f.values[node]) - lap[node])
+        expect = -(g.spacing**dim) * b[(slice(None),) + node]
         fd = np.empty(pot.m)
         for c in range(pot.m):
-            up, dn = f.copy(), f.copy()
-            up.values[node + (c,)] += eps
-            dn.values[node + (c,)] -= eps
-            fd[c] = (fields.energy(up, pot) - fields.energy(dn, pot)) / (2 * eps)
+            up, dn = cols.copy(), cols.copy()
+            up[(c,) + node] += eps
+            dn[(c,) + node] -= eps
+            fd[c] = (energy(up) - energy(dn)) / (2 * eps)
         assert np.linalg.norm(fd - expect) <= 1e-6 * np.linalg.norm(expect)
 
 
@@ -314,7 +319,7 @@ def test_solve_result_names_method_and_stop_reason(
     res = fields.minimize(junction["initial"], triple_well, symmetry=dihedral3, opts=opts)
     assert (res.method, res.stop_reason, res.iterations) == ("newton", "max_iter", 1)
     # an energy that rises on every evaluation defeats the Newton line search;
-    # minimize takes energy and W_u from the fused discrete_energy
+    # minimize takes the energy and its gradient from discrete_energy
     calls = []
     fused = fields.discrete_energy
 
@@ -533,8 +538,8 @@ def _fixed_step_descent(f0, pot, target, pairs=None, k_sym=10, dt=None, max_step
 
 
 def test_newton_reuses_no_stale_gradient(double_well, triple_well, dihedral3, triangle_region, triangle_profile, monkeypatch):
-    """minimize keeps W_u of each accepted trial for the next Newton step; the
-    right-hand side of every step must equal Delta_h u - W_u(u) evaluated
+    """minimize keeps the gradient b of each accepted trial for the next Newton
+    step; the right-hand side of every step must equal Delta_h u - W_u(u) evaluated
     afresh at the state it starts from, after projections and rejected
     trials alike."""
     hessian_product, truncated_cg = fields._hessian_product, fields._truncated_cg
@@ -843,6 +848,17 @@ def test_load_field_with_too_few_columns_raises(tmp_path):
     _, csv, meta = _saved_field(tmp_path)
     meta.write_text(json.dumps(dict(json.loads(meta.read_text()), m=3)))
     with pytest.raises(ValueError):
+        fields.load_field(csv, meta)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("dim", 2.5), ("points", 5.5), ("m", 2.9), ("m", True), ("half_width", "1"), ("half_width", False)]
+)
+def test_load_field_rejects_metadata_that_a_coercion_would_change(tmp_path, key, value):
+    # int() would read 2.5 as 2 and True as 1, float() "1" as 1.0
+    _, csv, meta = _saved_field(tmp_path)
+    meta.write_text(json.dumps(dict(json.loads(meta.read_text()), **{key: value})))
+    with pytest.raises(ValueError, match=f"'{key}' is {value!r}"):
         fields.load_field(csv, meta)
 
 

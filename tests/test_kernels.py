@@ -39,15 +39,16 @@ def test_laplacian_of_quadratic(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_link_laplacian_is_the_stencil_in_difference_form(dim):
-    # the same stencil up to rounding, exact on quadratics, zero on the boundary layer
+    # the stencil that link_energy returns with the energy: the same stencil
+    # up to rounding, exact on quadratics, zero on the boundary layer
     x, h = box_nodes(dim, 11)
     r2 = np.sum(x * x, axis=-1)
-    lap = kernels.link_laplacian(np.stack([r2, 3.0 - 0.5 * r2]), h)
+    lap = kernels.link_energy(np.stack([r2, 3.0 - 0.5 * r2]), h)[1]
     inner = (slice(1, -1),) * dim
     assert np.allclose(np.moveaxis(lap, 0, -1)[inner], [2.0 * dim, -dim], rtol=0, atol=1e-12)
     vals = rng.normal(size=(3,) + (9,) * dim)
     summed = kernels.laplacian(vals, 0.1)
-    diffs = kernels.link_laplacian(vals, 0.1)
+    diffs = kernels.link_energy(vals, 0.1)[1]
     assert np.max(np.abs(diffs - summed)) <= 1e-12 * np.max(np.abs(summed))
     edge = np.ones(vals.shape[1:], dtype=bool)
     edge[inner] = False
@@ -201,7 +202,7 @@ def test_link_energy_quadrature_value(dim):
     a = np.array([1.0, -2.0, 0.5])[:dim]
     vals = np.stack([x @ a, x[..., 0]])  # component-major (m, *grid)
     expected = 0.5 * (a @ a + 1.0) * 2.0**dim
-    assert np.isclose(kernels.link_energy(vals, h), expected, rtol=1e-12)
+    assert np.isclose(kernels.link_energy(vals, h)[0], expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (5, 7), (3, 5, 7)], ids=["0d", "1d", "2d", "3d"])
@@ -237,9 +238,9 @@ def test_potential_kernels_agree():
         spec = potentials.get_potential(name)
         pts = np.ascontiguousarray(np.vstack([rng.normal(size=(200, spec.m)), spec.wells]))
         ref, gref = _product_value_grad(pts, spec.wells, factor)
-        W, W_u = spec.value_and_grad_field(pts)
+        W, W_u = spec.value_and_grad_columns(pts.T)
         assert np.max(np.abs(W - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.max(np.abs(W_u - gref)) <= 1e-12 * np.max(np.abs(gref))
+        assert np.max(np.abs(W_u.T - gref)) <= 1e-12 * np.max(np.abs(gref))
 
 
 def test_triple_well_is_the_exact_expansion():
@@ -290,11 +291,11 @@ def test_tetra_well_matches_closed_form():
     hess[:, 2, 0] -= 2 * c * u1
     hess[:, 1, 2] += 2 * c * u2
     hess[:, 2, 1] += 2 * c * u2
-    W, W_u = spec.value_and_grad_field(pts)
-    for got, ref in ((W, value), (W_u, grad), (spec.hess_field(pts), hess)):
+    W, W_u = spec.value_and_grad_columns(pts.T)
+    for got, ref in ((W, value), (W_u.T, grad), (spec.hess_field(pts), hess)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the wells are zeros and critical points, up to the rounding of their coordinates
-    assert np.max(np.abs(W[-4:])) <= 1e-15 and np.max(np.abs(W_u[-4:])) <= 1e-15
+    assert np.max(np.abs(W[-4:])) <= 1e-15 and np.max(np.abs(W_u[:, -4:])) <= 1e-15
 
 
 def test_poly_kernels_agree():
@@ -365,21 +366,21 @@ def test_fused_kernels_match_polynomial_and_central_difference(name, data):
     coord = st.floats(-2.0, 2.0, allow_nan=False)
     drawn = data.draw(st.lists(st.lists(coord, min_size=spec.m, max_size=spec.m), min_size=1, max_size=8))
     pts = np.vstack([np.array(drawn), spec.wells])
-    value, grad = spec.value_and_grad_field(pts)
+    value, grad = spec.value_and_grad_columns(pts.T)
     ref, scale = _terms(spec.poly, pts)
     assert np.max(np.abs(value - ref)) <= 1e-12 * scale
     # the value-only branch computes the value the same way
     assert np.array_equal(spec.value_field(pts), value)
     for j in range(spec.m):
         gref, gscale = _terms(spec.poly.derivative(j), pts)
-        assert np.max(np.abs(grad[:, j] - gref)) <= 1e-12 * gscale
+        assert np.max(np.abs(grad[j] - gref)) <= 1e-12 * gscale
     # the gradient is the derivative of the value the same kernel returns
     delta = 1e-5
     for j in range(spec.m):
         e = np.zeros(spec.m)
         e[j] = delta
-        fd = (spec.value_and_grad_field(pts + e)[0] - spec.value_and_grad_field(pts - e)[0]) / (2 * delta)
-        assert np.all(np.abs(grad[:, j] - fd) <= 1e-6 * (1.0 + np.abs(value) + np.abs(grad[:, j])))
+        fd = (spec.value_and_grad_columns((pts + e).T)[0] - spec.value_and_grad_columns((pts - e).T)[0]) / (2 * delta)
+        assert np.all(np.abs(grad[j] - fd) <= 1e-6 * (1.0 + np.abs(value) + np.abs(grad[j])))
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -436,7 +437,7 @@ def test_product_potential_hessian_matches_closed_form(name):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_fused_gradient_vanishes_at_declared_wells(name):
     spec = SPECS[name]
-    value, grad = spec.value_and_grad_field(spec.wells)
+    value, grad = spec.value_and_grad_columns(spec.wells.T)
     if name == "tetra_well":
         # irrational wells: the stored doubles are off the zero set by an ulp,
         # where the exact gradient is itself of order 1e-16
