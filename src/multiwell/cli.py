@@ -287,6 +287,14 @@ def cmd_connect1d(args) -> int:
     return EXIT_OK
 
 
+def _partner(wells: np.ndarray) -> np.ndarray:
+    """The well nearest wells[0], the lowest index among those within
+    ``groups.POINT_TOL`` of the nearest distance: a neighbour of the base
+    well across one mirror of the group."""
+    d = np.linalg.norm(wells[1:] - wells[0], axis=1)
+    return wells[1 + np.argmax(d <= d.min() + groups.POINT_TOL)]
+
+
 def cmd_solve(args) -> int:
     config, cfg = _load_config(args)
     pot, grp = cfg["potential"], cfg["group"]
@@ -308,6 +316,8 @@ def cmd_solve(args) -> int:
             f"group {grp.name!r} carries the base well of potential {pot.name!r} "
             "onto points that are not wells of the potential"
         )
+    if rm.wells.shape[0] < 2:
+        raise UsageError(f"group {grp.name!r} fixes the base well of potential {pot.name!r}: no other well to connect")
     resume = cfg["resume"]
     if resume is not None:
         try:
@@ -321,7 +331,7 @@ def cmd_solve(args) -> int:
             )
     else:
         try:
-            prof = connect.solve_connection(pot, rm.wells[1], rm.wells[0], **cfg["connection"])
+            prof = connect.solve_connection(pot, _partner(rm.wells), rm.wells[0], **cfg["connection"])
             u0 = fields.initial_guess(grp, rm, prof, grid)
         except ValueError as e:  # also wells that no group reflection swaps
             raise UsageError(f"bad connection: {e}")
@@ -390,8 +400,8 @@ def cmd_diagnose(args) -> int:
     }
     se = diagnostics.stress_energy(field, pot)
     payload["divergence_residual"] = diagnostics.divergence_residual(se)
-    payload["modica_deficit"] = diagnostics.modica_deficit(field, pot)
-    mono = diagnostics.monotonicity_profile(field, pot, np.zeros(field.grid.dim), radii)
+    payload["modica_deficit"] = diagnostics.modica_deficit(se)
+    mono = diagnostics.monotonicity_profile(se, np.zeros(field.grid.dim), radii)
     payload["monotonicity_violation"] = mono["max_relative_violation"]
     out = _out_dir(args)
     _write_csv(
@@ -400,10 +410,11 @@ def cmd_diagnose(args) -> int:
         zip(mono["radii"], mono["energies"], mono["ratios"]),
     )
     try:
-        payload["flux"] = [diagnostics.flux_balance(field, pot, float(r)).tolist() for r in flux_radii]
+        payload["flux"] = [diagnostics.flux_balance(se, float(r)).tolist() for r in flux_radii]
     except diagnostics.DiagnosticsError as e:
         payload["flux"] = None
         payload["flux_flag"] = str(e)
+    del se  # free the record's arrays before the checks that read the field itself
     if field.grid.dim == 2:
         try:
             ham = diagnostics.hamiltonian_variance(field, pot, strip=cfg["hamiltonian_strip"])

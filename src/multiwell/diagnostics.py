@@ -1,10 +1,11 @@
 """Residual checks for the integral and pointwise identities of the model.
 
-Every operation here is read-only analysis of a sampled field: stress-energy
-tensor and its divergence, ball-energy monotonicity, the pointwise gradient
-bound for scalar fields, the Pohozaev balance, strip-wise Hamiltonian
-conservation, exponential decay fits, sphere fluxes, and junction angle
-extraction.
+Every operation here is read-only analysis of a sampled field.
+``stress_energy`` evaluates its interior terms once into a ``StressEnergy``
+record, which the tensor's divergence, ball-energy monotonicity, the
+pointwise gradient bound for scalar fields and sphere fluxes read.  The
+Pohozaev balance, strip-wise Hamiltonian conservation, exponential decay fits
+and junction angle extraction read the field itself.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import BOX_EDGE_TOL, VectorField
+from .fields import BOX_EDGE_TOL, Grid, VectorField
 
 
 class DiagnosticsError(RuntimeError):
@@ -32,63 +33,60 @@ def _gradients(field: VectorField) -> list[np.ndarray]:
     return [np.gradient(field.values, h, axis=a, edge_order=2) for a in range(field.grid.dim)]
 
 
-def _interior_terms(field: VectorField, potential):
-    """The gradients of ``_gradients`` on interior nodes, where they are the
-    centered difference (u[i+1] - u[i-1]) / 2h, with |grad u|^2 and W(u)."""
-    inner = _interior_slices(field.grid.dim)
-    grads = [d[inner] for d in _gradients(field)]
-    sq = sum(np.sum(d * d, axis=-1) for d in grads)
-    W = potential.value_field(field.values[inner].reshape(-1, field.m))
-    return grads, sq, W.reshape(sq.shape)
-
-
 @dataclass(frozen=True)
 class StressEnergy:
-    """Node-sampled stress-energy tensor on the interior of the grid.
+    """The interior terms of a field, evaluated once: |grad u|^2 (``sq``),
+    W(u) (``W``) and the stress-energy tensor on the interior nodes of
+    ``grid``, node 0 of each axis at -half_width + spacing.
 
-    tensor[..., a, b] = du_a . du_b - delta_ab (|grad u|^2 / 2 + W(u)) from
-    the centered gradients of ``_interior_terms``; symmetric at every node by
-    construction.  Node 0 of each axis sits at -half_width + spacing."""
+    The gradients are those of ``_gradients`` on interior nodes, where they
+    are the centered difference (u[i+1] - u[i-1]) / 2h, and
+    tensor[..., a, b] = du_a . du_b - delta_ab (sq / 2 + W), symmetric at
+    every node by construction."""
 
+    grid: Grid
+    sq: np.ndarray  # interior shape
+    W: np.ndarray  # interior shape
     tensor: np.ndarray  # interior shape + (n, n)
-    spacing: float
-    half_width: float
 
     @property
     def dim(self) -> int:
-        return self.tensor.shape[-1]
+        return self.grid.dim
 
     def interp(self, pts: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of the tensor components at points."""
+        h = self.grid.spacing
         shape = self.tensor.shape
         flat = self.tensor.reshape(shape[: self.dim] + (self.dim * self.dim,))
-        vals = kernels.interp(np.ascontiguousarray(flat), pts, self.spacing - self.half_width, self.spacing)
+        vals = kernels.interp(np.ascontiguousarray(flat), pts, h - self.grid.half_width, h)
         return vals.reshape(pts.shape[0], self.dim, self.dim)
 
 
 def stress_energy(field: VectorField, potential) -> StressEnergy:
     g = field.grid
     n = g.dim
-    grads, sq, W = _interior_terms(field, potential)
+    inner = _interior_slices(n)
+    grads = [d[inner] for d in _gradients(field)]
+    sq = sum(np.sum(d * d, axis=-1) for d in grads)
+    W = potential.value_field(field.values[inner].reshape(-1, field.m)).reshape(sq.shape)
     diag = 0.5 * sq + W
-    shape = sq.shape
-    T = np.empty(shape + (n, n))
+    T = np.empty(sq.shape + (n, n))
     for a in range(n):
         for b in range(n):
             T[..., a, b] = np.sum(grads[a] * grads[b], axis=-1)
         T[..., a, a] -= diag
-    return StressEnergy(tensor=T, spacing=g.spacing, half_width=g.half_width)
+    return StressEnergy(grid=g, sq=sq, W=W, tensor=T)
 
 
 def divergence_residual(se: StressEnergy) -> float:
     """sup over (interior of the) interior nodes of |sum_b d_b T_ab|, each
     d_b the centered difference of ``np.gradient`` along axis b."""
     inner = _interior_slices(se.dim)
-    div = sum(np.gradient(se.tensor[..., b], se.spacing, axis=b)[inner] for b in range(se.dim))
+    div = sum(np.gradient(se.tensor[..., b], se.grid.spacing, axis=b)[inner] for b in range(se.dim))
     return float(np.sqrt(np.sum(div * div, axis=-1)).max())
 
 
-def monotonicity_profile(field: VectorField, potential, x0, radii, strong: bool = False) -> dict:
+def monotonicity_profile(se: StressEnergy, x0, radii, strong: bool = False) -> dict:
     """Ball energies E(R) = J(u; B_R(x0)) scaled by R^(n-2) (or R^(n-1) with
     ``strong=True``, meaningful for scalar fields only).
 
@@ -97,13 +95,12 @@ def monotonicity_profile(field: VectorField, potential, x0, radii, strong: bool 
     node within ``BOX_EDGE_TOL`` h of the sphere is in the ball, so a radius
     on a node shell (R = 4h, with 4h rounded either way) holds the whole
     shell."""
-    g = field.grid
+    g = se.grid
     x0 = np.asarray(x0, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii > g.half_width + 1e-12):
         raise DiagnosticsError("radius exceeds the box")
-    _, sq, W = _interior_terms(field, potential)
-    e = (0.5 * sq + W).ravel()
+    e = (0.5 * se.sq + se.W).ravel()
     inner_nodes = g.nodes.reshape(g.shape + (g.dim,))[_interior_slices(g.dim)].reshape(-1, g.dim)
     dist = np.linalg.norm(inner_nodes - x0[None, :], axis=1)
     hn = g.spacing**g.dim
@@ -122,11 +119,10 @@ def monotonicity_profile(field: VectorField, potential, x0, radii, strong: bool 
     }
 
 
-def modica_deficit(field: VectorField, potential) -> float:
+def modica_deficit(se: StressEnergy) -> float:
     """max over interior nodes of |grad u|^2/2 - W(u); positive = violation
     of the scalar gradient bound."""
-    _, sq, W = _interior_terms(field, potential)
-    return float((0.5 * sq - W).max())
+    return float((0.5 * se.sq - se.W).max())
 
 
 def pohozaev_residual(field: VectorField, potential, x0) -> float:
@@ -231,11 +227,11 @@ def decay_fit(field: VectorField, well_point, ray, window=(1e-10, 1e-1), region_
     }
 
 
-def flux_balance(field: VectorField, potential, radius: float, n_samples: int = 720) -> np.ndarray:
+def flux_balance(se: StressEnergy, radius: float, n_samples: int = 720) -> np.ndarray:
     """Flux of the stress-energy tensor through the sphere of given radius
     about the origin: integral of T . nu, trapezoid rule with interpolated
     tensor values."""
-    g = field.grid
+    g = se.grid
     n = g.dim
     if radius > g.half_width - g.spacing:
         raise DiagnosticsError("sphere does not fit inside the interior grid")
@@ -255,7 +251,7 @@ def flux_balance(field: VectorField, potential, radius: float, n_samples: int = 
         w = (np.sin(TH) * (np.pi / n_th) * (2 * np.pi / n_ph)).ravel() * radius**2
     else:
         raise DiagnosticsError("flux balance implemented for dim 2 and 3")
-    T = stress_energy(field, potential).interp(radius * nu)
+    T = se.interp(radius * nu)
     return w @ np.einsum("qab,qb->qa", T, nu)
 
 

@@ -792,9 +792,12 @@ def load_field(csv_path, meta_path) -> VectorField:
     """The field that ``save_field`` wrote.  A ``dim``, ``points`` or ``m``
     that is not a whole number and a ``half_width`` that is not a number
     (an int or float coercion would read 2.5 as 2 and "4" as 4.0) raise
-    ValueError naming the key; so does a value that is not finite."""
+    ValueError naming the key; so do metadata that are not a JSON object
+    and a value that is not finite."""
     with open(meta_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: the metadata must be a JSON object")
     for key, ok, kind in (("dim", _integral, "an integer"), ("half_width", _number, "a number"),
                           ("points", _integral, "an integer"), ("m", _integral, "an integer")):
         if not ok(meta[key]):

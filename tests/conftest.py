@@ -5,6 +5,8 @@ diagnostics suite, and acceptance suite all analyze the same fields; each
 fixture records its wall time for the runtime criteria.
 """
 
+import itertools
+import math
 import time
 
 import numpy as np
@@ -57,6 +59,21 @@ def cubic():
 @pytest.fixture(scope="session")
 def tetrahedral():
     return groups.build_tetrahedral()
+
+
+@pytest.fixture(scope="session")
+def cube_corners():
+    """W = sum_i (u_i^2 - 1/3)^2 as custom-potential JSON, with the 8 cube
+    corners (+-1, +-1, +-1)/sqrt 3 as wells: the cubic group carries the base
+    well onto each, but the lex-first other well is its antipode, which no
+    reflection of the group swaps with it."""
+    eye = np.eye(3, dtype=int)
+    return {
+        "monomials": [{"coeff": 1.0, "exponents": (4 * e).tolist()} for e in eye]
+        + [{"coeff": -2.0 / 3.0, "exponents": (2 * e).tolist()} for e in eye]
+        + [{"coeff": 1.0 / 3.0, "exponents": [0, 0, 0]}],
+        "wells": [[a / math.sqrt(3.0) for a in w] for w in itertools.product([1.0, -1.0], repeat=3)],
+    }
 
 
 @pytest.fixture(scope="session")

@@ -108,7 +108,7 @@ def test_criterion_4_equivariant_junction(junction, triple_well):
     ang = diagnostics.junction_angles(res.field, triple_well.wells, r0=5.0)
     angles_ok = bool(np.all(np.abs(np.degrees(ang["angles"]) - 120.0) <= 3.0))
     mono = diagnostics.monotonicity_profile(
-        res.field, triple_well, [0.0, 0.0], np.linspace(0.8, 7.5, 10)
+        diagnostics.stress_energy(res.field, triple_well), [0.0, 0.0], np.linspace(0.8, 7.5, 10)
     )
     mono_ok = mono["max_relative_violation"] <= 1e-6
     fit = diagnostics.decay_fit(
@@ -143,14 +143,15 @@ def test_criterion_5_identity_consistency(double_well):
 
     g = fields.Grid(dim=2, half_width=4.0, points=161)
     f = fields.field_from_function(g, slab_fn, 1)
-    f1 = diagnostics.flux_balance(f, double_well, 1.5)
-    f2 = diagnostics.flux_balance(f, double_well, 2.5)
+    se = diagnostics.stress_energy(f, double_well)
+    f1 = diagnostics.flux_balance(se, 1.5)
+    f2 = diagnostics.flux_balance(se, 2.5)
     flux_ok = float(np.max(np.abs(f1 - f2))) <= 1e-3
 
     prof = connect.solve_connection(double_well, [-1.0], [1.0], 10.0, 10_000, tol=1e-10)
     g1 = fields.Grid(dim=1, half_width=10.0, points=10_001)
     deficit = diagnostics.modica_deficit(
-        fields.VectorField(g1, prof.values.copy()), double_well
+        diagnostics.stress_energy(fields.VectorField(g1, prof.values.copy()), double_well)
     )
     modica_ok = deficit <= 1e-6
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiwell import cli, fields, partitions
+from multiwell import cli, connect, diagnostics, fields, groups, partitions, potentials
 
 
 def run(args):
@@ -229,6 +229,47 @@ def test_solve_and_diagnose_pipeline(tmp_path):
     assert (dout / "hamiltonian.csv").exists()
 
 
+def test_diagnose_evaluates_the_interior_terms_once(tmp_path, monkeypatch):
+    # one stress_energy record serves the divergence, Modica, monotonicity and
+    # flux checks; the Hamiltonian check takes its own full-grid gradients
+    g = fields.Grid(dim=2, half_width=4.0, points=41)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.json"
+    fields.save_field(fields.field_from_function(g, lambda x: np.tanh(x[:, ::-1]), 2), csv, meta)
+    calls = []
+    for name in ("stress_energy", "_gradients"):
+        fn = getattr(diagnostics, name)
+        monkeypatch.setattr(diagnostics, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    config = {"potential": "triple_well", "field": {"csv": str(csv), "meta": str(meta)}}
+    assert run(["diagnose", "--config", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(calls) == ["_gradients", "_gradients", "stress_energy"]
+
+
+def test_solve_connects_the_base_well_to_its_nearest_well(tmp_path):
+    # the antipodal partner's profile joins only antipodal walls; its solve
+    # converges too, to a critical point of more than twice the energy
+    # (468.7 against 220.9 at 17^3)
+    grid = {"half_width": 5.0, "points": 17}
+    cfg = write_config(tmp_path / "c.json", {"potential": SIX_WELLS, "group": "cubic", "grid": grid})
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    pot, grp = potentials.potential_from_json(SIX_WELLS), groups.get_group("cubic")
+    rm = groups.build_region_map(grp, pot.wells[0])
+    prof = connect.solve_connection(pot, -rm.wells[0], rm.wells[0], 6.0, 1200, tol=1e-9)
+    u0 = fields.initial_guess(grp, rm, prof, fields.Grid(dim=3, **grid))
+    antipodal = fields.minimize(u0, pot, symmetry=grp, opts=fields.SolveOptions(residual_target=1e-3))
+    assert report["converged"] and antipodal.converged and report["equivariance_after"] <= 1e-12
+    assert report["energy"] < antipodal.energy
+
+
+def test_solve_joins_the_cube_corners(tmp_path, cube_corners):
+    # the nearest corner, not the antipode, is the connection partner: the
+    # junction solves with its defect at rounding level
+    config = {"potential": cube_corners, "group": "cubic", "grid": {"half_width": 5.0, "points": 17}}
+    assert run(["solve", "--config", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["converged"] and report["equivariance_after"] <= 1e-12
+
+
 EQUILATERAL = {
     "A": [0.0, 1.0],
     "B": [math.sqrt(3) / 2, -0.5],
@@ -248,15 +289,19 @@ TRIOD = {
     ],
 }
 
-# W = sum_i (u_i^2 - 1/3)^2 with the 8 cube corners as wells: the cubic group
-# carries the base well (1, 1, 1)/sqrt 3 onto each, but the lex-first other
-# well is its antipode, which no reflection of the group swaps with it
-CUBE_CORNERS = {
+# W = (|u|^2 - 1)^2 + sum_{i<j} u_i^2 u_j^2 with the 6 wells +-e_i: the cubic
+# group carries the base well e_1 onto each, and the lex-first other well is
+# its antipode -e_1, which the mirror x_1 -> -x_1 swaps with it
+SIX_WELLS = {
     "monomials": [{"coeff": 1.0, "exponents": (4 * e).tolist()} for e in np.eye(3, dtype=int)]
-    + [{"coeff": -2.0 / 3.0, "exponents": (2 * e).tolist()} for e in np.eye(3, dtype=int)]
-    + [{"coeff": 1.0 / 3.0, "exponents": [0, 0, 0]}],
-    "wells": [[a / math.sqrt(3.0) for a in w] for w in itertools.product([1.0, -1.0], repeat=3)],
+    + [{"coeff": 3.0, "exponents": (2 * (e + f)).tolist()} for e, f in itertools.combinations(np.eye(3, dtype=int), 2)]
+    + [{"coeff": -2.0, "exponents": (2 * e).tolist()} for e in np.eye(3, dtype=int)]
+    + [{"coeff": 1.0, "exponents": [0, 0, 0]}],
+    "wells": [(s * e).tolist() for e in np.eye(3) for s in (1.0, -1.0)],
 }
+# the orbit of a base well at the origin is that well alone
+ORIGIN_WELL = {"monomials": [{"coeff": 1.0, "exponents": [2, 0]}, {"coeff": 1.0, "exponents": [0, 2]}],
+               "wells": [[0.0, 0.0], [1.0, 0.0]]}
 
 
 @pytest.mark.parametrize(
@@ -325,7 +370,7 @@ CUBE_CORNERS = {
         ("partition", {"partition": TRIOD, "tensions": [[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]]}),
         ("partition", {"partition": TRIOD, "tensions": [[0, math.inf, 1], [math.inf, 0, 1], [1, 1, 0]]}),
         ("connect1d", {"potential": "double_well", "wells": [[math.nan], [1.0]]}),
-        ("solve", {"potential": CUBE_CORNERS, "group": "cubic", "grid": {"points": 11}}),
+        ("solve", {"potential": ORIGIN_WELL, "group": "dihedral_3", "grid": {"points": 11}}),
     ],
     ids=[
         "even-points",
@@ -391,7 +436,7 @@ CUBE_CORNERS = {
         "nan-tension",
         "inf-tension",
         "nan-endpoint",
-        "antipodal-adjacent-well",
+        "base-well-fixed-by-group",
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
@@ -945,6 +990,23 @@ def test_coerced_field_metadata_is_usage_error(tmp_path, capsys, command, key, v
     assert run([command, "--config", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: cannot load") and repr(key) in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["diagnose", "solve"])
+def test_field_metadata_that_is_not_an_object_is_usage_error(tmp_path, capsys, command):
+    # diagnose ended in a TypeError traceback on a top-level list
+    g = fields.Grid(dim=2, half_width=2.0, points=11)
+    csv, meta = tmp_path / "f.csv", tmp_path / "f.json"
+    fields.save_field(fields.constant_field(g, [1.0, 0.0]), csv, meta)
+    meta.write_text("[]")
+    if command == "diagnose":
+        config = {"potential": "triple_well", "field": {"csv": str(csv), "meta": str(meta)}}
+    else:
+        config = dict(JUNCTION, resume={"field": str(csv), "meta": str(meta)})
+    assert run([command, "--config", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot load") and str(meta) in err and "JSON object" in err
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 

@@ -66,7 +66,7 @@ def test_divergence_matches_product_identity(double_well):
         se = diagnostics.stress_energy(f, double_well)
         lap = kernels.laplacian(fields.to_columns(f.values), g.spacing)
         resid = (lap.reshape(-1, 1) - double_well.grad_field(f.flat())).reshape(g.shape + (1,))
-        grads = diagnostics._interior_terms(f, double_well)[0]
+        grads = [d[1:-1, 1:-1] for d in diagnostics._gradients(f)]
         prod = np.stack(
             [np.sum(grads[a] * resid[1:-1, 1:-1, :], axis=-1) for a in range(2)], axis=-1
         )
@@ -103,7 +103,8 @@ def test_interior_gradients_are_the_centered_difference(request, dim, m, points)
     # oracle: the per-axis up/dn slices the diagnostics used before np.gradient
     f, pot = _random_field(request, dim, m, points, 5)
     u, h = f.values, f.grid.spacing
-    grads, sq, W = diagnostics._interior_terms(f, pot)
+    se = diagnostics.stress_energy(f, pot)
+    grads, sq, W = [d[(slice(1, -1),) * dim] for d in diagnostics._gradients(f)], se.sq, se.W
     for a in range(dim):
         up = tuple(slice(2, None) if b == a else slice(1, -1) for b in range(dim))
         dn = tuple(slice(None, -2) if b == a else slice(1, -1) for b in range(dim))
@@ -117,7 +118,7 @@ def test_divergence_residual_matches_the_slice_loops(request, dim, m, points):
     # oracle: the double loop over (a, b) of centered slice differences
     f, pot = _random_field(request, dim, m, points, 6)
     se = diagnostics.stress_energy(f, pot)
-    T, h = se.tensor, se.spacing
+    T, h = se.tensor, se.grid.spacing
     inner = (slice(1, -1),) * dim
     div = np.zeros(T[inner].shape[:-2] + (dim,))
     for a in range(dim):
@@ -153,7 +154,7 @@ def test_flux_balance_matches_the_per_dimension_sums(request, dim, m, points):
         flux = np.einsum("qab,qb->qa", se.interp(radius * nu), nu)
         old = (flux * w[:, None]).sum(axis=0)
         scale = (np.abs(flux) * w[:, None]).sum(axis=0)
-    new = diagnostics.flux_balance(f, pot, radius, n_samples=n_samples)
+    new = diagnostics.flux_balance(se, radius, n_samples=n_samples)
     assert np.all(np.abs(new - old) <= 1e-14 * scale)
 
 
@@ -180,7 +181,7 @@ def test_hamiltonian_rows_match_the_per_row_loop(triple_well):
 
 def test_monotonicity_junction(junction, triple_well):
     mono = diagnostics.monotonicity_profile(
-        junction["result"].field, triple_well, [0.0, 0.0], np.linspace(0.8, 7.5, 10)
+        diagnostics.stress_energy(junction["result"].field, triple_well), [0.0, 0.0], np.linspace(0.8, 7.5, 10)
     )
     assert mono["max_relative_violation"] <= 1e-6
 
@@ -188,14 +189,14 @@ def test_monotonicity_junction(junction, triple_well):
 def test_monotonicity_constant_zero(double_well):
     g = fields.Grid(dim=2, half_width=3.0, points=41)
     mono = diagnostics.monotonicity_profile(
-        fields.constant_field(g, [1.0]), double_well, [0.0, 0.0], np.linspace(0.5, 2.5, 5)
+        diagnostics.stress_energy(fields.constant_field(g, [1.0]), double_well), [0.0, 0.0], np.linspace(0.5, 2.5, 5)
     )
     assert np.all(mono["energies"] == 0.0)
 
 
 def test_monotonicity_strong_scalar(slab_field, double_well):
     mono = diagnostics.monotonicity_profile(
-        slab_field, double_well, [0.0, 0.0], np.linspace(0.8, 3.5, 8), strong=True
+        diagnostics.stress_energy(slab_field, double_well), [0.0, 0.0], np.linspace(0.8, 3.5, 8), strong=True
     )
     assert mono["max_relative_violation"] <= 1e-6
 
@@ -210,7 +211,7 @@ def test_monotonicity_ball_holds_the_whole_node_shell(triple_well):
     R = g.axis()[g.points // 2 + 4]  # the node coordinate 4h
     radii = [np.nextafter(R, 0.0), R, np.nextafter(R, 1.0)]
     assert R == 0.6000000000000001 and radii[0] == 0.6 == 4 * g.spacing
-    energies = diagnostics.monotonicity_profile(f, triple_well, [0.0, 0.0], radii)["energies"]
+    energies = diagnostics.monotonicity_profile(diagnostics.stress_energy(f, triple_well), [0.0, 0.0], radii)["energies"]
     u, h, c = f.values, g.spacing, g.points // 2
     expected = 0.0
     for k1, k2 in itertools.product(range(-4, 5), repeat=2):
@@ -225,7 +226,7 @@ def test_monotonicity_ball_holds_the_whole_node_shell(triple_well):
 
 def test_monotonicity_rejects_outside_radii(slab_field, double_well):
     with pytest.raises(diagnostics.DiagnosticsError):
-        diagnostics.monotonicity_profile(slab_field, double_well, [0, 0], [10.0])
+        diagnostics.monotonicity_profile(diagnostics.stress_energy(slab_field, double_well), [0, 0], [10.0])
 
 
 def test_modica_scalar_fine_profile(double_well):
@@ -235,18 +236,18 @@ def test_modica_scalar_fine_profile(double_well):
     assert prof.converged
     g1 = fields.Grid(dim=1, half_width=10.0, points=10_001)
     f1 = fields.VectorField(g1, prof.values.copy())
-    assert diagnostics.modica_deficit(f1, double_well) <= 1e-6
+    assert diagnostics.modica_deficit(diagnostics.stress_energy(f1, double_well)) <= 1e-6
 
 
 def test_modica_slab_h2_level(slab_field, double_well):
     # at desk resolution the deficit of a solved 2D field sits at O(h^2)
-    d = diagnostics.modica_deficit(slab_field, double_well)
+    d = diagnostics.modica_deficit(diagnostics.stress_energy(slab_field, double_well))
     assert abs(d) <= 1e-3
 
 
 def test_modica_reported_for_vector_field(junction, triple_well):
     # vector case: reported, no sign assertion (the scalar bound can fail)
-    d = diagnostics.modica_deficit(junction["result"].field, triple_well)
+    d = diagnostics.modica_deficit(diagnostics.stress_energy(junction["result"].field, triple_well))
     assert np.isfinite(d)
 
 
@@ -260,7 +261,7 @@ def test_modica_violated_by_vortex_field():
     r = np.linalg.norm(pts, axis=1)
     prof = np.tanh(2 * r) / np.maximum(r, 1e-12)
     vortex = fields.VectorField(g, (pts * prof[:, None]).reshape(g.shape + (2,)))
-    assert diagnostics.modica_deficit(vortex, gl) > 0.01
+    assert diagnostics.modica_deficit(diagnostics.stress_energy(vortex, gl)) > 0.01
 
 
 def test_pohozaev_constant_and_shift(double_well):
@@ -348,25 +349,26 @@ def test_decay_fit_constant_flagged(double_well):
 
 
 def test_flux_slab_symmetry(slab_field, double_well):
-    flux = diagnostics.flux_balance(slab_field, double_well, 2.0)
+    flux = diagnostics.flux_balance(diagnostics.stress_energy(slab_field, double_well), 2.0)
     assert np.max(np.abs(flux)) <= 1e-3
 
 
 def test_flux_radius_independence(slab_field, double_well):
-    f1 = diagnostics.flux_balance(slab_field, double_well, 1.5)
-    f2 = diagnostics.flux_balance(slab_field, double_well, 2.5)
+    se = diagnostics.stress_energy(slab_field, double_well)
+    f1 = diagnostics.flux_balance(se, 1.5)
+    f2 = diagnostics.flux_balance(se, 2.5)
     assert np.max(np.abs(f1 - f2)) <= 1e-3
 
 
 def test_flux_junction_young_balance(junction, triple_well, triangle_profile):
     sigma = connect.action(triangle_profile)
-    flux = diagnostics.flux_balance(junction["result"].field, triple_well, 5.0)
+    flux = diagnostics.flux_balance(diagnostics.stress_energy(junction["result"].field, triple_well), 5.0)
     assert np.linalg.norm(flux) <= 0.05 * sigma * 2 * np.pi * 5.0
 
 
 def test_flux_constant_zero(double_well):
     g = fields.Grid(dim=2, half_width=3.0, points=41)
-    flux = diagnostics.flux_balance(fields.constant_field(g, [1.0]), double_well, 1.5)
+    flux = diagnostics.flux_balance(diagnostics.stress_energy(fields.constant_field(g, [1.0]), double_well), 1.5)
     assert np.max(np.abs(flux)) == 0.0
 
 
@@ -380,9 +382,10 @@ def test_flux_3d_slab(tetra_well):
         return 0.5 * (a + b)[None, :] + 0.5 * (a - b)[None, :] * t
 
     f = fields.field_from_function(g, wall, 3)
-    flux = diagnostics.flux_balance(f, tetra_well, 1.5, n_samples=4000)
+    se = diagnostics.stress_energy(f, tetra_well)
+    flux = diagnostics.flux_balance(se, 1.5, n_samples=4000)
     assert np.max(np.abs(flux)) <= 5e-2
-    f1 = diagnostics.flux_balance(f, tetra_well, 2.0, n_samples=4000)
+    f1 = diagnostics.flux_balance(se, 2.0, n_samples=4000)
     assert np.isfinite(f1).all()
 
 
