@@ -377,6 +377,8 @@ def cmd_diagnose(args) -> int:
         raise UsageError(f"cannot load field: {e}")
     if pot.m != field.m:
         raise UsageError(f"'potential' {pot.name!r} takes m = {pot.m} values; the field has m = {field.m}")
+    if field.grid.points < 5:  # the tensor's divergence needs an interior of at least 3 nodes per axis
+        raise UsageError(f"the field has {field.grid.points} points per axis; diagnose needs at least 5")
     hw = field.grid.half_width
     radii = cfg["monotonicity_radii"]
     if radii is None:
@@ -414,10 +416,9 @@ def cmd_diagnose(args) -> int:
     except diagnostics.DiagnosticsError as e:
         payload["flux"] = None
         payload["flux_flag"] = str(e)
-    del se  # free the record's arrays before the checks that read the field itself
     if field.grid.dim == 2:
         try:
-            ham = diagnostics.hamiltonian_variance(field, pot, strip=cfg["hamiltonian_strip"])
+            ham = diagnostics.hamiltonian_variance(se, strip=cfg["hamiltonian_strip"])
             payload["hamiltonian_relative_variance"] = ham["relative_variance"]
             payload["hamiltonian_precondition_met"] = ham["decay_precondition_met"]
             _write_csv(

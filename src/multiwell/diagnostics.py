@@ -1,11 +1,11 @@
 """Residual checks for the integral and pointwise identities of the model.
 
 Every operation here is read-only analysis of a sampled field.
-``stress_energy`` evaluates its interior terms once into a ``StressEnergy``
-record, which the tensor's divergence, ball-energy monotonicity, the
-pointwise gradient bound for scalar fields and sphere fluxes read.  The
-Pohozaev balance, strip-wise Hamiltonian conservation, exponential decay fits
-and junction angle extraction read the field itself.
+``stress_energy`` evaluates a field's terms once into a ``StressEnergy``
+record, which every identity reads: the tensor's divergence, ball-energy
+monotonicity, the scalar gradient bound, sphere fluxes, the Pohozaev balance
+and strip-wise Hamiltonian conservation.  Only the decay fit and the junction
+location and angles read the field.
 """
 
 from __future__ import annotations
@@ -35,23 +35,32 @@ def _gradients(field: VectorField) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class StressEnergy:
-    """The interior terms of a field, evaluated once: |grad u|^2 (``sq``),
-    W(u) (``W``) and the stress-energy tensor on the interior nodes of
-    ``grid``, node 0 of each axis at -half_width + spacing.
+    """The terms of a field, evaluated once: |d_a u|^2 per axis a (``axis_sq``)
+    and W(u) (``W``) on every node of ``field``, the potential's wells, and
+    the stress-energy tensor on the interior nodes, node 0 of each axis at
+    -half_width + spacing.
 
-    The gradients are those of ``_gradients`` on interior nodes, where they
-    are the centered difference (u[i+1] - u[i-1]) / 2h, and
-    tensor[..., a, b] = du_a . du_b - delta_ab (sq / 2 + W), symmetric at
-    every node by construction."""
+    The gradients are those of ``_gradients``, the centered difference
+    (u[i+1] - u[i-1]) / 2h inside, and tensor[..., a, b] =
+    du_a . du_b - delta_ab (|grad u|^2 / 2 + W), symmetric by construction."""
 
-    grid: Grid
-    sq: np.ndarray  # interior shape
-    W: np.ndarray  # interior shape
+    field: VectorField
+    wells: np.ndarray
+    axis_sq: tuple  # one grid-shaped array per axis
+    W: np.ndarray  # grid shape
     tensor: np.ndarray  # interior shape + (n, n)
+
+    @property
+    def grid(self) -> Grid:
+        return self.field.grid
 
     @property
     def dim(self) -> int:
         return self.grid.dim
+
+    @property
+    def sq(self) -> np.ndarray:  # |grad u|^2 on every node
+        return sum(self.axis_sq)
 
     def interp(self, pts: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of the tensor components at points."""
@@ -63,19 +72,18 @@ class StressEnergy:
 
 
 def stress_energy(field: VectorField, potential) -> StressEnergy:
-    g = field.grid
-    n = g.dim
+    n = field.grid.dim
     inner = _interior_slices(n)
-    grads = [d[inner] for d in _gradients(field)]
-    sq = sum(np.sum(d * d, axis=-1) for d in grads)
-    W = potential.value_field(field.values[inner].reshape(-1, field.m)).reshape(sq.shape)
-    diag = 0.5 * sq + W
-    T = np.empty(sq.shape + (n, n))
+    full = _gradients(field)
+    axis_sq = tuple(np.sum(d * d, axis=-1) for d in full)
+    W = potential.value_field(field.flat()).reshape(field.grid.shape)
+    diag = 0.5 * sum(axis_sq)[inner] + W[inner]
+    T = np.empty(diag.shape + (n, n))
     for a in range(n):
         for b in range(n):
-            T[..., a, b] = np.sum(grads[a] * grads[b], axis=-1)
+            T[..., a, b] = np.sum(full[a][inner] * full[b][inner], axis=-1)
         T[..., a, a] -= diag
-    return StressEnergy(grid=g, sq=sq, W=W, tensor=T)
+    return StressEnergy(field=field, wells=potential.wells, axis_sq=axis_sq, W=W, tensor=T)
 
 
 def divergence_residual(se: StressEnergy) -> float:
@@ -100,9 +108,8 @@ def monotonicity_profile(se: StressEnergy, x0, radii, strong: bool = False) -> d
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii > g.half_width + 1e-12):
         raise DiagnosticsError("radius exceeds the box")
-    e = (0.5 * se.sq + se.W).ravel()
-    inner_nodes = g.nodes.reshape(g.shape + (g.dim,))[_interior_slices(g.dim)].reshape(-1, g.dim)
-    dist = np.linalg.norm(inner_nodes - x0[None, :], axis=1)
+    e = (0.5 * se.sq + se.W).ravel()[g.interior_mask]
+    dist = np.linalg.norm(g.nodes[g.interior_mask] - x0[None, :], axis=1)
     hn = g.spacing**g.dim
     tol = BOX_EDGE_TOL * g.spacing
     energies = np.array([hn * float(e[dist <= R + tol].sum()) for R in radii])
@@ -122,30 +129,27 @@ def monotonicity_profile(se: StressEnergy, x0, radii, strong: bool = False) -> d
 def modica_deficit(se: StressEnergy) -> float:
     """max over interior nodes of |grad u|^2/2 - W(u); positive = violation
     of the scalar gradient bound."""
-    return float((0.5 * se.sq - se.W).max())
+    return float((0.5 * se.sq - se.W)[_interior_slices(se.dim)].max())
 
 
-def pohozaev_residual(field: VectorField, potential, x0) -> float:
+def pohozaev_residual(se: StressEnergy, x0) -> float:
     """|(n-2)/2 int |grad u|^2 + n int W + 1/2 bdry (x - x0).nu |grad u|^2|
     over the solver box, for fields with single-well boundary values."""
-    g = field.grid
+    g = se.grid
     n = g.dim
     h = g.spacing
     x0 = np.asarray(x0, dtype=np.float64)
-    bmask = ~g.interior_mask
-    bvals = field.flat()[bmask]
-    wells = potential.wells
-    if wells.shape[0] == 0:
+    bvals = se.field.flat()[~g.interior_mask]
+    if se.wells.shape[0] == 0:
         raise DiagnosticsError("potential declares no wells")
-    dists = np.linalg.norm(bvals[:, None, :] - wells[None, :, :], axis=2)
+    dists = np.linalg.norm(bvals[:, None, :] - se.wells[None, :, :], axis=2)
     if float(dists.min(axis=1).max()) > 1e-6:
         raise DiagnosticsError("boundary is not held at a single well value")
 
-    sq = sum(np.sum(d * d, axis=-1) for d in _gradients(field))
-    W = potential.value_field(field.flat()).reshape(g.shape)
+    sq = se.sq
     wts = kernels.trapezoid_weights(g.shape)
     hn = h**n
-    vol = (n - 2) / 2.0 * hn * float(np.sum(wts * sq)) + n * hn * float(np.sum(wts * W))
+    vol = (n - 2) / 2.0 * hn * float(np.sum(wts * sq)) + n * hn * float(np.sum(wts * se.W))
 
     bdry = 0.0
     for a in range(n):
@@ -158,14 +162,14 @@ def pohozaev_residual(field: VectorField, potential, x0) -> float:
     return abs(vol + 0.5 * bdry)
 
 
-def hamiltonian_variance(field: VectorField, potential, strip=None, decay_tol: float = 0.05) -> dict:
+def hamiltonian_variance(se: StressEnergy, strip=None, decay_tol: float = 0.05) -> dict:
     """Strip-wise conservation check for planar fields.
 
     For each grid row x2 = const in the strip, integrates
     (|u_x1|^2 - |u_x2|^2)/2 - W(u) over x1 and reports the spread of the row
     integrals relative to their mean magnitude.  Rows must decay to wells at
     the strip ends; otherwise the result is flagged and not comparable."""
-    g = field.grid
+    g = se.grid
     if g.dim != 2:
         raise DiagnosticsError("hamiltonian check needs a planar field")
     h = g.spacing
@@ -175,16 +179,13 @@ def hamiltonian_variance(field: VectorField, potential, strip=None, decay_tol: f
     rows = np.flatnonzero((axis >= strip[0]) & (axis <= strip[1]))
     if rows.size < 2:
         raise DiagnosticsError("strip selects fewer than two rows")
-    u = field.values
-    du1, du2 = _gradients(field)
-    wells = potential.wells
+    u = se.field.values
     flagged = False
-    if wells.shape[0]:
+    if se.wells.shape[0]:
         ends = np.concatenate([u[0, rows, :], u[-1, rows, :]])
-        d = np.linalg.norm(ends[:, None, :] - wells[None, :, :], axis=2).min(axis=1)
+        d = np.linalg.norm(ends[:, None, :] - se.wells[None, :, :], axis=2).min(axis=1)
         flagged = bool(d.max() > decay_tol)
-    W = potential.value_field(field.flat()).reshape(g.shape)
-    integrand = 0.5 * (np.sum(du1**2, axis=-1) - np.sum(du2**2, axis=-1)) - W
+    integrand = 0.5 * (se.axis_sq[0] - se.axis_sq[1]) - se.W
     series = h * (kernels.trapezoid_weights(axis.shape) @ integrand[:, rows])
     mean = float(np.mean(series))
     spread = float(np.std(series))

@@ -107,15 +107,14 @@ def test_criterion_4_equivariant_junction(junction, triple_well):
     residual_ok = res.converged and res.residual <= 1e-3
     ang = diagnostics.junction_angles(res.field, triple_well.wells, r0=5.0)
     angles_ok = bool(np.all(np.abs(np.degrees(ang["angles"]) - 120.0) <= 3.0))
-    mono = diagnostics.monotonicity_profile(
-        diagnostics.stress_energy(res.field, triple_well), [0.0, 0.0], np.linspace(0.8, 7.5, 10)
-    )
+    se = diagnostics.stress_energy(res.field, triple_well)
+    mono = diagnostics.monotonicity_profile(se, [0.0, 0.0], np.linspace(0.8, 7.5, 10))
     mono_ok = mono["max_relative_violation"] <= 1e-6
     fit = diagnostics.decay_fit(
         res.field, triple_well.wells[0], [1.0, 0.0], window=(1e-5, 1e-1), region_map=rm
     )
     decay_ok = fit["ok"] and fit["k"] > 0
-    ham = diagnostics.hamiltonian_variance(res.field, triple_well, strip=(-7.0, -3.5))
+    ham = diagnostics.hamiltonian_variance(se, strip=(-7.0, -3.5))
     ham_ok = ham["decay_precondition_met"] and ham["relative_variance"] <= 1e-3
     runtime_ok = junction["wall_time"] <= 300.0
     ok = residual_ok and angles_ok and mono_ok and decay_ok and ham_ok and runtime_ok

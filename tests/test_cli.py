@@ -230,18 +230,21 @@ def test_solve_and_diagnose_pipeline(tmp_path):
 
 
 def test_diagnose_evaluates_the_interior_terms_once(tmp_path, monkeypatch):
-    # one stress_energy record serves the divergence, Modica, monotonicity and
-    # flux checks; the Hamiltonian check takes its own full-grid gradients
+    # one stress_energy record serves the divergence, Modica, monotonicity,
+    # flux and Hamiltonian checks: one gradient and one W evaluation per field
     g = fields.Grid(dim=2, half_width=4.0, points=41)
     csv, meta = tmp_path / "f.csv", tmp_path / "f.json"
     fields.save_field(fields.field_from_function(g, lambda x: np.tanh(x[:, ::-1]), 2), csv, meta)
     calls = []
-    for name in ("stress_energy", "_gradients"):
-        fn = getattr(diagnostics, name)
-        monkeypatch.setattr(diagnostics, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    for owner, name in ((diagnostics, "stress_energy"), (diagnostics, "_gradients"),
+                        (potentials.PotentialSpec, "value_field")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
     config = {"potential": "triple_well", "field": {"csv": str(csv), "meta": str(meta)}}
     assert run(["diagnose", "--config", write_config(tmp_path / "c.json", config), "--out", str(tmp_path / "o")]) == 0
-    assert sorted(calls) == ["_gradients", "_gradients", "stress_energy"]
+    assert sorted(calls) == ["_gradients", "stress_energy", "value_field"]
+    diag = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
+    assert "hamiltonian_relative_variance" in diag and "flux" in diag
 
 
 def test_solve_connects_the_base_well_to_its_nearest_well(tmp_path):
@@ -1008,6 +1011,23 @@ def test_field_metadata_that_is_not_an_object_is_usage_error(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("usage error: cannot load") and str(meta) in err and "JSON object" in err
     assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("points, code", [(3, 1), (5, 0)])
+def test_diagnose_of_a_three_point_field_is_usage_error(tmp_path, capsys, points, code):
+    # solve writes a field with one interior node; its diagnose ended in the
+    # traceback of np.gradient on the 1-node interior tensor
+    grid = {"half_width": 4.0, "points": points}
+    assert run(["solve", "--config", write_config(tmp_path / "s.json", dict(JUNCTION, grid=grid)),
+                "--out", str(tmp_path / "s")]) == 0
+    field = {"csv": str(tmp_path / "s" / "field.csv"), "meta": str(tmp_path / "s" / "field_meta.json")}
+    config = write_config(tmp_path / "c.json", {"potential": "triple_well", "field": field})
+    capsys.readouterr()
+    assert run(["diagnose", "--config", config, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and (tmp_path / "o").exists() == (code == 0)
+    if code:
+        assert err == "usage error: the field has 3 points per axis; diagnose needs at least 5\n"
 
 
 def test_every_subcommand_is_byte_deterministic_across_processes(tmp_path):

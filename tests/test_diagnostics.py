@@ -104,13 +104,13 @@ def test_interior_gradients_are_the_centered_difference(request, dim, m, points)
     f, pot = _random_field(request, dim, m, points, 5)
     u, h = f.values, f.grid.spacing
     se = diagnostics.stress_energy(f, pot)
-    grads, sq, W = [d[(slice(1, -1),) * dim] for d in diagnostics._gradients(f)], se.sq, se.W
+    inner = (slice(1, -1),) * dim
+    grads, sq, W = [d[inner] for d in diagnostics._gradients(f)], se.sq[inner], se.W[inner]
     for a in range(dim):
         up = tuple(slice(2, None) if b == a else slice(1, -1) for b in range(dim))
         dn = tuple(slice(None, -2) if b == a else slice(1, -1) for b in range(dim))
         assert np.array_equal(grads[a], (u[up] - u[dn]) / (2 * h))
-    inner = u[(slice(1, -1),) * dim]
-    assert np.array_equal(W, pot.value_field(inner.reshape(-1, m)).reshape(sq.shape))
+    assert np.array_equal(W, pot.value_field(u[inner].reshape(-1, m)).reshape(sq.shape))
 
 
 @RANDOM_FIELDS
@@ -162,7 +162,7 @@ def test_hamiltonian_rows_match_the_per_row_loop(triple_well):
     # oracle: one trapezoid dot product per strip row
     g = fields.Grid(dim=2, half_width=2.0, points=21)
     f = fields.VectorField(g, np.random.default_rng(8).normal(size=g.shape + (2,)))
-    ham = diagnostics.hamiltonian_variance(f, triple_well, strip=(-1.0, 1.5), decay_tol=100.0)
+    ham = diagnostics.hamiltonian_variance(diagnostics.stress_energy(f, triple_well), strip=(-1.0, 1.5), decay_tol=100.0)
     du1, du2 = (np.gradient(f.values, g.spacing, axis=a, edge_order=2) for a in range(2))
     W = triple_well.value_field(f.flat()).reshape(g.shape)
     w = kernels.trapezoid_weights(g.axis().shape)
@@ -267,8 +267,9 @@ def test_modica_violated_by_vortex_field():
 def test_pohozaev_constant_and_shift(double_well):
     g = fields.Grid(dim=2, half_width=3.0, points=61)
     fc = fields.constant_field(g, [1.0])
-    assert diagnostics.pohozaev_residual(fc, double_well, [0.0, 0.0]) == 0.0
-    assert diagnostics.pohozaev_residual(fc, double_well, [0.7, -0.4]) == 0.0
+    se = diagnostics.stress_energy(fc, double_well)
+    assert diagnostics.pohozaev_residual(se, [0.0, 0.0]) == 0.0
+    assert diagnostics.pohozaev_residual(se, [0.7, -0.4]) == 0.0
 
 
 def test_pohozaev_relaxed_field(double_well):
@@ -280,15 +281,16 @@ def test_pohozaev_relaxed_field(double_well):
     f0 = fields.VectorField(g, vals)
     opts = fields.SolveOptions(residual_target=1e-9, max_iter=20_000, check_every=100)
     res = fields.minimize(f0, double_well, opts=opts)
-    r0 = diagnostics.pohozaev_residual(res.field, double_well, [0.0, 0.0])
+    se = diagnostics.stress_energy(res.field, double_well)
+    r0 = diagnostics.pohozaev_residual(se, [0.0, 0.0])
     assert r0 <= 10.0 * g.spacing
-    r_shift = diagnostics.pohozaev_residual(res.field, double_well, [0.5, 0.2])
+    r_shift = diagnostics.pohozaev_residual(se, [0.5, 0.2])
     assert abs(r0 - r_shift) <= 1e-6 + 0.1 * max(r0, r_shift)
 
 
 def test_pohozaev_rejects_non_well_boundary(slab_field, double_well):
     with pytest.raises(diagnostics.DiagnosticsError):
-        diagnostics.pohozaev_residual(slab_field, double_well, [0.0, 0.0])
+        diagnostics.pohozaev_residual(diagnostics.stress_energy(slab_field, double_well), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +298,14 @@ def test_pohozaev_rejects_non_well_boundary(slab_field, double_well):
 
 
 def test_hamiltonian_exact_slab(slab_field, double_well):
-    ham = diagnostics.hamiltonian_variance(slab_field, double_well, strip=(-2.0, 2.0))
+    ham = diagnostics.hamiltonian_variance(diagnostics.stress_energy(slab_field, double_well), strip=(-2.0, 2.0))
     assert ham["decay_precondition_met"]
     assert ham["std"] <= 1e-6  # identical slices by translation invariance
 
 
 def test_hamiltonian_junction_strip(junction, triple_well):
     ham = diagnostics.hamiltonian_variance(
-        junction["result"].field, triple_well, strip=(-7.0, -3.5)
+        diagnostics.stress_energy(junction["result"].field, triple_well), strip=(-7.0, -3.5)
     )
     assert ham["decay_precondition_met"]
     assert ham["relative_variance"] <= 1e-3
@@ -314,14 +316,14 @@ def test_hamiltonian_witness(double_well):
     rng = np.random.default_rng(2)
     noisy = fields.VectorField(g, np.tanh(g.nodes[:, 0])[:, None].reshape(g.shape + (1,)))
     noisy.values += 0.2 * rng.normal(size=noisy.values.shape)
-    ham = diagnostics.hamiltonian_variance(noisy, double_well, strip=(-2, 2), decay_tol=10.0)
+    ham = diagnostics.hamiltonian_variance(diagnostics.stress_energy(noisy, double_well), strip=(-2, 2), decay_tol=10.0)
     assert ham["std"] > 1e-2
 
 
 def test_hamiltonian_flags_bad_decay(double_well):
     g = fields.Grid(dim=2, half_width=2.0, points=41)
     f = fields.field_from_function(g, lambda p: 0.3 * np.cos(p[:, :1]), 1)
-    ham = diagnostics.hamiltonian_variance(f, double_well, strip=(-1, 1))
+    ham = diagnostics.hamiltonian_variance(diagnostics.stress_energy(f, double_well), strip=(-1, 1))
     assert not ham["decay_precondition_met"]
 
 
