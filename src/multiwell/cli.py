@@ -71,13 +71,23 @@ def _int(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A number as a float; booleans and strings are rejected."""
+    if not potentials._number(value):
+        raise TypeError("must be a number")
+    return float(value)
+
+
 def _floats(value) -> np.ndarray:
-    """A number or a (nested) list of numbers as a float array, at least 1-D."""
+    """A number or a (nested) list of numbers as a float array, at least 1-D;
+    booleans and strings are rejected."""
+    if not potentials._numbers(value):
+        raise TypeError("must be a number or a list of numbers")
     return np.atleast_1d(np.asarray(value, dtype=np.float64))
 
 
 def _positive(value) -> float:
-    x = float(value)
+    x = _real(value)
     if not 0 < x < np.inf:
         raise ValueError("must be positive and finite")
     return x
@@ -157,17 +167,17 @@ def _x_cone(value) -> str:
 TABLES = {
     "connect1d": {
         "potential": (_potential, REQUIRED),
-        "half_length": (float, 10.0),
+        "half_length": (_real, 10.0),
         "intervals": (_int, 2000),
-        "tol": (float, 1e-8),
+        "tol": (_real, 1e-8),
         "wells": (_wells, None),
     },
     "solve": {
         "potential": (_potential, REQUIRED),
         "group": (_group, REQUIRED),
-        "grid": {"half_width": (float, 8.0), "points": (_int, 161)},
+        "grid": {"half_width": (_real, 8.0), "points": (_int, 161)},
         "solver": {"max_iter": (_int, 100_000), "residual_target": (_positive, 1e-3)},
-        "connection": {"half_length": (float, 6.0), "intervals": (_int, 1200), "tol": (float, 1e-9)},
+        "connection": {"half_length": (_real, 6.0), "intervals": (_int, 1200), "tol": (_real, 1e-9)},
         "resume": {"field": (_path, REQUIRED), "meta": (_path, REQUIRED)},
     },
     "diagnose": {
@@ -181,11 +191,11 @@ TABLES = {
     "steiner": {
         "batch": (_path, None),
         "triangle": {"A": (_point, REQUIRED), "B": (_point, REQUIRED), "C": (_point, REQUIRED),
-                     "e12": (float, REQUIRED), "e13": (float, REQUIRED), "e23": (float, REQUIRED)},
+                     "e12": (_real, REQUIRED), "e13": (_real, REQUIRED), "e23": (_real, REQUIRED)},
     },
     "partition": {
         "partition": (_partition, REQUIRED),
-        "tensions": (partitions.TensionMatrix, None),
+        "tensions": (lambda v: partitions.TensionMatrix(_floats(v)), None),
         "center": (lambda v: partitions._finite_point(v, "center"), np.zeros(2)),
         "radii": (_radii, np.linspace(0.2, 2.0, 10)),
         "blowdown_scales": (lambda v: _radii(v, -1), np.array([1.0, 0.5, 0.25, 0.125])),

@@ -59,9 +59,9 @@ class ConnectionProfile:
     def sample(self, t) -> np.ndarray:
         """The profile at the points t, shape t.shape + (m,): linear
         interpolation between the nodes, clamped to [eta_0, eta_K]
-        (``kernels.interp`` on the 1D profile)."""
+        (``kernels.interp`` on the profile's columns)."""
         t = np.asarray(t, dtype=np.float64)
-        out = kernels.interp(self.values, t.reshape(-1, 1), self.eta[0], self.h)
+        out = kernels.interp(fields.to_columns(self.values), t.reshape(-1, 1), self.eta[0], self.h)
         return out.reshape(t.shape + (self.m,))
 
     def derivative(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import BOX_EDGE_TOL, Grid, VectorField
+from .fields import BOX_EDGE_TOL, Grid, VectorField, to_columns
 
 
 class DiagnosticsError(RuntimeError):
@@ -24,6 +24,15 @@ class DiagnosticsError(RuntimeError):
 
 def _interior_slices(dim):
     return tuple(slice(1, -1) for _ in range(dim))
+
+
+def _well_distances(vals: np.ndarray, wells: np.ndarray) -> np.ndarray:
+    """(N, k) distances of N points (N, m) to k wells (k, m), one well at a
+    time, so that no (N, k, m) difference array is formed."""
+    d = np.empty((vals.shape[0], wells.shape[0]))
+    for j, w in enumerate(wells):
+        d[:, j] = np.linalg.norm(vals - w, axis=1)
+    return d
 
 
 def _gradients(field: VectorField) -> list[np.ndarray]:
@@ -63,12 +72,12 @@ class StressEnergy:
         return sum(self.axis_sq)
 
     def interp(self, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation of the tensor components at points."""
+        """The tensor components at points by multilinear interpolation, as a
+        C-contiguous (N, n, n) array: einsum sums a transposed view in another order."""
         h = self.grid.spacing
-        shape = self.tensor.shape
-        flat = self.tensor.reshape(shape[: self.dim] + (self.dim * self.dim,))
-        vals = kernels.interp(np.ascontiguousarray(flat), pts, h - self.grid.half_width, h)
-        return vals.reshape(pts.shape[0], self.dim, self.dim)
+        flat = self.tensor.reshape(self.tensor.shape[: self.dim] + (-1,))
+        vals = kernels.interp(to_columns(flat), pts, h - self.grid.half_width, h)
+        return np.ascontiguousarray(vals).reshape(pts.shape[0], self.dim, self.dim)
 
 
 def stress_energy(field: VectorField, potential) -> StressEnergy:
@@ -142,8 +151,7 @@ def pohozaev_residual(se: StressEnergy, x0) -> float:
     bvals = se.field.flat()[~g.interior_mask]
     if se.wells.shape[0] == 0:
         raise DiagnosticsError("potential declares no wells")
-    dists = np.linalg.norm(bvals[:, None, :] - se.wells[None, :, :], axis=2)
-    if float(dists.min(axis=1).max()) > 1e-6:
+    if float(_well_distances(bvals, se.wells).min(axis=1).max()) > 1e-6:
         raise DiagnosticsError("boundary is not held at a single well value")
 
     sq = se.sq
@@ -183,8 +191,7 @@ def hamiltonian_variance(se: StressEnergy, strip=None, decay_tol: float = 0.05) 
     flagged = False
     if se.wells.shape[0]:
         ends = np.concatenate([u[0, rows, :], u[-1, rows, :]])
-        d = np.linalg.norm(ends[:, None, :] - se.wells[None, :, :], axis=2).min(axis=1)
-        flagged = bool(d.max() > decay_tol)
+        flagged = bool(_well_distances(ends, se.wells).min(axis=1).max() > decay_tol)
     integrand = 0.5 * (se.axis_sq[0] - se.axis_sq[1]) - se.W
     series = h * (kernels.trapezoid_weights(axis.shape) @ integrand[:, rows])
     mean = float(np.mean(series))
@@ -259,8 +266,7 @@ def flux_balance(se: StressEnergy, radius: float, n_samples: int = 720) -> np.nd
 def locate_junction(field: VectorField, wells: np.ndarray) -> np.ndarray:
     """Node minimizing the spread between the distances to the nearest wells;
     ties resolve toward the origin."""
-    flat = field.flat()
-    d = np.linalg.norm(flat[:, None, :] - wells[None, :, :], axis=2)
+    d = _well_distances(field.flat(), wells)
     d.sort(axis=1)
     k = min(wells.shape[0], 3)
     spread = d[:, k - 1] - d[:, 0]
@@ -284,8 +290,7 @@ def junction_angles(field: VectorField, wells: np.ndarray, r0: float, center=Non
     th = np.linspace(0.0, 2 * np.pi, 3600, endpoint=False)
     pts = center[None, :] + r0 * np.stack([np.cos(th), np.sin(th)], axis=1)
     vals = field.interp(pts)
-    d = np.linalg.norm(vals[:, None, :] - wells[None, :, :], axis=2)
-    labels = np.argmin(d, axis=1)
+    labels = np.argmin(_well_distances(vals, wells), axis=1)
     counts = np.bincount(labels, minlength=wells.shape[0])
     angles = 2 * np.pi * counts / 3600
     transitions = int(np.sum(labels != np.roll(labels, 1)))

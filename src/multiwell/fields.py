@@ -36,12 +36,12 @@ error of the square-grid stencil; for the tetrahedral junction also a box
 term that does not fall with h (16 of its 24 elements do not map the cube
 onto itself: 3.0e-2 at 33^3 and 3.1e-2 at 65^3, half-width 5).
 
-``VectorField`` and the files store node values interleaved, grid.shape +
-(m,).  ``newton_krylov`` converts its input once to component-major
-(m, *grid) arrays (``to_columns``) and back once on exit (``from_columns``):
-inside the loop every kernel, the projection and the Hessian product run on
-contiguous component blocks.  The equivariance measurement's gathers and
-differences run on component columns too.
+Interleaved node values, grid.shape + (m,), exist only in ``VectorField``,
+connection profiles and files; every kernel reads component-major
+(m, *grid) arrays (``to_columns``, inverse ``from_columns``), each component
+one contiguous block.  ``newton_krylov`` converts its state once on entry
+and once on exit, the equivariance measurement its values once, and the
+point API (``VectorField.interp``) in the wrapper.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class VectorField:
         return VectorField(self.grid, self.values.copy())
 
     def interp(self, pts: np.ndarray) -> np.ndarray:
-        return kernels.interp(self.values, pts, -self.grid.half_width, self.grid.spacing)
+        return kernels.interp(to_columns(self.values), pts, -self.grid.half_width, self.grid.spacing)
 
 
 def constant_field(grid: Grid, value) -> VectorField:
@@ -352,9 +352,10 @@ def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
     u for the identity coset and one interpolation per further one (two for
     the tetrahedral group, dihedral-3 and dihedral-6); u(b_x^T .) is one node
     map and gather per distinct b_x (8, 2 and 4, the identity included).
-    Images and differences are (m, K) columns, measured by ``_sup_norm``."""
-    m = values.shape[-1]
-    cols = values.reshape(-1, m).T.copy()
+    Images (``kernels.interp``'s ``.T``) and differences are (m, K) columns
+    of one ``to_columns`` array, measured by ``_sup_norm``."""
+    grid_cols = to_columns(values)
+    cols = grid_cols.reshape(values.shape[-1], -1)
     reps, images, by_bx = [np.eye(grid.dim)], [cols[:, sel]], {}
     for gx, gu in pairs:
         if _is_identity(gx, gu):
@@ -363,7 +364,7 @@ def _equivariance_defect(values: np.ndarray, grid: Grid, pairs, sel) -> float:
         if k is None:
             k = len(reps)
             reps.append(gx)
-            images.append(kernels.interp(values, grid.nodes[sel] @ gx.T, -grid.half_width, grid.spacing).T.copy())
+            images.append(kernels.interp(grid_cols, grid.nodes[sel] @ gx.T, -grid.half_width, grid.spacing).T)
         bx = np.rint(reps[k].T @ gx).astype(np.int64)  # an integer key: a float one tells -0.0 from 0.0
         by_bx.setdefault(bx.tobytes(), (bx, []))[1].append((images[k], gu))
     number = np.arange(cols.shape[1]).reshape((1,) + grid.shape)  # node numbers, the columns of u

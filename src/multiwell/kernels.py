@@ -5,11 +5,10 @@ potentials: one generic kernel that evaluates several polynomials (a value
 and its gradient, or the upper triangle of a Hessian) from one power table;
 one numpy implementation each.
 
-The stencils, the sine solve and the link energy take component-major
-fields, shape ``(m,) + grid.shape``, each component one contiguous block, and
-work in any grid dimension by slicing one grid axis at a time; ``poly_columns``
-reads (m, N) component columns and writes (k, N) rows.  ``interp`` alone takes
-interleaved ``grid.shape + (m,)`` values and gathers from a column copy.
+Every kernel takes component-major values: the stencils, the sine solve,
+the link energy and ``interp`` fields of shape ``(m,) + grid.shape``, each
+component one contiguous block, in any grid dimension; ``poly_columns``
+(m, N) component columns, written as (k, N) rows.
 """
 
 from __future__ import annotations
@@ -200,14 +199,14 @@ def poly_columns(cols, polys, emax):
 # are clamped to the box; callers mask out-of-box queries themselves.
 
 
-def interp(values: np.ndarray, pts: np.ndarray, lo: float, h: float) -> np.ndarray:
-    """Clamped multilinear interpolation of a node-sampled field, as a
-    C-contiguous (N, m) array: the corners, in order, are gathered, weighted
-    and summed column by column from one (m, nodes) copy of the values.  A
-    NaN point has NaN weights, so its row is NaN."""
-    shape = values.shape[:-1]
+def interp(cols: np.ndarray, pts: np.ndarray, lo: float, h: float) -> np.ndarray:
+    """Clamped multilinear interpolation of a C-contiguous (m, *grid) array
+    at N points, corner by corner from its rows in place, into (m, N) columns
+    returned as their (N, m) view ``.T``: the point API and a point count read
+    a point as a row.  A NaN point has NaN weights, so its row is NaN."""
+    shape = cols.shape[1:]
     pts = np.ascontiguousarray(pts, dtype=np.float64)
-    cols = values.reshape(-1, values.shape[-1]).T.copy()
+    cols = cols.reshape(cols.shape[0], -1)
     base, corners = 0, [(0, None)]  # per corner: (node offset, weight)
     for k, P in enumerate(shape):
         stride = math.prod(shape[k + 1 :])  # C-order node stride
@@ -225,7 +224,7 @@ def interp(values: np.ndarray, pts: np.ndarray, lo: float, h: float) -> np.ndarr
             np.take(col, idx, out=gathered, mode="clip")  # "raise" would copy through a buffer
             gathered *= w
             acc += gathered
-    return np.ascontiguousarray(out.T)
+    return out.T
 
 
 # ---------------------------------------------------------------------------

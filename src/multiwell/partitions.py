@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .potentials import _integral, _known_keys
+from .potentials import _integral, _known_keys, _numbers
 
 
 class PartitionError(ValueError):
@@ -571,8 +571,8 @@ def partition_to_json(part: PolygonalPartition) -> dict:
 def _finite_point(value, what: str) -> np.ndarray:
     """``value`` as a finite [x, y]; PartitionError naming ``what`` otherwise."""
     try:
-        p = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):  # not numeric, or ragged
+        p = np.asarray(value, dtype=np.float64) if _numbers(value) else np.empty(0)
+    except ValueError:  # ragged
         p = np.empty(0)
     if p.shape != (2,) or not np.all(np.isfinite(p)):
         raise PartitionError(f"{what} must be a finite point [x, y]; got {value!r}")

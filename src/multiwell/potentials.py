@@ -307,6 +307,11 @@ def _number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _numbers(value) -> bool:
+    """Whether a JSON value is a ``_number`` or a (nested) list of them."""
+    return all(map(_numbers, value)) if isinstance(value, (list, tuple)) else _number(value)
+
+
 def _integral(value) -> bool:
     """Whether a JSON value is a whole number: a ``_number`` that is not a
     fraction and not non-finite (an int coercion would read 2.5 as 2)."""
@@ -316,10 +321,10 @@ def _integral(value) -> bool:
 def potential_from_json(path_or_dict) -> PotentialSpec:
     """Load a custom polynomial potential:
     {"name", "monomials": [{"coeff", "exponents"}], "wells"}.  Any other
-    key, a name that is not a string, a coefficient that is not a number
-    and an exponent that is not a non-negative integer raise ValueError
-    naming it; so do ``Polynomial`` for a coefficient and ``PotentialSpec``
-    for a well that is not finite."""
+    key, a name that is not a string, a coefficient or a well coordinate
+    that is not a number and an exponent that is not a non-negative integer
+    raise ValueError naming it; so do ``Polynomial`` for a coefficient and
+    ``PotentialSpec`` for a well that is not finite."""
     if isinstance(path_or_dict, (str, bytes)):
         with open(path_or_dict) as fh:
             data = json.load(fh)
@@ -339,9 +344,12 @@ def potential_from_json(path_or_dict) -> PotentialSpec:
         for e in mo["exponents"]:
             if not _integral(e) or e < 0:  # -1 would read as a wrong power
                 raise ValueError(f"monomial {mo!r} has exponent {e!r}; exponents are non-negative integers")
+    wells = data.get("wells", [])
+    if not _numbers(wells):
+        raise ValueError(f"custom potential wells {wells!r} are not lists of numbers")
     exps = [mo["exponents"] for mo in monos]
     poly = Polynomial(len(exps[0]), [mo["coeff"] for mo in monos], exps)
-    return PotentialSpec(name, poly, data.get("wells", []))
+    return PotentialSpec(name, poly, wells)
 
 
 def invariance_residual(spec: PotentialSpec, maps, rng, sample_count: int = 100) -> float:

@@ -106,7 +106,7 @@ def junction(dihedral3, triple_well, triangle_region, triangle_profile):
     grid = fields.Grid(dim=2, half_width=8.0, points=161)
     t0 = time.time()
     u0 = fields.initial_guess(dihedral3, triangle_region, triangle_profile, grid)
-    opts = fields.SolveOptions(residual_target=1e-3, max_iter=60_000, k_sym=10, check_every=200)
+    opts = fields.SolveOptions(residual_target=1e-3, max_iter=60_000)
     result = fields.minimize(u0, triple_well, symmetry=dihedral3, opts=opts)
     wall_time = time.time() - t0
     return {
@@ -129,7 +129,7 @@ def slab_solution(double_well):
 
     u0 = fields.field_from_function(grid, data, 1)
     t0 = time.time()
-    opts = fields.SolveOptions(residual_target=1e-4, max_iter=40_000, k_sym=10, check_every=100)
+    opts = fields.SolveOptions(residual_target=1e-4, max_iter=40_000)
     result = fields.solve_dirichlet(u0, double_well, data, opts=opts)
     wall_time = time.time() - t0
     return {"result": result, "grid": grid, "data": data, "wall_time": wall_time}

@@ -179,7 +179,7 @@ def test_criterion_6_dirichlet_hierarchy(slab_solution, double_well):
         return np.tanh(pts[:, 0])[:, None]
 
     f0 = fields.field_from_function(g, wrong_width, 1)
-    opts = fields.SolveOptions(residual_target=1e-4, max_iter=40_000, k_sym=10, check_every=100)
+    opts = fields.SolveOptions(residual_target=1e-4, max_iter=40_000)
     res2 = fields.solve_dirichlet(f0, double_well, wrong_width, opts=opts)
     err2 = np.abs(res2.field.values[..., 0] - exact)
     ax = g.axis()

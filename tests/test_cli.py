@@ -307,6 +307,35 @@ ORIGIN_WELL = {"monomials": [{"coeff": 1.0, "exponents": [2, 0]}, {"coeff": 1.0,
                "wells": [[0.0, 0.0], [1.0, 0.0]]}
 
 
+# JSON booleans and numeric strings where a number goes, which a float
+# coercion read as numbers (true as 1.0, "1e-6" as 1e-6): the command, the
+# config and the key the usage error names
+COERCED = {
+    "bool-half-length": ("connect1d", {"potential": "double_well", "half_length": True}, "'half_length'"),
+    "string-tol": ("connect1d", {"potential": "double_well", "tol": "1e-6"}, "'tol'"),
+    "bool-endpoint": ("connect1d", {"potential": "double_well", "wells": [[True], [-1.0]]}, "'wells'"),
+    "bool-potential-well": ("connect1d", {"potential": dict(ORIGIN_WELL, wells=[[0, True], [1.0, 0.0]])},
+                            "custom potential wells"),
+    "bool-weight": ("steiner", {"triangle": dict(EQUILATERAL, e12=True)}, "'e12'"),
+    "string-weight": ("steiner", {"triangle": dict(EQUILATERAL, e13="1")}, "'e13'"),
+    "bool-vertex": ("steiner", {"triangle": dict(EQUILATERAL, A=[0, True])}, "'A'"),
+    "string-half-width": ("solve", dict(JUNCTION, grid={"half_width": "4"}), "'half_width'"),
+    "bool-residual-target": ("solve", dict(JUNCTION, solver={"residual_target": True}), "'residual_target'"),
+    "bool-connection-tol": ("solve", dict(JUNCTION, connection={"tol": True}), "'tol'"),
+    "bool-angle-radius": ("diagnose", {"potential": "triple_well", "field": {"csv": "f.csv", "meta": "m.json"},
+                                       "angle_radius": True}, "'angle_radius'"),
+    "string-strip": ("diagnose", {"potential": "triple_well", "field": {"csv": "f.csv", "meta": "m.json"},
+                                  "hamiltonian_strip": ["-1", 1]}, "'hamiltonian_strip'"),
+    "bool-ray-origin": ("partition", {"partition": dict(TRIOD, rays=[dict(TRIOD["rays"][0], origin=[0, False])])},
+                        "ray 0 origin"),
+    "string-radii": ("partition", {"partition": TRIOD, "radii": ["0.5", 1]}, "'radii'"),
+    "bool-scales": ("partition", {"partition": TRIOD, "blowdown_scales": [True]}, "'blowdown_scales'"),
+    "bool-center": ("partition", {"partition": TRIOD, "center": [0, True]}, "center"),
+    "bool-tension": ("partition", {"partition": TRIOD, "tensions": [[0, True, 1], [True, 0, 1], [1, 1, 0]]},
+                     "'tensions'"),
+}
+
+
 @pytest.mark.parametrize(
     "command, config",
     [
@@ -374,6 +403,7 @@ ORIGIN_WELL = {"monomials": [{"coeff": 1.0, "exponents": [2, 0]}, {"coeff": 1.0,
         ("partition", {"partition": TRIOD, "tensions": [[0, math.inf, 1], [math.inf, 0, 1], [1, 1, 0]]}),
         ("connect1d", {"potential": "double_well", "wells": [[math.nan], [1.0]]}),
         ("solve", {"potential": ORIGIN_WELL, "group": "dihedral_3", "grid": {"points": 11}}),
+        *(case[:2] for case in COERCED.values()),
     ],
     ids=[
         "even-points",
@@ -440,6 +470,7 @@ ORIGIN_WELL = {"monomials": [{"coeff": 1.0, "exponents": [2, 0]}, {"coeff": 1.0,
         "inf-tension",
         "nan-endpoint",
         "base-well-fixed-by-group",
+        *COERCED,
     ],
 )
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
@@ -447,6 +478,16 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, config):
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config, key", COERCED.values(), ids=COERCED)
+def test_coerced_number_is_a_usage_error_naming_its_key(tmp_path, capsys, command, config, key):
+    # a boolean or a string is not a number, at every numeric leaf of a config
+    cfg = write_config(tmp_path / "c.json", config)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -279,7 +279,7 @@ def test_pohozaev_relaxed_field(double_well):
     vals = np.ones(g.shape + (1,))
     vals[..., 0] -= 0.3 * bump
     f0 = fields.VectorField(g, vals)
-    opts = fields.SolveOptions(residual_target=1e-9, max_iter=20_000, check_every=100)
+    opts = fields.SolveOptions(residual_target=1e-9, max_iter=20_000)
     res = fields.minimize(f0, double_well, opts=opts)
     se = diagnostics.stress_energy(res.field, double_well)
     r0 = diagnostics.pohozaev_residual(se, [0.0, 0.0])
@@ -419,3 +419,15 @@ def test_angle_bridge_young_law(junction, triple_well, triangle_profile):
 def test_junction_locator(junction, triple_well):
     c = diagnostics.locate_junction(junction["result"].field, triple_well.wells)
     assert np.linalg.norm(c) <= 0.2
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (2, 3), (3, 4)])
+def test_well_distances_match_the_broadcast_norm(m, k):
+    # the distances formed one well at a time are those of the (N, k, m)
+    # difference array bit for bit, also from a transposed view such as
+    # kernels.interp returns
+    rng = np.random.default_rng(m)
+    vals, wells = rng.normal(size=(500, m)), rng.normal(size=(k, m))
+    ref = np.linalg.norm(vals[:, None, :] - wells[None, :, :], axis=2)
+    assert np.array_equal(diagnostics._well_distances(vals, wells), ref)
+    assert np.array_equal(diagnostics._well_distances(np.ascontiguousarray(vals.T).T, wells), ref)

@@ -460,7 +460,7 @@ def test_minimize_slab_converges_to_tanh(double_well):
     g = fields.Grid(dim=2, half_width=8.0, points=161)
     f0 = fields.field_from_function(g, slab_fn, 1)
     pairs = fields.reflection_pairs(2, 1)
-    opts = fields.SolveOptions(residual_target=1e-5, max_iter=30_000, k_sym=10, check_every=50)
+    opts = fields.SolveOptions(residual_target=1e-5, max_iter=30_000)
     res = fields.minimize(f0, double_well, symmetry=pairs, opts=opts)
     assert res.converged
     exact = np.tanh(g.nodes[:, 0] / np.sqrt(2.0)).reshape(g.shape)
@@ -804,7 +804,7 @@ def test_tetra_3d_descent_smoke(tetra_well, tetrahedral):
     grid = fields.Grid(dim=3, half_width=4.0, points=25)
     u0 = fields.initial_guess(tetrahedral, rm, prof, grid)
     r0 = fields.pde_residual(u0, tetra_well)
-    opts = fields.SolveOptions(residual_target=1e-6, max_iter=300, k_sym=10, check_every=100)
+    opts = fields.SolveOptions(residual_target=1e-6, max_iter=300)
     res = fields.minimize(u0, tetra_well, symmetry=tetrahedral, opts=opts)
     hist = res.energy_history
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))

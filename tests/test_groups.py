@@ -222,7 +222,7 @@ def _full_box_equivariance(field, pairs, sel=None) -> float:
             idx = np.rint((pts @ gx.T + g.half_width) / g.spacing).astype(int)
             lhs = field.flat()[np.ravel_multi_index(tuple(idx.T), g.shape)]
         else:
-            lhs = kernels.interp(field.values, pts @ gx.T, -g.half_width, g.spacing)
+            lhs = kernels.interp(fields.to_columns(field.values), pts @ gx.T, -g.half_width, g.spacing)
         diff = np.sqrt(np.sum((lhs - field.flat() @ gu.T) ** 2, axis=1))
         worst = max(worst, float(diff[sel].max()))
     return worst

@@ -2,6 +2,7 @@
 polynomial reference evaluation."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import scipy.fft
 from scipy.interpolate import RegularGridInterpolator
 
-from multiwell import kernels, potentials
+from multiwell import fields, kernels, potentials
 
 
 rng = np.random.default_rng(0)
@@ -126,10 +127,10 @@ def test_interp_lanes_agree_and_hit_nodes():
         q = rng.uniform(-1, 1, size=(300, dim))
         axes = [np.linspace(-1, 1, P)] * dim
         ref = RegularGridInterpolator(axes, vals, method="linear")(q)
-        assert np.allclose(kernels.interp(vals, q, -1.0, h), ref, atol=1e-13)
+        assert np.allclose(kernels.interp(fields.to_columns(vals), q, -1.0, h), ref, atol=1e-13)
         m = P - 1
         idx = np.array([[0] * dim, [m // 2] * dim, [m] * dim, [0] + [m] * (dim - 1), [3, m, 1][:dim]])
-        out = kernels.interp(vals, x[tuple(idx.T)], -1.0, h)
+        out = kernels.interp(fields.to_columns(vals), x[tuple(idx.T)], -1.0, h)
         assert np.allclose(out, vals[tuple(idx.T)], rtol=0, atol=1e-12)
 
 
@@ -142,13 +143,14 @@ def test_interp_linear_exactness():
         affine = lambda p: np.stack([p @ a + 0.5, p[..., 0]], axis=-1)
         vals = np.ascontiguousarray(affine(x))
         q = rng.uniform(-1, 1, size=(200, dim))
-        assert np.allclose(kernels.interp(vals, q, -1.0, h), affine(q), atol=1e-12)
+        cols = fields.to_columns(vals)
+        assert np.allclose(kernels.interp(cols, q, -1.0, h), affine(q), atol=1e-12)
         # exact at nodes, including the corners of the box
         idx = np.array([[0] * dim, [4] * dim, [8] * dim, [0] + [8] * (dim - 1), [3, 8, 1][:dim]])
-        out = kernels.interp(vals, x[tuple(idx.T)], -1.0, h)
+        out = kernels.interp(cols, x[tuple(idx.T)], -1.0, h)
         assert np.array_equal(out, vals[tuple(idx.T)])
         far = rng.uniform(-3, 3, size=(200, dim))
-        out = kernels.interp(vals, far, -1.0, h)
+        out = kernels.interp(cols, far, -1.0, h)
         assert np.allclose(out, affine(np.clip(far, -1.0, 1.0)), atol=1e-12)
 
 
@@ -180,19 +182,37 @@ def _interp_rows(values, pts, lo, h):
 def test_interp_is_bit_equal_to_the_row_gather(dim, P, m):
     # the column gathers weight and sum the corners in the row gather's order,
     # so every bit agrees, at nodes, inside the box and at clamped points
-    # outside it; the result is C-contiguous (N, m)
+    # outside it; the result is (N, m), the transposed view of C-contiguous
+    # (m, N) columns
     x, h = box_nodes(dim, P)
     vals = rng.normal(size=(P,) * dim + (m,))
     q = np.concatenate([rng.uniform(-1, 1, size=(300, dim)), rng.uniform(-3, 3, size=(100, dim)),
                         x.reshape(-1, dim)[::7]])
-    out = kernels.interp(vals, q, -1.0, h)
-    assert out.shape == (q.shape[0], m) and out.flags.c_contiguous
+    cols = fields.to_columns(vals)
+    out = kernels.interp(cols, q, -1.0, h)
+    assert out.shape == (q.shape[0], m) and out.T.flags.c_contiguous
     assert np.array_equal(out, _interp_rows(vals, q, -1.0, h))
     # a NaN point has NaN weights: its row is NaN and the others are kept
     q[1, 0] = np.nan
     with np.errstate(invalid="ignore"):
-        out_nan = kernels.interp(vals, q, -1.0, h)
+        out_nan = kernels.interp(cols, q, -1.0, h)
     assert np.isnan(out_nan[1]).all() and np.array_equal(np.delete(out_nan, 1, axis=0), np.delete(out, 1, axis=0))
+
+
+def test_interp_reads_its_input_in_place():
+    # the corners are gathered from the rows of the (m, *grid) input, which is
+    # not copied: interpolating 3 x 65^3 values (6.6 MB) at 10 points
+    # allocates a small fraction of that, and the result is a view
+    cols = rng.normal(size=(3, 65, 65, 65))
+    q = rng.uniform(-1, 1, size=(10, 3))
+    tracemalloc.start()
+    try:
+        out = kernels.interp(cols, q, -1.0, 2.0 / 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cols.nbytes // 100
+    assert out.base is not None and np.array_equal(out, _interp_rows(np.moveaxis(cols, 0, -1), q, -1.0, 2.0 / 64))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

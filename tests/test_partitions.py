@@ -740,8 +740,12 @@ def test_partition_json_roundtrip():
         (lambda d: d["segments"][0].update(endpoints=[[0, 0], [1, 1, 1]]), "segment 0 endpoint 1"),
         (lambda d: d["segments"][0].update(endpoints=[[math.inf, 0], [1, 1]]), "segment 0 endpoint 0"),
         (lambda d: d["segments"][0].update(endpoints=[["a", 0], [1, 1]]), "segment 0 endpoint 0"),
+        (lambda d: d["rays"][0].update(origin=[0, False]), "ray 0 origin"),
+        (lambda d: d["rays"][1].update(direction=["0", 1]), "ray 1 direction"),
+        (lambda d: d["segments"][0].update(endpoints=[[0, 0], [True, 1]]), "segment 0 endpoint 1"),
     ],
-    ids=["3d-origin", "3d-direction", "nan-origin", "3d-endpoint", "inf-endpoint", "text-endpoint"],
+    ids=["3d-origin", "3d-direction", "nan-origin", "3d-endpoint", "inf-endpoint", "text-endpoint",
+         "bool-origin", "numeric-string-direction", "bool-endpoint"],
 )
 def test_partition_json_rejects_points_that_are_not_finite_pairs(edit, where):
     data = pt.partition_to_json(pt.double_junction(0.5))
